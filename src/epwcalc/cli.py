@@ -14,23 +14,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from .fpkernel import BACKEND
 from .scalars import is_prime
 from .suites import SUITES, RunConfig
 
 SUITE_ORDER = ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
-
-
-def _default_seed():
-    env = os.environ.get("EPW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
 
 
 def build_parser():
@@ -50,14 +38,9 @@ def build_parser():
 
 def run_suites(name, cfg: RunConfig, fail_fast=False):
     names = SUITE_ORDER if name == "all" else [name]
-    results = {}
-    with ThreadPoolExecutor(max_workers=min(len(names), 4)) as pool:
-        futures = {n: pool.submit(SUITES[n], cfg) for n in names}
-        for n in names:
-            results[n] = futures[n].result()
     checks = []
     for n in names:
-        for c in results[n]:
+        for c in SUITES[n](cfg):
             prefixed = c if name != "all" else type(c)(
                 f"{n}.{c.id}", c.anchor, c.status, c.expected, c.got, c.witness
             )
@@ -73,11 +56,21 @@ def main(argv=None):
     suite = args.suite_pos or args.suite or "all"
     if suite not in SUITE_ORDER + ["all"]:
         parser.error(f"unknown suite: {suite}")
-    if args.prime <= 13 or not is_prime(args.prime) or args.prime % 2 == 0:
+    try:
+        prime_ok = args.prime > 13 and is_prime(args.prime)
+    except ValueError as exc:
+        parser.error(f"--prime: {exc}")
+    if not prime_ok:
         parser.error(f"--prime must be an odd prime > 13, got {args.prime}")
     if args.trials < 1:
         parser.error("--trials must be positive")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("EPW_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            parser.error(f"EPW_SEED must be an integer, got {env!r}")
     cfg = RunConfig(seed=seed, prime=args.prime, trials=args.trials)
 
     start = time.monotonic()
@@ -103,7 +96,7 @@ def main(argv=None):
         mark = {"pass": "ok", "fail": "FAIL", "skip": "skip"}[c.status]
         print(f"[{mark:4}] {c.id}: {c.anchor}", file=sys.stderr)
     print(
-        f"{len(checks)} checks, {len(failed)} failed, backend={BACKEND}, {elapsed_ms} ms",
+        f"{len(checks)} checks, {len(failed)} failed, {elapsed_ms} ms",
         file=sys.stderr,
     )
     return 1 if failed else 0

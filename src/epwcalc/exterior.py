@@ -209,12 +209,6 @@ class SymplecticSpace:
     def __init__(self, field):
         self.field = field
 
-    def vector1(self, coords) -> ExteriorVector:
-        return ExteriorVector(self.field, 1, coords)
-
-    def vector3(self, coords) -> ExteriorVector:
-        return ExteriorVector(self.field, 3, coords)
-
     def form(self, a: ExteriorVector, b: ExteriorVector):
         if a.grade != 3 or b.grade != 3:
             raise GradeError("the symplectic form pairs grade-3 elements")

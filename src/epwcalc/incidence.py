@@ -59,26 +59,6 @@ def _kernel_dim(field, rows, ncols):
 
 
 @dataclass(frozen=True)
-class QuadraticFormOn:
-    """A quadratic form on a chosen base subspace, stored symmetrically."""
-
-    base: Subspace
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.matrix.transpose().rows:
-            raise ValueError("form matrix must be symmetric")
-
-    def value(self, coords):
-        F = self.base.field
-        acc = F.zero
-        for i, row in enumerate(self.matrix.rows):
-            for j, q in enumerate(row):
-                acc = F.add(acc, F.mul(q, F.mul(coords[i], coords[j])))
-        return acc
-
-
-@dataclass(frozen=True)
 class LagrangianPencil:
     """The Lagrangians containing a fixed 9-dimensional isotropic core:
     member(t, s) = core + <t*x0 + s*x1> inside perp(core)."""

@@ -2,7 +2,7 @@
 
 Rank and determinants over Q use fraction-free (Bareiss) elimination to
 control entry growth; over F_p plain Gaussian elimination runs through the
-selected kernel backend. Subspaces are stored in reduced row echelon form,
+F_p kernel in `fpkernel`. Subspaces are stored in reduced row echelon form,
 which makes subspace equality syntactic.
 """
 
@@ -104,12 +104,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)), ncols=self.nrows)
 
-    def vstack(self, other):
-        same_field(self.field, other.field)
-        if self.ncols != other.ncols:
-            raise ShapeError("column mismatch")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
-
     def mul(self, other):
         same_field(self.field, other.field)
         if self.ncols != other.nrows:
@@ -122,13 +116,6 @@ class Matrix:
         else:
             out = [[sum((x * y for x, y in zip(r, c)), start=F.zero) for c in bt] for r in self.rows]
         return Matrix(F, out, ncols=other.ncols)
-
-    def apply(self, vec):
-        """Matrix times column vector (vec given as a flat sequence)."""
-        if len(vec) != self.ncols:
-            raise ShapeError("vector length mismatch")
-        F = self.field
-        return tuple(sum((F.mul(x, F.of(v)) for x, v in zip(r, vec)), start=F.zero) for r in self.rows)
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -340,22 +327,6 @@ class Subspace:
             Subspace.from_spanning(F, n, join_rows),
             Subspace.from_spanning(F, n, meet_rows),
         )
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    return m.kernel_basis()
-
-
-def meet(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.meet(s2)
-
-
-def join(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.join(s2)
 
 
 class InterpolationError(ValueError):

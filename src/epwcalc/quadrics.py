@@ -102,14 +102,6 @@ class WebOfQuadrics:
         ]
         return Matrix(F, rows)
 
-    def member_flat(self, t):
-        F = self.field
-        return [
-            sum((F.mul(t[k], self.qs[k].rows[i][j]) for k in range(4)), start=F.zero)
-            for i in range(4)
-            for j in range(4)
-        ]
-
 
 def member_rank(web: WebOfQuadrics, t) -> int:
     F = web.field

@@ -13,18 +13,27 @@ class FieldMismatch(ValueError):
     """Raised when an operation would silently combine two different fields."""
 
 
+# Miller-Rabin with the first 13 prime bases is deterministic below
+# psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017); the first 12
+# bases alone pass the composite psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_BOUND; ValueError at or above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided: deterministic only below {_MR_BOUND}")
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin, valid for n < 3.3e24
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -55,6 +55,8 @@ def test_usage_errors_exit_two():
     assert run_cli("run", "bbf", "--prime", "10").returncode == 2
     assert run_cli("run", "bbf", "--prime", "13").returncode == 2
     assert run_cli("run", "bbf", "--trials", "0").returncode == 2
+    # psi_12: a composite that passes Miller-Rabin to the first 12 prime bases
+    assert run_cli("run", "bbf", "--prime", "318665857834031151167461").returncode == 2
 
 
 def test_seed_resolution_env_and_flag():
@@ -62,6 +64,8 @@ def test_seed_resolution_env_and_flag():
     assert json.loads(res.stdout)["seed"] == 42
     res = run_cli("run", "bbf", "--trials", "2", "--seed", "9", env_extra={"EPW_SEED": "42"})
     assert json.loads(res.stdout)["seed"] == 9
+    res = run_cli("run", "bbf", "--trials", "2", env_extra={"EPW_SEED": "abc"})
+    assert res.returncode == 2 and "EPW_SEED" in res.stderr
 
 
 def test_single_suite_rerun_is_byte_identical():

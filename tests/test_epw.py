@@ -314,7 +314,9 @@ def test_chart_frame_spans_the_fiber_on_every_chart():
 
     for chart in range(6):
         v = [F.random(rnd) for _ in range(6)]
+        v[:chart] = [F.zero] * chart
         v[chart] = F.one
+        assert epw.chart_for(F, v) == chart
         vx = ExteriorVector(F, 1, v)
         frame_rows = []
         for i, j in combinations(range(6), 2):

@@ -1,51 +1,7 @@
-import random
-
-import pytest
-
-from epwcalc import _fp_pure
-
-try:
-    from epwcalc import _fp_cy
-except ImportError:
-    _fp_cy = None
-
-needs_compiled = pytest.mark.skipif(_fp_cy is None, reason="compiled kernel not built")
-
-
-def random_flat(rng, nrows, ncols, p):
-    return [rng.randrange(p) for _ in range(nrows * ncols)]
-
-
-@needs_compiled
-def test_backends_agree_on_rank_rref_det():
-    rng = random.Random(99)
-    p = 10007
-    for _ in range(60):
-        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
-        flat = random_flat(rng, nrows, ncols, p)
-        assert _fp_pure.rank(list(flat), nrows, ncols, p) == _fp_cy.rank(list(flat), nrows, ncols, p)
-        assert _fp_pure.rref(list(flat), nrows, ncols, p) == _fp_cy.rref(list(flat), nrows, ncols, p)
-        n = min(nrows, ncols)
-        sq = random_flat(rng, n, n, p)
-        assert _fp_pure.det(list(sq), n, p) == _fp_cy.det(list(sq), n, p)
-
-
-@needs_compiled
-def test_backends_agree_on_low_rank_inputs():
-    rng = random.Random(5)
-    p = 101
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        row = [rng.randrange(p) for _ in range(n)]
-        flat = []
-        for _ in range(n):
-            c = rng.randrange(p)
-            flat.extend([c * x % p for x in row])
-        assert _fp_pure.rank(list(flat), n, n, p) == _fp_cy.rank(list(flat), n, n, p) <= 1
-        assert _fp_pure.det(list(flat), n, p) == _fp_cy.det(list(flat), n, p) == 0
+from epwcalc import fpkernel
 
 
 def test_pure_rref_shape():
-    rank, pivots, red = _fp_pure.rref([1, 2, 2, 4], 2, 2, 7)
+    rank, pivots, red = fpkernel.fp_rref([1, 2, 2, 4], 2, 2, 7)
     assert rank == 1 and pivots == [0]
     assert red == [1, 2, 0, 0]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from epwcalc.linalg import (
     poly_degree,
     poly_eval,
 )
-from epwcalc.scalars import GF, QQ, FieldMismatch
+from epwcalc.scalars import GF, QQ, FieldMismatch, is_prime
 
 F101 = GF(101)
 
@@ -62,6 +63,33 @@ def test_det_bareiss_matches_fp():
     dp = Matrix(F101, rows).det()
     assert dq == Fraction(3 * (5 * 5 + 9 * 6) + 1 * (1 * 5 + 9 * 2) + 4 * (6 - 10))
     assert dp == int(dq) % 101
+    # the F_p kernel against the QQ Bareiss route, up to primes past 2^32
+    rng = random.Random(99)
+    for p in (101, 10007, 2**31 - 1, 2**61 - 1):
+        Fp = GF(p)
+        for _ in range(12):
+            n = rng.randint(1, 8)
+            rows = [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)]
+            assert Matrix(Fp, rows).det() == int(Matrix(QQ, rows).det()) % p
+    # outer products: rank at most one, so the det vanishes
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        row = [rng.randrange(101) for _ in range(n)]
+        scales = [rng.randrange(101) for _ in range(n)]
+        m = Matrix(F101, [[c * x for x in row] for c in scales])
+        assert m.rank() <= 1 and m.det() == 0
+
+
+def test_is_prime_is_exact_below_psi13():
+    psi12 = 399165290221 * 798330580441  # strong pseudoprime to the 12 prime bases 2..37
+    assert psi12 == 318665857834031151167461
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError):
+        GF(psi12)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    assert is_prime(2**61 - 1) and is_prime(10007) and not is_prime(10007 * 10009)
 
 
 def test_det_fractional_entries():
