@@ -10,6 +10,8 @@ from itertools import combinations
 
 from .exterior import DIM3, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol
 from .fpkernel import fp_det
+# poly_eval is re-bound here for callers that look it up as epw.poly_eval
+# (perfbench/spans.py counts calls through both names)
 from .linalg import Matrix, Subspace, interpolate_univariate, poly_degree, poly_eval
 from .scalars import PrimeField
 
@@ -66,15 +68,21 @@ def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
     v = [F.of(x) for x in vcoords]
     if F.is_zero(v[chart]):
         raise ChartError(f"coordinate {chart} vanishes; chart invalid")
-    struct = frame_struct(chart)
+    # exact sums in the element type (ints or Fractions), reduced once at
+    # the end over F_p: the same values as field-op accumulation
     flat = []
-    for entries in struct:
+    for entries in frame_struct(chart):
         for dual in A.duals:
             acc = F.zero
             for s, sg, pos in entries:
-                term = F.mul(v[s], dual[pos])
-                acc = F.add(acc, term if sg > 0 else F.neg(term))
+                if sg > 0:
+                    acc += v[s] * dual[pos]
+                else:
+                    acc -= v[s] * dual[pos]
             flat.append(acc)
+    if isinstance(F, PrimeField):
+        p = F.p
+        flat = [x % p for x in flat]
     return flat
 
 
@@ -366,9 +374,14 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
         if poly_degree(F, coeffs) < 0:
             root = 0  # the whole line lies on the sextic
         else:
+            # Horner on plain ints: the value of poly_eval(F, coeffs, t)
             root = None
+            high_first = coeffs[::-1]
             for t in range(p):
-                if poly_eval(F, coeffs, t) == 0:
+                acc = 0
+                for c in high_first:
+                    acc = (acc * t + c) % p
+                if acc == 0:
                     root = t
                     break
             if root is None:

@@ -291,6 +291,7 @@ class SymplecticSpace:
         if not self.is_isotropic(s):
             raise ValueError("input subspace is not isotropic")
         F = self.field
+        p = F.p if isinstance(F, PrimeField) else 0
         current = s
         while current.dim < 10:
             pool = self.perp(current)
@@ -298,8 +299,11 @@ class SymplecticSpace:
                 coeffs = [F.random(rng) for _ in range(pool.dim)]
                 cand = [F.zero] * DIM3
                 for c, row in zip(coeffs, pool.basis()):
-                    if not F.is_zero(c):
-                        cand = [F.add(x, F.mul(c, y)) for x, y in zip(cand, row)]
+                    if c:
+                        if p:
+                            cand = [(x + c * y) % p for x, y in zip(cand, row)]
+                        else:
+                            cand = [x + c * y for x, y in zip(cand, row)]
                 if not current.contains(cand):
                     break
             else:

@@ -6,7 +6,7 @@ correct for every prime the package accepts.
 """
 
 def _inv(a, p):
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def fp_rank(a, nrows, ncols, p):

@@ -61,7 +61,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(field.of(x) for x in r) for r in rows)
+        of = field.of
+        rows = tuple(tuple(map(of, r)) for r in rows)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -72,6 +73,17 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _reduced(cls, field, rows, ncols):
+        """A Matrix over rows that already are tuples of field elements, such
+        as the output of an elimination: no entry is coerced again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "rows", tuple(rows))
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -169,7 +181,7 @@ class Matrix:
             flat = [x for r in self.rows for x in r]
             rank, pivots, red = fp_rref(flat, self.nrows, self.ncols, F.p)
             rows = [tuple(red[i * self.ncols : (i + 1) * self.ncols]) for i in range(self.nrows)]
-            return Matrix(F, rows, ncols=self.ncols), tuple(pivots)
+            return Matrix._reduced(F, rows, self.ncols), tuple(pivots)
         # over Q: eliminate on integer-scaled rows, dividing out each row's
         # content; row scaling keeps the row space, so the final division by
         # the pivots gives the same canonical form as Fraction elimination
@@ -196,16 +208,17 @@ class Matrix:
             if r == nrows:
                 break
         zero = Fraction(0)
-        red = [[Fraction(x, row[pc]) if x else zero for x in row] for row, pc in zip(m, pivots)]
-        red += [[zero] * ncols for _ in range(nrows - r)]
-        return Matrix(F, red, ncols=ncols), tuple(pivots)
+        red = [tuple([Fraction(x, row[pc]) if x else zero for x in row]) for row, pc in zip(m, pivots)]
+        red += [(zero,) * ncols for _ in range(nrows - r)]
+        return Matrix._reduced(F, red, ncols), tuple(pivots)
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a canonical Subspace."""
         F = self.field
         red, pivots = self.rref()
         rank = len(pivots)
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for f in free:
             vec = [F.zero] * self.ncols
@@ -242,7 +255,7 @@ class Subspace:
             raise ShapeError("vector length does not match ambient dimension")
         red, pivots = m.rref()
         rows = red.rows[: len(pivots)]
-        return cls(field, ambient, Matrix(field, rows, ncols=ambient), pivots)
+        return cls(field, ambient, Matrix._reduced(field, rows, ambient), pivots)
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
@@ -278,11 +291,16 @@ class Subspace:
         v = [F.of(x) for x in vec]
         if len(v) != self.ambient:
             raise ShapeError("vector length mismatch")
+        # exact arithmetic in the element type, reduced at each step over F_p
+        p = F.p if isinstance(F, PrimeField) else 0
         for row, pc in zip(self.mat.rows, self.pivots):
             c = v[pc]
-            if not F.is_zero(c):
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        return all(F.is_zero(x) for x in v)
+            if c:
+                if p:
+                    v = [(a - c * b) % p for a, b in zip(v, row)]
+                else:
+                    v = [a - c * b for a, b in zip(v, row)]
+        return not any(v)
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.mat.rows)

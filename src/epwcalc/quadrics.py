@@ -305,6 +305,20 @@ def veronese_independence(field, points) -> int:
     return Matrix(field, rows, ncols=10).rank()
 
 
+def _det4(a):
+    """Determinant of a flat row-major 4x4 integer matrix: Laplace expansion
+    along the first two rows, 2x2 minors times their complements."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    return (
+        (a0 * a5 - a1 * a4) * (a10 * a15 - a11 * a14)
+        - (a0 * a6 - a2 * a4) * (a9 * a15 - a11 * a13)
+        + (a0 * a7 - a3 * a4) * (a9 * a14 - a10 * a13)
+        + (a1 * a6 - a2 * a5) * (a8 * a15 - a11 * a12)
+        - (a1 * a7 - a3 * a5) * (a8 * a14 - a10 * a12)
+        + (a2 * a7 - a3 * a6) * (a8 * a13 - a9 * a12)
+    )
+
+
 @dataclass(frozen=True)
 class ScanCensus:
     prime: int
@@ -332,17 +346,17 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     grads = quartic_gradient(web)
     from .fpkernel import fp_rank
 
-    flats = [[x for row in q.rows for x in row] for q in web.qs]
+    f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
     counts = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}
     rank3_singular = 0
     rank2_nonsingular = 0
 
-    def visit(t):
+    def visit(t, flat):
+        """Tally the member with flat (unreduced) entries at the point t."""
         nonlocal rank3_singular, rank2_nonsingular
-        flat = [
-            (t[0] * flats[0][i] + t[1] * flats[1][i] + t[2] * flats[2][i] + t[3] * flats[3][i]) % p
-            for i in range(16)
-        ]
+        if _det4(flat) % p:  # rank 4, no elimination needed
+            counts[4] += 1
+            return
         r = fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
@@ -353,16 +367,21 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
             elif singular:
                 rank3_singular += 1
 
+    def flat_at(t):
+        return [t[0] * a + t[1] * b + t[2] * c + t[3] * d for a, b, c, d in zip(f0, f1, f2, f3)]
+
     for b in range(p):
         for c in range(p):
+            # the members over the affine line t = (1, b, c, d) differ by d * f3
+            base = [x + b * y + c * z for x, y, z in zip(f0, f1, f2)]
             for d in range(p):
-                visit((1, b, c, d))
+                visit((1, b, c, d), [x + d * w for x, w in zip(base, f3)])
     for c in range(p):
         for d in range(p):
-            visit((0, 1, c, d))
+            visit((0, 1, c, d), flat_at((0, 1, c, d)))
     for d in range(p):
-        visit((0, 0, 1, d))
-    visit((0, 0, 0, 1))
+        visit((0, 0, 1, d), flat_at((0, 0, 1, d)))
+    visit((0, 0, 0, 1), flat_at((0, 0, 0, 1)))
 
     assert rank2_nonsingular == 0, "rank <= 2 point with nonzero gradient"
     return ScanCensus(p, counts, rank3_singular, rank2_nonsingular)

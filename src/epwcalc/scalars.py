@@ -128,10 +128,12 @@ class PrimeField:
         return 1
 
     def of(self, x) -> int:
+        if type(x) is int:  # the common case; skips the ABC isinstance below
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
     def add(self, a, b):
@@ -149,7 +151,7 @@ class PrimeField:
     def div(self, a, b):
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * pow(b, -1, self.p) % self.p
 
     def inv(self, a):
         return self.div(1, a)

@@ -232,6 +232,31 @@ def test_field_scan_random_web():
     assert abs(census.rank_counts[3] - p * p) <= 40 * p
 
 
+def test_det4_matches_the_kernel_det():
+    from epwcalc.fpkernel import fp_det
+
+    rnd = derive_rng(11, "det4")
+    for p in (61, 10007):
+        for k in range(200):
+            a = [rnd.randrange(-3 * p, 3 * p) for _ in range(16)]
+            if k % 4 == 0:  # a repeated row: singular
+                a[4:8] = a[0:4]
+            assert quadrics._det4(a) % p == fp_det(a, 4, p)
+
+
+def test_field_scan_census_equals_member_ranks():
+    p = 13
+    web = random_web(GF(p), derive_rng(9, "scan"))
+    census = quadrics.field_scan(web)
+    points = [(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)]
+    points += [(0, 1, c, d) for c in range(p) for d in range(p)]
+    points += [(0, 0, 1, d) for d in range(p)] + [(0, 0, 0, 1)]
+    counts = {r: 0 for r in range(5)}
+    for t in points:
+        counts[quadrics.member_rank(web, t)] += 1
+    assert census.rank_counts == counts
+
+
 def test_field_scan_guard():
     web = diagonal_web(GF(32771))
     with pytest.raises(ValueError):
