@@ -33,7 +33,8 @@ def chart_for(field, vcoords) -> int:
 
 class EpwLagrangian:
     """A Lagrangian subspace of the 3-vector space with a fixed ordered
-    basis (its RREF rows) and the cached pairing rows against the form."""
+    basis (its RREF rows), its dual rows against the form and the cached
+    per-chart pairing pencils."""
 
     def __init__(self, space: SymplecticSpace, subspace: Subspace):
         if not space.is_lagrangian(subspace):
@@ -44,6 +45,21 @@ class EpwLagrangian:
         self.basis = subspace.basis()
         # dual rows: form(x, a_j) = sum_pos x[pos] * duals[j][pos]
         self.duals = [space.form_row(r) for r in self.basis]
+        self._pencils = {}
+
+    def pencil(self, chart):
+        """The six flat 10x10 matrices M_0..M_5 with M(v) = sum_s v_s M_s on
+        the chart: M_s[i][j] = +-duals[j][pos] for each entry (s, sign, pos)
+        of frame row i. Entries stay unreduced in the element type."""
+        if chart not in self._pencils:
+            zero = self.field.zero
+            mats = [[zero] * 100 for _ in range(6)]
+            for i, entries in enumerate(frame_struct(chart)):
+                for j, dual in enumerate(self.duals):
+                    for s, sg, pos in entries:
+                        mats[s][10 * i + j] = dual[pos] if sg > 0 else -dual[pos]
+            self._pencils[chart] = mats
+        return self._pencils[chart]
 
     def __repr__(self):
         return f"EpwLagrangian(over {self.field!r})"
@@ -63,27 +79,30 @@ def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     return 20 - m.rank()
 
 
+def _combine(field, pencil, coeffs):
+    """sum_s coeffs[s] * M_s as a flat, unreduced 100-entry list."""
+    flat = [field.zero] * 100
+    for c, m in zip(coeffs, pencil):
+        if c:
+            flat = [a + c * b for a, b in zip(flat, m)]
+    return flat
+
+
+def _det10(field, flat):
+    """Determinant of a flat 10x10 matrix: the F_p kernel (looked up as
+    this module's fp_det) or Bareiss over QQ."""
+    if isinstance(field, PrimeField):
+        return fp_det(flat, 10, field.p)
+    return Matrix(field, [flat[i * 10 : (i + 1) * 10] for i in range(10)]).det()
+
+
 def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
+    """M(v) on the chart as a flat 10x10 list, unreduced over F_p."""
     F = A.field
     v = [F.of(x) for x in vcoords]
     if F.is_zero(v[chart]):
         raise ChartError(f"coordinate {chart} vanishes; chart invalid")
-    # exact sums in the element type (ints or Fractions), reduced once at
-    # the end over F_p: the same values as field-op accumulation
-    flat = []
-    for entries in frame_struct(chart):
-        for dual in A.duals:
-            acc = F.zero
-            for s, sg, pos in entries:
-                if sg > 0:
-                    acc += v[s] * dual[pos]
-                else:
-                    acc -= v[s] * dual[pos]
-            flat.append(acc)
-    if isinstance(F, PrimeField):
-        p = F.p
-        flat = [x % p for x in flat]
-    return flat
+    return _combine(F, A.pencil(chart), v)
 
 
 def pairing_matrix(A: EpwLagrangian, vcoords, chart=None) -> Matrix:
@@ -100,33 +119,17 @@ def pairing_det(A: EpwLagrangian, vcoords, chart=None):
     F = A.field
     if chart is None:
         chart = chart_for(F, [F.of(x) for x in vcoords])
-    flat = pairing_entries(A, vcoords, chart)
-    if isinstance(F, PrimeField):
-        return fp_det(flat, 10, F.p)
-    rows = [flat[i * 10 : (i + 1) * 10] for i in range(10)]
-    return Matrix(F, rows).det()
-
-
-def _sample_points(field, count, avoid=()):
-    """Deterministic distinct field elements 0, 1, 2, ... skipping `avoid`."""
-    out, k = [], 0
-    avoid = {field.of(a) for a in avoid}
-    while len(out) < count:
-        t = field.of(k)
-        if t not in avoid and t not in out:
-            out.append(t)
-        k += 1
-        if k > count + len(avoid) + 16:
-            raise ValueError("field too small for sampling")
-    return out
+    return _det10(F, pairing_entries(A, vcoords, chart))
 
 
 def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
     """Coefficients of t -> det M(p + t q), asserted of degree <= 6.
 
     Preconditions: p_c = 1 and q_c = 0 for the chart c, so the whole affine
-    line stays on the chart. Eleven samples pin the polynomial; any
-    inconsistency with the degree bound raises InterpolationError.
+    line stays on the chart. M(p + t q) = M(p) + t M(q); eleven samples
+    t = 0..10 pin the polynomial and any inconsistency with the degree
+    bound raises InterpolationError (so does a field with fewer than 11
+    elements, through duplicate abscissae).
     """
     F = A.field
     p = [F.of(x) for x in p]
@@ -135,33 +138,34 @@ def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
         chart = chart_for(F, p)
     if not F.is_zero(F.sub(p[chart], F.one)) or not F.is_zero(q[chart]):
         raise ChartError("line must satisfy p_c = 1, q_c = 0 on its chart")
+    pencil = A.pencil(chart)
+    mp, mq = _combine(F, pencil, p), _combine(F, pencil, q)
     samples = []
-    for t in _sample_points(F, 11):
-        v = [F.add(a, F.mul(t, b)) for a, b in zip(p, q)]
-        samples.append((t, pairing_det(A, v, chart)))
+    for k in range(11):
+        t = F.of(k)
+        samples.append((t, _det10(F, [a + t * b for a, b in zip(mp, mq)])))
     return interpolate_univariate(F, samples, 6)
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
-    """Exact gradient of v -> det M(v) at v0, one interpolation per axis."""
+    """Exact gradient of v -> det M(v) at v0.
+
+    The partial along e_k is the t-coefficient of det(M(v0) + t M_k); det is
+    linear in each row, so it is the sum over i of det M(v0) with row i
+    replaced by row i of M_k (rows where M_k vanishes contribute nothing).
+    """
     F = A.field
-    v0 = [F.of(x) for x in v0]
     if chart is None:
-        chart = chart_for(F, v0)
-    if F.is_zero(v0[chart]):
-        raise ChartError("chart invalid at the base point")
+        chart = chart_for(F, [F.of(x) for x in v0])
+    m0 = pairing_entries(A, v0, chart)
     grad = []
-    for k in range(6):
-        avoid = []
-        if k == chart:
-            avoid = [F.neg(v0[chart])]  # keep the chart coordinate nonzero
-        samples = []
-        for t in _sample_points(F, 11, avoid=avoid):
-            v = list(v0)
-            v[k] = F.add(v[k], t)
-            samples.append((t, pairing_det(A, v, chart)))
-        coeffs = interpolate_univariate(F, samples, 10)
-        grad.append(coeffs[1])
+    for mk in A.pencil(chart):
+        acc = F.zero
+        for i in range(0, 100, 10):
+            row = mk[i : i + 10]
+            if any(row):
+                acc = F.add(acc, _det10(F, m0[:i] + row + m0[i + 10 :]))
+        grad.append(acc)
     return tuple(grad)
 
 
@@ -258,13 +262,36 @@ def plucker_quadric(field, v):
     return field.add(field.sub(t1, t2), t3)
 
 
-def _span_of_images(space, samples):
+def u_wedge_space(field, u, basis):
+    """The 3-space u ^ U spanned by the u ^ b over a basis b of the
+    4-dimensional U, or None when it is not 3-dimensional (u = 0)."""
+    if all(field.is_zero(x) for x in u):
+        return None
+    w = Subspace.from_spanning(field, 6, [wedge2_of_4(field, u, b) for b in basis])
+    return w if w.dim == 3 else None
+
+
+def _construction_lagrangian(space, ubasis, rng, three_space):
+    """The span of the wedge-cubes of 24 sampled 3-spaces, each drawn as
+    three_space(basis, four random scalars); a None draw is retried, up to
+    400 draws in all."""
     F = space.field
+    basis = [[F.of(x) for x in b] for b in ubasis]
+    if Matrix(F, basis).rank() != 4:
+        raise ValueError("degenerate basis of the 4-dimensional space")
     spanning = []
-    for w in samples:
-        spanning.append(space.decomposable_of(w).coords)
+    for _ in range(400):
+        w = three_space(basis, [F.random(rng) for _ in range(4)])
+        if w is not None:
+            spanning.append(space.decomposable_of(w).coords)
+            if len(spanning) == 24:
+                break
+    else:
+        raise RetryBudgetExhausted("could not sample enough independent images")
     sub = Subspace.from_spanning(F, DIM3, spanning)
-    return sub
+    if sub.dim != 10:
+        raise RetryBudgetExhausted(f"image span has dimension {sub.dim}, expected 10")
+    return EpwLagrangian(space, sub)
 
 
 def a_plus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
@@ -272,61 +299,30 @@ def a_plus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
     10-dimensional Lagrangian in the model where the base space is the
     wedge square of a 4-dimensional U."""
     F = space.field
-    basis = [[F.of(x) for x in b] for b in ubasis]
-    if Matrix(F, basis).rank() != 4:
-        raise ValueError("degenerate basis of the 4-dimensional space")
-    samples = []
-    guard = 0
-    while len(samples) < 24:
-        guard += 1
-        if guard > 400:
-            raise RetryBudgetExhausted("could not sample enough independent images")
-        coeffs = [F.random(rng) for _ in range(4)]
+
+    def u_wedge(basis, coeffs):
         u = [F.zero] * 4
         for c, b in zip(coeffs, basis):
             u = [F.add(x, F.mul(c, y)) for x, y in zip(u, b)]
-        if all(F.is_zero(x) for x in u):
-            continue
-        rows = [wedge2_of_4(F, u, b) for b in basis]
-        w = Subspace.from_spanning(F, 6, rows)
-        if w.dim != 3:
-            continue
-        samples.append(w)
-    sub = _span_of_images(space, samples)
-    if sub.dim != 10:
-        raise RetryBudgetExhausted(f"image span has dimension {sub.dim}, expected 10")
-    return EpwLagrangian(space, sub)
+        return u_wedge_space(F, u, basis)
+
+    return _construction_lagrangian(space, ubasis, rng, u_wedge)
 
 
 def a_minus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
     """The mirror construction through the dual 4-dimensional space: each
     functional phi gives the 3-space annihilating phi ^ (dual space)."""
     F = space.field
-    basis = [[F.of(x) for x in b] for b in ubasis]
-    if Matrix(F, basis).rank() != 4:
-        raise ValueError("degenerate basis of the 4-dimensional space")
-    samples = []
-    guard = 0
-    while len(samples) < 24:
-        guard += 1
-        if guard > 400:
-            raise RetryBudgetExhausted("could not sample enough independent images")
-        phi = [F.random(rng) for _ in range(4)]
-        if all(F.is_zero(x) for x in phi):
-            continue
-        dual_basis = Matrix.identity(F, 4).rows
-        rows = [wedge2_of_4(F, phi, b) for b in dual_basis]
-        t = Subspace.from_spanning(F, 6, rows)
-        if t.dim != 3:
-            continue
+    dual_basis = Matrix.identity(F, 4).rows
+
+    def annihilator(basis, phi):
+        t = u_wedge_space(F, phi, dual_basis)
+        if t is None:
+            return None
         ann = Matrix(F, t.basis(), ncols=6).kernel_basis()
-        if ann.dim != 3:
-            continue
-        samples.append(ann)
-    sub = _span_of_images(space, samples)
-    if sub.dim != 10:
-        raise RetryBudgetExhausted(f"image span has dimension {sub.dim}, expected 10")
-    return EpwLagrangian(space, sub)
+        return ann if ann.dim == 3 else None
+
+    return _construction_lagrangian(space, ubasis, rng, annihilator)
 
 
 def verify_triple_quadric(A: EpwLagrangian, trials, rng):

@@ -385,14 +385,10 @@ def run_epw(cfg: RunConfig):
 
 def _u_wedge_subspace(field, rng):
     """The 3-space u ^ U in the wedge-square model, for a random u."""
+    basis = Matrix.identity(field, 4).rows
     while True:
-        u = [field.random(rng) for _ in range(4)]
-        if all(field.is_zero(x) for x in u):
-            continue
-        basis = Matrix.identity(field, 4).rows
-        rows = [epw.wedge2_of_4(field, u, b) for b in basis]
-        s = Subspace.from_spanning(field, 6, rows)
-        if s.dim == 3:
+        s = epw.u_wedge_space(field, [field.random(rng) for _ in range(4)], basis)
+        if s is not None:
             return s
 
 
@@ -683,7 +679,7 @@ def run_quadrics(cfg: RunConfig):
         _mk(
             "random_scan",
             "every rank <= 2 point is singular on the quartic; rank-3 count sits in the surface band",
-            census3.rank2_nonsingular == 0,
+            census3.rank2_nonsingular == 0 and band,
             "no rank <= 2 point with nonzero gradient",
             census3.rank2_nonsingular,
             witness=f"counts={census3.json_rows()} generic={census3.is_generic()} band_ok={band}",
@@ -892,12 +888,7 @@ def run_schubert(cfg: RunConfig):
     )
 
     ok = True
-    box = [
-        tuple(p for p in (a, b) if p)
-        for a in range(5)
-        for b in range(a + 1)
-        if (a, b) != (0, 0) or True
-    ]
+    box = [tuple(p for p in (a, b) if p) for a in range(5) for b in range(a + 1)]
     box = sorted(set(box))
     for lam in box:
         for mu in box:
@@ -910,26 +901,10 @@ def run_schubert(cfg: RunConfig):
         _mk("duality", "integrate(s_lam * s_mu) = 1 exactly for complementary box partitions", ok, True, ok)
     )
 
-    deg = schubert.integrate(
-        schubert.pieri(
-            schubert.pieri(
-                schubert.pieri(
-                    schubert.pieri(
-                        schubert.pieri(
-                            schubert.pieri(
-                                schubert.pieri(schubert.pieri(schubert.SchubertClass.one(ctx), 1), 1), 1
-                            ),
-                            1,
-                        ),
-                        1,
-                    ),
-                    1,
-                ),
-                1,
-            ),
-            1,
-        )
-    )
+    power = schubert.SchubertClass.one(ctx)
+    for _ in range(8):
+        power = schubert.pieri(power, 1)
+    deg = schubert.integrate(power)
     checks.append(_mk("plucker_degree", "integrate(s1^8) = 14 on Gr(2,6)", deg == 14, 14, deg))
 
     cls = schubert.sym6_top_chern()

@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from epwcalc import epw
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
-from epwcalc.linalg import Matrix, Subspace, poly_degree
+from epwcalc.linalg import Matrix, Subspace, interpolate_univariate, poly_degree
 from epwcalc.rng import derive_rng
-from epwcalc.scalars import GF, QQ
+from epwcalc.scalars import GF, QQ, PrimeField
 
 F = GF(10007)
 SP = SymplecticSpace(F)
@@ -50,6 +52,72 @@ def test_pairing_matrix_scaling(datum):
     assert epw.fiber_intersection_dim(datum, v) == epw.fiber_intersection_dim(
         datum, [F.mul(F.of(lam), x) for x in v]
     )
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF10007", "QQ"])
+def test_pairing_entries_match_the_form_definition(field):
+    """M[i][j] = form(v ^ e_a ^ e_b, a_j) for the i-th pair (a, b) avoiding
+    the chart, computed by wedge products instead of the pencil."""
+    sp = SymplecticSpace(field)
+    rnd = derive_rng(23, "pencil_entries")
+    A = epw.EpwLagrangian(sp, sp.random_lagrangian(rnd))
+    lagr = [ExteriorVector(field, 3, row) for row in A.basis]
+    for chart in range(6):
+        v = [field.random(rnd) for _ in range(6)]
+        v[chart] = field.of(chart + 2)
+        vx = ExteriorVector(field, 1, v)
+        m = epw.pairing_matrix(A, v, chart)
+        pairs = [(a, b) for a, b in combinations(range(6), 2) if chart not in (a, b)]
+        for i, (a, b) in enumerate(pairs):
+            frame = vx.wedge(ExteriorVector.basis(field, a)).wedge(ExteriorVector.basis(field, b))
+            assert m.rows[i] == tuple(sp.form(frame, aj) for aj in lagr)
+
+
+def _gradient_by_interpolation(A, v0, chart):
+    """Each partial as coefficient 1 of t -> det M(v0 + t e_k), interpolated
+    to degree 10 from 11 values of t that keep the chart coordinate nonzero."""
+    F = A.field
+    v0 = [F.of(x) for x in v0]
+    grad = []
+    for k in range(6):
+        ts = [F.of(t) for t in range(12)]
+        if k == chart:
+            ts = [t for t in ts if not F.is_zero(F.add(v0[chart], t))]
+        samples = []
+        for t in ts[:11]:
+            v = list(v0)
+            v[k] = F.add(v[k], t)
+            samples.append((t, epw.pairing_det(A, v, chart)))
+        grad.append(interpolate_univariate(F, samples, 10)[1])
+    return tuple(grad)
+
+
+@pytest.mark.parametrize("field", [GF(101), F, QQ], ids=["GF101", "GF10007", "QQ"])
+def test_gradient_matches_interpolated_partials(field):
+    sp = SymplecticSpace(field)
+    rnd = derive_rng(24, "gradient_route")
+    A = epw.EpwLagrangian(sp, sp.random_lagrangian(rnd))
+    if isinstance(field, PrimeField):
+        for _ in range(3):
+            v = epw.find_point_on_Y(A, rnd).coords
+            chart = epw.chart_for(field, v)
+            assert epw.gradient_det(A, v) == _gradient_by_interpolation(A, v, chart)
+        low = field.of(field.p - 5)
+    else:
+        low = field.of(-5)
+    # v0_c = -5: one shift t = 5 along the chart axis leaves the chart
+    for chart in range(6):
+        v = [field.random(rnd) for _ in range(6)]
+        v[chart] = low
+        assert epw.gradient_det(A, v, chart) == _gradient_by_interpolation(A, v, chart)
+
+
+def test_sextic_on_line_needs_eleven_field_elements():
+    small = GF(7)
+    sp = SymplecticSpace(small)
+    A = epw.EpwLagrangian(sp, sp.random_lagrangian(derive_rng(25, "gf7")))
+    with pytest.raises(ValueError):
+        epw.sextic_on_line(A, [1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5])
 
 
 def test_sextic_on_line_degree(datum):
@@ -310,8 +378,6 @@ def test_find_point_on_triple_quadric_lands_on_the_quadric():
 
 def test_chart_frame_spans_the_fiber_on_every_chart():
     rnd = derive_rng(22, "frames")
-    from itertools import combinations
-
     for chart in range(6):
         v = [F.random(rnd) for _ in range(6)]
         v[:chart] = [F.zero] * chart
