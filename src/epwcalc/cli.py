@@ -2,9 +2,9 @@
 
 `epwcalc run [suite]` executes a named battery (or all of them) and emits
 one JSON report per run. Reports are deterministic functions of
-(seed, prime, trials); wall time is printed on stderr and embedded in the
-JSON only under --timing, keeping default reports byte-identical across
-reruns.
+(seed, prime, trials); wall time is printed on stderr, and it and each
+suite's CPU time are embedded in the JSON only under --timing, keeping
+default reports byte-identical across reruns.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
@@ -32,15 +32,21 @@ def build_parser():
     run.add_argument("--trials", type=int, default=100)
     run.add_argument("--json", dest="json_path", default=None, help="write the report here (default: stdout)")
     run.add_argument("--fail-fast", action="store_true")
-    run.add_argument("--timing", action="store_true", help="embed measured wall time (breaks byte-identity)")
+    run.add_argument("--timing", action="store_true", help="embed measured wall time and per-suite CPU time (breaks byte-identity)")
     return parser
 
 
-def run_suites(name, cfg: RunConfig, fail_fast=False):
+def run_suites(name, cfg: RunConfig, fail_fast=False, suite_cpu_ms=None):
+    """The checks of one suite or of all; each suite's process CPU
+    milliseconds go into the dict `suite_cpu_ms` when one is given."""
     names = SUITE_ORDER if name == "all" else [name]
     checks = []
     for n in names:
-        for c in SUITES[n](cfg):
+        start = time.process_time()
+        suite_checks = SUITES[n](cfg)
+        if suite_cpu_ms is not None:
+            suite_cpu_ms[n] = int((time.process_time() - start) * 1000)
+        for c in suite_checks:
             prefixed = c if name != "all" else type(c)(
                 f"{n}.{c.id}", c.anchor, c.status, c.expected, c.got, c.witness
             )
@@ -73,8 +79,9 @@ def main(argv=None):
             parser.error(f"EPW_SEED must be an integer, got {env!r}")
     cfg = RunConfig(seed=seed, prime=args.prime, trials=args.trials)
 
+    suite_cpu_ms = {}
     start = time.monotonic()
-    checks = run_suites(suite, cfg, fail_fast=args.fail_fast)
+    checks = run_suites(suite, cfg, fail_fast=args.fail_fast, suite_cpu_ms=suite_cpu_ms)
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     report = {
@@ -84,6 +91,8 @@ def main(argv=None):
         "checks": [c.json_obj() for c in checks],
         "ms": elapsed_ms if args.timing else 0,
     }
+    if args.timing:
+        report["suite_cpu_ms"] = suite_cpu_ms
     doc = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ defines the volume functional, and (a, b) -> vol(a ^ b) makes the
 """
 
 from itertools import combinations
+from operator import mul
 
 from .linalg import Matrix, ShapeError, Subspace, _integerize
 from .scalars import PrimeField, same_field
@@ -287,28 +288,47 @@ class SymplecticSpace:
 
     def lagrangian_completion(self, s: Subspace, rng) -> Subspace:
         """A Lagrangian containing the isotropic s, grown by random vectors
-        of perp(current) \\ current; any such vector keeps isotropy."""
+        of perp(current) \\ current; any such vector keeps isotropy.
+
+        Only perp(s) is eliminated. Each step then updates both canonical
+        RREFs by rank one: the pool perp(current) is cut by the hyperplane
+        form(·, cand) = 0, and cand is inserted into current. Canonical RREF
+        is unique, so every pool, draw and result is the one that
+        re-eliminating both at each step would give."""
         if not self.is_isotropic(s):
             raise ValueError("input subspace is not isotropic")
         F = self.field
         p = F.p if isinstance(F, PrimeField) else 0
+        pool = list(self.perp(s).basis())
         current = s
         while current.dim < 10:
-            pool = self.perp(current)
             for _ in range(64):
-                coeffs = [F.random(rng) for _ in range(pool.dim)]
-                cand = [F.zero] * DIM3
-                for c, row in zip(coeffs, pool.basis()):
-                    if c:
-                        if p:
-                            cand = [(x + c * y) % p for x, y in zip(cand, row)]
-                        else:
-                            cand = [x + c * y for x, y in zip(cand, row)]
-                if not current.contains(cand):
+                coeffs = [F.random(rng) for _ in range(len(pool))]
+                cand = [sum(map(mul, coeffs, col)) for col in zip(*pool)]
+                if p:
+                    cand = [x % p for x in cand]
+                grown = current.with_vector(cand)
+                if grown.dim > current.dim:
                     break
             else:
                 raise RuntimeError("failed to extend isotropic subspace")
-            current = Subspace.from_spanning(F, DIM3, list(current.basis()) + [cand])
+            # cut the pool by form(·, cand) = 0: drop the last row j that
+            # pairs to f_j != 0 with cand and clear it from the others; some
+            # row pairs nonzero as cand is not in current = perp(pool)
+            dual = self.form_row(cand)
+            f = [sum(map(mul, row, dual)) for row in pool]
+            if p:
+                f = [x % p for x in f]
+            j = max(i for i, x in enumerate(f) if x)
+            top, inv = pool.pop(j), F.inv(f.pop(j))
+            for i, (row, fi) in enumerate(zip(pool, f)):
+                if fi:
+                    g = F.mul(fi, inv)
+                    if p:
+                        pool[i] = [(x - g * y) % p for x, y in zip(row, top)]
+                    else:
+                        pool[i] = [x - g * y for x, y in zip(row, top)]
+            current = grown
         assert self.is_lagrangian(current)
         return current
 

@@ -76,19 +76,18 @@ class LagrangianPencil:
         if F.is_zero(t) and F.is_zero(s):
             raise ValueError("member needs a nonzero parameter pair")
         vec = [F.add(F.mul(t, a), F.mul(s, b)) for a, b in zip(self.x0, self.x1)]
-        return Subspace.from_spanning(F, DIM3, list(self.core.basis()) + [vec])
+        return self.core.with_vector(vec)
 
 
 def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
     if u.ambient != DIM3 or u.dim != 9 or not space.is_isotropic(u):
         raise PreconditionError("core must be a 9-dimensional isotropic subspace")
-    F = space.field
     pool = space.perp(u)
     assert pool.dim == 11
     x0 = next(r for r in pool.basis() if not u.contains(r))
-    a0 = Subspace.from_spanning(F, DIM3, list(u.basis()) + [list(x0)])
+    a0 = u.with_vector(x0)
     x1 = next(r for r in pool.basis() if not a0.contains(r))
-    a1 = Subspace.from_spanning(F, DIM3, list(u.basis()) + [list(x1)])
+    a1 = u.with_vector(x1)
     pencil = LagrangianPencil(space, u, a0, a1, tuple(x0), tuple(x1))
     assert space.is_lagrangian(a0) and space.is_lagrangian(a1)
     assert a0.meet(a1) == u

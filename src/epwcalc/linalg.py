@@ -6,6 +6,7 @@ F_p kernel in `fpkernel`. Subspaces are stored in reduced row echelon form,
 which makes subspace equality syntactic.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -114,7 +115,7 @@ class Matrix:
         return self.rows[i][j]
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)), ncols=self.nrows)
+        return Matrix._reduced(self.field, list(zip(*self.rows)), self.nrows)
 
     def mul(self, other):
         same_field(self.field, other.field)
@@ -124,10 +125,10 @@ class Matrix:
         bt = list(zip(*other.rows))
         if isinstance(F, PrimeField):
             p = F.p
-            out = [[sum(x * y for x, y in zip(r, c)) % p for c in bt] for r in self.rows]
+            out = [tuple([sum(x * y for x, y in zip(r, c)) % p for c in bt]) for r in self.rows]
         else:
-            out = [[sum((x * y for x, y in zip(r, c)), start=F.zero) for c in bt] for r in self.rows]
-        return Matrix(F, out, ncols=other.ncols)
+            out = [tuple([sum((x * y for x, y in zip(r, c)), start=F.zero) for c in bt]) for r in self.rows]
+        return Matrix._reduced(F, out, other.ncols)
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -254,7 +255,13 @@ class Subspace:
         if m.ncols != ambient:
             raise ShapeError("vector length does not match ambient dimension")
         red, pivots = m.rref()
-        rows = red.rows[: len(pivots)]
+        return cls.from_rref(field, ambient, red.rows[: len(pivots)], pivots)
+
+    @classmethod
+    def from_rref(cls, field, ambient, rows, pivots) -> "Subspace":
+        """Trusted constructor: `rows` (tuples of field elements) already are
+        the canonical RREF basis with these pivot columns. Nothing is checked,
+        coerced or eliminated."""
         return cls(field, ambient, Matrix._reduced(field, rows, ambient), pivots)
 
     @classmethod
@@ -286,12 +293,13 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field!r})"
 
-    def contains(self, vec) -> bool:
+    def _reduced_vector(self, vec):
+        """vec minus its components along the RREF basis, all zero exactly
+        when vec lies in self; exact, and reduced at each step over F_p."""
         F = self.field
         v = [F.of(x) for x in vec]
         if len(v) != self.ambient:
             raise ShapeError("vector length mismatch")
-        # exact arithmetic in the element type, reduced at each step over F_p
         p = F.p if isinstance(F, PrimeField) else 0
         for row, pc in zip(self.mat.rows, self.pivots):
             c = v[pc]
@@ -300,7 +308,35 @@ class Subspace:
                     v = [(a - c * b) % p for a, b in zip(v, row)]
                 else:
                     v = [a - c * b for a, b in zip(v, row)]
-        return not any(v)
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self._reduced_vector(vec))
+
+    def with_vector(self, vec) -> "Subspace":
+        """The span of self and vec by one RREF insert, with no elimination of
+        the whole basis; self itself when vec already lies in it.
+
+        The reduced vec has zeros in every pivot column, so its leading entry
+        is a new pivot: normalised to one and cleared from the other rows, it
+        leaves the canonical RREF of the span."""
+        v = self._reduced_vector(vec)
+        if not any(v):
+            return self
+        F = self.field
+        p = F.p if isinstance(F, PrimeField) else 0
+        q = next(i for i, x in enumerate(v) if x)
+        inv = F.inv(v[q])
+        v = tuple([x * inv % p for x in v] if p else [x * inv for x in v])
+        rows = []
+        for row in self.mat.rows:
+            c = row[q]
+            if c:
+                row = tuple([(a - c * b) % p for a, b in zip(row, v)] if p else [a - c * b for a, b in zip(row, v)])
+            rows.append(row)
+        k = bisect_left(self.pivots, q)
+        rows.insert(k, v)
+        return Subspace.from_rref(F, self.ambient, rows, (*self.pivots[:k], q, *self.pivots[k:]))
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.mat.rows)
@@ -329,21 +365,18 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ShapeError("ambient dimension mismatch")
         F, n = self.field, self.ambient
-        z = [F.zero] * n
-        block = [list(r) + list(r) for r in self.mat.rows]
-        block += [list(r) + z for r in other.mat.rows]
+        z = (F.zero,) * n
+        block = [r + r for r in self.mat.rows] + [r + z for r in other.mat.rows]
         if not block:
             return Subspace.zero(F, n), Subspace.zero(F, n)
-        red, pivots = Matrix(F, block, ncols=2 * n).rref()
-        join_rows, meet_rows = [], []
-        for row, pc in zip(red.rows, pivots):
-            if pc < n:
-                join_rows.append(row[:n])
-            else:
-                meet_rows.append(row[n:])
+        red, pivots = Matrix._reduced(F, block, 2 * n).rref()
+        # the rows that pivot left of n, cut to their left halves, are the
+        # join's canonical RREF; the others vanish on the left, and their
+        # right halves are the meet's
+        k = bisect_left(pivots, n)
         return (
-            Subspace.from_spanning(F, n, join_rows),
-            Subspace.from_spanning(F, n, meet_rows),
+            Subspace.from_rref(F, n, [row[:n] for row in red.rows[:k]], pivots[:k]),
+            Subspace.from_rref(F, n, [row[n:] for row in red.rows[k : len(pivots)]], [pc - n for pc in pivots[k:]]),
         )
 
 

@@ -334,9 +334,14 @@ class ScanCensus:
 
 
 def field_scan(web: WebOfQuadrics) -> ScanCensus:
-    """Iterates every point of the projective parameter space over F_p,
-    tallies member ranks, and checks that every rank <= 2 point is a
-    singular point of the quartic. Guarded to p <= 2^14."""
+    """Tallies the member ranks over every point of the projective parameter
+    space over F_p, and checks that every rank <= 2 point is a singular point
+    of the quartic. Guarded to p <= 2^14.
+
+    On each affine line (1, b, c, d) and (0, 1, c, d), det(base + d*f3) is a
+    quartic in d: its values at d = 0..4 (on integers) step through d < p by
+    four forward differences. Only members where it vanishes mod p are built
+    and ranked; the rest of the line has rank 4."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
@@ -353,10 +358,13 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
 
     def visit(t, flat):
         """Tally the member with flat (unreduced) entries at the point t."""
-        nonlocal rank3_singular, rank2_nonsingular
         if _det4(flat) % p:  # rank 4, no elimination needed
             counts[4] += 1
-            return
+        else:
+            visit_singular(t, flat)
+
+    def visit_singular(t, flat):
+        nonlocal rank3_singular, rank2_nonsingular
         r = fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
@@ -370,15 +378,30 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     def flat_at(t):
         return [t[0] * a + t[1] * b + t[2] * c + t[3] * d for a, b, c, d in zip(f0, f1, f2, f3)]
 
+    def scan_line(head, base):
+        """The p members base + d*f3 at the points head + (d,)."""
+        # forward differences of the quartic det(base + d*f3) at d = 0
+        diffs = [_det4([x + d * w for x, w in zip(base, f3)]) for d in range(5)]
+        for k in range(1, 5):
+            for i in range(4, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        v, d1, d2, d3, d4 = diffs
+        zeros = 0
+        for d in range(p):
+            if v % p == 0:
+                zeros += 1
+                visit_singular((*head, d), [x + d * w for x, w in zip(base, f3)])
+            v += d1
+            d1 += d2
+            d2 += d3
+            d3 += d4
+        counts[4] += p - zeros
+
     for b in range(p):
         for c in range(p):
-            # the members over the affine line t = (1, b, c, d) differ by d * f3
-            base = [x + b * y + c * z for x, y, z in zip(f0, f1, f2)]
-            for d in range(p):
-                visit((1, b, c, d), [x + d * w for x, w in zip(base, f3)])
+            scan_line((1, b, c), [x + b * y + c * z for x, y, z in zip(f0, f1, f2)])
     for c in range(p):
-        for d in range(p):
-            visit((0, 1, c, d), flat_at((0, 1, c, d)))
+        scan_line((0, 1, c), [y + c * z for y, z in zip(f1, f2)])
     for d in range(p):
         visit((0, 0, 1, d), flat_at((0, 0, 1, d)))
     visit((0, 0, 0, 1), flat_at((0, 0, 0, 1)))

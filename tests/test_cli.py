@@ -72,3 +72,16 @@ def test_single_suite_rerun_is_byte_identical():
     a = run_cli("run", "exterior", "--seed", "5", "--trials", "10")
     b = run_cli("run", "exterior", "--seed", "5", "--trials", "10")
     assert a.stdout == b.stdout
+
+
+def test_timing_adds_per_suite_cpu_only():
+    plain = json.loads(run_cli("run", "bbf", "--seed", "3", "--trials", "5").stdout)
+    timed = json.loads(run_cli("run", "bbf", "--seed", "3", "--trials", "5", "--timing").stdout)
+    assert set(plain) == {"suite", "seed", "prime", "checks", "ms"}
+    assert set(timed) == set(plain) | {"suite_cpu_ms"}
+    assert set(timed["suite_cpu_ms"]) == {"bbf"}
+    assert isinstance(timed["suite_cpu_ms"]["bbf"], int)
+    assert timed["checks"] == plain["checks"]
+    every = json.loads(run_cli("run", "all", "--seed", "3", "--trials", "5", "--timing").stdout)
+    assert list(every["suite_cpu_ms"]) == ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
+    assert all(isinstance(ms, int) and ms >= 0 for ms in every["suite_cpu_ms"].values())

@@ -181,6 +181,50 @@ def test_lagrangian_completion(rng):
         SP.lagrangian_completion(not_isotropic, rng)
 
 
+def _completion_by_reelimination(space, s, rng):
+    """The completion loop that re-eliminates at every step: perp(current)
+    by a kernel, and current + cand by a fresh RREF of its spanning set."""
+    F = space.field
+    current = s
+    while current.dim < 10:
+        pool = space.perp(current)
+        for _ in range(64):
+            coeffs = [F.random(rng) for _ in range(pool.dim)]
+            cand = [F.zero] * DIM3
+            for c, row in zip(coeffs, pool.basis()):
+                cand = [F.add(x, F.mul(c, y)) for x, y in zip(cand, row)]
+            if not current.contains(cand):
+                break
+        else:
+            raise RuntimeError("failed to extend isotropic subspace")
+        current = Subspace.from_spanning(F, DIM3, list(current.basis()) + [cand])
+    return current
+
+
+@pytest.mark.parametrize("field", [GF(10007), GF(101), GF(7), QQ], ids=["GF10007", "GF101", "GF7", "QQ"])
+def test_completion_updates_match_reelimination(field):
+    space = SymplecticSpace(field)
+    rnd = derive_rng(41, f"completion.{field!r}")
+    lag = _completion_by_reelimination(space, Subspace.zero(field, DIM3), rnd)
+    while True:
+        line = rand_vec(field, 1, rnd) ^ rand_vec(field, 2, rnd)
+        if not line.is_zero():
+            break
+    starts = {
+        "zero": Subspace.zero(field, DIM3),
+        "line": Subspace.from_spanning(field, DIM3, [line.coords]),
+        "core": Subspace.from_spanning(field, DIM3, lag.basis()[:9]),
+    }
+    for name, start in starts.items():
+        for seed in range(2):
+            ours, theirs = derive_rng(seed, name), derive_rng(seed, name)
+            got = space.lagrangian_completion(start, ours)
+            want = _completion_by_reelimination(space, start, theirs)
+            assert got == want and got.pivots == want.pivots
+            assert got.contains_subspace(start)
+            assert ours.random() == theirs.random()
+
+
 def test_decomposable_of_is_basis_independent(rng):
     w = Subspace.from_spanning(F, 6, [[1, 2, 3, 4, 5, 6], [0, 1, 0, 2, 0, 3], [0, 0, 1, 1, 1, 1]])
     d1 = SP.decomposable_of(w)

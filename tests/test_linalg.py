@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from epwcalc import fpkernel
 from epwcalc.linalg import (
     InterpolationError,
     Matrix,
@@ -129,6 +130,27 @@ def test_meet_join_grassmann_identity(rows1, rows2):
     assert m.dim + j.dim == s1.dim + s2.dim
     assert j.contains_subspace(s1) and j.contains_subspace(s2)
     assert s1.contains_subspace(m) and s2.contains_subspace(m)
+    _assert_canonical(m, j)
+
+
+def _assert_canonical(*subspaces):
+    """Each subspace is the canonical RREF of its own basis, pivots included."""
+    for s in subspaces:
+        again = Subspace.from_spanning(s.field, s.ambient, s.basis())
+        assert s == again and s.pivots == again.pivots
+
+
+@given(
+    st.lists(st.lists(small_int, min_size=5, max_size=5), max_size=4),
+    st.lists(small_int, min_size=5, max_size=5),
+)
+def test_with_vector_equals_from_spanning(rows, vec):
+    for field in (QQ, F101):
+        s = Subspace.from_spanning(field, 5, rows)
+        grown = s.with_vector(vec)
+        want = Subspace.from_spanning(field, 5, rows + [vec])
+        assert grown == want and grown.pivots == want.pivots
+        assert (grown is s) == s.contains(vec)
 
 
 def test_meet_join_trivial_cases():
@@ -137,6 +159,18 @@ def test_meet_join_trivial_cases():
     t = Subspace.from_spanning(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert s.meet(t).dim == 0
     assert s.join(t) == Subspace.full(QQ, 4)
+    for field in (QQ, F101):
+        # a chain zero < part < full: the meet is the smaller, the join the larger
+        chain = [
+            Subspace.zero(field, 4),
+            Subspace.from_spanning(field, 4, [[1, 2, 0, 3], [0, 0, 1, 5]]),
+            Subspace.full(field, 4),
+        ]
+        for i, a in enumerate(chain):
+            for k, b in enumerate(chain):
+                join, meet = a._zassenhaus(b)
+                _assert_canonical(join, meet)
+                assert meet == chain[min(i, k)] and join == chain[max(i, k)]
 
 
 def test_complementary_coordinate_subspaces_dim20():
@@ -154,6 +188,12 @@ def test_meet_ambient_and_field_mismatch():
     c = Subspace.from_spanning(F101, 3, [[1, 0, 0]])
     with pytest.raises(FieldMismatch):
         a.meet(c)
+
+
+def test_fp_rref_shape():
+    rank, pivots, red = fpkernel.fp_rref([1, 2, 2, 4], 2, 2, 7)
+    assert rank == 1 and pivots == [0]
+    assert red == [1, 2, 0, 0]
 
 
 def test_interpolation_examples():

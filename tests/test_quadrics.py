@@ -244,8 +244,8 @@ def test_det4_matches_the_kernel_det():
             assert quadrics._det4(a) % p == fp_det(a, 4, p)
 
 
-def test_field_scan_census_equals_member_ranks():
-    p = 13
+@pytest.mark.parametrize("p", [3, 5, 13])  # below 5 the sample abscissae d = 0..4 run past p
+def test_field_scan_census_equals_member_ranks(p):
     web = random_web(GF(p), derive_rng(9, "scan"))
     census = quadrics.field_scan(web)
     points = [(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)]
