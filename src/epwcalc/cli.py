@@ -25,8 +25,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="epwcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a verification suite")
-    run.add_argument("suite_pos", nargs="?", default=None, metavar="SUITE")
-    run.add_argument("--suite", default=None, choices=SUITE_ORDER + ["all"])
+    run.add_argument("suite", nargs="?", default="all", choices=SUITE_ORDER + ["all"], metavar="SUITE")
     run.add_argument("--seed", type=int, default=None, help="default 0; EPW_SEED overrides the default only")
     run.add_argument("--prime", type=int, default=10007)
     run.add_argument("--trials", type=int, default=100)
@@ -59,9 +58,7 @@ def run_suites(name, cfg: RunConfig, fail_fast=False, suite_cpu_ms=None):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    suite = args.suite_pos or args.suite or "all"
-    if suite not in SUITE_ORDER + ["all"]:
-        parser.error(f"unknown suite: {suite}")
+    suite = args.suite
     try:
         prime_ok = args.prime > 13 and is_prime(args.prime)
     except ValueError as exc:

@@ -79,15 +79,6 @@ def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     return 20 - m.rank()
 
 
-def _combine(field, pencil, coeffs):
-    """sum_s coeffs[s] * M_s as a flat, unreduced 100-entry list."""
-    flat = [field.zero] * 100
-    for c, m in zip(coeffs, pencil):
-        if c:
-            flat = [a + c * b for a, b in zip(flat, m)]
-    return flat
-
-
 def _det10(field, flat):
     """Determinant of a flat 10x10 matrix: the F_p kernel (looked up as
     this module's fp_det) or Bareiss over QQ."""
@@ -97,12 +88,12 @@ def _det10(field, flat):
 
 
 def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
-    """M(v) on the chart as a flat 10x10 list, unreduced over F_p."""
+    """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list."""
     F = A.field
     v = [F.of(x) for x in vcoords]
     if F.is_zero(v[chart]):
         raise ChartError(f"coordinate {chart} vanishes; chart invalid")
-    return _combine(F, A.pencil(chart), v)
+    return F.lincomb(v, A.pencil(chart))
 
 
 def pairing_matrix(A: EpwLagrangian, vcoords, chart=None) -> Matrix:
@@ -139,11 +130,11 @@ def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
     if not F.is_zero(F.sub(p[chart], F.one)) or not F.is_zero(q[chart]):
         raise ChartError("line must satisfy p_c = 1, q_c = 0 on its chart")
     pencil = A.pencil(chart)
-    mp, mq = _combine(F, pencil, p), _combine(F, pencil, q)
+    mp, mq = F.lincomb(p, pencil), F.lincomb(q, pencil)
     samples = []
     for k in range(11):
         t = F.of(k)
-        samples.append((t, _det10(F, [a + t * b for a, b in zip(mp, mq)])))
+        samples.append((t, _det10(F, F.axpy(mp, t, mq))))
     return interpolate_univariate(F, samples, 6)
 
 
@@ -301,10 +292,7 @@ def a_plus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
     F = space.field
 
     def u_wedge(basis, coeffs):
-        u = [F.zero] * 4
-        for c, b in zip(coeffs, basis):
-            u = [F.add(x, F.mul(c, y)) for x, y in zip(u, b)]
-        return u_wedge_space(F, u, basis)
+        return u_wedge_space(F, F.lincomb(coeffs, basis), basis)
 
     return _construction_lagrangian(space, ubasis, rng, u_wedge)
 
@@ -382,7 +370,7 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
                     break
             if root is None:
                 continue
-        v = [(a + root * b) % p for a, b in zip(base, direction)]
+        v = F.axpy(base, root, direction)
         assert fiber_intersection_dim(A, v) >= 1
         return ExteriorVector(F, 1, v), tried
     raise RetryBudgetExhausted(f"no rational root found on {budget} lines")

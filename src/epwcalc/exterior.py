@@ -8,7 +8,6 @@ defines the volume functional, and (a, b) -> vol(a ^ b) makes the
 """
 
 from itertools import combinations
-from operator import mul
 
 from .linalg import Matrix, ShapeError, Subspace, _integerize
 from .scalars import PrimeField, same_field
@@ -137,15 +136,14 @@ class ExteriorVector:
         if self.grade != other.grade:
             raise GradeError("grade mismatch in addition")
         F = self.field
-        return ExteriorVector(F, self.grade, [F.add(a, b) for a, b in zip(self.coords, other.coords)])
+        return ExteriorVector(F, self.grade, F.axpy(self.coords, 1, other.coords))
 
     def sub(self, other):
         return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, c):
         F = self.field
-        c = F.of(c)
-        return ExteriorVector(F, self.grade, [F.mul(c, x) for x in self.coords])
+        return ExteriorVector(F, self.grade, F.lincomb((F.of(c),), (self.coords,)))
 
     def wedge(self, other):
         same_field(self.field, other.field)
@@ -215,12 +213,7 @@ class SymplecticSpace:
             raise GradeError("the symplectic form pairs grade-3 elements")
         same_field(self.field, a.field)
         same_field(a.field, b.field)
-        F = self.field
-        acc = F.zero
-        for i, (j, sg) in enumerate(COMP3):
-            term = F.mul(a.coords[i], b.coords[j])
-            acc = F.add(acc, term if sg > 0 else F.neg(term))
-        return acc
+        return self.field.dot(a.coords, self.form_row(b.coords))
 
     def gram(self) -> Matrix:
         F = self.field
@@ -258,17 +251,12 @@ class SymplecticSpace:
         if s.ambient != DIM3:
             raise ShapeError("expected a subspace of the 3-vector space")
         F = self.field
-        if isinstance(F, PrimeField):
-            p, rows = F.p, s.basis()
-        else:
-            p, rows = 0, _integerize(s.basis())
+        rows = s.basis() if isinstance(F, PrimeField) else _integerize(s.basis())
         # the form is alternating on 3-vectors, so only pairs i < j count
         for i, a in enumerate(rows):
             dual = [a[j] if sg > 0 else -a[j] for j, sg in COMP3]
-            for b in rows[i + 1 :]:
-                acc = sum(x * y for x, y in zip(b, dual))
-                if (acc % p if p else acc) != 0:
-                    return False
+            if any(F.dot(b, dual) for b in rows[i + 1 :]):
+                return False
         return True
 
     def is_lagrangian(self, s: Subspace) -> bool:
@@ -298,15 +286,11 @@ class SymplecticSpace:
         if not self.is_isotropic(s):
             raise ValueError("input subspace is not isotropic")
         F = self.field
-        p = F.p if isinstance(F, PrimeField) else 0
         pool = list(self.perp(s).basis())
         current = s
         while current.dim < 10:
             for _ in range(64):
-                coeffs = [F.random(rng) for _ in range(len(pool))]
-                cand = [sum(map(mul, coeffs, col)) for col in zip(*pool)]
-                if p:
-                    cand = [x % p for x in cand]
+                cand = F.lincomb([F.random(rng) for _ in range(len(pool))], pool)
                 grown = current.with_vector(cand)
                 if grown.dim > current.dim:
                     break
@@ -316,18 +300,10 @@ class SymplecticSpace:
             # pairs to f_j != 0 with cand and clear it from the others; some
             # row pairs nonzero as cand is not in current = perp(pool)
             dual = self.form_row(cand)
-            f = [sum(map(mul, row, dual)) for row in pool]
-            if p:
-                f = [x % p for x in f]
+            f = [F.dot(row, dual) for row in pool]
             j = max(i for i, x in enumerate(f) if x)
             top, inv = pool.pop(j), F.inv(f.pop(j))
-            for i, (row, fi) in enumerate(zip(pool, f)):
-                if fi:
-                    g = F.mul(fi, inv)
-                    if p:
-                        pool[i] = [(x - g * y) % p for x, y in zip(row, top)]
-                    else:
-                        pool[i] = [x - g * y for x, y in zip(row, top)]
+            pool = [F.axpy(row, -F.mul(fi, inv), top) if fi else row for row, fi in zip(pool, f)]
             current = grown
         assert self.is_lagrangian(current)
         return current

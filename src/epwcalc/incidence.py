@@ -21,10 +21,6 @@ class PreconditionError(ValueError):
 SYM_PAIRS_10 = [(k, l) for k in range(10) for l in range(k, 10)]  # 55 coordinates
 
 
-def _coords_in(sub: Subspace, vec):
-    return list(sub.coords_of(vec))
-
-
 def _restriction_rows(field, R, i, j):
     """Row of coefficients (over the 55 upper coordinates) of the (i, j)
     entry of the restricted form R Q R^T."""
@@ -75,8 +71,7 @@ class LagrangianPencil:
         t, s = F.of(t), F.of(s)
         if F.is_zero(t) and F.is_zero(s):
             raise ValueError("member needs a nonzero parameter pair")
-        vec = [F.add(F.mul(t, a), F.mul(s, b)) for a, b in zip(self.x0, self.x1)]
-        return self.core.with_vector(vec)
+        return self.core.with_vector(F.lincomb((t, s), (self.x0, self.x1)))
 
 
 def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
@@ -110,8 +105,8 @@ def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace, require_
         raise PreconditionError(f"common core has dimension {u.dim}, need 9")
     if not require_agreement:
         return 110
-    RA = [_coords_in(A, r) for r in u.basis()]
-    RB = [_coords_in(B, r) for r in u.basis()]
+    RA = [A.coords_of(r) for r in u.basis()]
+    RB = [B.coords_of(r) for r in u.basis()]
     rows = []
     for i in range(9):
         for j in range(i, 9):
@@ -138,12 +133,12 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
             raise PreconditionError("alpha outside the base subspace")
         if u.contains(vec):
             raise PreconditionError("alpha lies in the hyperplane")
-        coords.append(_coords_in(B, vec))
+        coords.append(B.coords_of(vec))
     if Matrix(F, coords, ncols=10).rank() != len(coords):
         raise PreconditionError("alphas are linearly dependent")
     if require_full and len(coords) != 10:
         raise PreconditionError(f"need 10 alphas, got {len(coords)} (relaxed mode only)")
-    R = [_coords_in(B, r) for r in u.basis()]
+    R = [B.coords_of(r) for r in u.basis()]
     rows = []
     for i in range(9):
         for j in range(i, 9):
@@ -164,7 +159,7 @@ def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
         vec = a.coords if isinstance(a, ExteriorVector) else a
         if not A.contains(vec):
             raise PreconditionError("alpha outside the base subspace")
-        rows.append(_evaluation_row(F, _coords_in(A, vec)))
+        rows.append(_evaluation_row(F, A.coords_of(vec)))
     if not rows:
         return Subspace.full(F, 55)
     return Matrix(F, rows, ncols=55).kernel_basis()
@@ -208,18 +203,13 @@ def tangency_scenario(space: SymplecticSpace, rng, budget=40) -> TangencyScenari
         seed_sub = Subspace.from_spanning(F, DIM3, [alpha.coords])
         A = space.lagrangian_completion(seed_sub, rng)
         fiber = space.fiber(v)
-        if fiber.meet(A).dim != 1:
+        line_a = fiber.meet(A)
+        if line_a.dim != 1:
             continue
         # a hyperplane of A through alpha
         u = None
         for _ in range(16):
-            extra = []
-            for _ in range(8):
-                coeffs = [F.random(rng) for _ in range(10)]
-                vec = [F.zero] * DIM3
-                for c, row in zip(coeffs, A.basis()):
-                    vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, row)]
-                extra.append(vec)
+            extra = [F.lincomb([F.random(rng) for _ in range(10)], A.basis()) for _ in range(8)]
             cand = Subspace.from_spanning(F, DIM3, [alpha.coords] + extra)
             if cand.dim == 9:
                 u = cand
@@ -233,11 +223,11 @@ def tangency_scenario(space: SymplecticSpace, rng, budget=40) -> TangencyScenari
             if cand != A:
                 B = cand
                 break
-        if B is None or fiber.meet(B).dim != 1:
+        if B is None or (line_b := fiber.meet(B)).dim != 1:
             continue
 
         # the four contracts; failures here are real bugs, not bad luck
-        if fiber.meet(A) != fiber.meet(B):
+        if line_a != line_b:
             raise ScenarioFailure(f"fiber intersections differ: v={v!r}")
         plane = fiber.meet(A.join(B))
         if plane.dim != 2:

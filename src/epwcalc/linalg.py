@@ -2,8 +2,11 @@
 
 Rank and determinants over Q use fraction-free (Bareiss) elimination to
 control entry growth; over F_p plain Gaussian elimination runs through the
-F_p kernel in `fpkernel`. Subspaces are stored in reduced row echelon form,
-which makes subspace equality syntactic.
+F_p kernel in `fpkernel`. Those eliminations and the modular rank
+certificate are the only code here that branches on the field; every vector
+combination, reduction and product goes through the field's `lincomb`,
+`axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
+makes subspace equality syntactic.
 """
 
 from bisect import bisect_left
@@ -123,11 +126,7 @@ class Matrix:
             raise ShapeError("inner dimension mismatch")
         F = self.field
         bt = list(zip(*other.rows))
-        if isinstance(F, PrimeField):
-            p = F.p
-            out = [tuple([sum(x * y for x, y in zip(r, c)) % p for c in bt]) for r in self.rows]
-        else:
-            out = [tuple([sum((x * y for x, y in zip(r, c)), start=F.zero) for c in bt]) for r in self.rows]
+        out = [tuple([F.dot(r, c) for c in bt]) for r in self.rows]
         return Matrix._reduced(F, out, other.ncols)
 
     def rank(self) -> int:
@@ -293,47 +292,34 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field!r})"
 
-    def _reduced_vector(self, vec):
-        """vec minus its components along the RREF basis, all zero exactly
-        when vec lies in self; exact, and reduced at each step over F_p."""
+    def _split(self, vec):
+        """(coords, residue) with vec = sum coords[i] * basis[i] + residue,
+        the residue zero exactly when vec lies in self. Each RREF row vanishes
+        at the other rows' pivots, so the coordinates are vec's pivot entries."""
         F = self.field
         v = [F.of(x) for x in vec]
         if len(v) != self.ambient:
             raise ShapeError("vector length mismatch")
-        p = F.p if isinstance(F, PrimeField) else 0
-        for row, pc in zip(self.mat.rows, self.pivots):
-            c = v[pc]
-            if c:
-                if p:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
-                else:
-                    v = [a - c * b for a, b in zip(v, row)]
-        return v
+        coords = [v[pc] for pc in self.pivots]
+        return coords, F.lincomb([1, *(-c for c in coords)], [v, *self.mat.rows])
 
     def contains(self, vec) -> bool:
-        return not any(self._reduced_vector(vec))
+        return not any(self._split(vec)[1])
 
     def with_vector(self, vec) -> "Subspace":
         """The span of self and vec by one RREF insert, with no elimination of
         the whole basis; self itself when vec already lies in it.
 
-        The reduced vec has zeros in every pivot column, so its leading entry
-        is a new pivot: normalised to one and cleared from the other rows, it
-        leaves the canonical RREF of the span."""
-        v = self._reduced_vector(vec)
+        The residue of vec has zeros in every pivot column, so its leading
+        entry is a new pivot: normalised to one and cleared from the other
+        rows, it leaves the canonical RREF of the span."""
+        v = self._split(vec)[1]
         if not any(v):
             return self
         F = self.field
-        p = F.p if isinstance(F, PrimeField) else 0
         q = next(i for i, x in enumerate(v) if x)
-        inv = F.inv(v[q])
-        v = tuple([x * inv % p for x in v] if p else [x * inv for x in v])
-        rows = []
-        for row in self.mat.rows:
-            c = row[q]
-            if c:
-                row = tuple([(a - c * b) % p for a, b in zip(row, v)] if p else [a - c * b for a, b in zip(row, v)])
-            rows.append(row)
+        v = tuple(F.lincomb([F.inv(v[q])], [v]))
+        rows = [tuple(F.axpy(row, -row[q], v)) if row[q] else row for row in self.mat.rows]
         k = bisect_left(self.pivots, q)
         rows.insert(k, v)
         return Subspace.from_rref(F, self.ambient, rows, (*self.pivots[:k], q, *self.pivots[k:]))
@@ -342,12 +328,11 @@ class Subspace:
         return all(self.contains(r) for r in other.mat.rows)
 
     def coords_of(self, vec):
-        """Coordinates w.r.t. the RREF basis (pivot-column extraction)."""
-        if not self.contains(vec):
+        """Coordinates w.r.t. the RREF basis; ValueError when vec is not in self."""
+        coords, residue = self._split(vec)
+        if any(residue):
             raise ValueError("vector not in subspace")
-        F = self.field
-        v = [F.of(x) for x in vec]
-        return tuple(v[pc] for pc in self.pivots)
+        return tuple(coords)
 
     def meet(self, other) -> "Subspace":
         """Intersection via the Zassenhaus double-block elimination."""

@@ -93,14 +93,7 @@ class WebOfQuadrics:
     def member(self, t) -> Matrix:
         F = self.field
         t = [F.of(x) for x in t]
-        rows = [
-            [
-                sum((F.mul(t[k], self.qs[k].rows[i][j]) for k in range(4)), start=F.zero)
-                for j in range(4)
-            ]
-            for i in range(4)
-        ]
-        return Matrix(F, rows)
+        return Matrix(F, [F.lincomb(t, rows) for rows in zip(*(q.rows for q in self.qs))])
 
 
 def member_rank(web: WebOfQuadrics, t) -> int:
@@ -180,11 +173,9 @@ def harris_tu_degree(n: int, r: int) -> int:
 
 
 def bilinear(field, q: Matrix, x, y):
-    acc = field.zero
-    for i, row in enumerate(q.rows):
-        for j, v in enumerate(row):
-            acc = field.add(acc, field.mul(v, field.mul(field.of(x[i]), field.of(y[j]))))
-    return acc
+    """x^T q y."""
+    x, y = [field.of(a) for a in x], [field.of(b) for b in y]
+    return field.dot(field.lincomb(x, q.rows), y)
 
 
 def quadric_contains_line(field, q: Matrix, r0, r1) -> bool:
@@ -219,10 +210,7 @@ def _binary_quadratic_roots(field, alpha, beta, gamma):
 
 
 def _point_on_line(field, r0, r1, s):
-    return tuple(
-        field.add(field.mul(s[0], field.of(a)), field.mul(s[1], field.of(b)))
-        for a, b in zip(r0, r1)
-    )
+    return tuple(field.lincomb(s, ([field.of(a) for a in r0], [field.of(b) for b in r1])))
 
 
 def _canonical_point(field, pt):
@@ -338,10 +326,11 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     space over F_p, and checks that every rank <= 2 point is a singular point
     of the quartic. Guarded to p <= 2^14.
 
-    On each affine line (1, b, c, d) and (0, 1, c, d), det(base + d*f3) is a
-    quartic in d: its values at d = 0..4 (on integers) step through d < p by
-    four forward differences. Only members where it vanishes mod p are built
-    and ranked; the rest of the line has rank 4."""
+    On each affine line (1, b, c, d), (0, 1, c, d) and (0, 0, 1, d),
+    det(base + d*f3) is a quartic in d: its values at d = 0..4 (on integers)
+    step through d < p by four forward differences. Only members where it
+    vanishes mod p are built and ranked; the rest of the line has rank 4.
+    The one point left, (0, 0, 0, 1), is the member f3."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
@@ -356,14 +345,9 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     rank3_singular = 0
     rank2_nonsingular = 0
 
-    def visit(t, flat):
-        """Tally the member with flat (unreduced) entries at the point t."""
-        if _det4(flat) % p:  # rank 4, no elimination needed
-            counts[4] += 1
-        else:
-            visit_singular(t, flat)
-
     def visit_singular(t, flat):
+        """Tally the member with flat (unreduced) entries at the point t,
+        where its determinant vanishes mod p."""
         nonlocal rank3_singular, rank2_nonsingular
         r = fp_rank(flat, 4, 4, p)
         counts[r] += 1
@@ -374,9 +358,6 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
                     rank2_nonsingular += 1
             elif singular:
                 rank3_singular += 1
-
-    def flat_at(t):
-        return [t[0] * a + t[1] * b + t[2] * c + t[3] * d for a, b, c, d in zip(f0, f1, f2, f3)]
 
     def scan_line(head, base):
         """The p members base + d*f3 at the points head + (d,)."""
@@ -402,9 +383,11 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
             scan_line((1, b, c), [x + b * y + c * z for x, y, z in zip(f0, f1, f2)])
     for c in range(p):
         scan_line((0, 1, c), [y + c * z for y, z in zip(f1, f2)])
-    for d in range(p):
-        visit((0, 0, 1, d), flat_at((0, 0, 1, d)))
-    visit((0, 0, 0, 1), flat_at((0, 0, 0, 1)))
+    scan_line((0, 0, 1), f2)
+    if _det4(f3) % p:
+        counts[4] += 1
+    else:
+        visit_singular((0, 0, 0, 1), f3)
 
     assert rank2_nonsingular == 0, "rank <= 2 point with nonzero gradient"
     return ScanCensus(p, counts, rank3_singular, rank2_nonsingular)

@@ -4,9 +4,16 @@ Scalars are raw carriers (fractions.Fraction for the rationals, small ints
 in [0, p) for F_p); the field they belong to is carried by the containers
 (Matrix, Subspace, ExteriorVector) and by these context objects. Mixing
 carriers from different fields is a hard error wherever two fields meet.
+
+The field objects also own vector arithmetic: `lincomb`, `axpy` and `dot`
+combine and pair vectors with one body per field and return canonical
+elements, so no caller branches on the field to combine or reduce vectors.
+Over F_p they accept unreduced (also negative) ints and reduce once at the
+end; over QQ their sums start at int 0, so integer rows stay integers.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 class FieldMismatch(ValueError):
@@ -18,6 +25,16 @@ class FieldMismatch(ValueError):
 # bases alone pass the composite psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
+
+
+def _combination(coeffs, rows):
+    """sum coeffs[i] * rows[i] over the nonzero coefficients, exact and
+    unreduced; None when every coefficient is zero."""
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [c * b for b in row] if acc is None else [a + c * b for a, b in zip(acc, row)]
+    return acc
 
 
 def is_prime(n: int) -> bool:
@@ -84,6 +101,18 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def lincomb(self, coeffs, rows):
+        """sum coeffs[i] * rows[i]; the zero vector when every coefficient is 0."""
+        acc = _combination(coeffs, rows)
+        return [self.zero] * len(rows[0]) if acc is None else acc
+
+    def axpy(self, y, c, x):
+        """y + c * x."""
+        return [a + c * b for a, b in zip(y, x)]
+
+    def dot(self, a, b):
+        return sum(map(mul, a, b))
 
     def random(self, rng, lo=-9, hi=9):
         return Fraction(rng.randint(lo, hi))
@@ -158,6 +187,23 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
+
+    def lincomb(self, coeffs, rows):
+        """sum coeffs[i] * rows[i] in [0, p); the zero vector when every
+        coefficient is 0."""
+        acc = _combination(coeffs, rows)
+        if acc is None:
+            return [0] * len(rows[0])
+        p = self.p
+        return [a % p for a in acc]
+
+    def axpy(self, y, c, x):
+        """y + c * x in [0, p)."""
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(y, x)]
+
+    def dot(self, a, b):
+        return sum(map(mul, a, b)) % self.p
 
     def random(self, rng, lo=None, hi=None):
         return rng.randrange(self.p)

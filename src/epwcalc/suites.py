@@ -266,10 +266,7 @@ def run_epw(cfg: RunConfig):
                         Subspace.from_spanning(Fp, DIM3, [dec.coords]), rng
                     ),
                 )
-                coeffs = [Fp.random(rng) for _ in range(3)]
-                v = [Fp.zero] * 6
-                for c, row in zip(coeffs, w.basis()):
-                    v = [Fp.add(x, Fp.mul(c, y)) for x, y in zip(v, row)]
+                v = Fp.lincomb([Fp.random(rng) for _ in range(3)], w.basis())
                 if all(Fp.is_zero(x) for x in v):
                     continue
             else:
@@ -539,21 +536,19 @@ def _injective_differential_sample(space, rng, count=10):
     B = space.random_lagrangian(rng)
     u = Subspace.from_spanning(F, DIM3, B.basis()[:9])
     alphas = []
+    span = Subspace.zero(F, 10)  # the coordinates of the alphas in B
     guard = 0
     while len(alphas) < count:
         guard += 1
         if guard > 200:
             raise RuntimeError("could not sample admissible alphas")
-        coeffs = [F.random(rng) for _ in range(10)]
-        vec = [F.zero] * DIM3
-        for c, row in zip(coeffs, B.basis()):
-            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, row)]
+        vec = F.lincomb([F.random(rng) for _ in range(10)], B.basis())
         if u.contains(vec):
             continue
-        cand = alphas + [vec]
-        coords = [list(B.coords_of(v)) for v in cand]
-        if Matrix(F, coords, ncols=10).rank() == len(cand):
-            alphas = cand
+        grown = span.with_vector(B.coords_of(vec))
+        if grown.dim > span.dim:
+            alphas.append(vec)
+            span = grown
     return incidence.injective_differential_kernel(
         space, B, u, alphas, require_full=(count == 10)
     )

@@ -199,17 +199,21 @@ def test_c07_incidence_dimensions():
 
 
 def _admissible_alphas(space, B, u, rnd, count=10):
+    """Random vectors of B off u whose coordinates in B are independent; the
+    span of the accepted coordinates grows one vector at a time."""
     Fld = space.field
     alphas = []
+    span = Subspace.zero(Fld, 10)
     while len(alphas) < count:
         vec = [Fld.zero] * DIM3
         for c, row in zip([Fld.random(rnd) for _ in range(10)], B.basis()):
             vec = [Fld.add(x, Fld.mul(c, y)) for x, y in zip(vec, row)]
         if u.contains(vec):
             continue
-        cand = alphas + [vec]
-        if Matrix(Fld, [list(B.coords_of(v)) for v in cand], ncols=10).rank() == len(cand):
-            alphas = cand
+        grown = span.with_vector(B.coords_of(vec))
+        if grown.dim > span.dim:
+            alphas.append(vec)
+            span = grown
     return alphas
 
 

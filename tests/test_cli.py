@@ -52,6 +52,7 @@ def test_chow_suite_has_the_headline_check():
 
 def test_usage_errors_exit_two():
     assert run_cli("run", "nosuchsuite").returncode == 2
+    assert run_cli("run", "--suite", "bbf").returncode == 2  # the suite is positional only
     assert run_cli("run", "bbf", "--prime", "10").returncode == 2
     assert run_cli("run", "bbf", "--prime", "13").returncode == 2
     assert run_cli("run", "bbf", "--trials", "0").returncode == 2

@@ -28,15 +28,16 @@ def random_in(space, sub, rnd, count):
 
 
 def admissible_alphas(space, B, u, rnd, count=10):
-    F = space.field
     alphas = []
+    span = Subspace.zero(space.field, 10)  # the coordinates of the alphas in B
     while len(alphas) < count:
         vec = random_in(space, B, rnd, 1)[0]
         if u.contains(vec):
             continue
-        cand = alphas + [vec]
-        if Matrix(F, [list(B.coords_of(v)) for v in cand], ncols=10).rank() == len(cand):
-            alphas = cand
+        grown = span.with_vector(B.coords_of(vec))
+        if grown.dim > span.dim:
+            alphas.append(vec)
+            span = grown
     return alphas
 
 

@@ -153,6 +153,33 @@ def test_with_vector_equals_from_spanning(rows, vec):
         assert (grown is s) == s.contains(vec)
 
 
+@given(
+    st.lists(st.lists(small_int, min_size=5, max_size=5), min_size=1, max_size=4),
+    st.lists(small_int, max_size=4),
+    st.lists(small_int, min_size=5, max_size=5),
+)
+def test_coords_of_members_and_non_members(rows, coeffs, vec):
+    for field in (QQ, F101):
+        s = Subspace.from_spanning(field, 5, rows)
+        coeffs = [field.of(c) for c in (coeffs + [0] * s.dim)[: s.dim]]
+        member = [sum((c * row[j] for c, row in zip(coeffs, s.basis())), field.zero) for j in range(5)]
+        assert s.coords_of(member) == tuple(coeffs)
+        assert s.coords_of(member) == tuple(field.of(member[pc]) for pc in s.pivots)
+        if s.contains(vec):
+            assert s.coords_of(vec) == tuple(field.of(vec[pc]) for pc in s.pivots)
+        else:
+            with pytest.raises(ValueError):
+                s.coords_of(vec)
+
+
+def test_coords_of_examples():
+    for field in (QQ, F101):
+        s = Subspace.from_spanning(field, 3, [[2, 4, 0], [0, 0, 3]])  # rref rows (1, 2, 0), (0, 0, 1)
+        assert s.coords_of([3, 6, -5]) == (field.of(3), field.of(-5))
+        with pytest.raises(ValueError):
+            s.coords_of([0, 1, 0])
+
+
 def test_meet_join_trivial_cases():
     s = Subspace.from_spanning(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     assert s.meet(s) == s and s.join(s) == s
