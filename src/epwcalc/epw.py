@@ -6,13 +6,14 @@ hypersurface in the projectivized base space. Degree claims are checked on
 lines by exact interpolation, never by expanding the 6-variable polynomial.
 """
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .exterior import DIM3, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
-from .linalg import Matrix, Subspace, interpolate_univariate, poly_degree, poly_eval
+from .linalg import Matrix, Subspace, interpolate_univariate, poly_eval, smallest_root
 from .scalars import PrimeField
 
 
@@ -139,25 +140,45 @@ def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
-    """Exact gradient of v -> det M(v) at v0.
+    """Exact gradient of v -> det M(v) at v0 by Jacobi's formula,
+    d/dv_k det M = tr(adj M . M_k) = <adj(M)^T, M_k> over the pencil.
 
-    The partial along e_k is the t-coefficient of det(M(v0) + t M_k); det is
-    linear in each row, so it is the sum over i of det M(v0) with row i
-    replaced by row i of M_k (rows where M_k vanishes contribute nothing).
+    One rref of [M | I] = [E M | E] gives the rank of M, a right kernel
+    vector x from E M and, in the rows where E M vanishes, a left kernel
+    vector y (or M^-1 = E at full rank):
+    - off the sextic, adj M = det M . M^-1;
+    - at corank 1, adj M = c x y^T, where det(M + e_i e_j^T) = c x_j y_i by
+      the matrix determinant lemma; i and j are taken where y_i = x_j = 1;
+    - at corank >= 2 every 9x9 minor vanishes, so the gradient is 0.
     """
     F = A.field
     if chart is None:
         chart = chart_for(F, [F.of(x) for x in v0])
     m0 = pairing_entries(A, v0, chart)
-    grad = []
-    for mk in A.pencil(chart):
-        acc = F.zero
-        for i in range(0, 100, 10):
-            row = mk[i : i + 10]
-            if any(row):
-                acc = F.add(acc, _det10(F, m0[:i] + row + m0[i + 10 :]))
-        grad.append(acc)
-    return tuple(grad)
+    zero, one = F.zero, F.one
+    aug = [(*m0[10 * i : 10 * i + 10], *(one if j == i else zero for j in range(10))) for i in range(10)]
+    red, pivots = Matrix._reduced(F, aug, 20).rref()
+    rows = red.rows
+    rank = bisect_left(pivots, 10)
+    if rank == 10:
+        d = _det10(F, m0)
+        adj_t = [F.mul(d, rows[b][10 + a]) for a in range(10) for b in range(10)]
+    elif rank == 9:
+        # x from the free column j of E M, with x_j = 1; y is the right half
+        # of the last row, whose leading entry y_i = 1 sits at its pivot
+        j = next(c for c in range(10) if c not in pivots)
+        i = pivots[9] - 10
+        x = [zero] * 10
+        x[j] = one
+        for r, pc in enumerate(pivots[:9]):
+            x[pc] = F.neg(rows[r][j])
+        bumped = list(m0)
+        bumped[10 * i + j] = F.add(bumped[10 * i + j], one)
+        c = _det10(F, bumped)  # c x_j y_i with x_j = y_i = 1
+        adj_t = [F.mul(F.mul(c, ya), xb) for ya in rows[9][10:] for xb in x]
+    else:
+        return (zero,) * 6
+    return tuple(F.dot(adj_t, mk) for mk in A.pencil(chart))
 
 
 def generator_of_intersection(A: EpwLagrangian, v0) -> ExteriorVector:
@@ -343,8 +364,10 @@ def sigma_membership(A: EpwLagrangian, w: Subspace) -> bool:
 
 
 def find_point_stats(A: EpwLagrangian, rng, budget=60):
-    """Root of the restricted sextic over F_p: tries random chart-0 lines,
-    scans the interpolated polynomial, returns (point, lines_tried)."""
+    """A point of the sextic over F_p: on random chart-0 lines, the smallest
+    root of the restricted sextic, found by `smallest_root` (gcd with
+    x^p - x and deterministic splits, no pass over F_p), or t = 0 when the
+    whole line lies on the sextic. Returns (point, lines_tried)."""
     F = A.field
     if not isinstance(F, PrimeField):
         raise ValueError("point search needs a prime-field context")
@@ -354,22 +377,9 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
         direction = [0] + [rng.randrange(p) for _ in range(5)]
         if all(x == 0 for x in direction):
             continue
-        coeffs = sextic_on_line(A, base, direction, chart=0)
-        if poly_degree(F, coeffs) < 0:
-            root = 0  # the whole line lies on the sextic
-        else:
-            # Horner on plain ints: the value of poly_eval(F, coeffs, t)
-            root = None
-            high_first = coeffs[::-1]
-            for t in range(p):
-                acc = 0
-                for c in high_first:
-                    acc = (acc * t + c) % p
-                if acc == 0:
-                    root = t
-                    break
-            if root is None:
-                continue
+        root = smallest_root(sextic_on_line(A, base, direction, chart=0), p)
+        if root is None:
+            continue
         v = F.axpy(base, root, direction)
         assert fiber_intersection_dim(A, v) >= 1
         return ExteriorVector(F, 1, v), tried

@@ -47,11 +47,13 @@ class BBLattice:
     def __init__(self):
         self.gram = _block_diag([_U, _U, _U, _e8_gram(-1), _e8_gram(-1), [[-2]]])
         self.rank = 23
+        # the nonzero Gram entries (i, j, g_ij): 51 of the 529
+        self._entries = [(i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g]
 
     def q(self, a, b) -> int:
         if len(a) != self.rank or len(b) != self.rank:
             raise ValueError("lattice vectors have 23 coordinates")
-        return sum(a[i] * self.gram[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))
+        return sum(a[i] * g * b[j] for i, j, g in self._entries)
 
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))

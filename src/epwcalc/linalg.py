@@ -1,4 +1,5 @@
-"""Dense exact linear algebra: matrices, canonical subspaces, interpolation.
+"""Dense exact linear algebra: matrices, canonical subspaces, interpolation
+and roots of univariate polynomials over F_p.
 
 Rank and determinants over Q use fraction-free (Bareiss) elimination to
 control entry growth; over F_p plain Gaussian elimination runs through the
@@ -6,7 +7,10 @@ F_p kernel in `fpkernel`. Those eliminations and the modular rank
 certificate are the only code here that branches on the field; every vector
 combination, reduction and product goes through the field's `lincomb`,
 `axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
-makes subspace equality syntactic.
+makes subspace equality syntactic. The univariate polynomial helpers sit
+together at the end: interpolation, evaluation and degree over either field,
+and `smallest_root`, a gcd-and-split root finder over F_p that takes no pass
+over the field.
 """
 
 from bisect import bisect_left
@@ -417,6 +421,107 @@ def poly_degree(field, coeffs) -> int:
         if not field.is_zero(coeffs[i]):
             return i
     return -1
+
+
+# -- roots over F_p: plain int lists, constant coefficient first, in [0, p) --
+
+
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _monic(f, p):
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _divmod_monic(f, m, p):
+    """(quotient, trimmed remainder) of f by the monic m; f may be unreduced."""
+    r = list(f)
+    dm = len(m) - 1
+    q = [0] * max(len(r) - dm, 0)
+    for k in range(len(r) - 1 - dm, -1, -1):
+        c = r[k + dm] % p
+        q[k] = c
+        if c:
+            for i in range(dm):
+                r[k + i] -= c * m[i]
+    return q, _trim([x % p for x in r[:dm]])
+
+
+def _gcd_monic(f, g, p):
+    """The monic gcd of f and g (f nonzero)."""
+    while g:
+        f, g = g, _divmod_monic(f, _monic(g, p), p)[1]
+    return _monic(f, p)
+
+
+def _pow_linear_mod(a, e, m, p):
+    """(x + a)^e mod the monic m by square-and-multiply; multiplying by the
+    linear base is one shift and one scaled add."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, x in enumerate(acc):
+            if x:
+                for j, y in enumerate(acc):
+                    sq[i + j] += x * y
+        acc = _divmod_monic(sq, m, p)[1]
+        if bit == "1" and acc:
+            acc = _divmod_monic([a * c + b for c, b in zip(acc + [0], [0] + acc)], m, p)[1]
+    return acc
+
+
+def smallest_root(coeffs, p):
+    """The smallest t in 0..p-1 with f(t) = 0 mod p, or None when f has no
+    root in F_p; 0 for the zero polynomial, every t being a root.
+
+    No pass over F_p: g = gcd(f, x^p - x) is the product of the distinct linear
+    factors of f, found by square-and-multiply mod f, and g is split into
+    them by gcd(g, (x + a)^((p-1)/2) - 1), which keeps the roots r with r + a
+    a nonzero square (Cantor-Zassenhaus 1981; von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 14). That is O(d^2 log p) work per shift for
+    a polynomial of degree d.
+
+    The shifts are deterministic: a = 0, 1, 2, ... in turn, each factor going
+    on from the shift after the one that split off its parent, so no random
+    stream is drawn. A shift separates two roots r != s when exactly one of
+    r + a, s + a is a nonzero square, which holds for at least (p - 1)/2 of
+    the p shifts; the Weil bound on incomplete character sums caps a run of
+    consecutive shifts that all fail for one pair at O(sqrt(p) log p), and a
+    few shifts suffice in practice. Over F_2, g divides x^2 - x and its roots
+    are read off directly.
+    """
+    f = _trim([c % p for c in coeffs])
+    if not f:
+        return 0
+    if len(f) == 1:
+        return None
+    f = _monic(f, p)
+    w = _pow_linear_mod(0, p, f, p)  # x^p mod f
+    w += [0] * (2 - len(w))
+    w[1] = (w[1] - 1) % p
+    g = _gcd_monic(f, _trim(w), p)
+    if p == 2:
+        return next((t for t, v in ((0, g[0]), (1, sum(g) % 2)) if v == 0), None)
+    roots = []
+    todo = [(g, 0)]
+    while todo:
+        h, a = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            while True:
+                w = _pow_linear_mod(a, (p - 1) // 2, h, p) or [0]
+                w[0] = (w[0] - 1) % p
+                d = _gcd_monic(h, _trim(w), p)
+                a += 1
+                if 1 < len(d) < len(h):
+                    todo += [(d, a), (_divmod_monic(h, d, p)[0], a)]
+                    break
+    return min(roots, default=None)
 
 
 def certified_rank_full(mat: Matrix, p: int = 10007) -> bool:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .linalg import Matrix
 from .scalars import PrimeField
@@ -141,6 +142,34 @@ def quartic_surface(web: WebOfQuadrics):
 def quartic_gradient(web: WebOfQuadrics):
     poly = quartic_surface(web)
     return [_mp_partial(web.field, poly, i) for i in range(4)]
+
+
+def _compile_cubics(polys):
+    """Homogeneous cubics in t0..t3 over F_p as (monomials, rows): the
+    monomials t_i t_j t_k (i <= j <= k) that occur in any of them, as index
+    triples, and each cubic's coefficients against those, for
+    `_cubic_values`."""
+
+    def triple(expo):
+        return tuple(i for i, e in enumerate(expo) for _ in range(e))
+
+    monos = sorted({triple(expo) for poly in polys for expo in poly})
+    index = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for poly in polys:
+        row = [0] * len(monos)
+        for expo, c in poly.items():
+            row[index[triple(expo)]] = c
+        rows.append(row)
+    return monos, rows
+
+
+def _cubic_values(compiled, t, p):
+    """The compiled cubics at the integer point t, mod p: their shared
+    monomials once, then one dot product per cubic."""
+    monos, rows = compiled
+    vals = [t[i] * t[j] * t[k] for i, j, k in monos]
+    return [sum(map(mul, row, vals)) % p for row in rows]
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -330,14 +359,16 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     det(base + d*f3) is a quartic in d: its values at d = 0..4 (on integers)
     step through d < p by four forward differences. Only members where it
     vanishes mod p are built and ranked; the rest of the line has rank 4.
-    The one point left, (0, 0, 0, 1), is the member f3."""
+    The one point left, (0, 0, 0, 1), is the member f3. At a rank <= 3
+    member the four gradient cubics of the expanded quartic, compiled once
+    against the (at most 20) monomials they share, are one dot product each."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
     p = F.p
     if p > 1 << 14:
         raise ValueError("scan guard: p too large")
-    grads = quartic_gradient(web)
+    grads = _compile_cubics(quartic_gradient(web))
     from .fpkernel import fp_rank
 
     f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
@@ -352,7 +383,7 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
         r = fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
-            singular = all(_mp_eval(F, g, t) == 0 for g in grads)
+            singular = not any(_cubic_values(grads, t, p))
             if r <= 2:
                 if not singular:
                     rank2_nonsingular += 1

@@ -1,6 +1,9 @@
 import json
+import resource
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, env_extra=None):
@@ -86,3 +89,18 @@ def test_timing_adds_per_suite_cpu_only():
     every = json.loads(run_cli("run", "all", "--seed", "3", "--trials", "5", "--timing").stdout)
     assert list(every["suite_cpu_ms"]) == ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
     assert all(isinstance(ms, int) and ms >= 0 for ms in every["suite_cpu_ms"].values())
+
+
+@pytest.mark.parametrize("prime", [2147483647, 2305843009213693951], ids=["2^31-1", "2^61-1"])
+def test_epw_suite_finishes_at_large_primes(prime):
+    """The point search finds roots without a pass over F_p, so the epw
+    suite stays within 15 s of CPU even at a 61-bit prime."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    res = run_cli("run", "epw", "--prime", str(prime), "--trials", "4")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["prime"] == prime and doc["checks"]
+    assert all(c["status"] == "pass" for c in doc["checks"])
+    assert cpu <= 15.0

@@ -112,6 +112,65 @@ def test_gradient_matches_interpolated_partials(field):
         assert epw.gradient_det(A, v, chart) == _gradient_by_interpolation(A, v, chart)
 
 
+def _gradient_by_row_replacement(A, v0, chart):
+    """Each partial as the t-coefficient of det(M(v0) + t M_k): det is linear
+    in each row, so it is the sum over i of det M(v0) with row i replaced by
+    row i of M_k. Forty 10x10 determinants; the independent reference for
+    the Jacobi-formula gradient."""
+    F = A.field
+    m0 = epw.pairing_entries(A, v0, chart)
+    grad = []
+    for mk in A.pencil(chart):
+        acc = F.zero
+        for i in range(0, 100, 10):
+            rows = [m0[r : r + 10] for r in range(0, 100, 10)]
+            rows[i // 10] = mk[i : i + 10]
+            acc = F.add(acc, Matrix(F, rows).det())
+        grad.append(acc)
+    return tuple(grad)
+
+
+def _completed_through_fiber(sp, v, k, rnd):
+    """A Lagrangian completed from k random vectors of the fiber F_v, so
+    dim(F_v ∩ A) >= k (F_v is Lagrangian, so any subspace of it is isotropic)."""
+    F = sp.field
+    fiber = sp.fiber(ExteriorVector(F, 1, v))
+    vecs = [F.lincomb([F.random(rnd) for _ in range(10)], fiber.basis()) for _ in range(k)]
+    return epw.EpwLagrangian(sp, sp.lagrangian_completion(Subspace.from_spanning(F, DIM3, vecs), rnd))
+
+
+@pytest.mark.parametrize("field", [GF(13), GF(101), F], ids=["GF13", "GF101", "GF10007"])
+def test_gradient_matches_row_replacement(field):
+    sp = SymplecticSpace(field)
+    rnd = derive_rng(26, "jacobi")
+    A = epw.EpwLagrangian(sp, sp.random_lagrangian(rnd))
+    for _ in range(4):  # points found on the sextic, corank 1 in the main
+        v = epw.find_point_on_Y(A, rnd).coords
+        assert epw.gradient_det(A, v) == _gradient_by_row_replacement(A, v, epw.chart_for(field, v))
+    # corank 2: A meets F_v in a plane at least, and the gradient vanishes
+    v = [field.one] + [field.random(rnd) for _ in range(5)]
+    B = _completed_through_fiber(sp, v, 2, rnd)
+    assert epw.fiber_intersection_dim(B, v) >= 2
+    assert epw.gradient_det(B, v) == (field.zero,) * 6 == _gradient_by_row_replacement(B, v, 0)
+    # off the sextic: adj M = det M . M^-1
+    while True:
+        v = [field.random(rnd) for _ in range(6)]
+        if any(v) and epw.pairing_det(A, v) != 0:
+            break
+    assert epw.gradient_det(A, v) == _gradient_by_row_replacement(A, v, epw.chart_for(field, v))
+
+
+def test_gradient_matches_row_replacement_over_qq():
+    sp = SymplecticSpace(QQ)
+    rnd = derive_rng(27, "jacobi_qq")
+    v = [QQ.of(x) for x in (2, -1, 3, 0, 5, -4)]
+    A = _completed_through_fiber(sp, v, 1, rnd)
+    assert epw.fiber_intersection_dim(A, v) == 1
+    grad = epw.gradient_det(A, v)
+    assert grad == _gradient_by_row_replacement(A, v, 0)
+    assert any(grad) == epw.smoothness_predicate(A, v)
+
+
 def test_sextic_on_line_needs_eleven_field_elements():
     small = GF(7)
     sp = SymplecticSpace(small)

@@ -32,6 +32,22 @@ def test_q_values():
         LAT.q(h[:5], h)
 
 
+def _q_full_sum(a, b):
+    return sum(a[i] * LAT.gram[i][j] * b[j] for i in range(23) for j in range(23))
+
+
+def test_q_equals_the_full_gram_sum():
+    basis = [LAT.basis_vector(i) for i in range(23)]
+    for a in basis:
+        for b in basis:
+            assert LAT.q(a, b) == _q_full_sum(a, b)
+    rnd = derive_rng(2, "q_sum")
+    for _ in range(50):
+        a = tuple(rnd.randint(-50, 50) for _ in range(23))
+        b = tuple(rnd.randint(-50, 50) for _ in range(23))
+        assert LAT.q(a, b) == _q_full_sum(a, b)
+
+
 def test_quadruple_product_symmetry_and_fujiki():
     rnd = derive_rng(1, "fujiki")
     vs = [tuple(rnd.randint(-3, 3) for _ in range(23)) for _ in range(4)]

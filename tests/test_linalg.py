@@ -15,6 +15,7 @@ from epwcalc.linalg import (
     interpolate_univariate,
     poly_degree,
     poly_eval,
+    smallest_root,
 )
 from epwcalc.scalars import GF, QQ, FieldMismatch, is_prime
 
@@ -260,3 +261,70 @@ def test_matrix_immutable_and_hashable():
     with pytest.raises(AttributeError):
         m.rows = ()
     assert isinstance(hash(m), int)
+
+
+def _scan_smallest_root(coeffs, p):
+    """The smallest root by Horner at t = 0..p-1: the point search's scan
+    before it found roots by gcd(f, x^p - x); 0 for the zero polynomial."""
+    if not any(c % p for c in coeffs):
+        return 0
+    high_first = coeffs[::-1]
+    for t in range(p):
+        acc = 0
+        for c in high_first:
+            acc = (acc * t + c) % p
+        if acc == 0:
+            return t
+    return None
+
+
+def _from_roots(lead, roots, p):
+    """Coefficients (constant first) of lead * prod (x - r) mod p."""
+    f = [lead % p]
+    for r in roots:
+        f = [(a - r * b) % p for a, b in zip([0, *f], [*f, 0])]
+    return f
+
+
+@pytest.mark.parametrize("p", [17, 101, 10007])
+def test_smallest_root_equals_the_scan(p):
+    rnd = random.Random(p)
+    polys = [[], [0, 0, 0], [5], [p - 1, 0, 0], [0, 0, 0, 0, 0, 0, 3]]
+    for _ in range(60):  # random, degree 0..6, some with zero leading slots
+        polys.append([rnd.randrange(p) for _ in range(rnd.randint(1, 7))] + [0] * rnd.randint(0, 1))
+    for _ in range(60):  # products of linear factors with repeated roots
+        pool = [rnd.randrange(p) for _ in range(3)]
+        polys.append(_from_roots(rnd.randrange(1, p), [rnd.choice(pool) for _ in range(rnd.randint(1, 6))], p))
+    nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    for _ in range(20):  # root-free: (x - r)^2 - n, times a second such quadratic
+        r, s = rnd.randrange(p), rnd.randrange(p)
+        quad1 = [(r * r - nonresidue) % p, -2 * r % p, 1]
+        quad2 = [(s * s - nonresidue) % p, -2 * s % p, 1]
+        prod = [0] * 5
+        for i, a in enumerate(quad1):
+            for j, b in enumerate(quad2):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        polys += [quad1, prod]
+    for f in polys:
+        assert smallest_root(f, p) == _scan_smallest_root(f, p), f
+    assert smallest_root([0], p) == 0
+    assert smallest_root([3], p) is None
+    assert smallest_root([p - nonresidue, 0, 1], p) is None
+
+
+def test_smallest_root_at_a_61_bit_prime():
+    p = (1 << 61) - 1
+    rnd = random.Random(61)
+    for k in range(1, 7):
+        for _ in range(5):
+            roots = [rnd.randrange(p) for _ in range(k)]
+            if k > 2:
+                roots[-1] = roots[0]  # a repeated root
+            f = _from_roots(rnd.randrange(1, p), roots, p)
+            assert smallest_root(f, p) == min(roots)
+            if k <= 4:  # times x^2 + 1, root-free since p = 3 mod 4
+                g = [0] * (len(f) + 2)
+                for i, c in enumerate(f):
+                    g[i] = (g[i] + c) % p
+                    g[i + 2] = (g[i + 2] + c) % p
+                assert smallest_root(g, p) == min(roots)

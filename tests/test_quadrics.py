@@ -257,6 +257,18 @@ def test_field_scan_census_equals_member_ranks(p):
     assert census.rank_counts == counts
 
 
+@pytest.mark.parametrize("p", [13, 61])
+def test_compiled_gradient_cubics_equal_mp_eval(p):
+    field = GF(p)
+    rnd = derive_rng(12, "cubics")
+    for web in (diagonal_web(field), random_web(field, rnd)):
+        grads = quadrics.quartic_gradient(web)
+        compiled = quadrics._compile_cubics(grads)
+        for _ in range(50):
+            t = [rnd.randrange(p) for _ in range(4)]
+            assert quadrics._cubic_values(compiled, t, p) == [quadrics._mp_eval(field, g, t) for g in grads]
+
+
 def test_field_scan_guard():
     web = diagonal_web(GF(32771))
     with pytest.raises(ValueError):
