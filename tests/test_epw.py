@@ -123,9 +123,10 @@ def _gradient_by_row_replacement(A, v0, chart):
     for mk in A.pencil(chart):
         acc = F.zero
         for i in range(0, 100, 10):
-            rows = [m0[r : r + 10] for r in range(0, 100, 10)]
-            rows[i // 10] = mk[i : i + 10]
-            acc = F.add(acc, Matrix(F, rows).det())
+            if any(mk[i : i + 10]):  # a zero row of M_k contributes nothing
+                rows = [m0[r : r + 10] for r in range(0, 100, 10)]
+                rows[i // 10] = mk[i : i + 10]
+                acc = F.add(acc, Matrix(F, rows).det())
         grad.append(acc)
     return tuple(grad)
 
