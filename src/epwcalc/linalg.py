@@ -273,7 +273,10 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
-        return cls.from_spanning(field, ambient, Matrix.identity(field, ambient).rows)
+        """The identity rows, which already are the canonical RREF."""
+        one, zero = field.one, field.zero
+        rows = [tuple(one if i == j else zero for j in range(ambient)) for i in range(ambient)]
+        return cls.from_rref(field, ambient, rows, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -304,8 +307,12 @@ class Subspace:
         v = [F.of(x) for x in vec]
         if len(v) != self.ambient:
             raise ShapeError("vector length mismatch")
+        return self._reduce(v)
+
+    def _reduce(self, v):
+        """`_split` of a vector whose entries already are field elements."""
         coords = [v[pc] for pc in self.pivots]
-        return coords, F.lincomb([1, *(-c for c in coords)], [v, *self.mat.rows])
+        return coords, self.field.lincomb([1, *(-c for c in coords)], [v, *self.mat.rows])
 
     def contains(self, vec) -> bool:
         return not any(self._split(vec)[1])
@@ -339,7 +346,7 @@ class Subspace:
         return tuple(coords)
 
     def meet(self, other) -> "Subspace":
-        """Intersection via the Zassenhaus double-block elimination."""
+        """Intersection, from the residues of other's basis modulo self."""
         j, m = self._zassenhaus(other)
         assert j.dim + m.dim == self.dim + other.dim, "Grassmann identity violated"
         return m
@@ -350,23 +357,58 @@ class Subspace:
         return j
 
     def _zassenhaus(self, other):
+        """(join, meet) of self and other, from other's basis reduced against
+        self's canonical basis; self is not eliminated again. The name stays
+        from the Zassenhaus block elimination this replaced, because
+        `perfbench/spans.py` patches the method by that name.
+
+        The residue of each of other's k rows modulo self vanishes at self's
+        pivots, so only its w free columns are kept, and [residues | I_k] is
+        eliminated once. The rows whose left part is zero carry coefficient
+        vectors c in canonical RREF with c.other in self; other's basis is
+        in RREF, so the c.other already are the meet's canonical RREF, each
+        pivoting at other's pivot picked out by c's. The other rows' left
+        parts are the residues' canonical RREF: cleared from self's rows at
+        their pivots and merged by pivot order, as in `with_vector`, they
+        give the join's."""
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise ShapeError("ambient dimension mismatch")
         F, n = self.field, self.ambient
-        z = (F.zero,) * n
-        block = [r + r for r in self.mat.rows] + [r + z for r in other.mat.rows]
-        if not block:
-            return Subspace.zero(F, n), Subspace.zero(F, n)
-        red, pivots = Matrix._reduced(F, block, 2 * n).rref()
-        # the rows that pivot left of n, cut to their left halves, are the
-        # join's canonical RREF; the others vanish on the left, and their
-        # right halves are the meet's
-        k = bisect_left(pivots, n)
-        return (
-            Subspace.from_rref(F, n, [row[:n] for row in red.rows[:k]], pivots[:k]),
-            Subspace.from_rref(F, n, [row[n:] for row in red.rows[k : len(pivots)]], [pc - n for pc in pivots[k:]]),
+        if not other.dim:
+            return self, Subspace.zero(F, n)
+        taken = set(self.pivots)
+        free = [c for c in range(n) if c not in taken]
+        w, k = len(free), other.dim
+        one, zero = F.one, F.zero
+        block = []
+        for i, t in enumerate(other.mat.rows):
+            res = self._reduce(t)[1]
+            block.append(tuple([res[c] for c in free] + [one if j == i else zero for j in range(k)]))
+        red, pivots = Matrix._reduced(F, block, w + k).rref()
+        r = bisect_left(pivots, w)
+        meet = Subspace.from_rref(
+            F,
+            n,
+            [tuple(F.lincomb(c[w:], other.mat.rows)) for c in red.rows[r : len(pivots)]],
+            [other.pivots[pc - w] for pc in pivots[r:]],
         )
+        if not r:
+            return self, meet
+        new_pivots = [free[pc] for pc in pivots[:r]]
+        new = []
+        for row in red.rows[:r]:
+            u = [zero] * n
+            for c, x in zip(free, row):
+                u[c] = x
+            new.append(tuple(u))
+        rows = []
+        for row in self.mat.rows:
+            coeffs = [row[q] for q in new_pivots]
+            rows.append(tuple(F.lincomb([1, *(-c for c in coeffs)], [row, *new])) if any(coeffs) else row)
+        merged = sorted(zip((*self.pivots, *new_pivots), rows + new), key=lambda pr: pr[0])
+        join = Subspace.from_rref(F, n, [row for _, row in merged], [pc for pc, _ in merged])
+        return join, meet
 
 
 class InterpolationError(ValueError):

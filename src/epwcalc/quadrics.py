@@ -336,6 +336,22 @@ def _det4(a):
     )
 
 
+def _rank3_minor(a, p):
+    """True when a principal 3x3 minor of the flat symmetric 4x4 integer
+    matrix a is nonzero mod p. When det a = 0 mod p that is exactly rank 3:
+    at rank 3, adj a = c.x.x^T with c != 0 and x != 0 spanning the kernel,
+    so some diagonal entry, a principal minor c.x_i^2, is nonzero; at
+    rank <= 2 every 3x3 minor vanishes."""
+    a0, a1, a2, a3, _, a5, a6, a7, _, _, a10, a11, _, _, _, a15 = a
+    # det [[d1, x, y], [x, d2, z], [y, z, d3]] = d1 d2 d3 + 2xyz - d1 z^2 - d2 y^2 - d3 x^2
+    return bool(
+        (a5 * a10 * a15 + 2 * a6 * a7 * a11 - a5 * a11 * a11 - a10 * a7 * a7 - a15 * a6 * a6) % p
+        or (a0 * a10 * a15 + 2 * a2 * a3 * a11 - a0 * a11 * a11 - a10 * a3 * a3 - a15 * a2 * a2) % p
+        or (a0 * a5 * a15 + 2 * a1 * a3 * a7 - a0 * a7 * a7 - a5 * a3 * a3 - a15 * a1 * a1) % p
+        or (a0 * a5 * a10 + 2 * a1 * a2 * a6 - a0 * a6 * a6 - a5 * a2 * a2 - a10 * a1 * a1) % p
+    )
+
+
 @dataclass(frozen=True)
 class ScanCensus:
     prime: int
@@ -359,6 +375,9 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     det(base + d*f3) is a quartic in d: its values at d = 0..4 (on integers)
     step through d < p by four forward differences. Only members where it
     vanishes mod p are built and ranked; the rest of the line has rank 4.
+    A singular member has rank 3 when a principal 3x3 minor is nonzero
+    (`_rank3_minor`); only the members where all four vanish are eliminated,
+    so ranks 0, 1 and 2 do not rest on the gradient cubics.
     The one point left, (0, 0, 0, 1), is the member f3. At a rank <= 3
     member the four gradient cubics of the expanded quartic, compiled once
     against the (at most 20) monomials they share, are one dot product each."""
@@ -380,7 +399,7 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
         """Tally the member with flat (unreduced) entries at the point t,
         where its determinant vanishes mod p."""
         nonlocal rank3_singular, rank2_nonsingular
-        r = fp_rank(flat, 4, 4, p)
+        r = 3 if _rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
             singular = not any(_cubic_values(grads, t, p))

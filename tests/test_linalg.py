@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,104 @@ def test_meet_join_trivial_cases():
                 join, meet = a._zassenhaus(b)
                 _assert_canonical(join, meet)
                 assert meet == chain[min(i, k)] and join == chain[max(i, k)]
+
+
+def _zassenhaus_reference(s, t):
+    """(join, meet) by the Zassenhaus double-block elimination: the rows
+    [s | s] over [t | 0], eliminated once. The rows that pivot left of n, cut
+    to their left halves, are the join's canonical RREF; the others vanish on
+    the left, and their right halves are the meet's."""
+    F, n = s.field, s.ambient
+    z = (F.zero,) * n
+    block = [r + r for r in s.mat.rows] + [r + z for r in t.mat.rows]
+    if not block:
+        return Subspace.zero(F, n), Subspace.zero(F, n)
+    red, pivots = Matrix(F, block).rref()
+    k = bisect_left(pivots, n)
+    return (
+        Subspace.from_rref(F, n, [row[:n] for row in red.rows[:k]], pivots[:k]),
+        Subspace.from_rref(F, n, [row[n:] for row in red.rows[k : len(pivots)]], [pc - n for pc in pivots[k:]]),
+    )
+
+
+def _assert_zassenhaus_matches(s, t):
+    """s._zassenhaus(t) equals the double-block route, pivots included, with
+    tuple rows (Subspace equality compares row tuples)."""
+    got, want = s._zassenhaus(t), _zassenhaus_reference(s, t)
+    for g, w in zip(got, want):
+        assert g == w and g.pivots == w.pivots
+        assert all(type(row) is tuple for row in g.basis())
+
+
+ZASSENHAUS_FIELDS = (QQ, GF(7), F101)
+row6 = st.lists(small_int, min_size=6, max_size=6)
+
+
+@given(
+    st.lists(row6, max_size=5),
+    st.lists(row6, max_size=5),
+    st.lists(st.tuples(small_int, small_int), max_size=3),
+)
+def test_zassenhaus_equals_the_double_block(srows, trows, mixes):
+    for field in ZASSENHAUS_FIELDS:
+        s = Subspace.from_spanning(field, 6, srows)
+        # t is built partly from combinations of s's rows, so the spans overlap
+        shared = [
+            [a * x + b * y for x, y in zip(srows[i % len(srows)], srows[(i + 1) % len(srows)])]
+            for i, (a, b) in enumerate(mixes)
+            if srows
+        ]
+        t = Subspace.from_spanning(field, 6, trows + shared)
+        _assert_zassenhaus_matches(s, t)
+        _assert_zassenhaus_matches(t, s)
+
+
+def test_zassenhaus_edge_cases_equal_the_double_block():
+    for field in ZASSENHAUS_FIELDS:
+        part = Subspace.from_spanning(field, 6, [[1, 2, 0, 3, 0, 1], [0, 0, 1, 5, 0, 2], [0, 0, 0, 0, 1, 4]])
+        nested = Subspace.from_spanning(field, 6, [[1, 2, 1, 8, 0, 3]])
+        free = [c for c in range(6) if c not in part.pivots]
+        complement = Subspace.from_spanning(field, 6, [[int(c == f) for c in range(6)] for f in free])
+        cases = [Subspace.zero(field, 6), nested, part, complement, Subspace.full(field, 6)]
+        for a in cases:
+            for b in cases:
+                _assert_zassenhaus_matches(a, b)
+        assert part.meet(complement).dim == 0 and part.join(complement) == Subspace.full(field, 6)
+        assert part.meet(nested) == nested and part.join(nested) == part
+        # one side empty
+        zero = Subspace.zero(field, 6)
+        assert part._zassenhaus(zero) == (part, zero) and zero._zassenhaus(part) == (part, zero)
+
+
+def test_zassenhaus_replays_the_suite_calls(monkeypatch):
+    from epwcalc.suites import SUITES, RunConfig
+
+    calls = []
+    route = Subspace._zassenhaus
+
+    def recording(s, t):
+        calls.append((s, t))
+        return route(s, t)
+
+    monkeypatch.setattr(Subspace, "_zassenhaus", recording)
+    for suite in ("incidence", "epw"):
+        SUITES[suite](RunConfig(seed=7, trials=10))
+    monkeypatch.undo()
+    shapes = set()
+    for s, t in calls:
+        _assert_zassenhaus_matches(s, t)
+        shapes.add((s.dim, t.dim, s.meet(t).dim))
+    assert {m for _, _, m in shapes} == {0, 1, 2, 9, 10}
+    assert (10, 11, 2) in shapes and (9, 2, 1) in shapes
+
+
+def test_full_is_the_canonical_identity():
+    for field in (QQ, F101):
+        for n in (1, 4, 20):
+            full = Subspace.full(field, n)
+            want = Subspace.from_spanning(field, n, Matrix.identity(field, n).rows)
+            assert full == want and full.pivots == want.pivots == tuple(range(n))
+            assert all(type(row) is tuple for row in full.basis())
 
 
 def test_complementary_coordinate_subspaces_dim20():

@@ -244,6 +244,34 @@ def test_det4_matches_the_kernel_det():
             assert quadrics._det4(a) % p == fp_det(a, 4, p)
 
 
+@pytest.mark.parametrize("p", [3, 61, 10007])
+def test_rank3_minor_agrees_with_the_kernel_rank(p):
+    from epwcalc.fpkernel import fp_rank
+
+    rnd = derive_rng(12, "rank3")
+    seen = set()
+    for k in range(400):
+        # a sum of r terms s.v.v^T: symmetric of rank at most r, unreduced
+        r = k % 5
+        a = [0] * 16
+        for _ in range(r):
+            v = [rnd.randrange(-p, 2 * p) for _ in range(4)]
+            s = rnd.randrange(1, p)
+            for i in range(4):
+                for j in range(4):
+                    a[4 * i + j] += s * v[i] * v[j]
+        rank = fp_rank(a, 4, 4, p)
+        seen.add(rank)
+        # field_scan's test: det first, then the principal minors
+        assert bool(quadrics._det4(a) % p or quadrics._rank3_minor(a, p)) == (rank >= 3)
+        if rank <= 3:
+            assert quadrics._rank3_minor(a, p) == (rank == 3)
+    assert seen == {0, 1, 2, 3, 4}
+    # rank 4 with every principal 3x3 minor zero: two hyperbolic planes
+    hyp = [0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0]
+    assert fp_rank(hyp, 4, 4, p) == 4 and not quadrics._rank3_minor(hyp, p)
+
+
 @pytest.mark.parametrize("p", [3, 5, 13])  # below 5 the sample abscissae d = 0..4 run past p
 def test_field_scan_census_equals_member_ranks(p):
     web = random_web(GF(p), derive_rng(9, "scan"))
