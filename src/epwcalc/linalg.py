@@ -7,7 +7,8 @@ F_p kernel in `fpkernel`. Those eliminations and the modular rank
 certificate are the only code here that branches on the field; every vector
 combination, reduction and product goes through the field's `lincomb`,
 `axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
-makes subspace equality syntactic. The univariate polynomial helpers sit
+makes subspace equality syntactic; meets and joins reduce one basis against
+the other's canonical form instead of eliminating both again. The univariate polynomial helpers sit
 together at the end: interpolation, evaluation and degree over either field,
 and `smallest_root`, a gcd-and-split root finder over F_p that takes no pass
 over the field.
