@@ -9,7 +9,7 @@ lines by exact interpolation, never by expanding the 6-variable polynomial.
 from bisect import bisect_left
 from itertools import combinations
 
-from .exterior import DIM3, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol
+from .exterior import DIM3, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol, wedge_table
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
@@ -76,7 +76,8 @@ def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     v = [F.of(x) for x in vcoords]
     if all(F.is_zero(x) for x in v):
         raise ValueError("zero vector")
-    m = Matrix(F, frame_rows(F, v) + [list(r) for r in A.basis], ncols=DIM3)
+    # frame rows of the coerced v and A's canonical basis: trusted
+    m = Matrix._reduced(F, [tuple(r) for r in frame_rows(F, v)] + list(A.basis), DIM3)
     return 20 - m.rank()
 
 
@@ -192,18 +193,25 @@ def generator_of_intersection(A: EpwLagrangian, v0) -> ExteriorVector:
 
 
 def alpha_from_generator(field, v0, g: ExteriorVector) -> ExteriorVector:
-    """Solve v0 ^ alpha = g for a 2-vector alpha (well-defined mod v0 ^ V)."""
+    """Solve v0 ^ alpha = g for a 2-vector alpha (well-defined mod v0 ^ V).
+
+    Column b of the 20 x 15 system is v0 ^ e_b for the b-th 2-subset, read
+    off `wedge_table(1, 2)`: +-v0_s at the 3-subset {s} + b. Its entries
+    and g's are canonical, so the augmented rows are trusted."""
     F = field
-    vx = ExteriorVector(F, 1, [F.of(x) for x in v0])
-    pairs = list(combinations(range(6), 2))
-    cols = [vx.wedge(ExteriorVector.basis(F, i, j)).coords for i, j in pairs]
-    aug = [list(col) + [val] for col, val in zip(zip(*cols), g.coords)]
-    red, pivots = Matrix(F, aug, ncols=len(pairs) + 1).rref()
-    if len(pairs) in pivots:
+    v = [F.of(x) for x in v0]
+    aug = [[F.zero] * 15 + [x] for x in g.coords]
+    for s, row in enumerate(wedge_table(1, 2)):
+        for b, hit in enumerate(row):
+            if hit is not None:
+                sg, pos = hit
+                aug[pos][b] = v[s] if sg > 0 else F.neg(v[s])
+    red, pivots = Matrix._reduced(F, [tuple(r) for r in aug], 16).rref()
+    if 15 in pivots:
         raise ValueError("generator is not divisible by v0")
-    x = [F.zero] * len(pairs)
+    x = [F.zero] * 15
     for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][len(pairs)]
+        x[pc] = red.rows[r][15]
     return ExteriorVector(F, 2, x)
 
 

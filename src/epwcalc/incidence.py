@@ -48,7 +48,8 @@ def _kernel_dim(field, rows, ncols):
     exact certificate (rank_p <= rank_Q <= #rows), else exact Bareiss."""
     if not rows:
         return ncols
-    m = Matrix(field, rows, ncols=ncols)
+    # the rows are sums and products of canonical coordinates: trusted
+    m = Matrix._reduced(field, [tuple(r) for r in rows], ncols)
     if not isinstance(field, PrimeField) and certified_rank_full(m):
         return ncols - m.nrows
     return ncols - m.rank()

@@ -7,11 +7,13 @@ F_p kernel in `fpkernel`. Those eliminations and the modular rank
 certificate are the only code here that branches on the field; every vector
 combination, reduction and product goes through the field's `lincomb`,
 `axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
-makes subspace equality syntactic; meets and joins reduce one basis against
-the other's canonical form instead of eliminating both again. The univariate polynomial helpers sit
-together at the end: interpolation, evaluation and degree over either field,
-and `smallest_root`, a gcd-and-split root finder over F_p that takes no pass
-over the field.
+makes subspace equality syntactic. Each subspace operation reads its
+canonical form off the one elimination it needs: a kernel off the rref of
+the matrix with its columns reversed, a meet off the kernel of the residues
+modulo the other side's canonical basis, a join off their rref. The
+univariate polynomial helpers sit together at the end: interpolation,
+evaluation and degree over either field, and `smallest_root`, a
+gcd-and-split root finder over F_p that takes no pass over the field.
 """
 
 from bisect import bisect_left
@@ -218,22 +220,27 @@ class Matrix:
         return Matrix._reduced(F, red, ncols), tuple(pivots)
 
     def kernel_basis(self) -> "Subspace":
-        """Right kernel {x : M x = 0} as a canonical Subspace."""
-        F = self.field
-        red, pivots = self.rref()
-        rank = len(pivots)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        """Right kernel {x : M x = 0} as a canonical Subspace, from one rref
+        of M with its columns reversed.
+
+        A reduced row is zero left of its pivot, so the kernel vector of a
+        column f with no pivot, 1 at f and -red[r][f] at each row r's pivot,
+        is nonzero only at f and at pivot columns right of f in M: it leads
+        at f and vanishes at the other pivotless columns. Sorted by f, these
+        vectors already are the kernel's canonical RREF, pivoting there."""
+        F, n = self.field, self.ncols
+        red, rev_pivots = Matrix._reduced(F, [row[::-1] for row in self.rows], n).rref()
+        free = [f for f in range(n) if n - 1 - f not in rev_pivots]
         basis = []
         for f in free:
-            vec = [F.zero] * self.ncols
+            c = n - 1 - f
+            vec = [F.zero] * n
             vec[f] = F.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = F.neg(red.rows[r][f])
-            basis.append(vec)
-        rank_check = self.ncols - rank
-        assert len(basis) == rank_check
-        return Subspace.from_spanning(F, self.ncols, basis)
+            for row, pc in zip(red.rows, rev_pivots[: bisect_left(rev_pivots, c)]):
+                vec[n - 1 - pc] = F.neg(row[c])
+            basis.append(tuple(vec))
+        assert len(basis) + len(rev_pivots) == n, "rank-nullity violated"
+        return Subspace.from_rref(F, n, basis, free)
 
 
 class Subspace:
@@ -346,60 +353,52 @@ class Subspace:
             raise ValueError("vector not in subspace")
         return tuple(coords)
 
-    def meet(self, other) -> "Subspace":
-        """Intersection, from the residues of other's basis modulo self."""
-        j, m = self._zassenhaus(other)
-        assert j.dim + m.dim == self.dim + other.dim, "Grassmann identity violated"
-        return m
-
-    def join(self, other) -> "Subspace":
-        j, m = self._zassenhaus(other)
-        assert j.dim + m.dim == self.dim + other.dim, "Grassmann identity violated"
-        return j
-
-    def _zassenhaus(self, other):
-        """(join, meet) of self and other, from other's basis reduced against
-        self's canonical basis; self is not eliminated again. The name stays
-        from the Zassenhaus block elimination this replaced, because
-        `perfbench/spans.py` patches the method by that name.
-
-        The residue of each of other's k rows modulo self vanishes at self's
-        pivots, so only its w free columns are kept, and [residues | I_k] is
-        eliminated once. The rows whose left part is zero carry coefficient
-        vectors c in canonical RREF with c.other in self; other's basis is
-        in RREF, so the c.other already are the meet's canonical RREF, each
-        pivoting at other's pivot picked out by c's. The other rows' left
-        parts are the residues' canonical RREF: cleared from self's rows at
-        their pivots and merged by pivot order, as in `with_vector`, they
-        give the join's."""
+    def _residues(self, other):
+        """self's free columns, and other's basis rows reduced modulo self cut to them."""
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise ShapeError("ambient dimension mismatch")
+        free = [c for c in range(self.ambient) if c not in self.pivots]
+        residues = (self._reduce(t)[1] for t in other.mat.rows)
+        return free, [tuple([res[c] for c in free]) for res in residues]
+
+    def meet(self, other) -> "Subspace":
+        """Intersection {c.T : c.R = 0}, T being other's k basis rows and R
+        the k x w block of their residues modulo self; no join is built.
+
+        The c are the kernel of R^T, one w x k elimination, and `kernel_basis`
+        gives them in canonical RREF. T is in RREF too, so c.T has a 1 at the
+        pivot of T picked out by c's pivot and vanishes at the pivots picked
+        out by the other c: the c.T already are the meet's canonical RREF."""
+        free, block = self._residues(other)
         F, n = self.field, self.ambient
-        if not other.dim:
-            return self, Subspace.zero(F, n)
-        taken = set(self.pivots)
-        free = [c for c in range(n) if c not in taken]
-        w, k = len(free), other.dim
-        one, zero = F.one, F.zero
-        block = []
-        for i, t in enumerate(other.mat.rows):
-            res = self._reduce(t)[1]
-            block.append(tuple([res[c] for c in free] + [one if j == i else zero for j in range(k)]))
-        red, pivots = Matrix._reduced(F, block, w + k).rref()
-        r = bisect_left(pivots, w)
-        meet = Subspace.from_rref(
-            F,
-            n,
-            [tuple(F.lincomb(c[w:], other.mat.rows)) for c in red.rows[r : len(pivots)]],
-            [other.pivots[pc - w] for pc in pivots[r:]],
-        )
-        if not r:
-            return self, meet
-        new_pivots = [free[pc] for pc in pivots[:r]]
+        cs = Matrix._reduced(F, list(zip(*block)), other.dim).kernel_basis()
+        rows = [tuple(F.lincomb(c, other.mat.rows)) for c in cs.basis()]
+        meet = Subspace.from_rref(F, n, rows, [other.pivots[pc] for pc in cs.pivots])
+        assert other.dim - meet.dim <= len(free), "rank R + dim meet = dim T, rank R <= w"
+        return meet
+
+    def join(self, other) -> "Subspace":
+        return self._zassenhaus(other)
+
+    def _zassenhaus(self, other):
+        """The join of self and other, from the residues of other's basis
+        modulo self. The name stays from the Zassenhaus block elimination
+        this replaced, because `perfbench/spans.py` patches it by that name.
+
+        Only the k x w block of residues on self's free columns is
+        eliminated. Its canonical rows pivot at free columns; cleared from
+        self's rows and merged by pivot order, as in `with_vector`, they are
+        the join's canonical RREF."""
+        free, block = self._residues(other)
+        F, n = self.field, self.ambient
+        red, pivots = Matrix._reduced(F, block, len(free)).rref()
+        if not pivots:
+            return self
+        new_pivots = [free[pc] for pc in pivots]
         new = []
-        for row in red.rows[:r]:
-            u = [zero] * n
+        for row in red.rows[: len(pivots)]:
+            u = [F.zero] * n
             for c, x in zip(free, row):
                 u[c] = x
             new.append(tuple(u))
@@ -409,7 +408,8 @@ class Subspace:
             rows.append(tuple(F.lincomb([1, *(-c for c in coeffs)], [row, *new])) if any(coeffs) else row)
         merged = sorted(zip((*self.pivots, *new_pivots), rows + new), key=lambda pr: pr[0])
         join = Subspace.from_rref(F, n, [row for _, row in merged], [pc for pc, _ in merged])
-        return join, meet
+        assert join.dim == self.dim + len(pivots), "dim S + rank R != dim join"
+        return join
 
 
 class InterpolationError(ValueError):

@@ -366,10 +366,17 @@ class ScanCensus:
         return [{"rank": r, "count": self.rank_counts.get(r, 0)} for r in range(5)]
 
 
+# the largest p field_scan accepts: a scan visits p^3 + p^2 + p + 1 points
+SCAN_MAX_PRIME = 127
+
+
 def field_scan(web: WebOfQuadrics) -> ScanCensus:
     """Tallies the member ranks over every point of the projective parameter
     space over F_p, and checks that every rank <= 2 point is a singular point
-    of the quartic. Guarded to p <= 2^14.
+    of the quartic. Guarded to p <= SCAN_MAX_PRIME = 127, where one scan of a
+    diagonal or random web takes 1.0-1.2 s CPU (0.6-0.8 s at p = 101 and
+    0.21-0.26 s at the quadrics suite's p = 61; CPython 3.11 on a 2-vCPU
+    x86_64 VM); the time grows as p^3.
 
     On each affine line (1, b, c, d), (0, 1, c, d) and (0, 0, 1, d),
     det(base + d*f3) is a quartic in d: its values at d = 0..4 (on integers)
@@ -385,8 +392,8 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
     p = F.p
-    if p > 1 << 14:
-        raise ValueError("scan guard: p too large")
+    if p > SCAN_MAX_PRIME:
+        raise ValueError(f"scan guard: p = {p} > {SCAN_MAX_PRIME}")
     grads = _compile_cubics(quartic_gradient(web))
     from .fpkernel import fp_rank
 

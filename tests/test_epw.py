@@ -279,6 +279,51 @@ def test_alpha_from_generator_roundtrip(datum):
     assert v.wedge(alpha) == g
 
 
+def _alpha_by_wedges(field, v0, g):
+    """alpha_from_generator's system built from 15 ExteriorVector wedges
+    v0 ^ e_i ^ e_j, one per column."""
+    vx = ExteriorVector(field, 1, [field.of(x) for x in v0])
+    pairs = list(combinations(range(6), 2))
+    cols = [vx.wedge(ExteriorVector.basis(field, i, j)).coords for i, j in pairs]
+    aug = [list(col) + [val] for col, val in zip(zip(*cols), g.coords)]
+    red, pivots = Matrix(field, aug, ncols=16).rref()
+    if 15 in pivots:
+        raise ValueError("generator is not divisible by v0")
+    x = [field.zero] * 15
+    for r, pc in enumerate(pivots):
+        x[pc] = red.rows[r][15]
+    return ExteriorVector(field, 2, x)
+
+
+@pytest.mark.parametrize("field", [GF(13), GF(10007), QQ], ids=repr)
+def test_alpha_from_generator_equals_the_wedge_route(field):
+    rnd = derive_rng(13, "alpha_columns")
+    refused = 0
+    for k in range(40):
+        v = [field.random(rnd) for _ in range(6)]
+        if k % 4 == 0:  # zero coordinates drop terms from the columns
+            v[rnd.randrange(6)] = field.zero
+            v[rnd.randrange(6)] = field.zero
+        if all(field.is_zero(x) for x in v):
+            continue
+        vx = ExteriorVector(field, 1, v)
+        if k % 3 == 2:  # a random 3-vector, almost never divisible by v
+            g = ExteriorVector(field, 3, [field.random(rnd) for _ in range(20)])
+        else:
+            g = vx.wedge(ExteriorVector(field, 2, [field.random(rnd) for _ in range(15)]))
+        try:
+            want = _alpha_by_wedges(field, v, g)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="not divisible"):
+                epw.alpha_from_generator(field, v, g)
+            continue
+        got = epw.alpha_from_generator(field, v, g)
+        assert got == want and [type(x) for x in got.coords] == [type(x) for x in want.coords]
+        assert vx.wedge(got) == g
+    assert refused > 0
+
+
 def test_a_plus_minus_decomposition():
     rnd = derive_rng(11, "apm")
     ub = Matrix.identity(F, 4).rows

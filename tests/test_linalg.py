@@ -121,6 +121,93 @@ def test_kernel_dimension_formula(m):
     assert m.kernel_basis().dim == m.ncols - m.rank()
 
 
+def _kernel_basis_reference(m):
+    """The kernel by two eliminations: the rref of m, a kernel vector per
+    free column f (1 at f, -red[r][f] at each row r's pivot), then the
+    canonical RREF of their span."""
+    F = m.field
+    red, pivots = m.rref()
+    basis = []
+    for f in (c for c in range(m.ncols) if c not in pivots):
+        vec = [F.zero] * m.ncols
+        vec[f] = F.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = F.neg(red.rows[r][f])
+        basis.append(vec)
+    return Subspace.from_spanning(F, m.ncols, basis)
+
+
+def _assert_kernel_matches(m):
+    got, want = m.kernel_basis(), _kernel_basis_reference(m)
+    assert got == want and got.pivots == want.pivots
+    assert all(type(row) is tuple for row in got.basis())
+    assert got.dim == m.ncols - m.rank()
+
+
+KERNEL_FIELDS = (QQ, GF(7), F101)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda c: st.tuples(
+            st.lists(st.lists(small_int, min_size=c, max_size=c), max_size=7),
+            st.lists(st.tuples(small_int, small_int), max_size=3),
+            st.just(c),
+        )
+    )
+)
+def test_kernel_basis_equals_the_two_elimination_route(case):
+    rows, mixes, ncols = case
+    # some rows are combinations of others, so the rank drops
+    extra = [[a * x + b * y for x, y in zip(rows[0], rows[-1])] for a, b in mixes if rows]
+    for field in KERNEL_FIELDS:
+        _assert_kernel_matches(Matrix(field, rows + extra, ncols=ncols))
+
+
+def test_kernel_basis_edge_shapes_equal_the_two_elimination_route():
+    rnd = random.Random(11)
+    for field in KERNEL_FIELDS:
+        shapes = [
+            Matrix(field, [], ncols=5),  # no rows: the kernel is everything
+            Matrix.zero(field, 3, 4),
+            Matrix.identity(field, 5),  # full rank, square
+            Matrix(field, [[1, 2, 0, 3, 0, 1, 5], [0, 0, 1, 5, 0, 2, 1]]),  # wide
+            Matrix(field, [[1, 2], [2, 4], [3, 6], [0, 1], [5, 5]]),  # tall, full column rank
+            Matrix(field, [[1, 2], [2, 4], [3, 6]]),  # tall, rank one
+        ]
+        shapes += [
+            Matrix(field, [[rnd.randint(-4, 4) for _ in range(c)] for _ in range(r)])
+            for r, c in ((4, 9), (9, 4), (6, 6), (10, 20), (20, 10))
+        ]
+        for m in shapes:
+            _assert_kernel_matches(m)
+    # x0 + 2 x1 + 3 x3 = 0 over GF(7): x3 = -(x0 + 2 x1) / 3 = 2 x0 + 4 x1
+    k = Matrix(GF(7), [[1, 2, 0, 3]]).kernel_basis()
+    assert k.pivots == (0, 1, 2) and k.basis() == ((1, 0, 0, 2), (0, 1, 0, 4), (0, 0, 1, 0))
+    assert Matrix(GF(7), [], ncols=3).kernel_basis() == Subspace.full(GF(7), 3)
+
+
+def test_kernel_basis_replays_the_suite_calls(monkeypatch):
+    from epwcalc.suites import SUITES, RunConfig
+
+    calls = []
+    route = Matrix.kernel_basis
+
+    def recording(m):
+        calls.append(m)
+        return route(m)
+
+    monkeypatch.setattr(Matrix, "kernel_basis", recording)
+    for suite in ("incidence", "epw"):
+        SUITES[suite](RunConfig(seed=7, trials=10))
+    monkeypatch.undo()
+    shapes = set()
+    for m in calls:
+        _assert_kernel_matches(m)
+        shapes.add((m.nrows, m.ncols))
+    assert len(calls) > 100 and any(c == 20 for _, c in shapes) and any(c == 55 for _, c in shapes)
+
+
 @given(
     st.lists(st.lists(small_int, min_size=5, max_size=5), min_size=1, max_size=4),
     st.lists(st.lists(small_int, min_size=5, max_size=5), min_size=1, max_size=4),
@@ -197,7 +284,7 @@ def test_meet_join_trivial_cases():
         ]
         for i, a in enumerate(chain):
             for k, b in enumerate(chain):
-                join, meet = a._zassenhaus(b)
+                join, meet = a.join(b), a.meet(b)
                 _assert_canonical(join, meet)
                 assert meet == chain[min(i, k)] and join == chain[max(i, k)]
 
@@ -221,9 +308,9 @@ def _zassenhaus_reference(s, t):
 
 
 def _assert_zassenhaus_matches(s, t):
-    """s._zassenhaus(t) equals the double-block route, pivots included, with
-    tuple rows (Subspace equality compares row tuples)."""
-    got, want = s._zassenhaus(t), _zassenhaus_reference(s, t)
+    """(s.join(t), s.meet(t)) equals the double-block route, pivots included,
+    with tuple rows (Subspace equality compares row tuples)."""
+    got, want = (s.join(t), s.meet(t)), _zassenhaus_reference(s, t)
     for g, w in zip(got, want):
         assert g == w and g.pivots == w.pivots
         assert all(type(row) is tuple for row in g.basis())
@@ -266,20 +353,24 @@ def test_zassenhaus_edge_cases_equal_the_double_block():
         assert part.meet(nested) == nested and part.join(nested) == part
         # one side empty
         zero = Subspace.zero(field, 6)
-        assert part._zassenhaus(zero) == (part, zero) and zero._zassenhaus(part) == (part, zero)
+        assert (part.join(zero), part.meet(zero)) == (part, zero)
+        assert (zero.join(part), zero.meet(part)) == (part, zero)
 
 
 def test_zassenhaus_replays_the_suite_calls(monkeypatch):
     from epwcalc.suites import SUITES, RunConfig
 
     calls = []
-    route = Subspace._zassenhaus
 
-    def recording(s, t):
-        calls.append((s, t))
-        return route(s, t)
+    def recording(route):
+        def call(s, t):
+            calls.append((s, t))
+            return route(s, t)
 
-    monkeypatch.setattr(Subspace, "_zassenhaus", recording)
+        return call
+
+    monkeypatch.setattr(Subspace, "meet", recording(Subspace.meet))
+    monkeypatch.setattr(Subspace, "join", recording(Subspace.join))
     for suite in ("incidence", "epw"):
         SUITES[suite](RunConfig(seed=7, trials=10))
     monkeypatch.undo()

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
 from epwcalc import quadrics
 from epwcalc.linalg import Matrix
 from epwcalc.rng import derive_rng
-from epwcalc.scalars import GF, QQ
+from epwcalc.scalars import GF, QQ, is_prime
 
 F = GF(10007)
 
@@ -303,6 +304,13 @@ def test_field_scan_guard():
         quadrics.field_scan(web)
     with pytest.raises(ValueError):
         quadrics.field_scan(diagonal_web(QQ))
+
+
+def test_field_scan_guard_refuses_the_next_prime():
+    p = next(q for q in count(quadrics.SCAN_MAX_PRIME + 1) if is_prime(q))
+    assert p == 131
+    with pytest.raises(ValueError, match="scan guard"):
+        quadrics.field_scan(diagonal_web(GF(p)))
 
 
 def test_member_rank_partial_diagonal_block():
