@@ -283,15 +283,29 @@ class SymplecticSpace:
         RREFs by rank one: the pool perp(current) is cut by the hyperplane
         form(·, cand) = 0, and cand is inserted into current. Canonical RREF
         is unique, so every pool, draw and result is the one that
-        re-eliminating both at each step would give."""
+        re-eliminating both at each step would give.
+
+        The pool is held as its pivot list and its free columns, stored by
+        column; its pivot columns are read, not computed. A draw
+        sum r_i * row_i is r_i at pivot i and one dot product with r at each
+        free column, and the pairings form(row_i, cand) are one combination
+        of the free columns."""
         if not self.is_isotropic(s):
             raise ValueError("input subspace is not isotropic")
         F = self.field
-        pool = list(self.perp(s).basis())
+        pool = self.perp(s)
+        free, block = pool._free_block()
+        pivots, free = list(pool.pivots), list(free)
+        cols = [list(col) for col in zip(*block)]
         current = s
         while current.dim < 10:
             for _ in range(64):
-                cand = F.lincomb([F.random(rng) for _ in range(len(pool))], pool)
+                r = [F.random(rng) for _ in pivots]
+                cand = [F.zero] * DIM3
+                for pc, x in zip(pivots, r):
+                    cand[pc] = x
+                for fc, col in zip(free, cols):
+                    cand[fc] = F.dot(r, col)
                 grown = current.with_vector(cand)
                 if grown.dim > current.dim:
                     break
@@ -299,12 +313,19 @@ class SymplecticSpace:
                 raise RuntimeError("failed to extend isotropic subspace")
             # cut the pool by form(·, cand) = 0: drop the last row j that
             # pairs to f_j != 0 with cand and clear it from the others; some
-            # row pairs nonzero as cand is not in current = perp(pool)
+            # row pairs nonzero as cand is not in current = perp(pool). Row
+            # j's pivot becomes a free column holding -f_i / f_j; every row i
+            # with f_i != 0 has i < j, so that column lies right of their
+            # pivots and the cut pool stays canonical.
             dual = self.form_row(cand)
-            f = [F.dot(row, dual) for row in pool]
+            f = F.lincomb([1, *(dual[fc] for fc in free)], [[dual[pc] for pc in pivots], *cols])
             j = max(i for i, x in enumerate(f) if x)
-            top, inv = pool.pop(j), F.inv(f.pop(j))
-            pool = [F.axpy(row, -F.mul(fi, inv), top) if fi else row for row, fi in zip(pool, f)]
+            inv = F.inv(f[j])
+            cols = [F.axpy(col, F.neg(F.mul(col[j], inv)), f) for col in cols]
+            cols.append(F.lincomb([F.neg(inv)], [f]))
+            free.append(pivots.pop(j))
+            for col in cols:
+                del col[j]
             current = grown
         assert self.is_lagrangian(current)
         return current

@@ -7,13 +7,17 @@ F_p kernel in `fpkernel`. Those eliminations and the modular rank
 certificate are the only code here that branches on the field; every vector
 combination, reduction and product goes through the field's `lincomb`,
 `axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
-makes subspace equality syntactic. Each subspace operation reads its
-canonical form off the one elimination it needs: a kernel off the rref of
-the matrix with its columns reversed, a meet off the kernel of the residues
-modulo the other side's canonical basis, a join off their rref. The
-univariate polynomial helpers sit together at the end: interpolation,
-evaluation and degree over either field, and `smallest_root`, a
-gcd-and-split root finder over F_p that takes no pass over the field.
+makes subspace equality syntactic. A canonical row is 1 at its own pivot
+and 0 at every other pivot, so the pivot columns are read, not computed:
+reductions run on the k x (n - k) free-column block of a k-dimensional
+subspace, and a residue is computed on the free columns only. Each subspace
+operation reads its canonical form off the one elimination it needs: a
+kernel off the rref of the matrix with its columns reversed, a meet off the
+kernel of the residues modulo the other side's canonical basis, a join off
+their rref. The univariate polynomial helpers sit together at the end:
+interpolation, evaluation and degree over either field, and
+`smallest_root`, a gcd-and-split root finder over F_p that takes no pass
+over the field.
 """
 
 from bisect import bisect_left
@@ -244,15 +248,21 @@ class Matrix:
 
 
 class Subspace:
-    """A linear subspace stored as an RREF basis; equality is syntactic."""
+    """A linear subspace stored as an RREF basis; equality is syntactic.
 
-    __slots__ = ("field", "ambient", "mat", "pivots")
+    A canonical row is 1 at its own pivot and 0 at every other pivot, so only
+    the k x (n - k) block on the free columns has to be computed. Reductions,
+    memberships, meets and joins work on that block, built once from the
+    canonical rows on first use."""
+
+    __slots__ = ("field", "ambient", "mat", "pivots", "_free")
 
     def __init__(self, field, ambient, mat: Matrix, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_free", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -272,7 +282,8 @@ class Subspace:
     def from_rref(cls, field, ambient, rows, pivots) -> "Subspace":
         """Trusted constructor: `rows` (tuples of field elements) already are
         the canonical RREF basis with these pivot columns. Nothing is checked,
-        coerced or eliminated."""
+        coerced or eliminated. Any subset of a canonical basis, with its
+        pivots, is again the canonical basis of its span."""
         return cls(field, ambient, Matrix._reduced(field, rows, ambient), pivots)
 
     @classmethod
@@ -307,10 +318,22 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field!r})"
 
+    def _free_block(self):
+        """(free columns, the basis rows cut to them), cut from the canonical
+        rows once and cached; the pivot columns need no storage."""
+        if self._free is None:
+            pivots = set(self.pivots)
+            free = tuple([c for c in range(self.ambient) if c not in pivots])
+            block = tuple([tuple([row[c] for c in free]) for row in self.mat.rows])
+            object.__setattr__(self, "_free", (free, block))
+        return self._free
+
     def _split(self, vec):
         """(coords, residue) with vec = sum coords[i] * basis[i] + residue,
         the residue zero exactly when vec lies in self. Each RREF row vanishes
-        at the other rows' pivots, so the coordinates are vec's pivot entries."""
+        at the other rows' pivots, so the coordinates are vec's pivot entries,
+        and the residue vanishes at every pivot: it is given on the free
+        columns only."""
         F = self.field
         v = [F.of(x) for x in vec]
         if len(v) != self.ambient:
@@ -318,9 +341,11 @@ class Subspace:
         return self._reduce(v)
 
     def _reduce(self, v):
-        """`_split` of a vector whose entries already are field elements."""
+        """`_split` of a vector whose entries already are field elements,
+        k x (n - k) products on the free-column block."""
+        free, block = self._free_block()
         coords = [v[pc] for pc in self.pivots]
-        return coords, self.field.lincomb([1, *(-c for c in coords)], [v, *self.mat.rows])
+        return coords, self.field.lincomb([1, *(-c for c in coords)], [[v[c] for c in free], *block])
 
     def contains(self, vec) -> bool:
         return not any(self._split(vec)[1])
@@ -332,12 +357,17 @@ class Subspace:
         The residue of vec has zeros in every pivot column, so its leading
         entry is a new pivot: normalised to one and cleared from the other
         rows, it leaves the canonical RREF of the span."""
-        v = self._split(vec)[1]
-        if not any(v):
+        res = self._split(vec)[1]
+        if not any(res):
             return self
         F = self.field
-        q = next(i for i, x in enumerate(v) if x)
-        v = tuple(F.lincomb([F.inv(v[q])], [v]))
+        free = self._free_block()[0]
+        i = next(i for i, x in enumerate(res) if x)
+        q = free[i]
+        v = [F.zero] * self.ambient
+        for c, x in zip(free, F.lincomb([F.inv(res[i])], [res])):
+            v[c] = x
+        v = tuple(v)
         rows = [tuple(F.axpy(row, -row[q], v)) if row[q] else row for row in self.mat.rows]
         k = bisect_left(self.pivots, q)
         rows.insert(k, v)
@@ -354,26 +384,35 @@ class Subspace:
         return tuple(coords)
 
     def _residues(self, other):
-        """self's free columns, and other's basis rows reduced modulo self cut to them."""
+        """self's free columns, and the residues of other's basis rows modulo
+        self on them."""
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise ShapeError("ambient dimension mismatch")
-        free = [c for c in range(self.ambient) if c not in self.pivots]
-        residues = (self._reduce(t)[1] for t in other.mat.rows)
-        return free, [tuple([res[c] for c in free]) for res in residues]
+        return self._free_block()[0], [tuple(self._reduce(t)[1]) for t in other.mat.rows]
 
     def meet(self, other) -> "Subspace":
         """Intersection {c.T : c.R = 0}, T being other's k basis rows and R
         the k x w block of their residues modulo self; no join is built.
 
         The c are the kernel of R^T, one w x k elimination, and `kernel_basis`
-        gives them in canonical RREF. T is in RREF too, so c.T has a 1 at the
-        pivot of T picked out by c's pivot and vanishes at the pivots picked
-        out by the other c: the c.T already are the meet's canonical RREF."""
+        gives them in canonical RREF. T is in RREF too, so c.T is c itself at
+        T's pivots and c times T's free-column block elsewhere; it has a 1 at
+        the pivot of T picked out by c's pivot and vanishes at the pivots
+        picked out by the other c: the c.T already are the meet's canonical
+        RREF."""
         free, block = self._residues(other)
         F, n = self.field, self.ambient
         cs = Matrix._reduced(F, list(zip(*block)), other.dim).kernel_basis()
-        rows = [tuple(F.lincomb(c, other.mat.rows)) for c in cs.basis()]
+        tfree, tblock = other._free_block()
+        rows = []
+        for c in cs.basis():
+            u = [F.zero] * n
+            for pc, x in zip(other.pivots, c):
+                u[pc] = x
+            for fc, x in zip(tfree, F.lincomb(c, tblock)):
+                u[fc] = x
+            rows.append(tuple(u))
         meet = Subspace.from_rref(F, n, rows, [other.pivots[pc] for pc in cs.pivots])
         assert other.dim - meet.dim <= len(free), "rank R + dim meet = dim T, rank R <= w"
         return meet

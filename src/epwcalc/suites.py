@@ -45,6 +45,13 @@ class RunConfig:
     trials: int = 100
 
 
+def _basis_slice(s, part):
+    """The span of a slice of s's canonical basis. Each row is 1 at its own
+    pivot and 0 at every other, so the rows and their pivots already are the
+    span's canonical RREF: nothing is eliminated."""
+    return Subspace.from_rref(s.field, s.ambient, s.basis()[part], s.pivots[part])
+
+
 def _mk(cid, anchor, ok, expected, got, witness=None):
     return Check(cid, anchor, "pass" if ok else "fail", str(expected), str(got), witness)
 
@@ -402,7 +409,7 @@ def run_incidence(cfg: RunConfig):
     ok = True
     for _ in range(6):
         A = sp.random_lagrangian(rng)
-        u = Subspace.from_spanning(Fp, DIM3, A.basis()[:9])
+        u = _basis_slice(A, slice(9))
         pen = incidence.pencil_through(sp, u)
         m1, m2 = pen.member(1, 2), pen.member(3, 1)
         ok = ok and m1.meet(m2) == u and sp.perp(u).dim == 11
@@ -414,7 +421,7 @@ def run_incidence(cfg: RunConfig):
     dims = set()
     for _ in range(10):
         A = sp.random_lagrangian(rng)
-        u = Subspace.from_spanning(Fp, DIM3, A.basis()[:9])
+        u = _basis_slice(A, slice(9))
         pen = incidence.pencil_through(sp, u)
         B = pen.member(1, 1)
         if B == A:
@@ -464,8 +471,8 @@ def run_incidence(cfg: RunConfig):
 
     rng = derive_rng(cfg.seed, "incidence.witness")
     B = sp.random_lagrangian(rng)
-    u = Subspace.from_spanning(Fp, DIM3, B.basis()[:9])
-    other = Subspace.from_spanning(Fp, DIM3, B.basis()[1:])
+    u = _basis_slice(B, slice(9))
+    other = _basis_slice(B, slice(1, None))
     alphas = []
     for row in other.basis():
         if not u.contains(row):
@@ -487,7 +494,7 @@ def run_incidence(cfg: RunConfig):
     ok = (
         incidence.perp_sum_identity(sp, A, A)
         and incidence.perp_sum_identity(sp, A, B2)
-        and incidence.perp_sum_identity(sp, A, incidence.pencil_through(sp, Subspace.from_spanning(Fp, DIM3, A.basis()[:9])).member(2, 3))
+        and incidence.perp_sum_identity(sp, A, incidence.pencil_through(sp, _basis_slice(A, slice(9))).member(2, 3))
     )
     checks.append(_mk("perp_sum_identity", "perp(A ∩ B) = A + B", ok, True, ok))
 
@@ -534,7 +541,7 @@ def run_incidence(cfg: RunConfig):
 def _injective_differential_sample(space, rng, count=10):
     F = space.field
     B = space.random_lagrangian(rng)
-    u = Subspace.from_spanning(F, DIM3, B.basis()[:9])
+    u = _basis_slice(B, slice(9))
     alphas = []
     span = Subspace.zero(F, 10)  # the coordinates of the alphas in B
     guard = 0

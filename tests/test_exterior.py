@@ -201,8 +201,24 @@ def _completion_by_reelimination(space, s, rng):
     return current
 
 
-@pytest.mark.parametrize("field", [GF(10007), GF(101), GF(7), QQ], ids=["GF10007", "GF101", "GF7", "QQ"])
-def test_completion_updates_match_reelimination(field):
+@pytest.mark.parametrize(
+    "field", [GF(10007), GF(101), GF(7), GF(2**61 - 1), QQ], ids=["GF10007", "GF101", "GF7", "GF2^61-1", "QQ"]
+)
+def test_completion_updates_match_reelimination(field, monkeypatch):
+    """The completion's pool, held by free column and cut by rank one, draws
+    and grows exactly as re-eliminating perp(current) at every step would.
+    Over GF(7) a draw from the 11-dimensional pool of the 9-dimensional core
+    lands in the core with probability 7^-2, so 25 seeds there exercise the
+    retried draws."""
+    draws = []
+    insert = Subspace.with_vector
+
+    def counted(self, vec):
+        grown = insert(self, vec)
+        draws.append(grown is self)
+        return grown
+
+    monkeypatch.setattr(Subspace, "with_vector", counted)
     space = SymplecticSpace(field)
     rnd = derive_rng(41, f"completion.{field!r}")
     lag = _completion_by_reelimination(space, Subspace.zero(field, DIM3), rnd)
@@ -210,19 +226,29 @@ def test_completion_updates_match_reelimination(field):
         line = rand_vec(field, 1, rnd) ^ rand_vec(field, 2, rnd)
         if not line.is_zero():
             break
+    while True:
+        # five random vectors of a Lagrangian span an isotropic 5-space
+        five = Subspace.from_spanning(
+            field, DIM3, [field.lincomb([field.random(rnd) for _ in range(10)], lag.basis()) for _ in range(5)]
+        )
+        if five.dim == 5:
+            break
     starts = {
         "zero": Subspace.zero(field, DIM3),
         "line": Subspace.from_spanning(field, DIM3, [line.coords]),
+        "five": five,
         "core": Subspace.from_spanning(field, DIM3, lag.basis()[:9]),
     }
     for name, start in starts.items():
-        for seed in range(2):
+        for seed in range(25 if name == "core" and field == GF(7) else 2):
             ours, theirs = derive_rng(seed, name), derive_rng(seed, name)
             got = space.lagrangian_completion(start, ours)
             want = _completion_by_reelimination(space, start, theirs)
             assert got == want and got.pivots == want.pivots
             assert got.contains_subspace(start)
             assert ours.random() == theirs.random()
+    if field == GF(7):
+        assert any(draws), "no draw was retried"
 
 
 def test_decomposable_of_is_basis_independent(rng):

@@ -408,6 +408,104 @@ def test_meet_ambient_and_field_mismatch():
         a.meet(c)
 
 
+RESIDUE_FIELDS = (GF(7), GF(10007), GF(2**61 - 1), QQ)
+
+
+def _random_subspace(field, rnd, ambient, dim):
+    """A subspace of exactly this dimension, from random rows of small entries."""
+    while True:
+        rows = [[field.of(rnd.randint(-9, 9)) for _ in range(ambient)] for _ in range(dim)]
+        s = Subspace.from_spanning(field, ambient, rows)
+        if s.dim == dim:
+            return s
+
+
+def _fresh_block(s):
+    """(free columns, basis rows cut to them), recomputed from the rows."""
+    free = tuple(c for c in range(s.ambient) if c not in s.pivots)
+    return free, tuple(tuple(row[c] for c in free) for row in s.basis())
+
+
+def _assert_canonical_entries(field, vec):
+    if field == QQ:
+        assert all(type(x) is Fraction for x in vec)
+    else:
+        assert all(type(x) is int and 0 <= x < field.p for x in vec)
+
+
+@pytest.mark.parametrize("field", RESIDUE_FIELDS, ids=repr)
+def test_free_column_residue_equals_the_full_row_route(field):
+    """`_reduce` computes the residue on the free columns only; it must be
+    the full-row residue v - sum coords[i] * row[i] cut to them, which is
+    zero at every pivot."""
+    rnd = random.Random(61)
+    n = 20
+    for dim in (0, 1, 10, 19, 20):
+        s = _random_subspace(field, rnd, n, dim)
+        rows, free = s.basis(), [c for c in range(n) if c not in s.pivots]
+        inside = [field.lincomb([field.of(rnd.randint(-9, 9)) for _ in rows], rows) for _ in range(3)] if rows else []
+        outside = [[field.of(rnd.randint(-9, 9)) for _ in range(n)] for _ in range(3)] if dim < n else []
+        for v in [*inside, *outside, [field.zero] * n]:
+            coords = [v[pc] for pc in s.pivots]
+            want = field.lincomb([1, *(-c for c in coords)], [v, *rows])
+            got_coords, got = s._reduce(v)
+            assert got_coords == coords
+            assert all(want[pc] == 0 for pc in s.pivots)
+            assert list(got) == [want[c] for c in free]
+            _assert_canonical_entries(field, got)
+            assert s.contains(v) == (not any(want))
+            if any(want):
+                with pytest.raises(ValueError):
+                    s.coords_of(v)
+            else:
+                assert s.coords_of(v) == tuple(coords)
+        assert all(s.contains(v) for v in inside)
+
+
+@pytest.mark.parametrize("field", (GF(7), F101, QQ), ids=repr)
+def test_cached_block_equals_a_fresh_recomputation(field):
+    """The free-column block is built from the rows and cached; it agrees
+    with the rows on every kind of result, and equality and hashing ignore
+    whether it was built."""
+    rnd = random.Random(7)
+    n = 8
+    for _ in range(5):
+        s, t = _random_subspace(field, rnd, n, rnd.randint(0, n)), _random_subspace(field, rnd, n, rnd.randint(0, n))
+        vec = [field.of(rnd.randint(-9, 9)) for _ in range(n)]
+        part = slice(rnd.randint(0, s.dim), None)
+        results = [
+            Subspace.from_rref(field, n, s.basis()[part], s.pivots[part]),
+            s.with_vector(vec),
+            s.meet(t),
+            s.join(t),
+            t.meet(s),
+        ]
+        for r in results:
+            fresh = Subspace.from_spanning(field, n, r.basis())
+            assert r == fresh and hash(r) == hash(fresh) and r.pivots == fresh.pivots
+            assert r._free_block() == _fresh_block(r)
+            assert r == fresh and hash(r) == hash(fresh)
+        assert s._free_block() == _fresh_block(s) and t._free_block() == _fresh_block(t)
+
+
+@pytest.mark.parametrize("field", (GF(10007), QQ), ids=repr)
+def test_canonical_basis_slices_equal_from_spanning(field):
+    """A slice of a canonical basis, with the matching pivots, already is the
+    canonical RREF of its span, as the suites build hyperplanes of a
+    Lagrangian."""
+    from epwcalc.exterior import SymplecticSpace
+    from epwcalc.suites import _basis_slice
+
+    rnd = random.Random(3)
+    lag = SymplecticSpace(field).random_lagrangian(rnd)
+    s = _random_subspace(field, rnd, 12, 6)
+    for base in (lag, s):
+        for part in (slice(9), slice(1, None), slice(2, 5), slice(0, 0)):
+            got = _basis_slice(base, part)
+            want = Subspace.from_spanning(field, base.ambient, base.basis()[part])
+            assert got == want and got.pivots == want.pivots
+
+
 def test_fp_rref_shape():
     rank, pivots, red = fpkernel.fp_rref([1, 2, 2, 4], 2, 2, 7)
     assert rank == 1 and pivots == [0]
