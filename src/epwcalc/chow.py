@@ -15,6 +15,7 @@ not modeled separately.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 
 class GradingError(ValueError):
@@ -226,19 +227,12 @@ def ch_from_c(b: BundleClass):
 
 def c_from_ch(model, ch, rank) -> BundleClass:
     """Inverse Newton: power sums p_k = k!·ch_k back to c_1..c_4."""
-    p = [None] + [ch[k].scale(Fraction(_factorial(k))) for k in range(1, 5)]
+    p = [None] + [ch[k].scale(Fraction(factorial(k))) for k in range(1, 5)]
     e1 = p[1]
     e2 = (e1 * p[1] - p[2]).scale(Fraction(1, 2))
     e3 = (p[3] - e1 * p[2] + e2 * p[1]).scale(Fraction(1, 3))
     e4 = (e1 * p[3] - e2 * p[2] + e3 * p[1] - p[4]).scale(Fraction(1, 4))
     return BundleClass(model, rank, [e1, e2, e3, e4])
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def todd_from_c(b: BundleClass) -> FormalClass:
@@ -309,10 +303,6 @@ class VarietyModel(GradedModel):
 
     def line(self, n) -> BundleClass:
         return line_bundle(self, self.sym("h", n))
-
-
-def degree(model: VarietyModel, x: FormalClass) -> Fraction:
-    return model.degree(x)
 
 
 def hrr_chi(model: VarietyModel, b: BundleClass) -> Fraction:
@@ -396,19 +386,15 @@ def grr_push(emb: EmbeddingModel, ch_sheaf: FormalClass) -> FormalClass:
     return emb.push(ch_sheaf * emb.inverse_todd_normal())
 
 
-def normal_bundle_canonical_relation(emb: EmbeddingModel, c1_fiber_restricted=None):
+def normal_bundle_canonical_relation(emb: EmbeddingModel):
     """From the rank-stratified 4-term sequence on the surface (kernel and
     cokernel are the conormal and normal bundles) the alternating first
     Chern classes give 2 c1(N) = -c1(F)| = 6 hZ."""
-    s = emb.surface
-    if c1_fiber_restricted is None:
-        c1_fiber_restricted = s.sym("hZ", -6)
+    c1_fiber_restricted = emb.surface.sym("hZ", -6)
     two_c1n = -c1_fiber_restricted
-    if two_c1n != s.sym("hZ", 6):
-        raise DerivationError("unexpected restricted fiber class")
     if emb.normal_c1.scale(2) != two_c1n:
         raise DerivationError("embedding normal data inconsistent with the sequence")
-    return Relation("2*c1(N) = 6*hZ", emb.normal_c1.scale(2), two_c1n, None)
+    return Relation("2*c1(N) = 6*hZ", emb.normal_c1.scale(2), two_c1n)
 
 
 # -- full replay of the cotangent/extension derivation -----------------------
@@ -419,17 +405,13 @@ class Relation:
     name: str
     lhs: FormalClass
     rhs: FormalClass
-    degree_check: tuple | None
+    degree_check: tuple | None = None
 
     def json_row(self):
         row = {"lhs": repr(self.lhs), "rhs": repr(self.rhs)}
         if self.degree_check is not None:
             row["degreeCheck"] = [str(x) for x in self.degree_check]
         return row
-
-
-def _relation(name, lhs, rhs, degree_check=None):
-    return Relation(name, lhs, rhs, degree_check)
 
 
 @dataclass(frozen=True)
@@ -555,11 +537,11 @@ def derive_relations(model: VarietyModel, emb: EmbeddingModel) -> RelationSet:
 
     return RelationSet(
         (
-            _relation("c2(Q)", cq2, Z.scale(-3)),
-            _relation("c3(Q) route one", cq3_raw, (h**3).scale(-70)),
-            _relation("c3(Q) route two", cq3_geom, hZ.scale(-21)),
-            _relation("c4(Q)", cq4, c4s - (h**4).scale(435) + (h * hZ).scale(45)),
-            _relation("c2*h", c2h[0], c2h[1], deg6_check),
-            _relation("c4", c4s, expect_c4, deg8_check),
+            Relation("c2(Q)", cq2, Z.scale(-3)),
+            Relation("c3(Q) route one", cq3_raw, (h**3).scale(-70)),
+            Relation("c3(Q) route two", cq3_geom, hZ.scale(-21)),
+            Relation("c4(Q)", cq4, c4s - (h**4).scale(435) + (h * hZ).scale(45)),
+            Relation("c2*h", c2h[0], c2h[1], deg6_check),
+            Relation("c4", c4s, expect_c4, deg8_check),
         )
     )

@@ -18,7 +18,7 @@ import time
 from .scalars import is_prime
 from .suites import SUITES, RunConfig
 
-SUITE_ORDER = ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
+SUITE_ORDER = list(SUITES)
 
 
 def build_parser():

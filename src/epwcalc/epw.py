@@ -394,5 +394,5 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
     raise RetryBudgetExhausted(f"no rational root found on {budget} lines")
 
 
-def find_point_on_Y(A: EpwLagrangian, rng, budget=60) -> ExteriorVector:
-    return find_point_stats(A, rng, budget)[0]
+def find_point_on_Y(A: EpwLagrangian, rng) -> ExteriorVector:
+    return find_point_stats(A, rng)[0]

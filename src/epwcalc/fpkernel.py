@@ -1,18 +1,23 @@
 """F_p elimination kernels on row-major flat int lists.
 
-Every rank, rref and determinant over a prime field runs through these
-three functions. Python ints are exact at any p, so the kernels are
-correct for every prime the package accepts.
+Every rank, rref and determinant over a prime field runs through this
+module. `fp_rank` and `fp_det` are entry points over one forward Gaussian
+elimination, `_forward`, which returns the rank and the signed product of
+the pivots; `fp_rref` does the full reduction. Python ints are exact at any
+p, so the kernels are correct for every prime the package accepts.
 """
 
 def _inv(a, p):
     return pow(a, -1, p)
 
 
-def fp_rank(a, nrows, ncols, p):
-    """Rank by forward Gaussian elimination; `a` is consumed as a copy."""
+def _forward(a, nrows, ncols, p):
+    """Forward Gaussian elimination on a copy of `a`: (rank, product of the
+    pivots times the sign of the row swaps, mod p). The product is the
+    determinant when the matrix is square of full rank."""
     m = [x % p for x in a]
     r = 0
+    d = 1
     for col in range(ncols):
         piv = -1
         for i in range(r, nrows):
@@ -22,10 +27,13 @@ def fp_rank(a, nrows, ncols, p):
         if piv < 0:
             continue
         if piv != r:
+            d = p - d
             for c in range(col, ncols):
                 m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
-        inv = _inv(m[r * ncols + col], p)
         base = r * ncols
+        pivval = m[base + col]
+        d = d * pivval % p
+        inv = _inv(pivval, p)
         for i in range(r + 1, nrows):
             f = m[i * ncols + col]
             if f:
@@ -36,7 +44,12 @@ def fp_rank(a, nrows, ncols, p):
         r += 1
         if r == nrows:
             break
-    return r
+    return r, d
+
+
+def fp_rank(a, nrows, ncols, p):
+    """Rank by forward Gaussian elimination; `a` is consumed as a copy."""
+    return _forward(a, nrows, ncols, p)[0]
 
 
 def fp_rref(a, nrows, ncols, p):
@@ -80,29 +93,5 @@ def fp_rref(a, nrows, ncols, p):
 
 def fp_det(a, n, p):
     """Determinant of an n x n matrix over F_p."""
-    m = [x % p for x in a]
-    d = 1
-    for col in range(n):
-        piv = -1
-        for i in range(col, n):
-            if m[i * n + col]:
-                piv = i
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            d = p - d
-            for c in range(col, n):
-                m[col * n + c], m[piv * n + c] = m[piv * n + c], m[col * n + c]
-        pivval = m[col * n + col]
-        d = d * pivval % p
-        inv = _inv(pivval, p)
-        base = col * n
-        for i in range(col + 1, n):
-            f = m[i * n + col]
-            if f:
-                f = f * inv % p
-                row = i * n
-                for c in range(col, n):
-                    m[row + c] = (m[row + c] - f * m[base + c]) % p
-    return d % p
+    r, d = _forward(a, n, n, p)
+    return d if r == n else 0

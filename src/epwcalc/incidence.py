@@ -130,11 +130,12 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
     coords = []
     for a in alphas:
         vec = a.coords if isinstance(a, ExteriorVector) else a
-        if not B.contains(vec):
+        ca, residue = B._split(vec)
+        if any(residue):
             raise PreconditionError("alpha outside the base subspace")
         if u.contains(vec):
             raise PreconditionError("alpha lies in the hyperplane")
-        coords.append(B.coords_of(vec))
+        coords.append(tuple(ca))
     if Matrix(F, coords, ncols=10).rank() != len(coords):
         raise PreconditionError("alphas are linearly dependent")
     if require_full and len(coords) != 10:
@@ -158,9 +159,10 @@ def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
     rows = []
     for a in alphas:
         vec = a.coords if isinstance(a, ExteriorVector) else a
-        if not A.contains(vec):
+        coords, residue = A._split(vec)
+        if any(residue):
             raise PreconditionError("alpha outside the base subspace")
-        rows.append(_evaluation_row(F, A.coords_of(vec)))
+        rows.append(_evaluation_row(F, coords))
     if not rows:
         return Subspace.full(F, 55)
     return Matrix(F, rows, ncols=55).kernel_basis()
@@ -187,13 +189,14 @@ class TangencyScenario:
     fiber_member_dim: int
 
 
-def tangency_scenario(space: SymplecticSpace, rng, budget=40) -> TangencyScenario:
+def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
     """Builds a point v and a pencil pair (A, B) adapted to it, then checks:
     the fiber meets A and B in the same line; the fiber meets A+B in a
     plane; core + (fiber ∩ (A+B)) is a Lagrangian pencil member; and that
-    member meets the fiber in dimension >= 2."""
+    member meets the fiber in dimension >= 2. Draws up to 40 points, and
+    raises PreconditionError when each of them is degenerate."""
     F = space.field
-    for _ in range(budget):
+    for _ in range(40):
         v = ExteriorVector(F, 1, [F.random(rng) for _ in range(6)])
         if v.is_zero():
             continue
@@ -247,4 +250,4 @@ def tangency_scenario(space: SymplecticSpace, rng, budget=40) -> TangencyScenari
         if member.meet(A).dim != 9:
             raise ScenarioFailure("member does not meet A along the core")
         return TangencyScenario(v, A, B, core, member, d)
-    raise PreconditionError(f"no non-degenerate scenario in {budget} attempts")
+    raise PreconditionError("no non-degenerate scenario in 40 attempts")

@@ -136,12 +136,11 @@ class BBLattice:
         assert val.denominator == 1
         return int(val)
 
-    def verify_deg6(self, h=None) -> bool:
-        """c2 * h = 5 h^3 as functionals on the lattice: pairing both sides
-        against every basis vector."""
-        h = h or self.h
-        if self.q(h, h) != 2:
-            raise ValueError("polarization must have square 2")
+    def verify_deg6(self) -> bool:
+        """c2 * h = 5 h^3 as functionals on the lattice, h being the
+        polarization `self.h`: pairing both sides against every basis
+        vector."""
+        h = self.h
         for i in range(self.rank):
             beta = self.basis_vector(i)
             lhs = self.c2_pairing(h, beta)  # deg(c2 h beta) = 30 q(h, beta)
@@ -150,11 +149,12 @@ class BBLattice:
                 return False
         return True
 
-    def deg4_independence_witness(self, h=None):
-        """An isotropic class alpha with q(h, alpha) != 0: the functionals
-        beta -> deg(h^2 beta^2) and beta -> deg(q_dual beta^2) take values
-        (2 q(h,alpha)^2, 0) there, so h^2 and c2 are independent."""
-        h = h or self.h
+    def deg4_independence_witness(self):
+        """An isotropic class alpha with q(h, alpha) != 0, h being the
+        polarization `self.h`: the functionals beta -> deg(h^2 beta^2) and
+        beta -> deg(q_dual beta^2) take values (2 q(h,alpha)^2, 0) there, so
+        h^2 and c2 are independent."""
+        h = self.h
         alpha = self.basis_vector(0)  # isotropic in the first hyperbolic block
         assert self.q(alpha, alpha) == 0 and self.q(h, alpha) != 0
         v_h2 = self.quad_intersection(h, h, alpha, alpha)

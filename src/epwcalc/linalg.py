@@ -1,11 +1,11 @@
 """Dense exact linear algebra: matrices, canonical subspaces, interpolation
 and roots of univariate polynomials over F_p.
 
-Rank and determinants over Q use fraction-free (Bareiss) elimination to
-control entry growth; over F_p plain Gaussian elimination runs through the
-F_p kernel in `fpkernel`. Those eliminations and the modular rank
-certificate are the only code here that branches on the field; every vector
-combination, reduction and product goes through the field's `lincomb`,
+Over Q, rank and determinant share one fraction-free (Bareiss) forward
+pass, `_bareiss`, which controls entry growth; over F_p both run through
+the one forward elimination in `fpkernel`. Those eliminations and the two
+rref routines are the only code here that branches on the field; every
+vector combination, reduction and product goes through the field's `lincomb`,
 `axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
 makes subspace equality syntactic. A canonical row is 1 at its own pivot
 and 0 at every other pivot, so the pivot columns are read, not computed:
@@ -25,18 +25,20 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fpkernel import fp_det, fp_rank, fp_rref
-from .scalars import PrimeField, same_field
+from .scalars import GF, PrimeField, same_field
 
 
 class ShapeError(ValueError):
     pass
 
 
-def _bareiss_forward(rows):
-    """Fraction-free forward elimination on integer rows; returns the rank."""
-    m = [list(r) for r in rows]
+def _bareiss(m):
+    """Fraction-free forward elimination on the integer rows m, in place:
+    (rank, sign of the row swaps, last pivot). For a square m of full rank
+    the last pivot times the sign is the determinant."""
     nrows, ncols = len(m), len(m[0]) if m else 0
     prev = 1
+    sign = 1
     r = 0
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][col]), -1)
@@ -44,6 +46,7 @@ def _bareiss_forward(rows):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for c in range(col + 1, ncols):
                 m[i][c] = (m[r][col] * m[i][c] - m[i][col] * m[r][c]) // prev
@@ -52,7 +55,7 @@ def _bareiss_forward(rows):
         r += 1
         if r == nrows:
             break
-    return r
+    return r, sign, prev
 
 
 def _integerize(rows):
@@ -147,7 +150,7 @@ class Matrix:
         if isinstance(F, PrimeField):
             flat = [x for r in self.rows for x in r]
             return fp_rank(flat, self.nrows, self.ncols, F.p)
-        return _bareiss_forward(_integerize(self.rows))
+        return _bareiss(_integerize(self.rows))[0]
 
     def det(self):
         if self.nrows != self.ncols:
@@ -166,22 +169,8 @@ class Matrix:
             mult = lcm(*(x.denominator for x in row))
             scale /= mult
             rows.append([int(x * mult) for x in row])
-        m = rows
-        prev = 1
-        sign = 1
-        for col in range(n - 1):
-            piv = next((i for i in range(col, n) if m[i][col]), -1)
-            if piv < 0:
-                return F.zero
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            for i in range(col + 1, n):
-                for c in range(col + 1, n):
-                    m[i][c] = (m[col][col] * m[i][c] - m[i][col] * m[col][c]) // prev
-                m[i][col] = 0
-            prev = m[col][col]
-        return F.of(sign * scale * m[n - 1][n - 1])
+        rank, sign, last = _bareiss(rows)
+        return F.of(sign * scale * last) if rank == n else F.zero
 
     def rref(self):
         """Return (canonical rref Matrix, pivot column tuple)."""
@@ -606,20 +595,18 @@ def smallest_root(coeffs, p):
     return min(roots, default=None)
 
 
-def certified_rank_full(mat: Matrix, p: int = 10007) -> bool:
-    """True if mat provably has full row rank over QQ.
+def certified_rank_full(mat: Matrix) -> bool:
+    """True if the QQ matrix mat provably has full row rank.
 
-    rank_{F_p} <= rank_QQ <= nrows always holds, so a full-rank modular
-    elimination is an exact certificate, not a probabilistic one. A False
-    return is inconclusive; callers fall back to exact elimination.
+    The rank of mat mod 10007 is at most its rank over QQ, which is at most
+    nrows, so a full-rank elimination over GF(10007) is an exact certificate,
+    not a probabilistic one. A False return is inconclusive (a denominator
+    divisible by 10007 also gives one); callers fall back to exact
+    elimination.
     """
-    if not isinstance(mat.field, PrimeField):
-        from .scalars import GF
-
-        F = GF(p)
-        try:
-            rows = [[F.of(x) for x in r] for r in mat.rows]
-        except ZeroDivisionError:
-            return False
-        return Matrix(F, rows, ncols=mat.ncols).rank() == mat.nrows
-    return mat.rank() == mat.nrows
+    F = GF(10007)
+    try:
+        rows = [tuple([F.of(x) for x in r]) for r in mat.rows]
+    except ZeroDivisionError:
+        return False
+    return Matrix._reduced(F, rows, mat.ncols).rank() == mat.nrows

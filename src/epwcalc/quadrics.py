@@ -257,7 +257,7 @@ class BitangentPair:
     tangent: bool  # double-point case
 
 
-def bitangent_pair(web: WebOfQuadrics, pencil, line, completion=None) -> BitangentPair:
+def bitangent_pair(web: WebOfQuadrics, pencil, line) -> BitangentPair:
     """The unordered point pair {x, y} on the line satisfying the bilinear
     condition for every member of the web.
 
@@ -272,18 +272,17 @@ def bitangent_pair(web: WebOfQuadrics, pencil, line, completion=None) -> Bitange
     for q in (qa, qb):
         if not quadric_contains_line(F, q, r0, r1):
             raise ValueError("pencil member does not vanish on the line")
-    if completion is None:
-        flat_pencil = [[x for row in q.rows for x in row] for q in (qa, qb)]
-        completion = []
-        for q in web.qs:
-            cand = flat_pencil + [[x for row in m.rows for x in row] for m in completion]
-            cand.append([x for row in q.rows for x in row])
-            if Matrix(F, cand, ncols=16).rank() == len(cand):
-                completion.append(q)
-            if len(completion) == 2:
-                break
-        if len(completion) != 2:
-            raise DegenerateWeb("pencil does not extend to the web")
+    flat_pencil = [[x for row in q.rows for x in row] for q in (qa, qb)]
+    completion = []
+    for q in web.qs:
+        cand = flat_pencil + [[x for row in m.rows for x in row] for m in completion]
+        cand.append([x for row in q.rows for x in row])
+        if Matrix(F, cand, ncols=16).rank() == len(cand):
+            completion.append(q)
+        if len(completion) == 2:
+            break
+    if len(completion) != 2:
+        raise DegenerateWeb("pencil does not extend to the web")
     qc, qd = completion
     c00, c01, c11 = (
         bilinear(F, qc, r0, r0),

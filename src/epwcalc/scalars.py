@@ -114,8 +114,9 @@ class RationalField:
     def dot(self, a, b):
         return sum(map(mul, a, b))
 
-    def random(self, rng, lo=-9, hi=9):
-        return Fraction(rng.randint(lo, hi))
+    def random(self, rng):
+        """A uniform integer in -9..9."""
+        return Fraction(rng.randint(-9, 9))
 
     def sqrt(self, a):
         """Exact square root, or None if `a` is not a rational square."""
@@ -205,7 +206,7 @@ class PrimeField:
     def dot(self, a, b):
         return sum(map(mul, a, b)) % self.p
 
-    def random(self, rng, lo=None, hi=None):
+    def random(self, rng):
         return rng.randrange(self.p)
 
     def sqrt(self, a):

@@ -2,8 +2,13 @@ import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from epwcalc import cli, suites
+
+TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
 
 
 def run_cli(*args, env_extra=None):
@@ -104,3 +109,47 @@ def test_epw_suite_finishes_at_large_primes(prime):
     assert doc["prime"] == prime and doc["checks"]
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert cpu <= 15.0
+
+
+def _traceability_rows():
+    """(suite, check id, statement) for each table row of the traceability
+    doc. A statement may itself hold a `|`, as in `|det|`, so each row is
+    split at its first two column separators only."""
+    rows = []
+    for line in TRACEABILITY.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("| ") or line.startswith("| suite |"):
+            continue
+        suite, cid, statement = line[2:].removesuffix(" |").split(" | ", 2)
+        rows.append((suite, cid.strip("`"), statement))
+    return rows
+
+
+def test_traceability_lists_every_check_of_the_report_in_order():
+    report = cli.run_suites("all", suites.RunConfig(seed=0, trials=2))
+    rows = _traceability_rows()
+    assert [(suite, cid) for suite, cid, _ in rows] == [tuple(c.id.split(".", 1)) for c in report]
+    for (suite, cid, statement), check in zip(rows, report):
+        assert statement.startswith(check.anchor), check.id
+        if cid != "sym6_top_chern_stated_constant":
+            assert statement == check.anchor, check.id
+    assert dict(((s, c), st) for s, c, st in rows)[("bbf", "gram_invariants")].startswith("|det| = 2")
+
+
+def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
+    first, second, third = cli.SUITE_ORDER[:3]
+
+    def never(cfg):
+        raise AssertionError("a suite after the failing check ran")
+
+    monkeypatch.setitem(suites.SUITES, first, lambda cfg: [suites._mk("a", "passes", True, 1, 1)])
+    monkeypatch.setitem(
+        suites.SUITES,
+        second,
+        lambda cfg: [suites._mk("b", "fails", False, 1, 2), suites._mk("c", "passes", True, 1, 1)],
+    )
+    monkeypatch.setitem(suites.SUITES, third, never)
+    checks = cli.run_suites("all", suites.RunConfig(seed=0, trials=2), fail_fast=True)
+    assert [(c.id, c.status) for c in checks] == [(f"{first}.a", "pass"), (f"{second}.b", "fail")]
+    assert cli.main(["run", "all", "--fail-fast", "--seed", "0", "--trials", "2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["id"], c["status"]) for c in doc["checks"]] == [(f"{first}.a", "pass"), (f"{second}.b", "fail")]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from bisect import bisect_left
 from fractions import Fraction
@@ -510,6 +511,108 @@ def test_fp_rref_shape():
     rank, pivots, red = fpkernel.fp_rref([1, 2, 2, 4], 2, 2, 7)
     assert rank == 1 and pivots == [0]
     assert red == [1, 2, 0, 0]
+
+
+def _leibniz_det(rows):
+    """Sum over permutations of the signed products of entries."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _fraction_rank_det(rows):
+    """(rank, determinant when square) by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][col]
+        for i in range(r + 1, nrows):
+            f = m[i][col] / m[r][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r, (det if r == nrows == ncols else Fraction(0))
+
+
+def _kernel_cases(rng, p, nrows, ncols):
+    """A random matrix and its edge variants, as lists of int rows in [0, p)."""
+    full = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    repeated = [list(r) for r in full]
+    if nrows > 1:
+        repeated[-1] = list(repeated[0])
+    zero_col = [[0 if c == ncols // 2 else x for c, x in enumerate(r)] for r in full]
+    zero_first_col = [[0] + r[1:] for r in full]
+    # a zero top-left entry above nonzero ones: column 0 pivots after a swap
+    swap = [list(r) for r in full]
+    swap[0][0] = 0
+    for r in swap[1:]:
+        r[0] = r[0] or 1
+    zero = [[0] * ncols for _ in range(nrows)]
+    return [full, repeated, zero_col, zero_first_col, swap, zero]
+
+
+KERNEL_SHAPES = [(n, n) for n in range(1, 11)] + [(25, 20), (4, 16)]
+
+
+@pytest.mark.parametrize("p", [17, 10007, 2**61 - 1], ids=["17", "10007", "2^61-1"])
+def test_fp_det_equals_the_reference(p):
+    rng = random.Random(p)
+    for n in range(1, 11):
+        for rows in _kernel_cases(rng, p, n, n):
+            want = _leibniz_det(rows) if n <= 6 else _fraction_rank_det(rows)[1]
+            flat = [x for r in rows for x in r]
+            assert fpkernel.fp_det(flat, n, p) == int(want) % p, (n, rows)
+
+
+@pytest.mark.parametrize("p", [17, 10007, 2**61 - 1], ids=["17", "10007", "2^61-1"])
+def test_fp_rank_equals_the_rref_rank(p):
+    rng = random.Random(p + 1)
+    for nrows, ncols in KERNEL_SHAPES:
+        for rows in _kernel_cases(rng, p, nrows, ncols):
+            flat = [x for r in rows for x in r]
+            rank = fpkernel.fp_rank(flat, nrows, ncols, p)
+            assert rank == fpkernel.fp_rref(flat, nrows, ncols, p)[0], (nrows, ncols, rows)
+            if nrows == ncols:
+                assert (fpkernel.fp_det(flat, nrows, p) != 0) == (rank == nrows)
+
+
+def test_qq_det_and_rank_equal_the_fraction_reference():
+    rng = random.Random(15)
+    draws = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    for draw in draws:
+        for nrows, ncols in [(n, n) for n in range(1, 8)] + [(3, 5), (6, 4), (2, 7)]:
+            full = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+            cases = [full, [[0] * ncols for _ in range(nrows)]]
+            if nrows > 1:
+                cases.append([*full[:-1], full[0]])
+                cases.append([[0] + r[1:] for r in full])
+                # a zero top-left entry above a nonzero one: a row swap
+                cases.append([[0] + full[0][1:], [full[1][0] or 1] + full[1][1:], *full[2:]])
+            if nrows > 2:
+                # the last row a combination of the first two
+                cases.append([*full[:-1], [2 * x - y for x, y in zip(full[0], full[1])]])
+            for rows in cases:
+                m = Matrix(QQ, rows)
+                rank, det = _fraction_rank_det(rows)
+                assert m.rank() == len(m.rref()[1]) == rank, rows
+                if nrows == ncols:
+                    assert m.det() == det, rows
 
 
 def test_interpolation_examples():
