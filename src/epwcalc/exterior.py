@@ -238,7 +238,7 @@ class SymplecticSpace:
             raise GradeError("fiber needs a grade-1 vector")
         if v.is_zero():
             raise ValueError("fiber of the zero vector")
-        s = Subspace.from_spanning(self.field, DIM3, frame_rows(self.field, v.coords))
+        s = Subspace._span(self.field, DIM3, frame_rows(self.field, v.coords))
         assert s.dim == 10
         return s
 

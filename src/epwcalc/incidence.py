@@ -18,41 +18,62 @@ class PreconditionError(ValueError):
     pass
 
 
-SYM_PAIRS_10 = [(k, l) for k in range(10) for l in range(k, 10)]  # 55 coordinates
-
-
 def _restriction_rows(field, R, i, j):
     """Row of coefficients (over the 55 upper coordinates) of the (i, j)
-    entry of the restricted form R Q R^T."""
+    entry of the restricted form R Q R^T: R[i][k] R[j][l] + R[j][k] R[i][l]
+    at k < l and R[i][k] R[j][k] at k = l, one combination per k."""
+    a, b = R[i], R[j]
     row = []
-    for k, l in SYM_PAIRS_10:
-        if k == l:
-            row.append(field.mul(R[i][k], R[j][k]))
-        else:
-            row.append(
-                field.add(field.mul(R[i][k], R[j][l]), field.mul(R[j][k], R[i][l]))
-            )
+    for k in range(10):
+        seg = field.lincomb((a[k], b[k]), (b[k:], a[k:]))
+        seg[0] = field.mul(a[k], b[k])
+        row += seg
     return row
 
 
 def _evaluation_row(field, c):
-    """Coefficients of q(c) over the 55 upper coordinates."""
+    """Coefficients of q(c) over the 55 upper coordinates: c_k^2 at k = l
+    and 2 c_k c_l at k < l, one combination per k."""
+    two = field.of(2)
     row = []
-    for k, l in SYM_PAIRS_10:
-        row.append(field.mul(c[k], c[k]) if k == l else field.mul(field.of(2), field.mul(c[k], c[l])))
+    for k in range(10):
+        seg = field.lincomb((field.mul(two, c[k]),), (c[k:],))
+        seg[0] = field.mul(c[k], c[k])
+        row += seg
     return row
 
 
-def _kernel_dim(field, rows, ncols):
-    """dim ker of the system; over QQ a full-rank modular elimination is an
-    exact certificate (rank_p <= rank_Q <= #rows), else exact Bareiss."""
-    if not rows:
-        return ncols
+def _omega_rows(field, RA, RB):
+    """The agreement system of `omega_tangent_dim`: per (i, j), the form on
+    A restricted to the core minus the form on B restricted to it."""
+    rows = []
+    for i in range(9):
+        for j in range(i, 9):
+            right = _restriction_rows(field, RB, i, j)
+            rows.append(_restriction_rows(field, RA, i, j) + [field.neg(x) for x in right])
+    return rows
+
+
+def _injective_rows(field, R, coords):
+    """The system of `injective_differential_kernel`: the form restricted to
+    the hyperplane with coordinate rows R vanishes, and q(c) = 0 for every c."""
+    rows = [_restriction_rows(field, R, i, j) for i in range(9) for j in range(i, 9)]
+    return rows + [_evaluation_row(field, c) for c in coords]
+
+
+def _kernel_dim(field, build, inputs, ncols):
+    """dim ker of the system build(field, *inputs) in ncols unknowns. Over QQ
+    the system is first built over GF(10007) from the inputs reduced mod
+    10007; when it has full rank there, that certifies the kernel dimension
+    (`certified_rank_full`). Otherwise the QQ system is built and eliminated
+    by exact Bareiss."""
+    if not isinstance(field, PrimeField):
+        nrows = certified_rank_full(build, inputs)
+        if nrows is not None:
+            return ncols - nrows
     # the rows are sums and products of canonical coordinates: trusted
-    m = Matrix._reduced(field, [tuple(r) for r in rows], ncols)
-    if not isinstance(field, PrimeField) and certified_rank_full(m):
-        return ncols - m.nrows
-    return ncols - m.rank()
+    rows = build(field, *inputs)
+    return ncols - Matrix._reduced(field, [tuple(r) for r in rows], ncols).rank()
 
 
 @dataclass(frozen=True)
@@ -108,13 +129,7 @@ def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace, require_
         return 110
     RA = [A.coords_of(r) for r in u.basis()]
     RB = [B.coords_of(r) for r in u.basis()]
-    rows = []
-    for i in range(9):
-        for j in range(i, 9):
-            left = _restriction_rows(F, RA, i, j)
-            right = _restriction_rows(F, RB, i, j)
-            rows.append(left + [F.neg(x) for x in right])
-    return _kernel_dim(F, rows, 110)
+    return _kernel_dim(F, _omega_rows, (RA, RB), 110)
 
 
 def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, require_full=True) -> int:
@@ -141,13 +156,7 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
     if require_full and len(coords) != 10:
         raise PreconditionError(f"need 10 alphas, got {len(coords)} (relaxed mode only)")
     R = [B.coords_of(r) for r in u.basis()]
-    rows = []
-    for i in range(9):
-        for j in range(i, 9):
-            rows.append(_restriction_rows(F, R, i, j))
-    for c in coords:
-        rows.append(_evaluation_row(F, c))
-    return _kernel_dim(F, rows, 55)
+    return _kernel_dim(F, _injective_rows, (R, coords), 55)
 
 
 def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
@@ -214,7 +223,7 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
         u = None
         for _ in range(16):
             extra = [F.lincomb([F.random(rng) for _ in range(10)], A.basis()) for _ in range(8)]
-            cand = Subspace.from_spanning(F, DIM3, [alpha.coords] + extra)
+            cand = Subspace._span(F, DIM3, [alpha.coords] + extra)
             if cand.dim == 9:
                 u = cand
                 break

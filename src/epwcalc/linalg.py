@@ -62,11 +62,9 @@ def _integerize(rows):
     """Scale each row of Fractions to coprime integers (rank-preserving)."""
     out = []
     for row in rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * mult) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        mult = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
@@ -166,9 +164,9 @@ class Matrix:
         scale = Fraction(1)
         rows = []
         for row in self.rows:
-            mult = lcm(*(x.denominator for x in row))
+            mult = lcm(*[x.denominator for x in row])
             scale /= mult
-            rows.append([int(x * mult) for x in row])
+            rows.append([x.numerator * (mult // x.denominator) for x in row])
         rank, sign, last = _bareiss(rows)
         return F.of(sign * scale * last) if rank == n else F.zero
 
@@ -264,7 +262,13 @@ class Subspace:
         m = Matrix(field, vectors)
         if m.ncols != ambient:
             raise ShapeError("vector length does not match ambient dimension")
-        red, pivots = m.rref()
+        return cls._span(field, ambient, m.rows)
+
+    @classmethod
+    def _span(cls, field, ambient, rows) -> "Subspace":
+        """`from_spanning` of rows of length `ambient` whose entries already
+        are field elements: the rows are eliminated, not coerced again."""
+        red, pivots = Matrix._reduced(field, rows, ambient).rref()
         return cls.from_rref(field, ambient, red.rows[: len(pivots)], pivots)
 
     @classmethod
@@ -595,18 +599,25 @@ def smallest_root(coeffs, p):
     return min(roots, default=None)
 
 
-def certified_rank_full(mat: Matrix) -> bool:
-    """True if the QQ matrix mat provably has full row rank.
+def certified_rank_full(build, inputs):
+    """The row count of the QQ system build(QQ, *inputs) when it provably
+    has full row rank, else None; the QQ system itself is not built.
 
-    The rank of mat mod 10007 is at most its rank over QQ, which is at most
-    nrows, so a full-rank elimination over GF(10007) is an exact certificate,
-    not a probabilistic one. A False return is inconclusive (a denominator
-    divisible by 10007 also gives one); callers fall back to exact
-    elimination.
+    `build(field, *inputs)` makes the rows by sums and products (with
+    integer coefficients) of the entries of `inputs`, lists of coordinate
+    rows. Reduction mod 10007 is a ring homomorphism on the rationals whose
+    denominators are prime to 10007, so build(GF(10007), *reduced inputs) is
+    the reduction of the QQ system. Its rank is at most the QQ rank, which
+    is at most the row count: a full-rank elimination over GF(10007) is an
+    exact certificate, not a probabilistic one. None is inconclusive (a rank
+    deficit mod 10007, or an input denominator divisible by 10007); callers
+    fall back to exact elimination.
     """
     F = GF(10007)
     try:
-        rows = [tuple([F.of(x) for x in r]) for r in mat.rows]
+        reduced = [[[F.of(x) for x in row] for row in rows] for rows in inputs]
     except ZeroDivisionError:
-        return False
-    return Matrix._reduced(F, rows, mat.ncols).rank() == mat.nrows
+        return None
+    rows = [tuple(r) for r in build(F, *reduced)]
+    ncols = len(rows[0]) if rows else 0
+    return len(rows) if Matrix._reduced(F, rows, ncols).rank() == len(rows) else None

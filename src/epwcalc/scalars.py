@@ -9,10 +9,14 @@ The field objects also own vector arithmetic: `lincomb`, `axpy` and `dot`
 combine and pair vectors with one body per field and return canonical
 elements, so no caller branches on the field to combine or reduce vectors.
 Over F_p they accept unreduced (also negative) ints and reduce once at the
-end; over QQ their sums start at int 0, so integer rows stay integers.
+end. Over QQ they work on integers: each vector's denominators are cleared
+by one lcm, the integer numerators are combined over one common
+denominator, and each output entry is one Fraction. An entry whose terms
+are all int products stays an int, so integer rows stay integers.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 
@@ -35,6 +39,50 @@ def _combination(coeffs, rows):
         if c:
             acc = [c * b for b in row] if acc is None else [a + c * b for a, b in zip(acc, row)]
     return acc
+
+
+def _numerators(row):
+    """(d, nums): the lcm d of the row's denominators and the integers d * x."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return 1, [x.numerator for x in row]
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
+def _fraction_entries(pairs):
+    """Which entries of sum c * row over the (c, row) pairs are Fractions,
+    the way Fraction arithmetic types them: an entry is an int only when
+    every coefficient and every row entry at its position is one. True
+    stands for all of them, False for none."""
+    if any(type(c) is Fraction for c, _ in pairs):
+        return True
+    mask = False
+    for _, row in pairs:
+        kinds = set(map(type, row))
+        if Fraction not in kinds:
+            continue
+        if len(kinds) == 1:
+            return True
+        flags = [type(x) is Fraction for x in row]
+        mask = flags if mask is False else list(map(bool.__or__, mask, flags))
+    return mask
+
+
+def _rational_combination(pairs):
+    """sum c * row over the (c, row) pairs, on integer numerators over one
+    common denominator, with one Fraction built per Fraction entry."""
+    terms = []
+    for c, row in pairs:
+        d, nums = _numerators(row)
+        terms.append((c.numerator, c.denominator * d, nums))
+    den = lcm(*[d for _, d, _ in terms])
+    acc = _combination([n * (den // d) for n, d, _ in terms], [nums for _, _, nums in terms])
+    mask = _fraction_entries(pairs)
+    if mask is True:
+        return [Fraction(x, den) for x in acc]
+    if mask is False:
+        return acc  # every term an int product: den is 1
+    return [Fraction(x, den) if f else x // den for x, f in zip(acc, mask)]
 
 
 def is_prime(n: int) -> bool:
@@ -77,7 +125,7 @@ class RationalField:
         return Fraction(1)
 
     def of(self, x) -> Fraction:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -104,15 +152,20 @@ class RationalField:
 
     def lincomb(self, coeffs, rows):
         """sum coeffs[i] * rows[i]; the zero vector when every coefficient is 0."""
-        acc = _combination(coeffs, rows)
-        return [self.zero] * len(rows[0]) if acc is None else acc
+        pairs = [(c, row) for c, row in zip(coeffs, rows) if c]
+        return _rational_combination(pairs) if pairs else [self.zero] * len(rows[0])
 
     def axpy(self, y, c, x):
         """y + c * x."""
-        return [a + c * b for a, b in zip(y, x)]
+        return _rational_combination([(1, y), (c, x)])
 
     def dot(self, a, b):
-        return sum(map(mul, a, b))
+        """sum a[i] * b[i]: an int on two int vectors, else one Fraction."""
+        if Fraction not in map(type, a) and Fraction not in map(type, b):
+            return sum(map(mul, a, b))
+        da, na = _numerators(a)
+        db, nb = _numerators(b)
+        return Fraction(sum(map(mul, na, nb)), da * db)
 
     def random(self, rng):
         """A uniform integer in -9..9."""

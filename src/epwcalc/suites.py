@@ -190,12 +190,13 @@ def run_epw(cfg: RunConfig):
         coeffs = epw.sextic_on_line(B, base, direction, chart=0)  # raises if degree > 6
         if poly_degree(Fp, coeffs) == 6:
             deg6 += 1
+    need = max((95 * total) // 100, 1)
     checks.append(
         _mk(
             "sextic_degree",
             "line restriction of the pairing determinant has degree <= 6, generically 6",
-            deg6 >= (95 * total) // 100,
-            f">= {(95 * total) // 100} of {total} lines of degree exactly 6",
+            deg6 >= need,
+            f">= {need} of {total} lines of degree exactly 6",
             deg6,
         )
     )
@@ -261,7 +262,7 @@ def run_epw(cfg: RunConfig):
     ok = True
     tested = 0
     budget_miss = 0
-    for i in range(cfg.trials // 2):
+    for i in range(max(cfg.trials // 2, 1)):
         try:
             if i % 5 == 4:
                 # a Lagrangian through a decomposable: singular points on the plane
@@ -309,7 +310,7 @@ def run_epw(cfg: RunConfig):
     rng = derive_rng(cfg.seed, "epw.tangent")
     ok = True
     tested = 0
-    for _ in range(cfg.trials // 2):
+    for _ in range(max(cfg.trials // 2, 1)):
         try:
             B = epw.random_lagrangian_datum(sp, rng)
             v = epw.find_point_on_Y(B, rng).coords

@@ -11,6 +11,7 @@ from epwcalc.exterior import (
     ExteriorVector,
     GradeError,
     SymplecticSpace,
+    frame_rows,
     merge_sign,
     vol,
 )
@@ -128,6 +129,22 @@ def test_fiber_is_the_wedge_span_on_every_chart_over_qq():
         span = Subspace.from_spanning(QQ, DIM3, spanning)
         assert SQ.fiber(vx) == span
         assert SQ.is_lagrangian(span)
+
+
+@pytest.mark.parametrize("K", [F, QQ], ids=repr)
+def test_trusted_span_of_frame_rows_equals_from_spanning_on_every_chart(K):
+    """`fiber` spans the frame rows with `Subspace._span`, which eliminates
+    them without coercing their entries again."""
+    rnd = derive_rng(34, "fiber.span")
+    for chart in range(6):
+        v = [K.zero] * chart + [K.of(Fraction(rnd.randint(1, 9), rnd.randint(1, 9)))]
+        v += [K.of(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))) for _ in range(5 - chart)]
+        rows = frame_rows(K, v)
+        span = Subspace._span(K, DIM3, rows)
+        assert span == Subspace.from_spanning(K, DIM3, rows)
+        assert span.dim == 10
+        assert all(type(x) is type(K.zero) for row in span.basis() for x in row)
+        assert SymplecticSpace(K).fiber(ExteriorVector(K, 1, v)) == span
 
 
 def test_is_isotropic_agrees_with_the_form_over_both_fields():

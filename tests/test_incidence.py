@@ -1,8 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from epwcalc import incidence
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
-from epwcalc.linalg import Matrix, Subspace
+from epwcalc.linalg import Matrix, Subspace, certified_rank_full
 from epwcalc.scalars import GF, QQ
 
 F = GF(10007)
@@ -206,3 +209,81 @@ def test_completion_of_nine_dim_core_is_a_pencil_member(rng):
     assert SP.is_lagrangian(L)
     assert L.contains_subspace(u)
     assert SP.perp(u).contains_subspace(L)  # exactly the pencil membership conditions
+
+
+# -- the kernel systems ------------------------------------------------------
+
+SYM_PAIRS = [(k, l) for k in range(10) for l in range(k, 10)]  # the 55 upper coordinates
+
+
+def per_entry_restriction(K, R, i, j):
+    """The (i, j) restriction row one entry at a time: R_ik R_jk at k = l,
+    R_ik R_jl + R_jk R_il at k < l."""
+    return [
+        K.mul(R[i][k], R[j][k]) if k == l else K.add(K.mul(R[i][k], R[j][l]), K.mul(R[j][k], R[i][l]))
+        for k, l in SYM_PAIRS
+    ]
+
+
+def per_entry_evaluation(K, c):
+    """q(c) one entry at a time: c_k^2 at k = l, 2 c_k c_l at k < l."""
+    return [K.mul(c[k], c[k]) if k == l else K.mul(K.of(2), K.mul(c[k], c[l])) for k, l in SYM_PAIRS]
+
+
+def coordinate_rows(K, rnd, count):
+    """Rows of 10 canonical elements of K, about a fifth of them zero."""
+    def entry():
+        if rnd.random() < 0.2:
+            return K.zero
+        if K == QQ:
+            return K.of(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)))
+        return K.random(rnd)
+
+    return [tuple(entry() for _ in range(10)) for _ in range(count)]
+
+
+def typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize("K", [GF(7), F, QQ], ids=repr)
+def test_system_rows_equal_the_per_entry_formula(K):
+    rnd = random.Random(f"system-rows-{K!r}")
+    for _ in range(4):
+        R = coordinate_rows(K, rnd, 9)
+        R[rnd.randrange(9)] = (K.zero,) * 10
+        for i in range(9):
+            for j in range(i, 9):
+                assert typed(incidence._restriction_rows(K, R, i, j)) == typed(per_entry_restriction(K, R, i, j))
+        for c in coordinate_rows(K, rnd, 10) + [(K.zero,) * 10]:
+            assert typed(incidence._evaluation_row(K, c)) == typed(per_entry_evaluation(K, c))
+
+
+def exact_kernel_dim(build, inputs, ncols):
+    """The kernel dimension by Bareiss on the QQ system, with no certificate."""
+    return ncols - Matrix(QQ, build(QQ, *inputs), ncols=ncols).rank()
+
+
+def test_qq_kernel_dim_falls_back_when_the_certificate_is_inconclusive():
+    """Inputs scaled by 10007 make the restriction rows vanish mod 10007,
+    and inputs divided by 10007 do not reduce at all: both systems keep
+    their full QQ rank, and the exact elimination must find it."""
+    rnd = random.Random("kernel-fallback")
+    R, coords = coordinate_rows(QQ, rnd, 9), coordinate_rows(QQ, rnd, 10)
+    R2 = coordinate_rows(QQ, rnd, 9)
+    scaled = [[x * 10007 for x in row] for row in R]
+    divided = [[x / 10007 for x in row] for row in R]
+    scaled2 = [[x * 10007 for x in row] for row in R2]
+    cases = [
+        (incidence._injective_rows, (R, coords), 55, 0, 55),
+        (incidence._injective_rows, (scaled, coords), 55, 0, None),
+        (incidence._injective_rows, (divided, coords), 55, 0, None),
+        (incidence._injective_rows, (scaled, coords[:9]), 55, 1, None),
+        (incidence._omega_rows, (R, R2), 110, 65, 45),
+        (incidence._omega_rows, (scaled, scaled2), 110, 65, None),
+        (incidence._omega_rows, (divided, R2), 110, 65, None),
+    ]
+    for build, inputs, ncols, dim, certified in cases:
+        assert certified_rank_full(build, inputs) == certified
+        assert exact_kernel_dim(build, inputs, ncols) == dim
+        assert incidence._kernel_dim(QQ, build, inputs, ncols) == dim

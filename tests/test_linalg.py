@@ -640,11 +640,27 @@ def test_interpolation_over_fp_and_eval():
     assert poly_eval(F, coeffs, 11) == (3 * 11**4 + 5) % 10007
 
 
+def _given_rows(field, rows):
+    """The system whose rows are its one input, as they are."""
+    return rows
+
+
 def test_certified_rank_full():
     m = Matrix(QQ, [[1, 0, 2], [0, 1, 3]])
-    assert certified_rank_full(m)
+    assert certified_rank_full(_given_rows, [m.rows]) == 2
     n = Matrix(QQ, [[1, 2, 3], [2, 4, 6]])
-    assert not certified_rank_full(n)
+    assert certified_rank_full(_given_rows, [n.rows]) is None
+
+
+def test_certified_rank_full_is_inconclusive_mod_10007_only():
+    """A system of full QQ rank that is singular mod 10007, and one whose
+    input has a denominator divisible by 10007: no certificate, though the
+    exact rank is full."""
+    singular_mod_p = Matrix(QQ, [[1, 0, 2], [0, 10007, 3 * 10007]])
+    vanishing_den = Matrix(QQ, [[Fraction(1, 10007), 0, 2], [0, 1, 3]])
+    for m in (singular_mod_p, vanishing_den):
+        assert m.rank() == 2
+        assert certified_rank_full(_given_rows, [m.rows]) is None
 
 
 def test_matrix_immutable_and_hashable():

@@ -1,20 +1,38 @@
 """The benchmark's tracer patches functions of the package by name, so a
 rename in `src/` would break `perfbench/run.py --trace 1` without failing any
-test of the package itself. This checks every name it patches."""
+test of the package itself. This checks every name it patches, and pins the
+output of one `rational_qq` op, so that the QQ layer's results stay
+byte-identical."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from epwcalc import linalg
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# sha256 of the rational_qq op at seed 7: its fibers, pairing determinants
+# and kernel dimension, serialised by the workload
+RATIONAL_QQ_SEED7_SHA256 = "cc9c108b85939f5281fb3b86e5a972202b958229d4a3e040cfbeebfd46d4464e"
+
+
+def _load(name):
+    """perfbench/<name>.py as a module, read only: no bytecode is written
+    next to it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
 
 
 def test_every_patched_name_is_owned_by_its_owner():
@@ -30,3 +48,12 @@ def test_every_patched_name_is_owned_by_its_owner():
     ]
     assert not missing, f"perfbench/spans.py patches names that no longer exist: {missing}"
     assert spans._SPANS and spans._COUNTED
+
+
+def test_rational_qq_op_is_verified_and_byte_identical():
+    workloads = _load("workloads")
+    op = workloads.make("rational_qq", None)
+    inputs = op.prepare(7)
+    out = op.run(inputs)
+    assert op.verify(inputs, out) == []
+    assert out["sha256"] == RATIONAL_QQ_SEED7_SHA256

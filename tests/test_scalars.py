@@ -80,3 +80,80 @@ def test_lincomb_of_zero_coefficients_is_the_zero_vector(F):
 def test_qq_dot_on_integer_rows_stays_integer():
     assert type(QQ.dot([2, -3], [5, 7])) is int
     assert QQ.dot([2, -3], [5, 7]) == -11
+
+
+# -- QQ on integer numerators against plain Fraction arithmetic --------------
+
+
+def fraction_lincomb(coeffs, rows):
+    """sum c * row term by term in Fraction arithmetic, skipping zero
+    coefficients; the Fraction zero vector when all of them are zero."""
+    acc = None
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [c * b for b in row] if acc is None else [a + c * b for a, b in zip(acc, row)]
+    return [Fraction(0)] * len(rows[0]) if acc is None else acc
+
+
+def fraction_axpy(y, c, x):
+    return [a + c * b for a, b in zip(y, x)]
+
+
+def fraction_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+def big(rnd):
+    """A Fraction of 120-165 bits, about the size of QQ Lagrangian entries."""
+    return Fraction(rnd.getrandbits(rnd.randint(120, 165)) * rnd.choice((-1, 1)), rnd.getrandbits(80) | 1)
+
+
+ENTRY_KINDS = {
+    "int": lambda rnd: rnd.randint(-30, 30),
+    "fraction": lambda rnd: Fraction(rnd.randint(-30, 30), rnd.randint(1, 12)),
+    "mixed": lambda rnd: rnd.choice((rnd.randint(-30, 30), Fraction(rnd.randint(-30, 30), rnd.randint(1, 12)))),
+    "big": big,
+    "big_or_int": lambda rnd: rnd.choice((big(rnd), rnd.randint(-5, 5), Fraction(rnd.randint(-5, 5)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+def test_qq_vector_ops_equal_fraction_arithmetic_in_value_and_type(kind):
+    draw = ENTRY_KINDS[kind]
+    rnd = random.Random(f"qq-{kind}")
+    for _ in range(60):
+        k, n = rnd.randint(1, 5), rnd.randint(1, 9)
+        rows = [[draw(rnd) for _ in range(n)] for _ in range(k)]
+        coeffs = [draw(rnd) for _ in range(k)]
+        for i in rnd.sample(range(k), rnd.randint(0, k)):  # zero coefficients, int and Fraction
+            coeffs[i] = rnd.choice((0, Fraction(0)))
+        assert typed(QQ.lincomb(coeffs, rows)) == typed(fraction_lincomb(coeffs, rows))
+        zeros = [rnd.choice((0, Fraction(0))) for _ in range(k)]
+        assert typed(QQ.lincomb(zeros, rows)) == typed(fraction_lincomb(zeros, rows))
+
+        y, x, c = rows[0], [draw(rnd) for _ in range(n)], rnd.choice((draw(rnd), 0, Fraction(0)))
+        assert typed(QQ.axpy(y, c, x)) == typed(fraction_axpy(y, c, x))
+        assert typed([QQ.dot(y, x)]) == typed([fraction_dot(y, x)])
+
+
+def test_qq_entry_types_follow_their_own_terms():
+    """In a mixed combination each entry is typed by its own terms: an int
+    only where every coefficient and every row entry at it is an int."""
+    rows = [[1, Fraction(1, 2), 3], [Fraction(4), 5, 6]]
+    got = QQ.lincomb([2, 3], rows)
+    assert typed(got) == [(Fraction, Fraction(14)), (Fraction, Fraction(16)), (int, 24)]
+    assert typed(QQ.lincomb([2, 0], rows)) == [(int, 2), (Fraction, Fraction(1)), (int, 6)]
+    assert typed(QQ.lincomb([Fraction(2), 0], [[1, 2]])) == [(Fraction, Fraction(2)), (Fraction, Fraction(4))]
+    assert typed(QQ.axpy([1, 2], 0, [3, Fraction(0)])) == [(int, 1), (Fraction, Fraction(2))]
+    assert typed([QQ.dot([1, 2], [3, 4])]) == [(int, 11)]
+    assert typed([QQ.dot([1, Fraction(1, 2)], [2, 4])]) == [(Fraction, Fraction(4))]
+
+
+def test_qq_of_returns_a_fraction_unchanged():
+    x = Fraction(3, 4)
+    assert QQ.of(x) is x
+    assert typed([QQ.of(3)]) == [(Fraction, Fraction(3))]
