@@ -407,12 +407,6 @@ class Relation:
     rhs: FormalClass
     degree_check: tuple | None = None
 
-    def json_row(self):
-        row = {"lhs": repr(self.lhs), "rhs": repr(self.rhs)}
-        if self.degree_check is not None:
-            row["degreeCheck"] = [str(x) for x in self.degree_check]
-        return row
-
 
 @dataclass(frozen=True)
 class RelationSet:
@@ -423,9 +417,6 @@ class RelationSet:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def json_rows(self):
-        return [r.json_row() for r in self.relations]
 
 
 def derive_relations(model: VarietyModel, emb: EmbeddingModel) -> RelationSet:

@@ -98,16 +98,6 @@ def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
     return F.lincomb(v, A.pencil(chart))
 
 
-def pairing_matrix(A: EpwLagrangian, vcoords, chart=None) -> Matrix:
-    """M[i][j] = form(frame_i(v), a_j); entries linear homogeneous in v."""
-    F = A.field
-    if chart is None:
-        chart = chart_for(F, [F.of(x) for x in vcoords])
-    flat = pairing_entries(A, vcoords, chart)
-    rows = [flat[i * 10 : (i + 1) * 10] for i in range(10)]
-    return Matrix(F, rows)
-
-
 def pairing_det(A: EpwLagrangian, vcoords, chart=None):
     F = A.field
     if chart is None:

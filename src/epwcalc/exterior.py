@@ -7,7 +7,9 @@ defines the volume functional, and (a, b) -> vol(a ^ b) makes the
 20-dimensional space of 3-vectors symplectic.
 """
 
+from functools import cache
 from itertools import combinations
+from operator import mul
 
 from .linalg import Matrix, ShapeError, Subspace, _integerize
 from .scalars import PrimeField, same_field
@@ -26,7 +28,8 @@ def merge_sign(s, t):
     return -1 if inv & 1 else 1
 
 
-def _wedge_table(j, k):
+@cache
+def wedge_table(j, k):
     table = []
     for s in SUBSETS[j]:
         row = []
@@ -40,15 +43,6 @@ def _wedge_table(j, k):
     return table
 
 
-_WEDGE = {}
-
-
-def wedge_table(j, k):
-    if (j, k) not in _WEDGE:
-        _WEDGE[(j, k)] = _wedge_table(j, k)
-    return _WEDGE[(j, k)]
-
-
 # complement pairing on grade 3: index i pairs only with COMP3[i]
 COMP3 = []
 for s in SUBSETS[3]:
@@ -58,22 +52,18 @@ for s in SUBSETS[3]:
 
 # chart c: frame pairs (i, j) with c not in {i, j}; each frame vector
 # v ^ e_i ^ e_j has coordinate sign * v_s at the 3-subset {s, i, j}
-_FRAME = {}
-
-
+@cache
 def frame_struct(c):
-    if c not in _FRAME:
-        pairs = [p for p in SUBSETS[2] if c not in p]
-        struct = []
-        for i, j in pairs:
-            entries = []
-            for s in range(N):
-                if s in (i, j):
-                    continue
-                entries.append((s, merge_sign((s,), (i, j)), POS[3][tuple(sorted((s, i, j)))]))
-            struct.append(entries)
-        _FRAME[c] = struct
-    return _FRAME[c]
+    pairs = [p for p in SUBSETS[2] if c not in p]
+    struct = []
+    for i, j in pairs:
+        entries = []
+        for s in range(N):
+            if s in (i, j):
+                continue
+            entries.append((s, merge_sign((s,), (i, j)), POS[3][tuple(sorted((s, i, j)))]))
+        struct.append(entries)
+    return struct
 
 
 def frame_rows(field, coords):
@@ -137,9 +127,6 @@ class ExteriorVector:
             raise GradeError("grade mismatch in addition")
         F = self.field
         return ExteriorVector(F, self.grade, F.axpy(self.coords, 1, other.coords))
-
-    def sub(self, other):
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def scale(self, c):
         F = self.field
@@ -255,7 +242,7 @@ class SymplecticSpace:
         # the form is alternating on 3-vectors, so only pairs i < j count
         for i, a in enumerate(rows):
             dual = [a[j] if sg > 0 else -a[j] for j, sg in COMP3]
-            if any(F.dot(b, dual) for b in rows[i + 1 :]):
+            if any(not F.is_zero(sum(map(mul, b, dual))) for b in rows[i + 1 :]):
                 return False
         return True
 

@@ -83,8 +83,6 @@ class LagrangianPencil:
 
     space: SymplecticSpace
     core: Subspace
-    a0: Subspace
-    a1: Subspace
     x0: tuple
     x1: tuple
 
@@ -105,7 +103,7 @@ def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
     a0 = u.with_vector(x0)
     x1 = next(r for r in pool.basis() if not a0.contains(r))
     a1 = u.with_vector(x1)
-    pencil = LagrangianPencil(space, u, a0, a1, tuple(x0), tuple(x1))
+    pencil = LagrangianPencil(space, u, tuple(x0), tuple(x1))
     assert space.is_lagrangian(a0) and space.is_lagrangian(a1)
     assert a0.meet(a1) == u
     for t, s in ((1, 0), (0, 1), (1, 1)):

@@ -9,7 +9,7 @@ characteristic used downstream.
 from fractions import Fraction
 from math import comb
 
-from .linalg import Matrix
+from .linalg import Matrix, interpolate_univariate
 from .scalars import QQ
 
 _U = [[0, 1], [1, 0]]
@@ -39,10 +39,30 @@ def _block_diag(blocks):
     return out
 
 
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _inertia(gram):
+    """(positive, negative) eigenvalue counts of a symmetric integer matrix.
+
+    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact for its characteristic polynomial det(tI - G): the sign
+    changes of its coefficients count the positive eigenvalues, those of
+    det(-tI - G) the negative ones, with multiplicity. The polynomial is
+    interpolated from n + 1 exact determinants."""
+    n = len(gram)
+    samples = [
+        (t, Matrix(QQ, [[t * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]).det())
+        for t in range(n + 1)
+    ]
+    chi = interpolate_univariate(QQ, samples, n)
+    return _sign_changes(chi), _sign_changes([-c if i % 2 else c for i, c in enumerate(chi)])
+
+
 class BBLattice:
     """Gram matrix, Fujiki constant 3, and the induced degree functionals."""
-
-    FUJIKI = 3
 
     def __init__(self):
         self.gram = _block_diag([_U, _U, _U, _e8_gram(-1), _e8_gram(-1), [[-2]]])
@@ -69,54 +89,13 @@ class BBLattice:
         return self.basis_vector(22)
 
     def determinant(self) -> int:
-        m = Matrix(QQ, [[Fraction(v) for v in row] for row in self.gram])
-        d = m.det()
+        d = Matrix(QQ, self.gram).det()
         assert d.denominator == 1
         return int(d)
 
     def signature(self):
-        """Inertia (positive, negative) by exact symmetric reduction."""
-        m = [[Fraction(v) for v in row] for row in self.gram]
-        n = self.rank
-        pos = neg = 0
-        idx = list(range(n))
-
-        def sub(a, i, j):
-            return [[a[r][c] for c in range(len(a)) if c != j] for r in range(len(a)) if r != i]
-
-        a = m
-        while a:
-            k = len(a)
-            piv = next((i for i in range(k) if a[i][i] != 0), None)
-            if piv is not None:
-                d = a[piv][piv]
-                if d > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                # clear the pivot row/column by congruence
-                rows = [r for r in range(k) if r != piv]
-                b = [[a[r][c] - a[r][piv] * a[piv][c] / d for c in rows] for r in rows]
-                a = b
-                continue
-            # all diagonal zero: find a hyperbolic pair, contributes (+1, -1)
-            found = None
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if not found:
-                break  # zero block
-            i, j = found
-            # replace row/col i by i+j to create a nonzero diagonal entry
-            for c in range(k):
-                a[i][c] = a[i][c] + a[j][c]
-            for r in range(k):
-                a[r][i] = a[r][i] + a[r][j]
-        return pos, neg
+        """Inertia (positive, negative) of the Gram matrix, by `_inertia`."""
+        return _inertia(self.gram)
 
     # -- degree functionals -------------------------------------------------
 

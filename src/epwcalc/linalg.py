@@ -22,10 +22,10 @@ over the field.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .fpkernel import fp_det, fp_rank, fp_rref
-from .scalars import GF, PrimeField, same_field
+from .scalars import GF, PrimeField, _numerators, same_field
 
 
 class ShapeError(ValueError):
@@ -62,8 +62,7 @@ def _integerize(rows):
     """Scale each row of Fractions to coprime integers (rank-preserving)."""
     out = []
     for row in rows:
-        mult = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (mult // x.denominator) for x in row]
+        ints = _numerators(row)[1]
         g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
@@ -126,9 +125,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def transpose(self):
         return Matrix._reduced(self.field, list(zip(*self.rows)), self.nrows)
 
@@ -164,9 +160,9 @@ class Matrix:
         scale = Fraction(1)
         rows = []
         for row in self.rows:
-            mult = lcm(*[x.denominator for x in row])
+            mult, ints = _numerators(row)
             scale /= mult
-            rows.append([x.numerator * (mult // x.denominator) for x in row])
+            rows.append(ints)
         rank, sign, last = _bareiss(rows)
         return F.of(sign * scale * last) if rank == n else F.zero
 

@@ -41,7 +41,6 @@ def sym_power_schur_coefficients(d):
     return out
 
 
-def sym_power_box_class(d, k=2, cols=4):
-    """The surviving Schur coefficients inside the k x cols box (k = 2)."""
-    assert k == 2
+def sym_power_box_class(d, cols=4):
+    """The surviving Schur coefficients inside the 2 x cols box."""
     return {pq: c for pq, c in sym_power_schur_coefficients(d).items() if pq[0] <= cols}

@@ -97,14 +97,6 @@ class WebOfQuadrics:
         return Matrix(F, [F.lincomb(t, rows) for rows in zip(*(q.rows for q in self.qs))])
 
 
-def member_rank(web: WebOfQuadrics, t) -> int:
-    F = web.field
-    t = [F.of(x) for x in t]
-    if all(F.is_zero(x) for x in t):
-        raise ValueError("zero parameter point")
-    return web.member(t).rank()
-
-
 def quartic_surface(web: WebOfQuadrics):
     """Full expansion of det(sum t_i Q_i) as a polynomial in t0..t3;
     raises on an identically zero determinant."""

@@ -11,11 +11,12 @@ elements, so no caller branches on the field to combine or reduce vectors.
 Over F_p they accept unreduced (also negative) ints and reduce once at the
 end. Over QQ they work on integers: each vector's denominators are cleared
 by one lcm, the integer numerators are combined over one common
-denominator, and each output entry is one Fraction. An entry whose terms
-are all int products stays an int, so integer rows stay integers.
+denominator, and each output entry is one Fraction, whatever the types
+of the inputs.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -49,40 +50,16 @@ def _numerators(row):
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
-def _fraction_entries(pairs):
-    """Which entries of sum c * row over the (c, row) pairs are Fractions,
-    the way Fraction arithmetic types them: an entry is an int only when
-    every coefficient and every row entry at its position is one. True
-    stands for all of them, False for none."""
-    if any(type(c) is Fraction for c, _ in pairs):
-        return True
-    mask = False
-    for _, row in pairs:
-        kinds = set(map(type, row))
-        if Fraction not in kinds:
-            continue
-        if len(kinds) == 1:
-            return True
-        flags = [type(x) is Fraction for x in row]
-        mask = flags if mask is False else list(map(bool.__or__, mask, flags))
-    return mask
-
-
 def _rational_combination(pairs):
     """sum c * row over the (c, row) pairs, on integer numerators over one
-    common denominator, with one Fraction built per Fraction entry."""
+    common denominator, with one Fraction built per entry."""
     terms = []
     for c, row in pairs:
         d, nums = _numerators(row)
         terms.append((c.numerator, c.denominator * d, nums))
     den = lcm(*[d for _, d, _ in terms])
     acc = _combination([n * (den // d) for n, d, _ in terms], [nums for _, _, nums in terms])
-    mask = _fraction_entries(pairs)
-    if mask is True:
-        return [Fraction(x, den) for x in acc]
-    if mask is False:
-        return acc  # every term an int product: den is 1
-    return [Fraction(x, den) if f else x // den for x, f in zip(acc, mask)]
+    return [Fraction(x, den) for x in acc]
 
 
 def is_prime(n: int) -> bool:
@@ -160,9 +137,7 @@ class RationalField:
         return _rational_combination([(1, y), (c, x)])
 
     def dot(self, a, b):
-        """sum a[i] * b[i]: an int on two int vectors, else one Fraction."""
-        if Fraction not in map(type, a) and Fraction not in map(type, b):
-            return sum(map(mul, a, b))
+        """sum a[i] * b[i] as one Fraction."""
         da, na = _numerators(a)
         db, nb = _numerators(b)
         return Fraction(sum(map(mul, na, nb)), da * db)
@@ -304,13 +279,9 @@ class PrimeField:
 
 QQ = RationalField()
 
-_prime_cache: dict[int, PrimeField] = {}
-
-
+@cache
 def GF(p: int) -> PrimeField:
-    if p not in _prime_cache:
-        _prime_cache[p] = PrimeField(p)
-    return _prime_cache[p]
+    return PrimeField(p)
 
 
 def same_field(a, b):

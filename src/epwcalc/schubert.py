@@ -1,9 +1,9 @@
 """Schubert calculus on Gr(k, n): Pieri products and top-degree integration.
 
 Classes are integer combinations of partitions fitting in the k x (n-k)
-box; products are built from the special classes sigma_m (horizontal
-strips) and sigma_{1^m} (vertical strips). Two-row Giambelli covers the
-general products needed for duality checks on Gr(2, n).
+box; products are built from the special classes sigma_m by the Pieri rule
+on horizontal strips. Two-row Giambelli covers the general products on
+Gr(2, n), sigma_{1,1} = sigma_1^2 - sigma_2 among them.
 """
 
 from dataclasses import dataclass
@@ -48,7 +48,8 @@ class SchubertClass:
         for parts, c in coeffs.items():
             if c == 0:
                 continue
-            clean[partition_in_box(ctx, parts)] = clean.get(partition_in_box(ctx, parts), 0) + c
+            key = partition_in_box(ctx, parts)
+            clean[key] = clean.get(key, 0) + c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", {p: c for p, c in clean.items() if c != 0})
 
@@ -56,8 +57,8 @@ class SchubertClass:
         raise AttributeError("SchubertClass is immutable")
 
     @classmethod
-    def sigma(cls, ctx, *parts, coeff=1):
-        return cls(ctx, {tuple(parts): coeff})
+    def sigma(cls, ctx, *parts):
+        return cls(ctx, {tuple(parts): 1})
 
     @classmethod
     def one(cls, ctx):
@@ -126,36 +127,14 @@ def _horizontal_strips(ctx, lam, m):
     return out
 
 
-def _vertical_strips(ctx, lam, m):
-    """Partitions mu >= lam with mu/lam a vertical strip of size m."""
-    lam = list(lam) + [0] * (ctx.k - len(lam))
-    out = []
-
-    def rec(i, remaining, prev_mu, acc):
-        if i == ctx.k:
-            if remaining == 0:
-                out.append(tuple(x for x in acc if x))
-            return
-        for add in (0, 1):
-            mu_i = lam[i] + add
-            if mu_i > ctx.cols or mu_i > prev_mu or add > remaining:
-                continue
-            rec(i + 1, remaining - add, mu_i, acc + [mu_i])
-
-    rec(0, m, ctx.cols, [])
-    return out
-
-
-def pieri(x: SchubertClass, m: int, kind="h") -> SchubertClass:
-    """Multiply by sigma_m (kind 'h', horizontal strips) or sigma_{1^m}
-    (kind 'e', vertical strips), truncated to the box."""
+def pieri(x: SchubertClass, m: int) -> SchubertClass:
+    """Multiply by sigma_m by horizontal strips, truncated to the box."""
     if m == 0:
         return x
-    gen = _horizontal_strips if kind == "h" else _vertical_strips
     ctx = x.ctx
     out = {}
     for lam, c in x.coeffs.items():
-        for mu in gen(ctx, lam, m):
+        for mu in _horizontal_strips(ctx, lam, m):
             out[mu] = out.get(mu, 0) + c
     return SchubertClass(ctx, out)
 
@@ -169,10 +148,10 @@ def mul_by_partition(x: SchubertClass, parts) -> SchubertClass:
     if len(parts) == 0:
         return x
     if len(parts) == 1:
-        return pieri(x, parts[0], "h")
+        return pieri(x, parts[0])
     a, b = parts
-    plus = pieri(pieri(x, a, "h"), b, "h")
-    minus = pieri(pieri(x, a + 1, "h"), b - 1, "h")
+    plus = pieri(pieri(x, a), b)
+    minus = pieri(pieri(x, a + 1), b - 1)
     return plus - minus
 
 
@@ -187,14 +166,14 @@ def integrate(x: SchubertClass) -> int:
 
 def _e_polynomial_to_class(ctx, coeffs):
     """Evaluate a polynomial in e1, e2 (dict (i, j) -> coeff) by iterated
-    Pieri products with sigma_1 and sigma_{1,1}."""
+    products with sigma_1 and sigma_{1,1} = sigma_1^2 - sigma_2."""
     out = SchubertClass(ctx, {})
     for (i, j), c in coeffs.items():
         term = SchubertClass.one(ctx)
         for _ in range(i):
-            term = pieri(term, 1, "h")
+            term = pieri(term, 1)
         for _ in range(j):
-            term = pieri(term, 2, "e")
+            term = mul_by_partition(term, (1, 1))
         out = out + term.scale(c)
     return out
 

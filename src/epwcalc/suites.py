@@ -80,15 +80,8 @@ def run_exterior(cfg: RunConfig):
         ok = ok and fib.dim == 10 and space.is_lagrangian(fib)
     checks.append(_mk("fiber_lagrangian", "dim F_v = C(5,2) = 10 and F_v is Lagrangian", ok, True, ok))
 
-    checks.append(
-        _mk(
-            "gram_nondegenerate",
-            "the wedge pairing on 3-vectors has full rank 20",
-            sp.gram().rank() == 20,
-            20,
-            sp.gram().rank(),
-        )
-    )
+    rank = sp.gram().rank()
+    checks.append(_mk("gram_nondegenerate", "the wedge pairing on 3-vectors has full rank 20", rank == 20, 20, rank))
 
     rng = derive_rng(cfg.seed, "exterior.anticomm")
     ok = True
@@ -754,18 +747,23 @@ def run_chow(cfg: RunConfig):
         )
     )
 
+    h = model.sym("h")
     try:
         rels = chow.derive_relations(model, emb)
         c2h = rels.by_name("c2*h")
         c4rel = rels.by_name("c4")
+        deg = c2h.degree_check
         checks.append(
             _mk(
                 "c2h_equals_5h3",
                 "two routes to the cokernel sheaf force c2 h = 5 h^3",
-                True,
+                c2h.lhs == model.sym("c2") * h
+                and c2h.rhs == (h**3).scale(5)
+                and deg is not None
+                and deg[0] == deg[1],
                 "5*h^3",
                 repr(c2h.rhs),
-                witness=f"degreeCheck={c2h.degree_check}",
+                witness=f"degreeCheck={deg}",
             )
         )
         checks.append(
@@ -814,7 +812,6 @@ def run_chow(cfg: RunConfig):
         )
     )
 
-    h = model.sym("h")
     p5 = chow.BundleClass(
         model,
         5,
@@ -988,15 +985,8 @@ def run_bbf(cfg: RunConfig):
         )
     )
 
-    checks.append(
-        _mk(
-            "deg6_functional",
-            "c2 h = 5 h^3 paired against all 23 basis vectors",
-            lat.verify_deg6(),
-            True,
-            lat.verify_deg6(),
-        )
-    )
+    ok = lat.verify_deg6()
+    checks.append(_mk("deg6_functional", "c2 h = 5 h^3 paired against all 23 basis vectors", ok, True, ok))
 
     alpha, v1, v2 = lat.deg4_independence_witness()
     checks.append(

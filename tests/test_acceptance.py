@@ -342,7 +342,7 @@ def test_c14_line_class_oracle_and_plucker_degree():
     cls = schubert.sym6_top_chern()
     oracle = oracles.sym_power_box_class(6)
     ok = dict(cls.coeffs) == oracle
-    ok = ok and oracles.sym_power_box_class(5, 2, 3) == {(3, 3): 2875}
+    ok = ok and oracles.sym_power_box_class(5, cols=3) == {(3, 3): 2875}
     ctx = schubert.Context(2, 6)
     x = schubert.SchubertClass.one(ctx)
     for _ in range(8):

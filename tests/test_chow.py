@@ -170,8 +170,6 @@ def test_derive_relations_full_replay():
     r8 = rels.by_name("c4")
     assert r8.rhs == (H**4).scale(435) - (H * H * Z).scale(180) + (Z * Z).scale(12)
     assert r8.degree_check == (Fraction(324), Fraction(324))
-    rows = rels.json_rows()
-    assert all(set(r) <= {"lhs", "rhs", "degreeCheck"} for r in rows)
 
 
 def test_derive_relations_catches_bad_table():

@@ -1,12 +1,14 @@
+import ast
 import json
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from epwcalc import cli, suites
+from epwcalc import chow, cli, lattice, oracles, suites
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
 
@@ -56,6 +58,62 @@ def test_chow_suite_has_the_headline_check():
     doc = json.loads(res.stdout)
     by_id = {c["id"]: c for c in doc["checks"]}
     assert by_id["c2h_equals_5h3"]["status"] == "pass"
+
+
+def _fault_c2h_rhs(monkeypatch):
+    """The derived relation c2*h with right-hand side 4h^3."""
+    derive = chow.derive_relations
+
+    def faulty(model, emb):
+        four_h3 = (model.sym("h") ** 3).scale(4)
+        rels = derive(model, emb).relations
+        return chow.RelationSet(tuple(replace(r, rhs=four_h3) if r.name == "c2*h" else r for r in rels))
+
+    monkeypatch.setattr(chow, "derive_relations", faulty)
+
+
+def _fault_plus_two_summand(monkeypatch):
+    """<+2> in place of <-2> in the Gram matrix: |det| stays 2."""
+    block_diag = lattice._block_diag
+    monkeypatch.setattr(lattice, "_block_diag", lambda blocks: block_diag([*blocks[:-1], [[2]]]))
+
+
+def _fault_oracle_coefficient(monkeypatch):
+    """The root-product oracle's s[4,3] coefficient off by one."""
+    coefficients = oracles.sym_power_schur_coefficients
+
+    def faulty(d):
+        out = coefficients(d)
+        return {**out, (4, 3): out[(4, 3)] + 1}
+
+    monkeypatch.setattr(oracles, "sym_power_schur_coefficients", faulty)
+
+
+def _fault_c2_pairing(monkeypatch):
+    """c2_pairing off by one on two distinct classes, which the squares of
+    c2_pairing_consistency never pair."""
+    pairing = lattice.BBLattice.c2_pairing
+    monkeypatch.setattr(lattice.BBLattice, "c2_pairing", lambda self, a, b: pairing(self, a, b) + (a != b))
+
+
+FAULTS = {
+    ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
+    ("bbf", "gram_invariants"): _fault_plus_two_summand,
+    ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
+    ("bbf", "deg6_functional"): _fault_c2_pairing,
+}
+
+
+@pytest.mark.parametrize("suite, cid", list(FAULTS), ids=[cid for _, cid in FAULTS])
+def test_an_injected_fault_fails_exactly_its_check(suite, cid, monkeypatch):
+    """Each fault is injected into an input of the check, never into the
+    check itself; it turns that check, and no other, from pass to fail."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.SUITES[suite](cfg)}
+    FAULTS[suite, cid](monkeypatch)
+    after = {c.id: c.status for c in suites.SUITES[suite](cfg)}
+    assert (before[cid], after[cid]) == ("pass", "fail")
+    assert {k for k in after if after[k] != before[k]} == {cid}
 
 
 def test_usage_errors_exit_two():
@@ -166,3 +224,25 @@ def test_small_trial_counts_test_every_check(trials):
     assert set(statuses.values()) == {"pass"}, [c for c in report if c.status != "pass"]
     gate = next(c.expected for c in report if c.id == "epw.sextic_degree")
     assert not gate.startswith(">= 0 "), gate
+
+
+def test_every_definition_in_the_package_has_a_caller_in_the_package():
+    """No unused API: each function and class defined in `src/epwcalc` is
+    named, as a Name or an Attribute (f-strings included), somewhere in
+    `src/epwcalc`. Dunders and the entry point `cli.main` are exempt."""
+    package = Path(cli.__file__).resolve().parent
+    defined, used = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and not (name.startswith("__") and name.endswith("__")) and (module, name) != ("cli", "main")
+    )
+    assert not unused, f"defined in src/epwcalc but never referenced there: {unused}"

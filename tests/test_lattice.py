@@ -117,16 +117,65 @@ def test_odd_section_count():
     assert 56 + lattice.odd_section_count() == 66
 
 
+def congruence_inertia(gram):
+    """(positive, negative) by exact symmetric reduction on Fractions, the
+    reference for `lattice._inertia`: a nonzero diagonal pivot is counted by
+    its sign and cleared by congruence; on an all-zero diagonal, adding row
+    and column j to row and column i makes the diagonal entry 2 g_ij."""
+    a = [[Fraction(v) for v in row] for row in gram]
+    pos = neg = 0
+    while a:
+        k = len(a)
+        piv = next((i for i in range(k) if a[i][i] != 0), None)
+        if piv is not None:
+            d = a[piv][piv]
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            rows = [r for r in range(k) if r != piv]
+            a = [[a[r][c] - a[r][piv] * a[piv][c] / d for c in rows] for r in rows]
+            continue
+        found = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j] != 0), None)
+        if found is None:
+            break  # zero block
+        i, j = found
+        for c in range(k):
+            a[i][c] = a[i][c] + a[j][c]
+        for r in range(k):
+            a[r][i] = a[r][i] + a[r][j]
+    return pos, neg
+
+
 def test_signature_reduction_edge_blocks():
-    lat = lattice.BBLattice.__new__(lattice.BBLattice)
+    cases = {
+        ((0, 1), (1, 0)): (1, 1),  # hyperbolic: no diagonal pivot
+        ((0, 0), (0, 0)): (0, 0),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)): (2, 2),
+        ((2, 0), (0, -2)): (1, 1),
+        ((-2,),): (0, 1),
+    }
+    for gram, sig in cases.items():
+        assert lattice._inertia(gram) == congruence_inertia(gram) == sig
 
-    def signature_of(gram):
-        lat.gram = gram
-        lat.rank = len(gram)
-        return lattice.BBLattice.signature(lat)
 
-    assert signature_of([[0, 1], [1, 0]]) == (1, 1)  # hyperbolic: no diagonal pivot
-    assert signature_of([[0, 0], [0, 0]]) == (0, 0)
-    assert signature_of([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) == (2, 2)
-    assert signature_of([[2, 0], [0, -2]]) == (1, 1)
-    assert signature_of([[-2]]) == (0, 1)
+def test_signature_against_the_congruence_reduction():
+    for gram, sig in ((lattice._U, (1, 1)), (lattice._e8_gram(-1), (0, 8)), (LAT.gram, (3, 20))):
+        assert lattice._inertia(gram) == congruence_inertia(gram) == sig
+    rnd = derive_rng(4, "inertia")
+    kinds = set()
+    for _ in range(60):
+        n = rnd.randint(1, 7)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rnd.randint(-3, 3)
+        if rnd.random() < 0.3:  # a repeated row and column: singular
+            i, j = rnd.sample(range(n), 2) if n > 1 else (0, 0)
+            g[j] = list(g[i])
+            for row in g:
+                row[j] = row[i]
+        pos, neg = lattice._inertia(g)
+        assert (pos, neg) == congruence_inertia(g), g
+        kinds.add((pos + neg < n, pos > 0 and neg > 0))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
