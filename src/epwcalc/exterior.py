@@ -80,6 +80,23 @@ def frame_rows(field, coords):
     return rows
 
 
+def graph_lagrangian(field, m) -> Subspace:
+    """The graph of the 10x10 matrix m. The 10 triples that contain 0 come
+    first and span the Lagrangian L = F_{e_0}; the other 10 span
+    L' = wedge^3 <e_1..e_5>, and COMP3 pairs them. Row a is
+    e_a + sum_b s_b m[a][b] e_{j_b}, with (j_b, s_b) = COMP3[b], so
+    form(row_a, row_c) = m[c][a] - m[a][c]: the graph is Lagrangian exactly
+    when m is symmetric. The rows are the canonical RREF with pivots 0..9."""
+    rows = []
+    for a in range(10):
+        row = [field.zero] * DIM3
+        row[a] = field.one
+        for b, (j, sg) in enumerate(COMP3[:10]):
+            row[j] = m[a][b] if sg > 0 else field.neg(m[a][b])
+        rows.append(tuple(row))
+    return Subspace.from_rref(field, DIM3, rows, range(10))
+
+
 class GradeError(ValueError):
     pass
 
@@ -264,7 +281,9 @@ class SymplecticSpace:
 
     def lagrangian_completion(self, s: Subspace, rng) -> Subspace:
         """A Lagrangian containing the isotropic s, grown by random vectors
-        of perp(current) \\ current; any such vector keeps isotropy.
+        of perp(current) \\ current; any such vector keeps isotropy. This is
+        for seeded starts; a Lagrangian drawn from nothing comes from
+        `random_lagrangian`.
 
         Only perp(s) is eliminated. Each step then updates both canonical
         RREFs by rank one: the pool perp(current) is cut by the hyperplane
@@ -318,7 +337,20 @@ class SymplecticSpace:
         return current
 
     def random_lagrangian(self, rng) -> Subspace:
-        return self.lagrangian_completion(Subspace.zero(self.field, DIM3), rng)
+        """`graph_lagrangian` of a random symmetric 10x10 matrix, drawn
+        entry by entry on and above the diagonal, row-major (55 `random`
+        calls). Every Lagrangian transverse to L' = wedge^3 <e_1..e_5> is
+        such a graph, and a uniform Lagrangian misses this chart with
+        probability about 1/p. Nothing is eliminated: the rows already are
+        canonical, and the assert checks isotropy by the general route."""
+        F = self.field
+        m = [[None] * 10 for _ in range(10)]
+        for a in range(10):
+            for b in range(a, 10):
+                m[a][b] = m[b][a] = F.random(rng)
+        out = graph_lagrangian(F, m)
+        assert self.is_lagrangian(out)
+        return out
 
     # -- decomposable forms -------------------------------------------------
 

@@ -104,14 +104,25 @@ def run_exterior(cfg: RunConfig):
         ok = ok and pp == s and sp.perp(s).dim == DIM3 - s.dim
     checks.append(_mk("perp_involution", "perp(perp(S)) = S and dim perp = 20 - dim S", ok, True, ok))
 
+    # B is completed from the first k rows of A, so A ∩ B has dimension k
+    # unless the completion meets A again
     rng = derive_rng(cfg.seed, "exterior.perpsum")
     ok = True
-    for _ in range(6):
+    dims = []
+    for k in range(10):
         A = sp.random_lagrangian(rng)
-        B = sp.random_lagrangian(rng)
-        ok = ok and sp.perp(A.meet(B)) == A.join(B)
+        B = sp.lagrangian_completion(_basis_slice(A, slice(k)), rng)
+        meet = A.meet(B)
+        dims.append(meet.dim)
+        ok = ok and sp.perp(meet) == A.join(B)
     checks.append(
-        _mk("perp_meet_join", "perp(A ∩ B) = A + B for Lagrangian pairs", ok, True, ok)
+        _mk(
+            "perp_meet_join",
+            "perp(A ∩ B) = A + B for Lagrangian pairs",
+            ok,
+            "True on pairs through isotropic slices of dimension 0..9",
+            f"{ok} on dim(A ∩ B) = {dims}",
+        )
     )
 
     rng = derive_rng(cfg.seed, "exterior.decomposable")
@@ -183,13 +194,14 @@ def run_epw(cfg: RunConfig):
         coeffs = epw.sextic_on_line(B, base, direction, chart=0)  # raises if degree > 6
         if poly_degree(Fp, coeffs) == 6:
             deg6 += 1
-    need = max((95 * total) // 100, 1)
+    # degree > 6 raised above; one line of degree 6 shows that the top
+    # coefficient, a polynomial in the line, is not identically zero
     checks.append(
         _mk(
             "sextic_degree",
             "line restriction of the pairing determinant has degree <= 6, generically 6",
-            deg6 >= need,
-            f">= {need} of {total} lines of degree exactly 6",
+            deg6 >= 1,
+            f">= 1 of {total} lines of degree exactly 6",
             deg6,
         )
     )
@@ -557,6 +569,8 @@ def _injective_differential_sample(space, rng, count=10):
 
 # --------------------------------------------------------------------------
 
+VERONESE_SETS = 64  # 10-point sets drawn before veronese_independence fails
+
 
 def run_quadrics(cfg: RunConfig):
     checks = []
@@ -632,9 +646,16 @@ def run_quadrics(cfg: RunConfig):
         )
     )
 
+    # one 10-point set with independent images shows that the dependent sets
+    # form a proper closed subset; a set is dependent with probability at
+    # most 1 - (1 - 2/p)^10, so all VERONESE_SETS are with at most
+    # (1 - (1 - 2/p)^10)^VERONESE_SETS, below 5e-10 at p >= 17
     rng = derive_rng(cfg.seed, "quadrics.veronese")
-    pts = [[Fp.random(rng) for _ in range(4)] for _ in range(10)]
-    r10 = quadrics.veronese_independence(Fp, pts)
+    for sets in range(1, VERONESE_SETS + 1):
+        pts = [[Fp.random(rng) for _ in range(4)] for _ in range(10)]
+        r10 = quadrics.veronese_independence(Fp, pts)
+        if r10 == 10:
+            break
     r11 = quadrics.veronese_independence(Fp, pts + [[Fp.random(rng) for _ in range(4)]])
     conic_pts = [[1, a % cfg.prime, (a * a) % cfg.prime, 0] for a in range(2, 12)]
     r_conic = quadrics.veronese_independence(Fp, conic_pts)
@@ -644,8 +665,9 @@ def run_quadrics(cfg: RunConfig):
             "veronese_independence",
             "10 generic points have independent square images; a common quadric forces dependence",
             ok,
-            "(10, <=10, <=9)",
+            f"(10 in one of <= {VERONESE_SETS} sets, <=10, <=9)",
             (r10, r11, r_conic),
+            witness=f"sets={sets}",
         )
     )
 

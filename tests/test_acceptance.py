@@ -35,7 +35,7 @@ F = GF(10007)
 SP = SymplecticSpace(F)
 SQ = SymplecticSpace(QQ)
 # sha256 of the stdout of `epwcalc run all --seed 7`
-REPORT_SHA256_SEED7 = "2812095aeff82a9741dd797b86ba088c1d883d1243c978a3b5d00913104b5fc7"
+REPORT_SHA256_SEED7 = "fc147ba4acf03d01584c3741d63ab2dbac2a4f24cc2ac0433bbc6b5846fc53a5"
 
 
 def report(num, ok, detail, elapsed=None):

@@ -226,6 +226,33 @@ def test_small_trial_counts_test_every_check(trials):
     assert not gate.startswith(">= 0 "), gate
 
 
+def test_perp_meet_join_reaches_every_intersection_dimension():
+    """B is completed through a k-dimensional slice of A for k = 0..9, so at
+    p = 10007 the pairs meet in every dimension 0..9, not only in 0."""
+    check = next(c for c in suites.run_exterior(suites.RunConfig(seed=7, trials=2)) if c.id == "perp_meet_join")
+    assert check.status == "pass"
+    assert check.got == f"True on dim(A ∩ B) = {list(range(10))}"
+
+
+SMALL_PRIME_RUNS = [("epw", 17, 1), ("epw", 19, 0), ("epw", 61, 4), ("quadrics", 23, 0), ("quadrics", 43, 2)]
+
+
+@pytest.mark.parametrize("suite, prime, seed", SMALL_PRIME_RUNS, ids=[f"{s}-p{p}-s{n}" for s, p, n in SMALL_PRIME_RUNS])
+def test_small_prime_sampling_accidents_are_not_failures(suite, prime, seed, tmp_path):
+    """At these (prime, seed) a share gate failed on a sampling accident:
+    89-94 of 100 lines of degree 6 against a gate of 95, or a first 10-point
+    set on a common quadric. Both checks gate on existence, so the run exits
+    0; the accident itself still happens, so the run tests the gate."""
+    out = tmp_path / "report.json"
+    argv = ["run", suite, "--prime", str(prime), "--seed", str(seed), "--json", str(out)]
+    assert cli.main(argv) == 0
+    by_id = {c["id"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    if suite == "epw":
+        assert 1 <= int(by_id["sextic_degree"]["got"]) < 95
+    else:
+        assert by_id["veronese_independence"]["witness"] != "sets=1"
+
+
 def test_every_definition_in_the_package_has_a_caller_in_the_package():
     """No unused API: each function and class defined in `src/epwcalc` is
     named, as a Name or an Attribute (f-strings included), somewhere in

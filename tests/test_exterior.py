@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epwcalc.exterior import (
+    COMP3,
     DIM3,
     ExteriorVector,
     GradeError,
     SymplecticSpace,
     frame_rows,
+    graph_lagrangian,
     merge_sign,
     vol,
 )
@@ -266,6 +268,59 @@ def test_completion_updates_match_reelimination(field, monkeypatch):
             assert ours.random() == theirs.random()
     if field == GF(7):
         assert any(draws), "no draw was retried"
+
+
+CHART_FIELDS = [GF(7), GF(10007), GF(2**61 - 1), QQ]
+CHART_IDS = ["GF7", "GF10007", "GF2^61-1", "QQ"]
+
+
+def _chart_matrix(field, lag):
+    """M with row a of lag equal to e_a + sum_b s_b M[a][b] e_{j_b}, read off
+    the free block with the signs (j_b, s_b) = COMP3[b]."""
+    return [[row[j] if sg > 0 else field.neg(row[j]) for j, sg in COMP3[:10]] for row in lag.basis()]
+
+
+@pytest.mark.parametrize("field", CHART_FIELDS, ids=CHART_IDS)
+def test_completions_in_the_chart_are_graphs_of_symmetric_matrices(field):
+    """A completion from zero with pivots 0..9 is transverse to
+    wedge^3 <e_1..e_5>: the matrix read off its free block is symmetric and
+    its graph is that completion. Breaking the symmetry of one entry breaks
+    isotropy."""
+    space = SymplecticSpace(field)
+    in_chart = 0
+    for seed in range(8):
+        lag = space.lagrangian_completion(Subspace.zero(field, DIM3), derive_rng(seed, "chart.completion"))
+        if lag.pivots != tuple(range(10)):
+            continue
+        in_chart += 1
+        m = _chart_matrix(field, lag)
+        assert all(m[a][b] == m[b][a] for a in range(10) for b in range(a))
+        graph = graph_lagrangian(field, m)
+        assert graph == lag and graph.pivots == lag.pivots
+        m[2][7] = field.add(m[2][7], field.one)
+        assert not space.is_lagrangian(graph_lagrangian(field, m))
+    assert in_chart >= 4
+
+
+@pytest.mark.parametrize("field", CHART_FIELDS, ids=CHART_IDS)
+def test_random_lagrangian_is_canonical_and_draws_55_scalars(field):
+    """random_lagrangian is its own canonical RREF, with entries that are
+    canonical field elements, is Lagrangian, and leaves the rng where 55
+    `random` calls leave a twin."""
+    space = SymplecticSpace(field)
+    kind = Fraction if field == QQ else int
+    for seed in range(4):
+        rnd, twin = derive_rng(seed, "chart.draw"), derive_rng(seed, "chart.draw")
+        lag = space.random_lagrangian(rnd)
+        for _ in range(55):
+            field.random(twin)
+        assert rnd.getstate() == twin.getstate()
+        again = Subspace.from_spanning(field, DIM3, lag.basis())
+        assert lag == again and lag.pivots == again.pivots == tuple(range(10))
+        assert all(type(x) is kind and x == field.of(x) for row in lag.basis() for x in row)
+        assert space.is_lagrangian(lag)
+        m = _chart_matrix(field, lag)
+        assert all(m[a][b] == m[b][a] for a in range(10) for b in range(a))
 
 
 def test_decomposable_of_is_basis_independent(rng):
