@@ -1,10 +1,11 @@
 """F_p elimination kernels on row-major flat int lists.
 
-Every rank, rref and determinant over a prime field runs through this
-module. `fp_rank` and `fp_det` are entry points over one forward Gaussian
-elimination, `_forward`, which returns the rank and the signed product of
-the pivots; `fp_rref` does the full reduction. Python ints are exact at any
-p, so the kernels are correct for every prime the package accepts.
+Every rank, rref and determinant over a prime field runs through the one
+forward Gaussian elimination of this module, `_forward`, which returns the
+rank, the signed product of the pivots, the pivot columns and the echelon
+rows. `fp_rank` and `fp_det` read the first two; `fp_rref` finishes the
+echelon rows by back-substitution. Python ints are exact at any p, so the
+kernels are correct for every prime the package accepts.
 """
 
 def _inv(a, p):
@@ -13,9 +14,11 @@ def _inv(a, p):
 
 def _forward(a, nrows, ncols, p):
     """Forward Gaussian elimination on a copy of `a`: (rank, product of the
-    pivots times the sign of the row swaps, mod p). The product is the
-    determinant when the matrix is square of full rank."""
+    pivots times the sign of the row swaps mod p, pivot columns, flat echelon
+    matrix). The product is the determinant when the matrix is square of full
+    rank; the echelon rows below the rank are zero."""
     m = [x % p for x in a]
+    pivots = []
     r = 0
     d = 1
     for col in range(ncols):
@@ -41,10 +44,11 @@ def _forward(a, nrows, ncols, p):
                 row = i * ncols
                 for c in range(col, ncols):
                     m[row + c] = (m[row + c] - f * m[base + c]) % p
+        pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return r, d
+    return r, d, pivots, m
 
 
 def fp_rank(a, nrows, ncols, p):
@@ -53,45 +57,33 @@ def fp_rank(a, nrows, ncols, p):
 
 
 def fp_rref(a, nrows, ncols, p):
-    """Reduced row echelon form.
+    """Reduced row echelon form: `_forward`, then from the last pivot up each
+    pivot row scaled to 1 and cleared from the rows above it.
 
     Returns (rank, pivot column list, flat reduced matrix); the first
     `rank` rows hold the canonical basis, the rest are zero.
     """
-    m = [x % p for x in a]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i * ncols + col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for c in range(ncols):
-                m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
-        base = r * ncols
+    r, _, pivots, m = _forward(a, nrows, ncols, p)
+    for k in range(r - 1, -1, -1):
+        col = pivots[k]
+        base = k * ncols
         inv = _inv(m[base + col], p)
-        for c in range(col, ncols):
+        m[base + col] = 1
+        # right of its pivot the row is already zero at the later pivots
+        nz = [c for c in range(col + 1, ncols) if m[base + c]]
+        for c in nz:
             m[base + c] = m[base + c] * inv % p
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = m[i * ncols + col]
+        for i in range(k):
+            row = i * ncols
+            f = m[row + col]
             if f:
-                row = i * ncols
-                for c in range(col, ncols):
+                m[row + col] = 0
+                for c in nz:
                     m[row + c] = (m[row + c] - f * m[base + c]) % p
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
     return r, pivots, m
 
 
 def fp_det(a, n, p):
     """Determinant of an n x n matrix over F_p."""
-    r, d = _forward(a, n, n, p)
+    r, d = _forward(a, n, n, p)[:2]
     return d if r == n else 0

@@ -2,22 +2,24 @@
 and roots of univariate polynomials over F_p.
 
 Over Q, rank and determinant share one fraction-free (Bareiss) forward
-pass, `_bareiss`, which controls entry growth; over F_p both run through
-the one forward elimination in `fpkernel`. Those eliminations and the two
-rref routines are the only code here that branches on the field; every
-vector combination, reduction and product goes through the field's `lincomb`,
-`axpy` and `dot`. Subspaces are stored in reduced row echelon form, which
-makes subspace equality syntactic. A canonical row is 1 at its own pivot
-and 0 at every other pivot, so the pivot columns are read, not computed:
+pass, `_bareiss`, which controls entry growth; over F_p rank, determinant
+and rref all run through the one forward elimination in `fpkernel`. Those
+eliminations and the integer Gauss-Jordan loop of `Matrix.rref` over Q are
+the only code here that branches on the field; every vector combination,
+reduction and product goes through the field's `lincomb`, `axpy` and
+`dot`. Subspaces are stored in reduced row echelon form, which makes
+subspace equality syntactic. A canonical row is 1 at its own pivot and 0
+at every other pivot, so the pivot columns are read, not computed:
 reductions run on the k x (n - k) free-column block of a k-dimensional
-subspace, and a residue is computed on the free columns only. Each subspace
-operation reads its canonical form off the one elimination it needs: a
-kernel off the rref of the matrix with its columns reversed, a meet off the
-kernel of the residues modulo the other side's canonical basis, a join off
-their rref. The univariate polynomial helpers sit together at the end:
-interpolation, evaluation and degree over either field, and
-`smallest_root`, a gcd-and-split root finder over F_p that takes no pass
-over the field.
+subspace, and a residue is computed on the free columns only. Each
+subspace operation reads its canonical form off the one elimination it
+needs: a kernel off the rref of the matrix with its columns reversed, a
+meet off the kernel of the residues modulo the other side's canonical
+basis, a join off their rref. A join and `with_vector` share one insert of
+canonical rows into a canonical basis, `Subspace._insert`. The univariate
+polynomial helpers sit together at the end: interpolation, evaluation and
+degree over either field, and `smallest_root`, a gcd-and-split root finder
+over F_p that takes no pass over the field.
 """
 
 from bisect import bisect_left
@@ -344,23 +346,37 @@ class Subspace:
         the whole basis; self itself when vec already lies in it.
 
         The residue of vec has zeros in every pivot column, so its leading
-        entry is a new pivot: normalised to one and cleared from the other
-        rows, it leaves the canonical RREF of the span."""
+        entry is a new pivot: normalised to one, the residue is a canonical
+        row on the free columns, and `_insert` places it."""
         res = self._split(vec)[1]
         if not any(res):
             return self
         F = self.field
-        free = self._free_block()[0]
         i = next(i for i, x in enumerate(res) if x)
-        q = free[i]
-        v = [F.zero] * self.ambient
-        for c, x in zip(free, F.lincomb([F.inv(res[i])], [res])):
-            v[c] = x
-        v = tuple(v)
-        rows = [tuple(F.axpy(row, -row[q], v)) if row[q] else row for row in self.mat.rows]
-        k = bisect_left(self.pivots, q)
-        rows.insert(k, v)
-        return Subspace.from_rref(F, self.ambient, rows, (*self.pivots[:k], q, *self.pivots[k:]))
+        return self._insert([F.lincomb([F.inv(res[i])], [res])], [i])
+
+    def _insert(self, rows, pivots):
+        """The span of self and `rows`, canonical RREF rows given on self's
+        free columns, pivoting at the free columns indexed by `pivots`.
+
+        Each new row is spread to the ambient columns, cleared from the rows
+        that are nonzero at its pivot and placed by pivot order; it is zero at
+        self's pivots and at the other new pivots, so the rows stay the
+        canonical RREF of the span after every step."""
+        F, n = self.field, self.ambient
+        free = self._free_block()[0]
+        out, out_pivots = list(self.mat.rows), list(self.pivots)
+        for row, pc in zip(rows, pivots):
+            q = free[pc]
+            v = [F.zero] * n
+            for c, x in zip(free, row):
+                v[c] = x
+            v = tuple(v)
+            out = [tuple(F.axpy(r, -r[q], v)) if r[q] else r for r in out]
+            k = bisect_left(out_pivots, q)
+            out.insert(k, v)
+            out_pivots.insert(k, q)
+        return Subspace.from_rref(F, n, out, out_pivots)
 
     def contains_subspace(self, other) -> bool:
         return all(self.contains(r) for r in other.mat.rows)
@@ -415,27 +431,13 @@ class Subspace:
         this replaced, because `perfbench/spans.py` patches it by that name.
 
         Only the k x w block of residues on self's free columns is
-        eliminated. Its canonical rows pivot at free columns; cleared from
-        self's rows and merged by pivot order, as in `with_vector`, they are
-        the join's canonical RREF."""
+        eliminated; its canonical rows pivot at free columns, and `_insert`
+        places them among self's rows."""
         free, block = self._residues(other)
-        F, n = self.field, self.ambient
-        red, pivots = Matrix._reduced(F, block, len(free)).rref()
+        red, pivots = Matrix._reduced(self.field, block, len(free)).rref()
         if not pivots:
             return self
-        new_pivots = [free[pc] for pc in pivots]
-        new = []
-        for row in red.rows[: len(pivots)]:
-            u = [F.zero] * n
-            for c, x in zip(free, row):
-                u[c] = x
-            new.append(tuple(u))
-        rows = []
-        for row in self.mat.rows:
-            coeffs = [row[q] for q in new_pivots]
-            rows.append(tuple(F.lincomb([1, *(-c for c in coeffs)], [row, *new])) if any(coeffs) else row)
-        merged = sorted(zip((*self.pivots, *new_pivots), rows + new), key=lambda pr: pr[0])
-        join = Subspace.from_rref(F, n, [row for _, row in merged], [pc for pc, _ in merged])
+        join = self._insert(red.rows[: len(pivots)], pivots)
         assert join.dim == self.dim + len(pivots), "dim S + rank R != dim join"
         return join
 

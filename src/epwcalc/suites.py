@@ -60,6 +60,12 @@ def _skip(cid, anchor, why):
     return Check(cid, anchor, "skip", "", "", why)
 
 
+def _sampled(cid, anchor, ok, tested, witness, why):
+    """A pass/fail check over `tested` samples, or a skip for `why` when no
+    sample could be drawn."""
+    return _mk(cid, anchor, ok, True, ok, witness) if tested else _skip(cid, anchor, why)
+
+
 # --------------------------------------------------------------------------
 
 
@@ -271,14 +277,7 @@ def run_epw(cfg: RunConfig):
         try:
             if i % 5 == 4:
                 # a Lagrangian through a decomposable: singular points on the plane
-                w = _random_subspace(Fp, rng, 6, 3)
-                dec = sp.decomposable_of(w)
-                B = epw.EpwLagrangian(
-                    sp,
-                    sp.lagrangian_completion(
-                        Subspace.from_spanning(Fp, DIM3, [dec.coords]), rng
-                    ),
-                )
+                w, B = _decomposable_datum(sp, rng)
                 v = Fp.lincomb([Fp.random(rng) for _ in range(3)], w.basis())
                 if all(Fp.is_zero(x) for x in v):
                     continue
@@ -292,25 +291,16 @@ def run_epw(cfg: RunConfig):
         grad_nonzero = any(not Fp.is_zero(g) for g in grad)
         ok = ok and (grad_nonzero == epw.smoothness_predicate(B, v))
         tested += 1
-    if tested == 0:
-        checks.append(
-            _skip(
-                "smoothness_equivalence",
-                "gradient nonzero iff the fiber meets A in one indecomposable line",
-                f"retry budget exhausted on every sample (budget_miss={budget_miss})",
-            )
+    checks.append(
+        _sampled(
+            "smoothness_equivalence",
+            "gradient nonzero iff the fiber meets A in one indecomposable line",
+            ok,
+            tested,
+            f"tested={tested} budget_miss={budget_miss}",
+            f"retry budget exhausted on every sample (budget_miss={budget_miss})",
         )
-    else:
-        checks.append(
-            _mk(
-                "smoothness_equivalence",
-                "gradient nonzero iff the fiber meets A in one indecomposable line",
-                ok,
-                True,
-                ok,
-                witness=f"tested={tested} budget_miss={budget_miss}",
-            )
-        )
+    )
 
     rng = derive_rng(cfg.seed, "epw.tangent")
     ok = True
@@ -331,32 +321,19 @@ def run_epw(cfg: RunConfig):
         prop = Matrix(Fp, [func, grad], ncols=6).rank() == 1
         ok = ok and nz and prop
         tested += 1
-    if tested == 0:
-        checks.append(
-            _skip(
-                "tangent_functional_proportional",
-                "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
-                "retry budget exhausted on every sample",
-            )
+    checks.append(
+        _sampled(
+            "tangent_functional_proportional",
+            "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
+            ok,
+            tested,
+            f"tested={tested}",
+            "retry budget exhausted on every sample",
         )
-    else:
-        checks.append(
-            _mk(
-                "tangent_functional_proportional",
-                "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
-                ok,
-                True,
-                ok,
-                witness=f"tested={tested}",
-            )
-        )
+    )
 
     rng = derive_rng(cfg.seed, "epw.sigma")
-    w = _random_subspace(Fp, rng, 6, 3)
-    dec = sp.decomposable_of(w)
-    B = epw.EpwLagrangian(
-        sp, sp.lagrangian_completion(Subspace.from_spanning(Fp, DIM3, [dec.coords]), rng)
-    )
+    w, B = _decomposable_datum(sp, rng)
     pos = epw.sigma_membership(B, w)
     negs = all(
         not epw.sigma_membership(A, _random_subspace(Fp, rng, 6, 3)) for _ in range(10)
@@ -391,6 +368,14 @@ def run_epw(cfg: RunConfig):
         )
     )
     return checks
+
+
+def _decomposable_datum(sp, rng):
+    """(w, B): a random 3-space w of the 6-space and the datum of a
+    Lagrangian completed from the wedge cube of w, so that B contains it."""
+    w = _random_subspace(sp.field, rng, 6, 3)
+    seed = Subspace.from_spanning(sp.field, DIM3, [sp.decomposable_of(w).coords])
+    return w, epw.EpwLagrangian(sp, sp.lagrangian_completion(seed, rng))
 
 
 def _u_wedge_subspace(field, rng):
@@ -652,11 +637,11 @@ def run_quadrics(cfg: RunConfig):
     # (1 - (1 - 2/p)^10)^VERONESE_SETS, below 5e-10 at p >= 17
     rng = derive_rng(cfg.seed, "quadrics.veronese")
     for sets in range(1, VERONESE_SETS + 1):
-        pts = [[Fp.random(rng) for _ in range(4)] for _ in range(10)]
+        pts = [_projective_point(Fp, rng) for _ in range(10)]
         r10 = quadrics.veronese_independence(Fp, pts)
         if r10 == 10:
             break
-    r11 = quadrics.veronese_independence(Fp, pts + [[Fp.random(rng) for _ in range(4)]])
+    r11 = quadrics.veronese_independence(Fp, pts + [_projective_point(Fp, rng)])
     conic_pts = [[1, a % cfg.prime, (a * a) % cfg.prime, 0] for a in range(2, 12)]
     r_conic = quadrics.veronese_independence(Fp, conic_pts)
     ok = r10 == 10 and r11 <= 10 and r_conic <= 9
@@ -683,7 +668,9 @@ def run_quadrics(cfg: RunConfig):
         _mk(
             "diagonal_scan_census",
             "diagonal web: the rank <= 2 locus is the six coordinate lines, 6p - 2 points",
-            got == expect and census.rank_counts[1] + census.rank_counts[2] == 6 * scan_p - 2,
+            got == expect
+            and census.rank_counts[1] + census.rank_counts[2] == 6 * scan_p - 2
+            and census.rank2_nonsingular == 0,
             expect,
             got,
         )
@@ -706,23 +693,34 @@ def run_quadrics(cfg: RunConfig):
     return checks
 
 
+def _projective_point(field, rng):
+    """Four random coordinates, redrawn while all are zero: a point of P^3."""
+    while True:
+        pt = [field.random(rng) for _ in range(4)]
+        if any(pt):
+            return pt
+
+
 def _unit_quadric(field, i):
     rows = [[field.zero] * 4 for _ in range(4)]
     rows[i][i] = field.one
     return Matrix(field, rows)
 
 
+def _random_symmetric(field, rng, zero_block):
+    """A random symmetric 4x4 Matrix, drawn row by row on and above the
+    diagonal, that vanishes on its top-left zero_block x zero_block block."""
+    m = [[field.zero] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(max(i, zero_block), 4):
+            m[i][j] = m[j][i] = field.random(rng)
+    return Matrix(field, m)
+
+
 def _random_web(field, rng):
     while True:
-        qs = []
-        for _ in range(4):
-            m = [[field.zero] * 4 for _ in range(4)]
-            for i in range(4):
-                for j in range(i, 4):
-                    m[i][j] = m[j][i] = field.random(rng)
-            qs.append(Matrix(field, m))
         try:
-            return quadrics.WebOfQuadrics(field, qs)
+            return quadrics.WebOfQuadrics(field, [_random_symmetric(field, rng, 0) for _ in range(4)])
         except quadrics.DegenerateWeb:
             continue
 
@@ -730,21 +728,8 @@ def _random_web(field, rng):
 def _bitangent_fixture(field, rng):
     """A web whose first two generators vanish on the line t2 = t3 = 0."""
     r0, r1 = (1, 0, 0, 0), (0, 1, 0, 0)
-    qs = []
-    for _ in range(2):
-        m = [[field.zero] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                if i < 2 and j < 2:
-                    continue
-                m[i][j] = m[j][i] = field.random(rng)
-        qs.append(Matrix(field, m))
-    for _ in range(2):
-        m = [[field.zero] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                m[i][j] = m[j][i] = field.random(rng)
-        qs.append(Matrix(field, m))
+    qs = [_random_symmetric(field, rng, 2) for _ in range(2)]
+    qs += [_random_symmetric(field, rng, 0) for _ in range(2)]
     web = quadrics.WebOfQuadrics(field, qs)
     return web, (qs[0], qs[1]), (r0, r1)
 
@@ -770,35 +755,21 @@ def run_chow(cfg: RunConfig):
     )
 
     h = model.sym("h")
+    # (ok, expected, got, witness) of c2h_equals_5h3 and c4_combination
     try:
         rels = chow.derive_relations(model, emb)
+    except chow.DerivationError as exc:
+        c2h_result = c4_result = (False, "derivation", f"error: {exc}", None)
+    else:
         c2h = rels.by_name("c2*h")
         c4rel = rels.by_name("c4")
         deg = c2h.degree_check
-        checks.append(
-            _mk(
-                "c2h_equals_5h3",
-                "two routes to the cokernel sheaf force c2 h = 5 h^3",
-                c2h.lhs == model.sym("c2") * h
-                and c2h.rhs == (h**3).scale(5)
-                and deg is not None
-                and deg[0] == deg[1],
-                "5*h^3",
-                repr(c2h.rhs),
-                witness=f"degreeCheck={deg}",
-            )
-        )
-        checks.append(
-            _mk(
-                "c4_combination",
-                "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324",
-                c4rel.degree_check == (Fraction(324), Fraction(324)),
-                324,
-                str(c4rel.degree_check[1]),
-            )
-        )
-    except chow.DerivationError as exc:
-        checks.append(_mk("c2h_equals_5h3", "two-route comparison", False, "derivation", f"error: {exc}"))
+        c2h_ok = c2h.lhs == model.sym("c2") * h and c2h.rhs == (h**3).scale(5)
+        c2h_result = (c2h_ok and deg is not None and deg[0] == deg[1], "5*h^3", repr(c2h.rhs), f"degreeCheck={deg}")
+        c4_ok = c4rel.degree_check == (Fraction(324), Fraction(324))
+        c4_result = (c4_ok, 324, str(c4rel.degree_check[1]), None)
+    checks.append(_mk("c2h_equals_5h3", "two routes to the cokernel sheaf force c2 h = 5 h^3", *c2h_result))
+    checks.append(_mk("c4_combination", "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324", *c4_result))
 
     vals = {n: chow.hrr_chi(model, model.line(n)) for n in range(-3, 6)}
     ok = all(v == Fraction(n**4, 2) + Fraction(5 * n**2, 2) + 3 for n, v in vals.items())

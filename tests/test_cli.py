@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import chow, cli, lattice, oracles, suites
+from epwcalc import chow, cli, lattice, oracles, quadrics, suites
+from epwcalc.rng import derive_rng
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
 
@@ -114,6 +115,50 @@ def test_an_injected_fault_fails_exactly_its_check(suite, cid, monkeypatch):
     after = {c.id: c.status for c in suites.SUITES[suite](cfg)}
     assert (before[cid], after[cid]) == ("pass", "fail")
     assert {k for k in after if after[k] != before[k]} == {cid}
+
+
+def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
+    """When the relation replay raises, both checks it feeds fail under their
+    own anchors, with the error as `got`; no other check changes."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.run_chow(cfg)}
+
+    def raising(model, emb):
+        raise chow.DerivationError("injected")
+
+    monkeypatch.setattr(chow, "derive_relations", raising)
+    after = {c.id: c for c in suites.run_chow(cfg)}
+    anchors = {(suite, cid): statement for suite, cid, statement in _traceability_rows()}
+    for cid in ("c2h_equals_5h3", "c4_combination"):
+        assert (before[cid], after[cid].status) == ("pass", "fail")
+        assert after[cid].anchor == anchors["chow", cid]
+        assert after[cid].got == "error: injected"
+    assert list(after) == list(before)
+    assert {k for k in after if after[k].status != before[k]} == {"c2h_equals_5h3", "c4_combination"}
+
+
+def test_a_nonsingular_low_rank_point_fails_both_scan_checks(monkeypatch):
+    """A rank <= 2 member off the singular locus of the quartic contradicts
+    the adjugate argument; both scans gate on their count of such points
+    instead of raising inside the scan."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    monkeypatch.setattr(quadrics, "_cubic_values", lambda compiled, t, p: [1, 0, 0, 0])
+    by_id = {c.id: c for c in suites.run_quadrics(cfg)}
+    assert by_id["diagonal_scan_census"].status == "fail"
+    assert by_id["random_scan"].status == "fail" and int(by_id["random_scan"].got) > 0
+    assert by_id["quartic_expansion"].status == "pass"
+
+
+def test_a_zero_point_draw_is_redrawn(tmp_path):
+    """At p = 17 and seed 4776 the Veronese draw meets the zero vector among
+    its first ten points; that point is redrawn, and the suite reports every
+    check as passing instead of raising."""
+    rng = derive_rng(4776, "quadrics.veronese")
+    assert [0, 0, 0, 0] in [[rng.randrange(17) for _ in range(4)] for _ in range(10)]
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "quadrics", "--prime", "17", "--seed", "4776", "--json", str(out)]) == 0
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert len(checks) == 7 and {c["status"] for c in checks} == {"pass"}
 
 
 def test_usage_errors_exit_two():

@@ -463,6 +463,26 @@ def test_free_column_residue_equals_the_full_row_route(field):
         assert all(s.contains(v) for v in inside)
 
 
+@pytest.mark.parametrize("field", (GF(10007), QQ), ids=repr)
+def test_with_vector_equals_the_join_with_its_span(field):
+    """`with_vector` and the join insert their canonical rows through one
+    `_insert`: S.with_vector(v) is S.join(span(v)), pivots included, and S
+    itself when v lies in S."""
+    rnd = random.Random(24)
+    n = 9
+    for dim in (0, 1, 4, 8, 9):
+        s = _random_subspace(field, rnd, n, dim)
+        coeffs = [field.of(rnd.randint(-9, 9)) for _ in s.basis()]
+        inside = field.lincomb(coeffs, s.basis()) if dim else [field.zero] * n
+        outside = [field.of(rnd.randint(-9, 9)) for _ in range(n)]
+        for v in (inside, outside):
+            got = s.with_vector(v)
+            want = s.join(Subspace.from_spanning(field, n, [v]))
+            assert got == want and got.pivots == want.pivots
+            assert (got is s) == s.contains(v)
+        assert s.with_vector(inside) is s
+
+
 @pytest.mark.parametrize("field", (GF(7), F101, QQ), ids=repr)
 def test_cached_block_equals_a_fresh_recomputation(field):
     """The free-column block is built from the rows and cached; it agrees
@@ -590,6 +610,58 @@ def test_fp_rank_equals_the_rref_rank(p):
             assert rank == fpkernel.fp_rref(flat, nrows, ncols, p)[0], (nrows, ncols, rows)
             if nrows == ncols:
                 assert (fpkernel.fp_det(flat, nrows, p) != 0) == (rank == nrows)
+
+
+def _gauss_jordan_reference(a, nrows, ncols, p):
+    """fp_rref's contract by one Gauss-Jordan pass: each pivot row is scaled
+    to 1 and cleared from every other row as soon as it is found."""
+    m = [x % p for x in a]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i * ncols + col]), -1)
+        if piv < 0:
+            continue
+        if piv != r:
+            for c in range(ncols):
+                m[r * ncols + c], m[piv * ncols + c] = m[piv * ncols + c], m[r * ncols + c]
+        base = r * ncols
+        inv = pow(m[base + col], -1, p)
+        for c in range(col, ncols):
+            m[base + c] = m[base + c] * inv % p
+        for i in range(nrows):
+            f = m[i * ncols + col]
+            if i != r and f:
+                row = i * ncols
+                for c in range(col, ncols):
+                    m[row + c] = (m[row + c] - f * m[base + c]) % p
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, m
+
+
+RREF_SHAPES = KERNEL_SHAPES + [(1, 1), (3, 12), (12, 3), (1, 7), (7, 1)]
+
+
+@pytest.mark.parametrize("p", [17, 10007, 2**61 - 1], ids=["17", "10007", "2^61-1"])
+def test_fp_rref_equals_the_gauss_jordan_reference(p):
+    """fp_rref is the forward pass plus back-substitution; it must give the
+    Gauss-Jordan result exactly, on square, wide and tall shapes, rank
+    deficient ones, ones with a zero row, unreduced entries and no rows."""
+    rng = random.Random(p + 2)
+    for nrows, ncols in RREF_SHAPES:
+        for rows in _kernel_cases(rng, p, nrows, ncols):
+            zero_row = [list(r) for r in rows]
+            zero_row[nrows // 2] = [0] * ncols
+            unreduced = [[x - p * rng.randrange(-2, 3) for x in r] for r in rows]
+            for case in (rows, zero_row, unreduced):
+                flat = [x for r in case for x in r]
+                want = _gauss_jordan_reference(flat, nrows, ncols, p)
+                assert fpkernel.fp_rref(flat, nrows, ncols, p) == want, (nrows, ncols, case)
+    for ncols in (0, 1, 5):
+        assert fpkernel.fp_rref([], 0, ncols, p) == _gauss_jordan_reference([], 0, ncols, p) == (0, [], [])
 
 
 def test_qq_det_and_rank_equal_the_fraction_reference():

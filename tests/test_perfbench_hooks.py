@@ -1,10 +1,11 @@
 """The benchmark's tracer patches functions of the package by name, so a
 rename in `src/` would break `perfbench/run.py --trace 1` without failing any
-test of the package itself. This checks every name it patches, and pins the
+test of the package itself. This checks every name it patches, pins the
 output of one `rational_qq` op, so that the QQ layer's results stay
-byte-identical."""
+byte-identical, and runs the benchmark's own F_p kernel self-check."""
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -72,4 +73,20 @@ def test_rational_qq_ops_pass_their_own_verification():
             found = op.verify(inputs, op.run(inputs))
             if found:
                 problems[workloads.op_seed(seed, k)] = found
+    assert not problems, problems
+
+
+def test_kernel_self_check_finds_no_problem():
+    """The F_p kernel self-check that `perfbench/run.py` runs only under
+    `--trace 1`, on the inputs it draws at the default seed 7: at each shape,
+    det != 0 exactly at full rank, rref has as many pivots as the rank, and
+    rref is idempotent. The timing loop is not run."""
+    kernels = _load("kernels")
+    rng = random.Random(7)
+    problems = [
+        f"{name}: {problem}"
+        for name, kind, rows, cols, _ in kernels.SHAPES
+        for a in kernels._inputs(rng, rows, cols)
+        for problem in kernels._problems(kind, a, rows, cols)
+    ]
     assert not problems, problems
