@@ -280,77 +280,48 @@ class SymplecticSpace:
         return out
 
     def lagrangian_completion(self, s: Subspace, rng) -> Subspace:
-        """A Lagrangian containing the isotropic s, grown by random vectors
-        of perp(current) \\ current; any such vector keeps isotropy. This is
-        for seeded starts; a Lagrangian drawn from nothing comes from
-        `random_lagrangian`.
+        """A random Lagrangian containing the isotropic s: `graph_lagrangian`
+        of a symmetric M, with no elimination and no retry.
 
-        Only perp(s) is eliminated. Each step then updates both canonical
-        RREFs by rank one: the pool perp(current) is cut by the hyperplane
-        form(·, cand) = 0, and cand is inserted into current. Canonical RREF
-        is unique, so every pool, draw and result is the one that
-        re-eliminating both at each step would give.
-
-        The pool is held as its pivot list and its free columns, stored by
-        column; its pivot columns are read, not computed. A draw
-        sum r_i * row_i is r_i at pivot i and one dot product with r at each
-        free column, and the pairings form(row_i, cand) are one combination
-        of the free columns."""
+        z lies in graph(M) exactly when x M = y, with x = z[0..9] and
+        y_b = s_b z[j_b], (j_b, s_b) = COMP3[b]. A canonical row of s with
+        pivot a has x 1 at a and 0 at the other pivots, so with F the columns
+        0..9 that are not pivots, it lies in graph(M) exactly when
+        M[a][b] = y_b - sum_{f in F} x_f M[f][b]. M is drawn on F x F on and
+        above the diagonal, row-major ((10 - k)(11 - k)/2 draws for
+        dim s = k), and set by that rule for b in F, then for b a pivot;
+        isotropy of s makes it symmetric. A seed that meets
+        L' = wedge^3 <e_1..e_5> (a pivot >= 10) lies in no graph and raises
+        ValueError; callers redraw it."""
         if not self.is_isotropic(s):
             raise ValueError("input subspace is not isotropic")
+        if s.pivots and s.pivots[-1] >= 10:
+            raise ValueError("input subspace meets wedge^3 <e_1..e_5>: no graph contains it")
         F = self.field
-        pool = self.perp(s)
-        free, block = pool._free_block()
-        pivots, free = list(pool.pivots), list(free)
-        cols = [list(col) for col in zip(*block)]
-        current = s
-        while current.dim < 10:
-            for _ in range(64):
-                r = [F.random(rng) for _ in pivots]
-                cand = [F.zero] * DIM3
-                for pc, x in zip(pivots, r):
-                    cand[pc] = x
-                for fc, col in zip(free, cols):
-                    cand[fc] = F.dot(r, col)
-                grown = current.with_vector(cand)
-                if grown.dim > current.dim:
-                    break
-            else:
-                raise RuntimeError("failed to extend isotropic subspace")
-            # cut the pool by form(·, cand) = 0: drop the last row j that
-            # pairs to f_j != 0 with cand and clear it from the others; some
-            # row pairs nonzero as cand is not in current = perp(pool). Row
-            # j's pivot becomes a free column holding -f_i / f_j; every row i
-            # with f_i != 0 has i < j, so that column lies right of their
-            # pivots and the cut pool stays canonical.
-            dual = self.form_row(cand)
-            f = F.lincomb([1, *(dual[fc] for fc in free)], [[dual[pc] for pc in pivots], *cols])
-            j = max(i for i, x in enumerate(f) if x)
-            inv = F.inv(f[j])
-            cols = [F.axpy(col, F.neg(F.mul(col[j], inv)), f) for col in cols]
-            cols.append(F.lincomb([F.neg(inv)], [f]))
-            free.append(pivots.pop(j))
-            for col in cols:
-                del col[j]
-            current = grown
-        assert self.is_lagrangian(current)
-        return current
+        pivots = s.pivots
+        free = [c for c in range(10) if c not in pivots]
+        m = [[None] * 10 for _ in range(10)]
+        for i, a in enumerate(free):
+            for b in free[i:]:
+                m[a][b] = m[b][a] = F.random(rng)
+        rows = [(a, r, [r[f] for f in free]) for a, r in zip(pivots, s.basis())]
+        for b in free + list(pivots):
+            j, sg = COMP3[b]
+            col = [m[f][b] for f in free]
+            for a, r, x in rows:
+                y = r[j] if sg > 0 else F.neg(r[j])
+                m[a][b] = m[b][a] = F.sub(y, F.dot(x, col))
+        out = graph_lagrangian(F, m)
+        assert self.is_lagrangian(out) and out.contains_subspace(s)
+        return out
 
     def random_lagrangian(self, rng) -> Subspace:
-        """`graph_lagrangian` of a random symmetric 10x10 matrix, drawn
-        entry by entry on and above the diagonal, row-major (55 `random`
-        calls). Every Lagrangian transverse to L' = wedge^3 <e_1..e_5> is
-        such a graph, and a uniform Lagrangian misses this chart with
-        probability about 1/p. Nothing is eliminated: the rows already are
-        canonical, and the assert checks isotropy by the general route."""
-        F = self.field
-        m = [[None] * 10 for _ in range(10)]
-        for a in range(10):
-            for b in range(a, 10):
-                m[a][b] = m[b][a] = F.random(rng)
-        out = graph_lagrangian(F, m)
-        assert self.is_lagrangian(out)
-        return out
+        """`lagrangian_completion` of 0: `graph_lagrangian` of a random
+        symmetric 10x10 matrix, drawn entry by entry on and above the
+        diagonal, row-major (55 `random` calls). Every Lagrangian transverse
+        to L' = wedge^3 <e_1..e_5> is such a graph, and a uniform Lagrangian
+        misses this chart with probability about 1/p."""
+        return self.lagrangian_completion(Subspace.zero(self.field, DIM3), rng)
 
     # -- decomposable forms -------------------------------------------------
 

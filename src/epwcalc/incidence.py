@@ -111,11 +111,9 @@ def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
     return pencil
 
 
-def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace, require_agreement=True) -> int:
-    """Dimension of the pairs of quadratic forms on A and B that agree on
-    the common 9-dimensional core (65 for half-dimension 10); with the
-    agreement dropped, the two forms are free (110)."""
-    F = space.field
+def _omega_cores(space: SymplecticSpace, A: Subspace, B: Subspace):
+    """(RA, RB): the coordinates of the common 9-dimensional core's basis in
+    A and in B, the inputs of the agreement system `_omega_rows`."""
     if not (space.is_lagrangian(A) and space.is_lagrangian(B)):
         raise PreconditionError("both subspaces must be Lagrangian")
     if A == B:
@@ -123,11 +121,20 @@ def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace, require_
     u = A.meet(B)
     if u.dim != 9:
         raise PreconditionError(f"common core has dimension {u.dim}, need 9")
-    if not require_agreement:
-        return 110
-    RA = [A.coords_of(r) for r in u.basis()]
-    RB = [B.coords_of(r) for r in u.basis()]
-    return _kernel_dim(F, _omega_rows, (RA, RB), 110)
+    return [A.coords_of(r) for r in u.basis()], [B.coords_of(r) for r in u.basis()]
+
+
+def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
+    """Dimension of the pairs of quadratic forms on A and B that agree on
+    the common 9-dimensional core (65 for half-dimension 10), out of the
+    110 of two free forms."""
+    return _kernel_dim(space.field, _omega_rows, _omega_cores(space, A, B), 110)
+
+
+def omega_unknowns(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
+    """The number of unknowns of the agreement system of `omega_tangent_dim`:
+    the upper coordinates of one free quadratic form on each side (110)."""
+    return len(_omega_rows(space.field, *_omega_cores(space, A, B))[0])
 
 
 def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, require_full=True) -> int:
@@ -209,7 +216,8 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
             continue
         beta = ExteriorVector(F, 2, [F.random(rng) for _ in range(15)])
         alpha = v.wedge(beta)
-        if alpha.is_zero():
+        # alpha = 0, or alpha in wedge^3 <e_1..e_5>, has no completion
+        if not any(alpha.coords[:10]):
             continue
         seed_sub = Subspace.from_spanning(F, DIM3, [alpha.coords])
         A = space.lagrangian_completion(seed_sub, rng)

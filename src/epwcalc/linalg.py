@@ -279,7 +279,8 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
-        return cls.from_spanning(field, ambient, [])
+        """The trusted `from_rref` of no rows: no Matrix is coerced."""
+        return cls.from_rref(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
@@ -564,8 +565,7 @@ def smallest_root(coeffs, p):
     r + a, s + a is a nonzero square, which holds for at least (p - 1)/2 of
     the p shifts; the Weil bound on incomplete character sums caps a run of
     consecutive shifts that all fail for one pair at O(sqrt(p) log p), and a
-    few shifts suffice in practice. Over F_2, g divides x^2 - x and its roots
-    are read off directly.
+    few shifts suffice in practice.
     """
     f = _trim([c % p for c in coeffs])
     if not f:
@@ -577,8 +577,6 @@ def smallest_root(coeffs, p):
     w += [0] * (2 - len(w))
     w[1] = (w[1] - 1) % p
     g = _gcd_monic(f, _trim(w), p)
-    if p == 2:
-        return next((t for t, v in ((0, g[0]), (1, sum(g) % 2)) if v == 0), None)
     roots = []
     todo = [(g, 0)]
     while todo:

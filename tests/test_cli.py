@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from epwcalc import chow, cli, lattice, oracles, quadrics, suites
+from epwcalc.exterior import DIM3, SymplecticSpace
+from epwcalc.linalg import Subspace
 from epwcalc.rng import derive_rng
+from epwcalc.scalars import GF
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
 
@@ -159,6 +162,23 @@ def test_a_zero_point_draw_is_redrawn(tmp_path):
     assert cli.main(["run", "quadrics", "--prime", "17", "--seed", "4776", "--json", str(out)]) == 0
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
     assert len(checks) == 7 and {c["status"] for c in checks} == {"pass"}
+
+
+def test_a_seed_off_the_chart_is_redrawn(tmp_path):
+    """At p = 17 and seed 594 the first 3-space that `sigma_membership`
+    draws has its wedge cube in wedge^3 <e_1..e_5>, which no completion
+    contains; that 3-space is redrawn, and the suite reports every check as
+    passing instead of raising."""
+    sp = SymplecticSpace(GF(17))
+    rng = derive_rng(594, "epw.sigma")
+    cube = sp.decomposable_of(suites._random_subspace(sp.field, rng, 6, 3)).coords
+    assert not any(cube[:10])
+    with pytest.raises(ValueError):
+        sp.lagrangian_completion(Subspace.from_spanning(sp.field, DIM3, [cube]), rng)
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "epw", "--prime", "17", "--seed", "594", "--json", str(out)]) == 0
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert {c["status"] for c in checks} == {"pass"}
 
 
 def test_usage_errors_exit_two():

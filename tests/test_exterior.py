@@ -17,6 +17,7 @@ from epwcalc.exterior import (
     merge_sign,
     vol,
 )
+from epwcalc.incidence import pencil_through
 from epwcalc.linalg import Subspace
 from epwcalc.scalars import GF, QQ, FieldMismatch
 from epwcalc.rng import derive_rng
@@ -198,76 +199,10 @@ def test_lagrangian_completion(rng):
     )
     with pytest.raises(ValueError):
         SP.lagrangian_completion(not_isotropic, rng)
-
-
-def _completion_by_reelimination(space, s, rng):
-    """The completion loop that re-eliminates at every step: perp(current)
-    by a kernel, and current + cand by a fresh RREF of its spanning set."""
-    F = space.field
-    current = s
-    while current.dim < 10:
-        pool = space.perp(current)
-        for _ in range(64):
-            coeffs = [F.random(rng) for _ in range(pool.dim)]
-            cand = [F.zero] * DIM3
-            for c, row in zip(coeffs, pool.basis()):
-                cand = [F.add(x, F.mul(c, y)) for x, y in zip(cand, row)]
-            if not current.contains(cand):
-                break
-        else:
-            raise RuntimeError("failed to extend isotropic subspace")
-        current = Subspace.from_spanning(F, DIM3, list(current.basis()) + [cand])
-    return current
-
-
-@pytest.mark.parametrize(
-    "field", [GF(10007), GF(101), GF(7), GF(2**61 - 1), QQ], ids=["GF10007", "GF101", "GF7", "GF2^61-1", "QQ"]
-)
-def test_completion_updates_match_reelimination(field, monkeypatch):
-    """The completion's pool, held by free column and cut by rank one, draws
-    and grows exactly as re-eliminating perp(current) at every step would.
-    Over GF(7) a draw from the 11-dimensional pool of the 9-dimensional core
-    lands in the core with probability 7^-2, so 25 seeds there exercise the
-    retried draws."""
-    draws = []
-    insert = Subspace.with_vector
-
-    def counted(self, vec):
-        grown = insert(self, vec)
-        draws.append(grown is self)
-        return grown
-
-    monkeypatch.setattr(Subspace, "with_vector", counted)
-    space = SymplecticSpace(field)
-    rnd = derive_rng(41, f"completion.{field!r}")
-    lag = _completion_by_reelimination(space, Subspace.zero(field, DIM3), rnd)
-    while True:
-        line = rand_vec(field, 1, rnd) ^ rand_vec(field, 2, rnd)
-        if not line.is_zero():
-            break
-    while True:
-        # five random vectors of a Lagrangian span an isotropic 5-space
-        five = Subspace.from_spanning(
-            field, DIM3, [field.lincomb([field.random(rnd) for _ in range(10)], lag.basis()) for _ in range(5)]
-        )
-        if five.dim == 5:
-            break
-    starts = {
-        "zero": Subspace.zero(field, DIM3),
-        "line": Subspace.from_spanning(field, DIM3, [line.coords]),
-        "five": five,
-        "core": Subspace.from_spanning(field, DIM3, lag.basis()[:9]),
-    }
-    for name, start in starts.items():
-        for seed in range(25 if name == "core" and field == GF(7) else 2):
-            ours, theirs = derive_rng(seed, name), derive_rng(seed, name)
-            got = space.lagrangian_completion(start, ours)
-            want = _completion_by_reelimination(space, start, theirs)
-            assert got == want and got.pivots == want.pivots
-            assert got.contains_subspace(start)
-            assert ours.random() == theirs.random()
-    if field == GF(7):
-        assert any(draws), "no draw was retried"
+    # e_123 lies in wedge^3 <e_1..e_5>, which no graph meets
+    off_chart = Subspace.from_spanning(F, DIM3, [ExteriorVector.basis(F, 1, 2, 3).coords])
+    with pytest.raises(ValueError):
+        SP.lagrangian_completion(off_chart, rng)
 
 
 CHART_FIELDS = [GF(7), GF(10007), GF(2**61 - 1), QQ]
@@ -282,24 +217,78 @@ def _chart_matrix(field, lag):
 
 @pytest.mark.parametrize("field", CHART_FIELDS, ids=CHART_IDS)
 def test_completions_in_the_chart_are_graphs_of_symmetric_matrices(field):
-    """A completion from zero with pivots 0..9 is transverse to
+    """A completion from zero has pivots 0..9, so it is transverse to
     wedge^3 <e_1..e_5>: the matrix read off its free block is symmetric and
     its graph is that completion. Breaking the symmetry of one entry breaks
     isotropy."""
     space = SymplecticSpace(field)
-    in_chart = 0
     for seed in range(8):
         lag = space.lagrangian_completion(Subspace.zero(field, DIM3), derive_rng(seed, "chart.completion"))
-        if lag.pivots != tuple(range(10)):
-            continue
-        in_chart += 1
         m = _chart_matrix(field, lag)
         assert all(m[a][b] == m[b][a] for a in range(10) for b in range(a))
         graph = graph_lagrangian(field, m)
         assert graph == lag and graph.pivots == lag.pivots
         m[2][7] = field.add(m[2][7], field.one)
         assert not space.is_lagrangian(graph_lagrangian(field, m))
-    assert in_chart >= 4
+
+
+def _completion_starts(field, rnd):
+    """Isotropic starts of dimension 0, 1, 5, 9 and 10, all transverse to
+    wedge^3 <e_1..e_5>: zero, the line of a random v ^ beta, five random
+    vectors of a random Lagrangian, its first nine rows, and itself."""
+    space = SymplecticSpace(field)
+    lag = space.random_lagrangian(rnd)
+    while True:
+        line = rand_vec(field, 1, rnd) ^ rand_vec(field, 2, rnd)
+        if any(line.coords[:10]):
+            break
+    while True:
+        five = Subspace.from_spanning(
+            field, DIM3, [field.lincomb([field.random(rnd) for _ in range(10)], lag.basis()) for _ in range(5)]
+        )
+        if five.dim == 5:
+            break
+    return {
+        "zero": Subspace.zero(field, DIM3),
+        "line": Subspace.from_spanning(field, DIM3, [line.coords]),
+        "five": five,
+        "core": Subspace.from_spanning(field, DIM3, lag.basis()[:9]),
+        "full": lag,
+    }
+
+
+@pytest.mark.parametrize("field", CHART_FIELDS, ids=CHART_IDS)
+def test_completion_is_a_chart_lagrangian_through_its_start(field):
+    """From a start of dimension k the completion is Lagrangian, contains the
+    start, has pivots 0..9, lies in perp(start), and leaves the rng where
+    (10 - k)(11 - k)/2 `random` calls leave a twin."""
+    space = SymplecticSpace(field)
+    for name, start in _completion_starts(field, derive_rng(41, f"completion.{field!r}")).items():
+        k = start.dim
+        for seed in range(2):
+            rnd, twin = derive_rng(seed, name), derive_rng(seed, name)
+            got = space.lagrangian_completion(start, rnd)
+            assert space.is_lagrangian(got) and got.contains_subspace(start)
+            assert got.pivots == tuple(range(10))
+            assert space.perp(start).contains_subspace(got)
+            for _ in range((10 - k) * (11 - k) // 2):
+                field.random(twin)
+            assert rnd.getstate() == twin.getstate()
+
+
+def test_completions_of_a_core_reach_every_chart_member_of_its_pencil():
+    """Over GF(7) the Lagrangians through a 9-dimensional core form a pencil
+    of 8; its members transverse to wedge^3 <e_1..e_5> are the completions
+    of the core, which draw one scalar. 60 seeds reach all of them."""
+    field = GF(7)
+    space = SymplecticSpace(field)
+    core = Subspace.from_spanning(field, DIM3, space.random_lagrangian(derive_rng(3, "pencil.lag")).basis()[:9])
+    pencil = pencil_through(space, core)
+    members = {pencil.member(1, t) for t in range(7)} | {pencil.member(0, 1)}
+    chart = {m for m in members if m.pivots == tuple(range(10))}
+    assert len(members) == 8 and len(chart) == 7
+    reached = {space.lagrangian_completion(core, derive_rng(seed, "pencil.completion")) for seed in range(60)}
+    assert reached == chart
 
 
 @pytest.mark.parametrize("field", CHART_FIELDS, ids=CHART_IDS)

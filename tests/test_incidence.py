@@ -92,7 +92,27 @@ def test_omega_tangent_dim_65(rng):
         if B == A:
             B = pen.member(1, 2)
         assert incidence.omega_tangent_dim(SP, A, B) == 65
-        assert incidence.omega_tangent_dim(SP, A, B, require_agreement=False) == 110
+        assert incidence.omega_unknowns(SP, A, B) == 110
+
+
+def test_omega_unconstrained_fails_when_the_restriction_drops_its_diagonal(rng, monkeypatch):
+    """`omega_unconstrained` gates on `omega_unknowns`, the width of the
+    agreement system as built. With the diagonal entries (k = l) dropped from
+    `_restriction_rows`, each side keeps 45 of its 55 unknowns, and the
+    check's 110 is not met."""
+    A, u = lag_and_hyperplane(SP, rng)
+    pen = incidence.pencil_through(SP, u)
+    B = pen.member(1, 1)
+    if B == A:
+        B = pen.member(1, 2)
+    restriction = incidence._restriction_rows
+    diagonal = {k * 10 - k * (k - 1) // 2 for k in range(10)}
+
+    def faulty(field, R, i, j):
+        return [x for c, x in enumerate(restriction(field, R, i, j)) if c not in diagonal]
+
+    monkeypatch.setattr(incidence, "_restriction_rows", faulty)
+    assert incidence.omega_unknowns(SP, A, B) == 90
 
 
 def test_omega_tangent_dim_over_qq(rng):
