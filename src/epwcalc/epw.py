@@ -4,17 +4,27 @@ A fixed Lagrangian A pairs against the fibers v ^ (2-vectors) through the
 symplectic form; the resulting 10x10 determinant cuts a degree-6
 hypersurface in the projectivized base space. Degree claims are checked on
 lines by exact interpolation, never by expanding the 6-variable polynomial.
+
+The pairing is held as data: per chart, six 10x10 matrices M_s with
+M(v) = sum v_s M_s (`EpwLagrangian.pencil`), and over QQ the same pencil on
+integers over one common denominator, so a QQ pairing determinant is one
+integer Bareiss pass. The point search restricts the determinant to a line
+p + t q by a rank-6 factorization M(q) = U R, read off q, and a 6x6
+characteristic polynomial (`sextic_from_factorization`); `sextic_on_line`
+keeps the 11-point interpolation as the independent route.
 """
 
 from bisect import bisect_left
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from .exterior import DIM3, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol, wedge_table
+from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol, wedge_table
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
-from .linalg import Matrix, Subspace, interpolate_univariate, poly_eval, smallest_root
-from .scalars import PrimeField
+from .linalg import Matrix, Subspace, _bareiss, charpoly, interpolate_univariate, poly_eval, smallest_root
+from .scalars import PrimeField, _combination, _numerators
 
 
 class ChartError(ValueError):
@@ -35,7 +45,7 @@ def chart_for(field, vcoords) -> int:
 class EpwLagrangian:
     """A Lagrangian subspace of the 3-vector space with a fixed ordered
     basis (its RREF rows), its dual rows against the form and the cached
-    per-chart pairing pencils."""
+    per-chart pairing pencils (over QQ also on integers)."""
 
     def __init__(self, space: SymplecticSpace, subspace: Subspace):
         if not space.is_lagrangian(subspace):
@@ -47,6 +57,7 @@ class EpwLagrangian:
         # dual rows: form(x, a_j) = sum_pos x[pos] * duals[j][pos]
         self.duals = [space.form_row(r) for r in self.basis]
         self._pencils = {}
+        self._int_pencils = {}
 
     def pencil(self, chart):
         """The six flat 10x10 matrices M_0..M_5 with M(v) = sum_s v_s M_s on
@@ -61,6 +72,14 @@ class EpwLagrangian:
                         mats[s][10 * i + j] = dual[pos] if sg > 0 else -dual[pos]
             self._pencils[chart] = mats
         return self._pencils[chart]
+
+    def int_pencil(self, chart):
+        """`pencil(chart)` over QQ as (den, mats): M_s = mats[s] / den, with
+        integer flat matrices over one common denominator of the six."""
+        if chart not in self._int_pencils:
+            den, nums = _numerators([x for m in self.pencil(chart) for x in m])
+            self._int_pencils[chart] = den, [nums[100 * s : 100 * s + 100] for s in range(6)]
+        return self._int_pencils[chart]
 
     def __repr__(self):
         return f"EpwLagrangian(over {self.field!r})"
@@ -89,38 +108,62 @@ def _det10(field, flat):
     return Matrix(field, [flat[i * 10 : (i + 1) * 10] for i in range(10)]).det()
 
 
-def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
-    """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list."""
-    F = A.field
+def _on_chart(F, vcoords, chart):
+    """(coerced v, chart): the chart of v's first nonzero coordinate when
+    none is given; ChartError when v vanishes on the given chart."""
     v = [F.of(x) for x in vcoords]
+    if chart is None:
+        chart = chart_for(F, v)
     if F.is_zero(v[chart]):
         raise ChartError(f"coordinate {chart} vanishes; chart invalid")
-    return F.lincomb(v, A.pencil(chart))
+    return v, chart
+
+
+def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
+    """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list."""
+    v, chart = _on_chart(A.field, vcoords, chart)
+    return A.field.lincomb(v, A.pencil(chart))
 
 
 def pairing_det(A: EpwLagrangian, vcoords, chart=None):
+    """det M(v). Over QQ, v's denominators are cleared once (L), the integer
+    pencil is combined on v's numerators, which gives (L den) M(v) as an
+    integer matrix, and one Bareiss pass on it gives the determinant."""
     F = A.field
-    if chart is None:
-        chart = chart_for(F, [F.of(x) for x in vcoords])
-    return _det10(F, pairing_entries(A, vcoords, chart))
+    v, chart = _on_chart(F, vcoords, chart)
+    if isinstance(F, PrimeField):
+        return _det10(F, F.lincomb(v, A.pencil(chart)))
+    scale, nums = _numerators(v)
+    den, mats = A.int_pencil(chart)
+    flat = _combination(nums, mats)
+    rank, sign, last = _bareiss([flat[i * 10 : (i + 1) * 10] for i in range(10)])
+    return Fraction(sign * last, (scale * den) ** 10) if rank == 10 else F.zero
 
 
-def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
-    """Coefficients of t -> det M(p + t q), asserted of degree <= 6.
-
-    Preconditions: p_c = 1 and q_c = 0 for the chart c, so the whole affine
-    line stays on the chart. M(p + t q) = M(p) + t M(q); eleven samples
-    t = 0..10 pin the polynomial and any inconsistency with the degree
-    bound raises InterpolationError (so does a field with fewer than 11
-    elements, through duplicate abscissae).
-    """
-    F = A.field
+def _line(F, p, q, chart):
+    """(coerced p, coerced q, chart) of the line p + t q, which must satisfy
+    p_c = 1 and q_c = 0 on its chart c (that of p's first nonzero coordinate
+    when none is given), so that the whole affine line stays on the chart."""
     p = [F.of(x) for x in p]
     q = [F.of(x) for x in q]
     if chart is None:
         chart = chart_for(F, p)
     if not F.is_zero(F.sub(p[chart], F.one)) or not F.is_zero(q[chart]):
         raise ChartError("line must satisfy p_c = 1, q_c = 0 on its chart")
+    return p, q, chart
+
+
+def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
+    """Coefficients of t -> det M(p + t q), asserted of degree <= 6.
+
+    Preconditions (`_line`): p_c = 1 and q_c = 0 for the chart c.
+    M(p + t q) = M(p) + t M(q); eleven samples t = 0..10 pin the polynomial
+    and any inconsistency with the degree bound raises InterpolationError
+    (so does a field with fewer than 11 elements, through duplicate
+    abscissae).
+    """
+    F = A.field
+    p, q, chart = _line(F, p, q, chart)
     pencil = A.pencil(chart)
     mp, mq = F.lincomb(p, pencil), F.lincomb(q, pencil)
     samples = []
@@ -128,6 +171,73 @@ def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
         t = F.of(k)
         samples.append((t, _det10(F, F.axpy(mp, t, mq))))
     return interpolate_univariate(F, samples, 6)
+
+
+@cache
+def _rank6_frame(chart, k):
+    """The factorization M(q) = U R on the chart c for q with q_c = 0 and
+    q_k != 0, as (keep, u): keep the indices of the six frame rows whose
+    pair avoids k, which are R, and per frame row the entries
+    (s, sign, column) of U, each being sign * q_s / q_k (s = k and sign 1
+    for the identity on R).
+
+    Row {a, b} of M(q) is linear in q ^ e_a ^ e_b. From
+    q ^ e_k = -(1/q_k) sum_{s != k} q_s q ^ e_s (q ^ q = 0), the row of a
+    pair {k, j} is -(1/q_k) sum_s q_s times the row of {s, j} over the s
+    off {c, k, j} (q_c = 0, and e_j ^ e_j = 0): a signed combination of R."""
+    pairs = [pr for pr in SUBSETS[2] if chart not in pr]
+    keep = [i for i, pr in enumerate(pairs) if k not in pr]
+    column = {pairs[i]: n for n, i in enumerate(keep)}
+    u = []
+    for a, b in pairs:
+        if k not in (a, b):
+            u.append(((k, 1, column[a, b]),))
+            continue
+        j, eps = (b, 1) if a == k else (a, -1)
+        u.append(
+            tuple(
+                (s, -eps if s < j else eps, column[min(s, j), max(s, j)])
+                for s in range(6)
+                if s not in (chart, k, j)
+            )
+        )
+    return tuple(keep), tuple(u)
+
+
+def sextic_from_factorization(A: EpwLagrangian, p, q, chart=None):
+    """The coefficients of `sextic_on_line`, from a rank-6 factorization.
+
+    With q_k != 0, M(q) = U R (`_rank6_frame`), R being six rows of M(q) and
+    U a 10 x 6 matrix read off q, so det(M(p) + t M(q)) = det M(p) det(I_6 +
+    t K) with K = R M(p)^-1 U. One rref of [M(p) | U] gives M(p)^-1 U, and
+    det(I + t K) has the coefficients (-1)^i a_{6-i} of the characteristic
+    polynomial sum a_i x^i of K (`charpoly`). When det M(p) = 0, q = 0 or
+    the field has fewer than 11 elements, this is `sextic_on_line`, which
+    then also raises what it raises."""
+    F = A.field
+    p, q, chart = _line(F, p, q, chart)
+    k = next((s for s, x in enumerate(q) if not F.is_zero(x)), None)
+    pencil = A.pencil(chart)
+    mp = F.lincomb(p, pencil)
+    small = isinstance(F, PrimeField) and F.p < 11
+    d = F.zero if k is None or small else _det10(F, mp)
+    if F.is_zero(d):
+        return sextic_on_line(A, p, q, chart)
+    keep, u = _rank6_frame(chart, k)
+    inv = F.inv(q[k])
+    coeff = [F.mul(x, inv) for x in q]
+    aug = []
+    for i, entries in enumerate(u):
+        row = [F.zero] * 6
+        for s, sg, col in entries:
+            row[col] = coeff[s] if sg > 0 else F.neg(coeff[s])
+        aug.append((*mp[10 * i : 10 * i + 10], *row))
+    red = Matrix._reduced(F, aug, 16).rref()[0]
+    x_cols = list(zip(*[r[10:] for r in red.rows]))
+    mq = F.lincomb(q, pencil)
+    k_rows = [[F.dot(mq[10 * r : 10 * r + 10], col) for col in x_cols] for r in keep]
+    a = charpoly(F, k_rows)
+    return [F.mul(d, a[6 - i] if i % 2 == 0 else F.neg(a[6 - i])) for i in range(7)]
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
@@ -365,7 +475,9 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
     """A point of the sextic over F_p: on random chart-0 lines, the smallest
     root of the restricted sextic, found by `smallest_root` (gcd with
     x^p - x and deterministic splits, no pass over F_p), or t = 0 when the
-    whole line lies on the sextic. Returns (point, lines_tried)."""
+    whole line lies on the sextic. The restriction comes from the rank-6
+    factorization (`sextic_from_factorization`), which interpolates only
+    when the base point lies on the sextic. Returns (point, lines_tried)."""
     F = A.field
     if not isinstance(F, PrimeField):
         raise ValueError("point search needs a prime-field context")
@@ -375,7 +487,7 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
         direction = [0] + [rng.randrange(p) for _ in range(5)]
         if all(x == 0 for x in direction):
             continue
-        root = smallest_root(sextic_on_line(A, base, direction, chart=0), p)
+        root = smallest_root(sextic_from_factorization(A, base, direction, chart=0), p)
         if root is None:
             continue
         v = F.axpy(base, root, direction)

@@ -237,14 +237,32 @@ class SymplecticSpace:
     # -- fibers -----------------------------------------------------------
 
     def fiber(self, v: ExteriorVector) -> Subspace:
-        """The subspace v ^ (2-vectors): Lagrangian of dimension C(5,2) = 10."""
+        """The subspace v ^ (2-vectors): Lagrangian of dimension C(5,2) = 10,
+        written down in canonical RREF with no elimination.
+
+        On the chart c of v's first nonzero coordinate, the frame row
+        v ^ e_i ^ e_j scaled by 1/(+-v_c) is 1 at {c, i, j}, its leading
+        position (v_s = 0 for s < c, and swapping c for a larger s raises a
+        sorted triple), and its other entries sit at triples without c,
+        which are no row's pivot. Sorted by pivot, these rows are the RREF."""
         if v.grade != 1:
             raise GradeError("fiber needs a grade-1 vector")
         if v.is_zero():
             raise ValueError("fiber of the zero vector")
-        s = Subspace._span(self.field, DIM3, frame_rows(self.field, v.coords))
-        assert s.dim == 10
-        return s
+        F = self.field
+        chart = next(c for c, x in enumerate(v.coords) if not F.is_zero(x))
+        w = F.lincomb([F.inv(v.coords[chart])], [v.coords])
+        rows = []
+        for entries in frame_struct(chart):
+            lead, pivot = next((sg, pos) for s, sg, pos in entries if s == chart)
+            row = [F.zero] * DIM3
+            for s, sg, pos in entries:
+                row[pos] = w[s] if sg == lead else F.neg(w[s])
+            rows.append((pivot, tuple(row)))
+        rows.sort()
+        fib = Subspace.from_rref(F, DIM3, [r for _, r in rows], [pc for pc, _ in rows])
+        assert fib.dim == 10
+        return fib
 
     # -- isotropy ---------------------------------------------------------
 

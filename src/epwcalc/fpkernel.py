@@ -37,12 +37,14 @@ def _forward(a, nrows, ncols, p):
         pivval = m[base + col]
         d = d * pivval % p
         inv = _inv(pivval, p)
+        # a zero of the pivot row leaves its column unchanged below
+        nz = [c for c in range(col, ncols) if m[base + c]]
         for i in range(r + 1, nrows):
             f = m[i * ncols + col]
             if f:
                 f = f * inv % p
                 row = i * ncols
-                for c in range(col, ncols):
+                for c in nz:
                     m[row + c] = (m[row + c] - f * m[base + c]) % p
         pivots.append(col)
         r += 1

@@ -10,7 +10,7 @@ construction point by point.
 from dataclasses import dataclass
 
 from .exterior import DIM3, ExteriorVector, SymplecticSpace
-from .linalg import Matrix, Subspace, certified_rank_full
+from .linalg import Matrix, Subspace, certified_rank_full, system_width
 from .scalars import PrimeField
 
 
@@ -61,19 +61,22 @@ def _injective_rows(field, R, coords):
     return rows + [_evaluation_row(field, c) for c in coords]
 
 
-def _kernel_dim(field, build, inputs, ncols):
-    """dim ker of the system build(field, *inputs) in ncols unknowns. Over QQ
-    the system is first built over GF(10007) from the inputs reduced mod
-    10007; when it has full rank there, that certifies the kernel dimension
-    (`certified_rank_full`). Otherwise the QQ system is built and eliminated
-    by exact Bareiss."""
+def _kernel_dim(field, build, inputs):
+    """dim ker of the system build(field, *inputs), in as many unknowns as
+    its rows are wide (`system_width`: rows of unequal width raise
+    ShapeError). Over QQ the system is first built over GF(10007) from the
+    inputs reduced mod 10007; when it has full rank there, that certifies
+    the kernel dimension (`certified_rank_full`). Otherwise the QQ system is
+    built and eliminated by exact Bareiss."""
     if not isinstance(field, PrimeField):
-        nrows = certified_rank_full(build, inputs)
-        if nrows is not None:
+        shape = certified_rank_full(build, inputs)
+        if shape is not None:
+            nrows, ncols = shape
             return ncols - nrows
     # the rows are sums and products of canonical coordinates: trusted
-    rows = build(field, *inputs)
-    return ncols - Matrix._reduced(field, [tuple(r) for r in rows], ncols).rank()
+    rows = [tuple(r) for r in build(field, *inputs)]
+    ncols = system_width(rows)
+    return ncols - Matrix._reduced(field, rows, ncols).rank()
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,13 @@ def omega_tangent_dim(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
     """Dimension of the pairs of quadratic forms on A and B that agree on
     the common 9-dimensional core (65 for half-dimension 10), out of the
     110 of two free forms."""
-    return _kernel_dim(space.field, _omega_rows, _omega_cores(space, A, B), 110)
+    return _kernel_dim(space.field, _omega_rows, _omega_cores(space, A, B))
 
 
 def omega_unknowns(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
     """The number of unknowns of the agreement system of `omega_tangent_dim`:
     the upper coordinates of one free quadratic form on each side (110)."""
-    return len(_omega_rows(space.field, *_omega_cores(space, A, B))[0])
+    return system_width(_omega_rows(space.field, *_omega_cores(space, A, B)))
 
 
 def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, require_full=True) -> int:
@@ -161,7 +164,7 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
     if require_full and len(coords) != 10:
         raise PreconditionError(f"need 10 alphas, got {len(coords)} (relaxed mode only)")
     R = [B.coords_of(r) for r in u.basis()]
-    return _kernel_dim(F, _injective_rows, (R, coords), 55)
+    return _kernel_dim(F, _injective_rows, (R, coords))
 
 
 def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:

@@ -17,9 +17,10 @@ needs: a kernel off the rref of the matrix with its columns reversed, a
 meet off the kernel of the residues modulo the other side's canonical
 basis, a join off their rref. A join and `with_vector` share one insert of
 canonical rows into a canonical basis, `Subspace._insert`. The univariate
-polynomial helpers sit together at the end: interpolation, evaluation and
-degree over either field, and `smallest_root`, a gcd-and-split root finder
-over F_p that takes no pass over the field.
+polynomial helpers sit together at the end: interpolation, evaluation,
+degree and the Hessenberg characteristic polynomial over either field, and
+`smallest_root`, a gcd-and-split root finder over F_p that takes no pass
+over the field.
 """
 
 from bisect import bisect_left
@@ -497,6 +498,50 @@ def poly_degree(field, coeffs) -> int:
     return -1
 
 
+def charpoly(field, rows):
+    """Coefficients (constant first, monic) of det(x I - K) for the square
+    matrix K with these rows of field elements, with no division by a
+    polynomial (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).
+
+    K is brought to upper Hessenberg form H by similarities: per column m - 1
+    a nonzero entry at or below the subdiagonal is swapped onto it (rows and
+    columns m and i), and each row below it is cleared by a row operation
+    paired with the inverse column operation. The characteristic polynomials
+    p_m of the leading m x m blocks of H then follow from the expansion along
+    column m: p_m = (x - h_mm) p_{m-1} - sum_{i < m} h_im h_{i+1,i}..h_{m,m-1}
+    p_{i-1} (1-indexed)."""
+    F = field
+    n = len(rows)
+    h = [list(r) for r in rows]
+    for m in range(1, n - 1):
+        i = next((r for r in range(m, n) if not F.is_zero(h[r][m - 1])), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = F.inv(h[m][m - 1])
+        for r in range(m + 1, n):
+            u = F.mul(h[r][m - 1], inv)
+            if not F.is_zero(u):
+                h[r] = F.axpy(h[r], F.neg(u), h[m])
+                for row in h:
+                    row[m] = F.add(row[m], F.mul(u, row[r]))
+    polys = [[F.one]]
+    for m in range(n):
+        coeffs = [F.one, F.neg(h[m][m])]
+        terms = [[F.zero, *polys[m]], [*polys[m], F.zero]]
+        t = F.one
+        for i in range(m - 1, -1, -1):
+            t = F.mul(t, h[i + 1][i])
+            coeffs.append(F.neg(F.mul(t, h[i][m])))
+            terms.append(polys[i] + [F.zero] * (m + 1 - i))
+        polys.append(F.lincomb(coeffs, terms))
+    return polys[n]
+
+
 # -- roots over F_p: plain int lists, constant coefficient first, in [0, p) --
 
 
@@ -596,8 +641,9 @@ def smallest_root(coeffs, p):
 
 
 def certified_rank_full(build, inputs):
-    """The row count of the QQ system build(QQ, *inputs) when it provably
-    has full row rank, else None; the QQ system itself is not built.
+    """(row count, `system_width`) of the QQ system build(QQ, *inputs) when
+    it provably has full row rank, else None; the QQ system itself is not
+    built.
 
     `build(field, *inputs)` makes the rows by sums and products (with
     integer coefficients) of the entries of `inputs`, lists of coordinate
@@ -615,5 +661,14 @@ def certified_rank_full(build, inputs):
     except ZeroDivisionError:
         return None
     rows = [tuple(r) for r in build(F, *reduced)]
-    ncols = len(rows[0]) if rows else 0
-    return len(rows) if Matrix._reduced(F, rows, ncols).rank() == len(rows) else None
+    ncols = system_width(rows)
+    return (len(rows), ncols) if Matrix._reduced(F, rows, ncols).rank() == len(rows) else None
+
+
+def system_width(rows) -> int:
+    """The number of unknowns of a linear system: the common length of its
+    rows (0 without rows). Rows of unequal width raise ShapeError."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ShapeError(f"system rows of unequal widths {sorted(widths)}")
+    return widths.pop() if widths else 0

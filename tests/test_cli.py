@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import chow, cli, lattice, oracles, quadrics, suites
+from epwcalc import chow, cli, epw, lattice, oracles, quadrics, suites
 from epwcalc.exterior import DIM3, SymplecticSpace
 from epwcalc.linalg import Subspace
 from epwcalc.rng import derive_rng
@@ -100,11 +100,23 @@ def _fault_c2_pairing(monkeypatch):
     monkeypatch.setattr(lattice.BBLattice, "c2_pairing", lambda self, a, b: pairing(self, a, b) + (a != b))
 
 
+def _fault_sextic_top_coefficient(monkeypatch):
+    """The 11-point route with its t^6 coefficient zeroed. The point search
+    runs on the factored route, so only the degree check reads this one."""
+    sextic = epw.sextic_on_line
+
+    def faulty(A, p, q, chart=None):
+        return [*sextic(A, p, q, chart)[:6], A.field.zero]
+
+    monkeypatch.setattr(epw, "sextic_on_line", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
     ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
     ("bbf", "deg6_functional"): _fault_c2_pairing,
+    ("epw", "sextic_degree"): _fault_sextic_top_coefficient,
 }
 
 

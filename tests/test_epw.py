@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -520,3 +521,129 @@ def test_chart_for_picks_smallest_nonzero_index():
     assert epw.chart_for(F, [5, 0, 0, 0, 0, 0]) == 0
     with pytest.raises(ValueError):
         epw.chart_for(F, [0] * 6)
+
+
+@pytest.mark.parametrize("p", [17, 10007, 2**61 - 1], ids=["GF17", "GF10007", "GF2^61-1"])
+def test_factored_sextic_equals_the_interpolated_one(p):
+    """72 lines per field, 216 in all: on each of the six charts, q with one
+    nonzero coordinate at each position off the chart, and seven random q."""
+    K = GF(p)
+    sp = SymplecticSpace(K)
+    rnd = derive_rng(40, f"factored.{p}")
+    A = epw.random_lagrangian_datum(sp, rnd)
+    lines = 0
+    for chart in range(6):
+        for n in range(12):
+            base = [K.random(rnd) for _ in range(6)]
+            base[chart] = K.one
+            if n < 5:
+                q = [K.zero] * 6
+                q[[s for s in range(6) if s != chart][n]] = K.random(rnd) or K.one
+            else:
+                q = [K.random(rnd) for _ in range(6)]
+                q[chart] = K.zero
+            assert epw.sextic_from_factorization(A, base, q, chart) == epw.sextic_on_line(A, base, q, chart)
+            lines += 1
+    assert lines == 72
+
+
+def test_factored_sextic_over_qq_with_fractional_lines():
+    rnd = derive_rng(41, "factored.qq")
+    A = epw.random_lagrangian_datum(SymplecticSpace(QQ), rnd)
+    for chart in (0, 3, 5):
+        base = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(6)]
+        q = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(6)]
+        base[chart], q[chart] = Fraction(1), Fraction(0)
+        assert epw.sextic_from_factorization(A, base, q, chart) == epw.sextic_on_line(A, base, q, chart)
+
+
+def test_factored_sextic_falls_back_at_a_base_point_on_the_sextic(datum, monkeypatch):
+    """det M(p) = 0 at a point from `find_point_on_Y`: the factorization has
+    no M(p)^-1, and the 11-point route gives the coefficients."""
+    rnd = derive_rng(42, "fallback")
+    base = list(epw.find_point_on_Y(datum, rnd).coords)
+    assert base[0] == 1 and epw.pairing_det(datum, base, 0) == 0
+    q = [0] + [F.random(rnd) for _ in range(5)]
+    expected = epw.sextic_on_line(datum, base, q, 0)
+    calls = []
+    interpolated = epw.sextic_on_line
+    monkeypatch.setattr(epw, "sextic_on_line", lambda *a: calls.append(a) or interpolated(*a))
+    assert epw.sextic_from_factorization(datum, base, q, 0) == expected
+    assert len(calls) == 1 and expected[0] == 0
+
+
+def test_factored_sextic_raises_where_the_interpolated_one_raises(datum):
+    small = GF(7)
+    sp = SymplecticSpace(small)
+    A7 = epw.EpwLagrangian(sp, sp.random_lagrangian(derive_rng(25, "gf7")))
+    cases = [
+        (A7, [1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5], None),
+        (datum, [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], 0),
+        (datum, [2, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], 0),
+        (datum, [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], 0),
+        (datum, [0] * 6, [0, 1, 0, 0, 0, 0], None),
+    ]
+    for A, p, q, chart in cases:
+        errors = []
+        for route in (epw.sextic_on_line, epw.sextic_from_factorization):
+            with pytest.raises(ValueError) as info:
+                route(A, p, q, chart)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+
+def test_point_search_interpolates_nothing_off_the_sextic(datum, monkeypatch):
+    """Every base point drawn has det M(p) != 0, and no line of the search
+    goes through the 11-point interpolation."""
+    bases, interpolations = [], []
+    factored = epw.sextic_from_factorization
+    interpolate = epw.interpolate_univariate
+
+    def recording(A, p, q, chart=None):
+        bases.append(p)
+        return factored(A, p, q, chart)
+
+    monkeypatch.setattr(epw, "sextic_from_factorization", recording)
+    monkeypatch.setattr(epw, "interpolate_univariate", lambda *a: interpolations.append(a) or interpolate(*a))
+    rnd = derive_rng(43, "no-interpolation")
+    for _ in range(5):
+        v = epw.find_point_on_Y(datum, rnd)
+        assert epw.pairing_det(datum, v.coords) == 0
+    assert bases and all(epw.pairing_det(datum, p, 0) != 0 for p in bases)
+    assert interpolations == []
+
+
+def _fractional_datum(rnd, v):
+    """A QQ datum with Fraction entries through v ^ e_1 ^ e_2, a fractional
+    seed in the chart (v_0 != 0), so that v lies on its sextic."""
+    vx = ExteriorVector(QQ, 1, v)
+    seed = vx.wedge(ExteriorVector.basis(QQ, 1, 2)).coords
+    sq = SymplecticSpace(QQ)
+    return epw.EpwLagrangian(sq, sq.lagrangian_completion(Subspace.from_spanning(QQ, DIM3, [seed]), rnd))
+
+
+def test_qq_pairing_det_equals_bareiss_on_the_pairing_entries():
+    """One integer Bareiss pass on the combined integer pencil equals the
+    Matrix determinant of `pairing_entries`, for fractional v on every chart,
+    on a datum with Fraction entries, and at points of the sextic (0)."""
+    rnd = derive_rng(44, "qq.pairing")
+    on_y = [Fraction(rnd.randint(1, 9), rnd.randint(2, 5))]
+    on_y += [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) or Fraction(1) for _ in range(5)]
+    A = _fractional_datum(rnd, on_y)
+    assert any(x.denominator > 1 for row in A.basis for x in row)
+    points = [[x * 3 for x in on_y], on_y]
+    for _ in range(6):
+        points.append([Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)) or Fraction(1) for _ in range(6)])
+    points.append([0, 0, Fraction(2, 3), Fraction(-1, 2), 5, 0])
+    zeros = 0
+    for v in points:
+        for chart in [c for c in range(6) if v[c] != 0]:
+            rows = epw.pairing_entries(A, v, chart)
+            expected = Matrix(QQ, [rows[i * 10 : (i + 1) * 10] for i in range(10)]).det()
+            got = epw.pairing_det(A, v, chart)
+            assert got == expected and type(got) is Fraction
+            zeros += expected == 0
+        assert epw.pairing_det(A, v) == epw.pairing_det(A, v, epw.chart_for(QQ, v))
+    assert zeros == 12  # on_y and 3 on_y, on each of the six charts
+    with pytest.raises(epw.ChartError):
+        epw.pairing_det(A, points[-1], 0)

@@ -136,8 +136,9 @@ def test_fiber_is_the_wedge_span_on_every_chart_over_qq():
 
 @pytest.mark.parametrize("K", [F, QQ], ids=repr)
 def test_trusted_span_of_frame_rows_equals_from_spanning_on_every_chart(K):
-    """`fiber` spans the frame rows with `Subspace._span`, which eliminates
-    them without coercing their entries again."""
+    """`Subspace._span` eliminates the frame rows without coercing their
+    entries again, and `fiber`, written down with no elimination, equals
+    that span."""
     rnd = derive_rng(34, "fiber.span")
     for chart in range(6):
         v = [K.zero] * chart + [K.of(Fraction(rnd.randint(1, 9), rnd.randint(1, 9)))]
@@ -148,6 +149,23 @@ def test_trusted_span_of_frame_rows_equals_from_spanning_on_every_chart(K):
         assert span.dim == 10
         assert all(type(x) is type(K.zero) for row in span.basis() for x in row)
         assert SymplecticSpace(K).fiber(ExteriorVector(K, 1, v)) == span
+
+
+@pytest.mark.parametrize("K", [GF(7), F, QQ], ids=repr)
+def test_fiber_rref_written_down_equals_the_eliminated_span(K):
+    """On every chart, with zero coordinates after the chart too, the rows
+    `fiber` writes down are the canonical RREF that eliminating the frame
+    rows gives: same rows, same pivots, entries of the field's type."""
+    rnd = derive_rng(35, f"fiber.rref.{K!r}")
+    space = SymplecticSpace(K)
+    for n in range(300):
+        chart = n % 6
+        v = [K.zero] * chart + [K.of(Fraction(rnd.randint(1, 6), rnd.randint(1, 5)))]
+        v += [K.of(Fraction(rnd.randint(-3, 3), rnd.randint(1, 5))) for _ in range(5 - chart)]
+        fib = space.fiber(ExteriorVector(K, 1, v))
+        span = Subspace._span(K, DIM3, frame_rows(K, v))
+        assert fib == span and fib.pivots == span.pivots
+        assert all(type(x) is type(K.zero) for row in fib.basis() for x in row)
 
 
 def test_is_isotropic_agrees_with_the_form_over_both_fields():

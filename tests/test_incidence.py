@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from epwcalc import incidence
+from epwcalc import incidence, suites
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
-from epwcalc.linalg import Matrix, Subspace, certified_rank_full
+from epwcalc.linalg import Matrix, ShapeError, Subspace, certified_rank_full
 from epwcalc.scalars import GF, QQ
 
 F = GF(10007)
@@ -113,6 +113,29 @@ def test_omega_unconstrained_fails_when_the_restriction_drops_its_diagonal(rng, 
 
     monkeypatch.setattr(incidence, "_restriction_rows", faulty)
     assert incidence.omega_unknowns(SP, A, B) == 90
+    # the suite runs to its end: the agreement system is as wide as it was
+    # built (90), and the injective systems, whose evaluation rows keep 55
+    # entries, fail their checks on rows of unequal width
+    by_id = {c.id: c for c in suites.run_incidence(suites.RunConfig(seed=0, trials=2))}
+    assert by_id["omega_unconstrained"].status == "fail" and by_id["omega_unconstrained"].got == "90"
+    assert by_id["omega_tangent_dim"].status == "fail"
+    for cid in ("injective_differential_kernel", "relaxed_nine_conditions", "hyperplane_product_witness"):
+        assert by_id[cid].status == "fail" and by_id[cid].got.startswith("error: system rows of unequal widths")
+    assert by_id["sigma_tangent_dims"].status == "pass"
+
+
+@pytest.mark.parametrize("K", [F, QQ], ids=["GF10007", "QQ"])
+def test_kernel_dim_takes_the_width_of_the_rows_it_built(K):
+    """The unknowns are counted off the built rows, on both the certified
+    and the exact route; rows of unequal width raise ShapeError."""
+
+    def given(field, rows):
+        return rows
+
+    assert incidence._kernel_dim(K, given, ([[1, 0, 2, 0], [0, 1, 3, 0]],)) == 2
+    assert incidence._kernel_dim(K, given, ([[1, 2, 3], [2, 4, 6]],)) == 2
+    with pytest.raises(ShapeError):
+        incidence._kernel_dim(K, given, ([[1, 0, 2], [0, 1]],))
 
 
 def test_omega_tangent_dim_over_qq(rng):
@@ -295,15 +318,15 @@ def test_qq_kernel_dim_falls_back_when_the_certificate_is_inconclusive():
     divided = [[x / 10007 for x in row] for row in R]
     scaled2 = [[x * 10007 for x in row] for row in R2]
     cases = [
-        (incidence._injective_rows, (R, coords), 55, 0, 55),
+        (incidence._injective_rows, (R, coords), 55, 0, (55, 55)),
         (incidence._injective_rows, (scaled, coords), 55, 0, None),
         (incidence._injective_rows, (divided, coords), 55, 0, None),
         (incidence._injective_rows, (scaled, coords[:9]), 55, 1, None),
-        (incidence._omega_rows, (R, R2), 110, 65, 45),
+        (incidence._omega_rows, (R, R2), 110, 65, (45, 110)),
         (incidence._omega_rows, (scaled, scaled2), 110, 65, None),
         (incidence._omega_rows, (divided, R2), 110, 65, None),
     ]
     for build, inputs, ncols, dim, certified in cases:
         assert certified_rank_full(build, inputs) == certified
         assert exact_kernel_dim(build, inputs, ncols) == dim
-        assert incidence._kernel_dim(QQ, build, inputs, ncols) == dim
+        assert incidence._kernel_dim(QQ, build, inputs) == dim
