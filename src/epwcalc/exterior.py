@@ -80,20 +80,25 @@ def frame_rows(field, coords):
     return rows
 
 
+def chart_vector(field, y, unit=None):
+    """The 3-vector e_unit (none when unit is None) on L plus y placed in
+    L': s_b y_b at j_b, with (j_b, s_b) = COMP3[b]."""
+    row = [field.zero] * DIM3
+    if unit is not None:
+        row[unit] = field.one
+    for b, (j, sg) in enumerate(COMP3[:10]):
+        row[j] = y[b] if sg > 0 else field.neg(y[b])
+    return tuple(row)
+
+
 def graph_lagrangian(field, m) -> Subspace:
     """The graph of the 10x10 matrix m. The 10 triples that contain 0 come
     first and span the Lagrangian L = F_{e_0}; the other 10 span
     L' = wedge^3 <e_1..e_5>, and COMP3 pairs them. Row a is
-    e_a + sum_b s_b m[a][b] e_{j_b}, with (j_b, s_b) = COMP3[b], so
-    form(row_a, row_c) = m[c][a] - m[a][c]: the graph is Lagrangian exactly
-    when m is symmetric. The rows are the canonical RREF with pivots 0..9."""
-    rows = []
-    for a in range(10):
-        row = [field.zero] * DIM3
-        row[a] = field.one
-        for b, (j, sg) in enumerate(COMP3[:10]):
-            row[j] = m[a][b] if sg > 0 else field.neg(m[a][b])
-        rows.append(tuple(row))
+    `chart_vector(m[a], a)`, so form(row_a, row_c) = m[c][a] - m[a][c]:
+    the graph is Lagrangian exactly when m is symmetric. The rows are the
+    canonical RREF with pivots 0..9."""
+    rows = [chart_vector(field, m[a], a) for a in range(10)]
     return Subspace.from_rref(field, DIM3, rows, range(10))
 
 
@@ -228,11 +233,7 @@ class SymplecticSpace:
 
     def form_row(self, coords):
         """Row c such that form(a, b) = sum_j a_j * c_j for b with coords."""
-        F = self.field
-        out = [F.zero] * DIM3
-        for i, (j, sg) in enumerate(COMP3):
-            out[i] = coords[j] if sg > 0 else F.neg(coords[j])
-        return tuple(out)
+        return tuple([coords[j] if sg > 0 else self.field.neg(coords[j]) for j, sg in COMP3])
 
     # -- fibers -----------------------------------------------------------
 
@@ -260,9 +261,7 @@ class SymplecticSpace:
                 row[pos] = w[s] if sg == lead else F.neg(w[s])
             rows.append((pivot, tuple(row)))
         rows.sort()
-        fib = Subspace.from_rref(F, DIM3, [r for _, r in rows], [pc for pc, _ in rows])
-        assert fib.dim == 10
-        return fib
+        return Subspace.from_rref(F, DIM3, [r for _, r in rows], [pc for pc, _ in rows])
 
     # -- isotropy ---------------------------------------------------------
 
@@ -276,7 +275,7 @@ class SymplecticSpace:
         rows = s.basis() if isinstance(F, PrimeField) else _integerize(s.basis())
         # the form is alternating on 3-vectors, so only pairs i < j count
         for i, a in enumerate(rows):
-            dual = [a[j] if sg > 0 else -a[j] for j, sg in COMP3]
+            dual = self.form_row(a)
             if any(not F.is_zero(sum(map(mul, b, dual))) for b in rows[i + 1 :]):
                 return False
         return True
@@ -302,9 +301,9 @@ class SymplecticSpace:
         of a symmetric M, with no elimination and no retry.
 
         z lies in graph(M) exactly when x M = y, with x = z[0..9] and
-        y_b = s_b z[j_b], (j_b, s_b) = COMP3[b]. A canonical row of s with
-        pivot a has x 1 at a and 0 at the other pivots, so with F the columns
-        0..9 that are not pivots, it lies in graph(M) exactly when
+        y_b = s_b z[j_b] = form_row(z)[b], (j_b, s_b) = COMP3[b]. A canonical
+        row of s with pivot a has x 1 at a and 0 at the other pivots, so with
+        F the non-pivot columns 0..9, it lies in graph(M) exactly when
         M[a][b] = y_b - sum_{f in F} x_f M[f][b]. M is drawn on F x F on and
         above the diagonal, row-major ((10 - k)(11 - k)/2 draws for
         dim s = k), and set by that rule for b in F, then for b a pivot;
@@ -322,13 +321,11 @@ class SymplecticSpace:
         for i, a in enumerate(free):
             for b in free[i:]:
                 m[a][b] = m[b][a] = F.random(rng)
-        rows = [(a, r, [r[f] for f in free]) for a, r in zip(pivots, s.basis())]
+        rows = [(a, self.form_row(r), [r[f] for f in free]) for a, r in zip(pivots, s.basis())]
         for b in free + list(pivots):
-            j, sg = COMP3[b]
             col = [m[f][b] for f in free]
-            for a, r, x in rows:
-                y = r[j] if sg > 0 else F.neg(r[j])
-                m[a][b] = m[b][a] = F.sub(y, F.dot(x, col))
+            for a, y, x in rows:
+                m[a][b] = m[b][a] = F.sub(y[b], F.dot(x, col))
         out = graph_lagrangian(F, m)
         assert self.is_lagrangian(out) and out.contains_subspace(s)
         return out

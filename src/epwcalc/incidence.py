@@ -9,7 +9,7 @@ construction point by point.
 
 from dataclasses import dataclass
 
-from .exterior import DIM3, ExteriorVector, SymplecticSpace
+from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_vector
 from .linalg import Matrix, Subspace, certified_rank_full, system_width
 from .scalars import PrimeField
 
@@ -98,20 +98,22 @@ class LagrangianPencil:
 
 
 def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
+    """The pencil through u in the chart of `graph_lagrangian`, with no
+    elimination. u's rows r_a pivot at 0..9 but f; x0 = `chart_vector(y, f)`,
+    y_a = form(e_f, r_a), y_f = 0, is row f of the graph(M) through u with
+    M[f][f] = 0, and with x1 = `chart_vector(l)`, where l = e_f - sum_a
+    r_a[f] e_a kills u's L-part, member(1, s) is graph(M + s l l^T)."""
     if u.ambient != DIM3 or u.dim != 9 or not space.is_isotropic(u):
         raise PreconditionError("core must be a 9-dimensional isotropic subspace")
-    pool = space.perp(u)
-    assert pool.dim == 11
-    x0 = next(r for r in pool.basis() if not u.contains(r))
-    a0 = u.with_vector(x0)
-    x1 = next(r for r in pool.basis() if not a0.contains(r))
-    a1 = u.with_vector(x1)
-    pencil = LagrangianPencil(space, u, tuple(x0), tuple(x1))
-    assert space.is_lagrangian(a0) and space.is_lagrangian(a1)
-    assert a0.meet(a1) == u
-    for t, s in ((1, 0), (0, 1), (1, 1)):
-        assert space.is_lagrangian(pencil.member(t, s))
-    return pencil
+    if u.pivots[-1] >= 10:
+        raise PreconditionError("core meets wedge^3 <e_1..e_5>: no graph contains it")
+    F = space.field
+    f = next(c for c in range(10) if c not in u.pivots)
+    ell = [F.neg(r[f]) for r in u.basis()]
+    y = [space.form_row(r)[f] for r in u.basis()]
+    ell.insert(f, F.one)
+    y.insert(f, F.zero)
+    return LagrangianPencil(space, u, chart_vector(F, y, f), chart_vector(F, ell))
 
 
 def _omega_cores(space: SymplecticSpace, A: Subspace, B: Subspace):
@@ -140,6 +142,20 @@ def omega_unknowns(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
     return system_width(_omega_rows(space.field, *_omega_cores(space, A, B)))
 
 
+def _alpha_coords(B: Subspace, alphas, u=None):
+    """Each alpha's coordinates in B; PreconditionError off B or in u."""
+    out = []
+    for a in alphas:
+        vec = a.coords if isinstance(a, ExteriorVector) else a
+        coords, residue = B._split(vec)
+        if any(residue):
+            raise PreconditionError("alpha outside the base subspace")
+        if u is not None and u.contains(vec):
+            raise PreconditionError("alpha lies in the hyperplane")
+        out.append(coords)
+    return out
+
+
 def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, require_full=True) -> int:
     """Dimension of {q on B : q restricts to zero on the hyperplane u and
     kills every alpha}. With 10 independent alphas off u this is 0: such a
@@ -148,23 +164,16 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
     F = space.field
     if not space.is_lagrangian(B):
         raise PreconditionError("base subspace must be Lagrangian")
-    if u.dim != 9 or not B.contains_subspace(u):
+    # u's coordinates in B, and its residues modulo B
+    split = [B._split(r) for r in u.basis()] if u.dim == 9 else ()
+    if u.dim != 9 or any(any(residue) for _, residue in split):
         raise PreconditionError("u must be a hyperplane of the base subspace")
-    coords = []
-    for a in alphas:
-        vec = a.coords if isinstance(a, ExteriorVector) else a
-        ca, residue = B._split(vec)
-        if any(residue):
-            raise PreconditionError("alpha outside the base subspace")
-        if u.contains(vec):
-            raise PreconditionError("alpha lies in the hyperplane")
-        coords.append(tuple(ca))
+    coords = _alpha_coords(B, alphas, u)
     if Matrix(F, coords, ncols=10).rank() != len(coords):
         raise PreconditionError("alphas are linearly dependent")
     if require_full and len(coords) != 10:
         raise PreconditionError(f"need 10 alphas, got {len(coords)} (relaxed mode only)")
-    R = [B.coords_of(r) for r in u.basis()]
-    return _kernel_dim(F, _injective_rows, (R, coords))
+    return _kernel_dim(F, _injective_rows, ([c for c, _ in split], coords))
 
 
 def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
@@ -173,13 +182,7 @@ def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
     F = space.field
     if not space.is_lagrangian(A):
         raise PreconditionError("base subspace must be Lagrangian")
-    rows = []
-    for a in alphas:
-        vec = a.coords if isinstance(a, ExteriorVector) else a
-        coords, residue = A._split(vec)
-        if any(residue):
-            raise PreconditionError("alpha outside the base subspace")
-        rows.append(_evaluation_row(F, coords))
+    rows = [_evaluation_row(F, c) for c in _alpha_coords(A, alphas)]
     if not rows:
         return Subspace.full(F, 55)
     return Matrix(F, rows, ncols=55).kernel_basis()
@@ -228,24 +231,22 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
         line_a = fiber.meet(A)
         if line_a.dim != 1:
             continue
-        # a hyperplane of A through alpha
-        u = None
-        for _ in range(16):
-            extra = [F.lincomb([F.random(rng) for _ in range(10)], A.basis()) for _ in range(8)]
-            cand = Subspace._span(F, DIM3, [alpha.coords] + extra)
-            if cand.dim == 9:
-                u = cand
-                break
-        if u is None:
+        # u = {z in A : l(z[0..9]) = 0} for a random l that kills alpha: with
+        # f the last l_f != 0, the rows A_a - (l_a / l_f) A_f, a != f, are RREF
+        k, lag = seed_sub.pivots[0], A.basis()
+        ell = [F.random(rng) for _ in range(10)]
+        ell[k] = F.sub(ell[k], F.dot(ell, seed_sub.basis()[0][:10]))
+        if not any(ell):
             continue
+        f = max(i for i, x in enumerate(ell) if x)
+        pivots = [a for a in range(10) if a != f]
+        rows = [tuple(F.axpy(lag[a], F.neg(F.div(ell[a], ell[f])), lag[f])) for a in pivots]
+        u = Subspace.from_rref(F, DIM3, rows, pivots)
         pencil = pencil_through(space, u)
-        B = None
-        for t, s in ((1, 0), (0, 1), (1, 1), (1, 2), (2, 1)):
-            cand = pencil.member(t, s)
-            if cand != A:
-                B = cand
-                break
-        if B is None or (line_b := fiber.meet(B)).dim != 1:
+        B = pencil.member(1, 0)
+        if B == A:
+            B = pencil.member(1, 1)
+        if (line_b := fiber.meet(B)).dim != 1:
             continue
 
         # the four contracts; failures here are real bugs, not bad luck
@@ -258,7 +259,7 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
         if core != u:
             raise ScenarioFailure("pencil core drifted from the chosen hyperplane")
         member = core.join(plane)
-        if member.dim != 10 or not space.is_lagrangian(member):
+        if not space.is_lagrangian(member):
             raise ScenarioFailure("core + plane is not Lagrangian")
         if not space.perp(core).contains_subspace(member):
             raise ScenarioFailure("member escapes perp(core): not in the pencil")

@@ -409,7 +409,7 @@ def run_incidence(cfg: RunConfig):
         u = _basis_slice(A, slice(9))
         pen = incidence.pencil_through(sp, u)
         m1, m2 = pen.member(1, 2), pen.member(3, 1)
-        ok = ok and m1.meet(m2) == u and sp.perp(u).dim == 11
+        ok = ok and sp.is_lagrangian(m1) and sp.is_lagrangian(m2) and m1.meet(m2) == u and sp.perp(u).dim == 11
     checks.append(
         _mk("pencil_axioms", "members are Lagrangian and meet exactly in the 9-dim core", ok, True, ok)
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import chow, cli, epw, lattice, oracles, quadrics, suites
+from epwcalc import chow, cli, epw, incidence, lattice, oracles, quadrics, suites
 from epwcalc.exterior import DIM3, SymplecticSpace
 from epwcalc.linalg import Subspace
 from epwcalc.rng import derive_rng
@@ -111,12 +111,28 @@ def _fault_sextic_top_coefficient(monkeypatch):
     monkeypatch.setattr(epw, "sextic_on_line", faulty)
 
 
+def _fault_pencil_member_off_perp(monkeypatch):
+    """member(3, 1) as the core plus a unit vector off perp(core): it still
+    meets member(1, 2) in the core, but it is not Lagrangian."""
+    member = incidence.LagrangianPencil.member
+
+    def faulty(self, t, s):
+        if (t, s) != (3, 1):
+            return member(self, t, s)
+        perp = self.space.perp(self.core)
+        off = next(e for e in Subspace.full(perp.field, DIM3).basis() if not perp.contains(e))
+        return self.core.with_vector(off)
+
+    monkeypatch.setattr(incidence.LagrangianPencil, "member", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
     ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
     ("bbf", "deg6_functional"): _fault_c2_pairing,
     ("epw", "sextic_degree"): _fault_sextic_top_coefficient,
+    ("incidence", "pencil_axioms"): _fault_pencil_member_off_perp,
 }
 
 

@@ -297,14 +297,15 @@ def test_completion_is_a_chart_lagrangian_through_its_start(field):
 def test_completions_of_a_core_reach_every_chart_member_of_its_pencil():
     """Over GF(7) the Lagrangians through a 9-dimensional core form a pencil
     of 8; its members transverse to wedge^3 <e_1..e_5> are the completions
-    of the core, which draw one scalar. 60 seeds reach all of them."""
+    of the core, which draw one scalar. 60 seeds reach all of them. The
+    member (0, 1) is the one that meets wedge^3 <e_1..e_5>."""
     field = GF(7)
     space = SymplecticSpace(field)
     core = Subspace.from_spanning(field, DIM3, space.random_lagrangian(derive_rng(3, "pencil.lag")).basis()[:9])
     pencil = pencil_through(space, core)
     members = {pencil.member(1, t) for t in range(7)} | {pencil.member(0, 1)}
     chart = {m for m in members if m.pivots == tuple(range(10))}
-    assert len(members) == 8 and len(chart) == 7
+    assert len(members) == 8 and chart == members - {pencil.member(0, 1)}
     reached = {space.lagrangian_completion(core, derive_rng(seed, "pencil.completion")) for seed in range(60)}
     assert reached == chart
 

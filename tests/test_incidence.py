@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from epwcalc import incidence, suites
+from epwcalc import incidence, linalg, suites
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
 from epwcalc.linalg import Matrix, ShapeError, Subspace, certified_rank_full
+from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ
 
 F = GF(10007)
@@ -57,31 +58,69 @@ def test_pencil_through_fiber_hyperplane(rng):
     assert SP.perp(u).dim == 11
 
 
-def test_pencil_member_meet_is_core(rng):
-    A, u = lag_and_hyperplane(SP, rng)
-    pen = incidence.pencil_through(SP, u)
-    ms = [pen.member(1, 0), pen.member(1, 1), pen.member(2, 5)]
+FIELDS = [GF(7), F, GF(2**61 - 1), QQ]
+FIELD_IDS = ["GF7", "GF10007", "GF2^61-1", "QQ"]
+
+
+def pool_pencil(space, u):
+    """The reference pencil by elimination: perp(u), then its first basis
+    rows off u and off u + x0."""
+    pool = space.perp(u)
+    x0 = next(r for r in pool.basis() if not u.contains(r))
+    x1 = next(r for r in pool.basis() if not u.with_vector(x0).contains(r))
+    return incidence.LagrangianPencil(space, u, x0, x1)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_pencil_member_meet_is_core(field, rng, monkeypatch):
+    """The pencil is written down with no elimination; its members are
+    Lagrangian and meet in u, and x0, x1 span perp(u) modulo u, as the
+    reference pair does. Over GF(7) both pencils have the same 8 members."""
+    space = SymplecticSpace(field)
+    A, u = lag_and_hyperplane(space, rng)
+    ref = pool_pencil(space, u)
+    calls = []
+    for owner, name in ((linalg, "fp_rref"), (linalg, "fp_rank"), (Matrix, "rref"), (Matrix, "kernel_basis")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    pen = incidence.pencil_through(space, u)
+    monkeypatch.undo()
+    assert calls == []
+    pool = space.perp(u)
+    assert u.with_vector(pen.x0).with_vector(pen.x1) == pool == u.with_vector(ref.x0).with_vector(ref.x1)
+    ms = [pen.member(1, 0), pen.member(0, 1), pen.member(1, 1), pen.member(2, 5)]
+    assert len(set(ms)) == 4
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            if ms[i] != ms[j]:
-                assert ms[i].meet(ms[j]) == u
-    assert all(SP.is_lagrangian(m) for m in ms)
+            assert ms[i].meet(ms[j]) == u
+    assert all(space.is_lagrangian(m) for m in ms)
     # joins pair up to perp(u)
-    assert ms[0].join(ms[1]) == SP.perp(u)
+    assert ms[0].join(ms[1]) == pool
+    if field == GF(7):
+        params = [(1, t) for t in range(7)] + [(0, 1)]
+        members = {pen.member(*ts) for ts in params}
+        assert len(members) == 8 and members == {ref.member(*ts) for ts in params}
 
 
-def test_pencil_preconditions(rng):
-    bad_dim = Subspace.from_spanning(F, DIM3, list(SP.random_lagrangian(rng).basis()[:5]))
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_pencil_preconditions(field, rng):
+    space = SymplecticSpace(field)
+    bad_dim = Subspace.from_spanning(field, DIM3, list(space.random_lagrangian(rng).basis()[:5]))
     with pytest.raises(incidence.PreconditionError):
-        incidence.pencil_through(SP, bad_dim)
+        incidence.pencil_through(space, bad_dim)
     # contains the dual pair e012, e345, so the restricted form is nonzero
     subsets = [(0, 1, 2), (3, 4, 5), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 2, 5), (0, 3, 4)]
     not_iso = Subspace.from_spanning(
-        F, DIM3, [ExteriorVector.basis(F, *s).coords for s in subsets]
+        field, DIM3, [ExteriorVector.basis(field, *s).coords for s in subsets]
     )
-    assert not_iso.dim == 9 and not SP.is_isotropic(not_iso)
+    assert not_iso.dim == 9 and not space.is_isotropic(not_iso)
     with pytest.raises(incidence.PreconditionError):
-        incidence.pencil_through(SP, not_iso)
+        incidence.pencil_through(space, not_iso)
+    # 9 rows of L' = wedge^3 <e_1..e_5>: isotropic, but in no graph
+    in_lprime = Subspace.from_spanning(field, DIM3, Subspace.full(field, DIM3).basis()[10:19])
+    assert space.is_isotropic(in_lprime) and in_lprime.pivots[0] == 10
+    with pytest.raises(incidence.PreconditionError, match="no graph"):
+        incidence.pencil_through(space, in_lprime)
 
 
 def test_omega_tangent_dim_65(rng):
@@ -243,6 +282,30 @@ def test_tangency_scenario_fp(rng):
 def test_tangency_scenario_qq(rng):
     sc = incidence.tangency_scenario(SQ, rng)
     assert sc.fiber_member_dim >= 2
+
+
+def test_tangency_scenario_gf7_writes_down_its_hyperplane(monkeypatch):
+    """Over GF(7) every contract holds, and the hyperplane u is written down
+    as its own canonical RREF through alpha. A graph(M) with M[f][f] = 0 is
+    pencil member (1, 0), which then cannot be B: the seeds reach that
+    branch, where B is member (1, 1)."""
+    field = GF(7)
+    space = SymplecticSpace(field)
+    seeds, pencils = [], []
+    completion, through = space.lagrangian_completion, incidence.pencil_through
+    monkeypatch.setattr(space, "lagrangian_completion", lambda s, rnd: seeds.append(s) or completion(s, rnd))
+    monkeypatch.setattr(incidence, "pencil_through", lambda sp, u: pencils.append(through(sp, u)) or pencils[-1])
+    branch = 0
+    for seed in range(40):
+        sc = incidence.tangency_scenario(space, derive_rng(seed, "gf7.scenario"))
+        pen, alpha = pencils[-1], seeds[-1]
+        assert sc.fiber_member_dim >= 2 and sc.core == pen.core
+        assert pen.core == Subspace.from_spanning(field, DIM3, pen.core.basis())
+        assert pen.core.contains_subspace(alpha) and alpha.dim == 1
+        on_a = pen.member(1, 0) == sc.A
+        assert sc.B == pen.member(1, 1 if on_a else 0) != sc.A
+        branch += on_a
+    assert branch > 0
 
 
 def test_completion_of_nine_dim_core_is_a_pencil_member(rng):
