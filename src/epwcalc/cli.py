@@ -10,6 +10,7 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -46,9 +47,7 @@ def run_suites(name, cfg: RunConfig, fail_fast=False, suite_cpu_ms=None):
         if suite_cpu_ms is not None:
             suite_cpu_ms[n] = int((time.process_time() - start) * 1000)
         for c in suite_checks:
-            prefixed = c if name != "all" else type(c)(
-                f"{n}.{c.id}", c.anchor, c.status, c.expected, c.got, c.witness
-            )
+            prefixed = c if name != "all" else dataclasses.replace(c, id=f"{n}.{c.id}")
             checks.append(prefixed)
             if fail_fast and prefixed.status == "fail":
                 return checks

@@ -3,9 +3,17 @@
 Each suite replays the invariants of its module on seeded samples; check
 anchors state the mathematical fact being verified. Reports are pure
 functions of (seed, prime, trials).
+
+A suite is written as a generator that yields one tuple per check, in
+report order: (id, anchor, ok) for a check that expects True,
+(id, anchor, ok, expected, got[, witness]) for any other, and
+(id, anchor, None, why) for a skip. `_checks` collects the tuples into the
+list of `Check`s that the suite function returns, so a call of the suite
+runs all of its checks.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 from fractions import Fraction
 from math import comb
 
@@ -52,25 +60,28 @@ def _basis_slice(s, part):
     return Subspace.from_rref(s.field, s.ambient, s.basis()[part], s.pivots[part])
 
 
-def _mk(cid, anchor, ok, expected, got, witness=None):
-    return Check(cid, anchor, "pass" if ok else "fail", str(expected), str(got), witness)
+def _checks(suite):
+    """The suite generator `suite` as a function that returns its checks."""
 
+    @wraps(suite)
+    def run(cfg: RunConfig):
+        checks = []
+        for cid, anchor, ok, *rest in suite(cfg):
+            if ok is None:
+                checks.append(Check(cid, anchor, "skip", "", "", *rest))
+            else:
+                expected, got, *witness = rest or (True, ok)
+                checks.append(Check(cid, anchor, "pass" if ok else "fail", str(expected), str(got), *witness))
+        return checks
 
-def _skip(cid, anchor, why):
-    return Check(cid, anchor, "skip", "", "", why)
-
-
-def _sampled(cid, anchor, ok, tested, witness, why):
-    """A pass/fail check over `tested` samples, or a skip for `why` when no
-    sample could be drawn."""
-    return _mk(cid, anchor, ok, True, ok, witness) if tested else _skip(cid, anchor, why)
+    return run
 
 
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_exterior(cfg: RunConfig):
-    checks = []
     Fp = GF(cfg.prime)
     sp = SymplecticSpace(Fp)
     sq = SymplecticSpace(QQ)
@@ -84,10 +95,10 @@ def run_exterior(cfg: RunConfig):
             continue
         fib = space.fiber(v)
         ok = ok and fib.dim == 10 and space.is_lagrangian(fib)
-    checks.append(_mk("fiber_lagrangian", "dim F_v = C(5,2) = 10 and F_v is Lagrangian", ok, True, ok))
+    yield "fiber_lagrangian", "dim F_v = C(5,2) = 10 and F_v is Lagrangian", ok
 
     rank = sp.gram().rank()
-    checks.append(_mk("gram_nondegenerate", "the wedge pairing on 3-vectors has full rank 20", rank == 20, 20, rank))
+    yield "gram_nondegenerate", "the wedge pairing on 3-vectors has full rank 20", rank == 20, 20, rank
 
     rng = derive_rng(cfg.seed, "exterior.anticomm")
     ok = True
@@ -98,7 +109,7 @@ def run_exterior(cfg: RunConfig):
         lhs = a.wedge(b)
         rhs = b.wedge(a).scale(Fp.of((-1) ** (j * k)))
         ok = ok and lhs == rhs
-    checks.append(_mk("graded_anticommutativity", "a^b = (-1)^{jk} b^a", ok, True, ok))
+    yield "graded_anticommutativity", "a^b = (-1)^{jk} b^a", ok
 
     rng = derive_rng(cfg.seed, "exterior.perp")
     ok = True
@@ -108,7 +119,7 @@ def run_exterior(cfg: RunConfig):
         s = Subspace.from_spanning(Fp, DIM3, vecs)
         pp = sp.perp(sp.perp(s))
         ok = ok and pp == s and sp.perp(s).dim == DIM3 - s.dim
-    checks.append(_mk("perp_involution", "perp(perp(S)) = S and dim perp = 20 - dim S", ok, True, ok))
+    yield "perp_involution", "perp(perp(S)) = S and dim perp = 20 - dim S", ok
 
     # B is completed from the first k rows of A, so A ∩ B has dimension k
     # unless the completion meets A again
@@ -121,14 +132,12 @@ def run_exterior(cfg: RunConfig):
         meet = A.meet(B)
         dims.append(meet.dim)
         ok = ok and sp.perp(meet) == A.join(B)
-    checks.append(
-        _mk(
-            "perp_meet_join",
-            "perp(A ∩ B) = A + B for Lagrangian pairs",
-            ok,
-            "True on pairs through isotropic slices of dimension 0..9",
-            f"{ok} on dim(A ∩ B) = {dims}",
-        )
+    yield (
+        "perp_meet_join",
+        "perp(A ∩ B) = A + B for Lagrangian pairs",
+        ok,
+        "True on pairs through isotropic slices of dimension 0..9",
+        f"{ok} on dim(A ∩ B) = {dims}",
     )
 
     rng = derive_rng(cfg.seed, "exterior.decomposable")
@@ -139,16 +148,7 @@ def run_exterior(cfg: RunConfig):
         d1, d2 = sp.decomposable_of(w1), sp.decomposable_of(w2)
         vanish = Fp.is_zero(sp.form(d1, d2))
         ok = ok and (vanish == (w1.meet(w2).dim > 0))
-    checks.append(
-        _mk(
-            "decomposable_orthogonality",
-            "form(cube(W), cube(W')) = 0 iff W ∩ W' is nonzero",
-            ok,
-            True,
-            ok,
-        )
-    )
-    return checks
+    yield "decomposable_orthogonality", "form(cube(W), cube(W')) = 0 iff W ∩ W' is nonzero", ok
 
 
 def _random_subspace(field, rng, ambient, dim):
@@ -162,8 +162,8 @@ def _random_subspace(field, rng, ambient, dim):
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_epw(cfg: RunConfig):
-    checks = []
     Fp = GF(cfg.prime)
     sp = SymplecticSpace(Fp)
     rng = derive_rng(cfg.seed, "epw.generic")
@@ -177,21 +177,11 @@ def run_epw(cfg: RunConfig):
         d = epw.fiber_intersection_dim(A, v)
         det = epw.pairing_det(A, v)
         ok = ok and ((d == 0) == (not Fp.is_zero(det)))
-    checks.append(
-        _mk(
-            "det_vs_rank_detector",
-            "det of the pairing vanishes iff the fiber meets the Lagrangian",
-            ok,
-            True,
-            ok,
-        )
-    )
+    yield "det_vs_rank_detector", "det of the pairing vanishes iff the fiber meets the Lagrangian", ok
 
     rng = derive_rng(cfg.seed, "epw.sextic")
     deg6 = 0
-    total = cfg.trials
-    ok = True
-    for _ in range(total):
+    for _ in range(cfg.trials):
         B = epw.random_lagrangian_datum(sp, rng) if rng.random() < 0.2 else A
         base = [1] + [Fp.random(rng) for _ in range(5)]
         direction = [0] + [Fp.random(rng) for _ in range(5)]
@@ -202,40 +192,25 @@ def run_epw(cfg: RunConfig):
             deg6 += 1
     # degree > 6 raised above; one line of degree 6 shows that the top
     # coefficient, a polynomial in the line, is not identically zero
-    checks.append(
-        _mk(
-            "sextic_degree",
-            "line restriction of the pairing determinant has degree <= 6, generically 6",
-            deg6 >= 1,
-            f">= 1 of {total} lines of degree exactly 6",
-            deg6,
-        )
+    yield (
+        "sextic_degree",
+        "line restriction of the pairing determinant has degree <= 6, generically 6",
+        deg6 >= 1,
+        f">= 1 of {cfg.trials} lines of degree exactly 6",
+        deg6,
     )
 
     rng = derive_rng(cfg.seed, "epw.triple")
     ubasis = Matrix.identity(Fp, 4).rows
     ap = epw.a_plus(sp, ubasis, rng)
     am = epw.a_minus(sp, ubasis, rng)
-    ok = epw.verify_triple_quadric(ap, cfg.trials, rng)
-    checks.append(
-        _mk(
-            "triple_quadric",
-            "the sextic of the symmetric-construction Lagrangian is the quadric cubed",
-            ok,
-            True,
-            ok,
-        )
+    yield (
+        "triple_quadric",
+        "the sextic of the symmetric-construction Lagrangian is the quadric cubed",
+        epw.verify_triple_quadric(ap, cfg.trials, rng),
     )
     neg = epw.verify_triple_quadric(A, 8, derive_rng(cfg.seed, "epw.triple.neg"))
-    checks.append(
-        _mk(
-            "triple_quadric_generic_fails",
-            "a generic sextic is not a quadric cube",
-            not neg,
-            False,
-            neg,
-        )
-    )
+    yield "triple_quadric_generic_fails", "a generic sextic is not a quadric cube", not neg, False, neg
     rng_q = derive_rng(cfg.seed, "epw.quadric_points")
     ok = True
     for _ in range(12):
@@ -245,9 +220,7 @@ def run_epw(cfg: RunConfig):
         if all(Fp.is_zero(c) for c in v) or Fp.is_zero(v[0]):
             continue
         ok = ok and Fp.is_zero(epw.pairing_det(ap, v, 0))
-    checks.append(
-        _mk("quadric_inside_sextic", "the Grassmannian quadric lies inside the sextic", ok, True, ok)
-    )
+    yield "quadric_inside_sextic", "the Grassmannian quadric lies inside the sextic", ok
 
     mm = ap.subspace.meet(am.subspace)
     jj = ap.subspace.join(am.subspace)
@@ -259,14 +232,10 @@ def run_epw(cfg: RunConfig):
         and sp.is_lagrangian(ap.subspace)
         and sp.is_lagrangian(am.subspace)
     )
-    checks.append(
-        _mk(
-            "plus_minus_decomposition",
-            "the 3-vector space splits as the direct sum of the two construction Lagrangians",
-            ok,
-            True,
-            ok,
-        )
+    yield (
+        "plus_minus_decomposition",
+        "the 3-vector space splits as the direct sum of the two construction Lagrangians",
+        ok,
     )
 
     rng = derive_rng(cfg.seed, "epw.smooth")
@@ -291,15 +260,14 @@ def run_epw(cfg: RunConfig):
         grad_nonzero = any(not Fp.is_zero(g) for g in grad)
         ok = ok and (grad_nonzero == epw.smoothness_predicate(B, v))
         tested += 1
-    checks.append(
-        _sampled(
-            "smoothness_equivalence",
-            "gradient nonzero iff the fiber meets A in one indecomposable line",
-            ok,
-            tested,
-            f"tested={tested} budget_miss={budget_miss}",
-            f"retry budget exhausted on every sample (budget_miss={budget_miss})",
-        )
+    yield (
+        "smoothness_equivalence",
+        "gradient nonzero iff the fiber meets A in one indecomposable line",
+        *(
+            (ok, True, ok, f"tested={tested} budget_miss={budget_miss}")
+            if tested
+            else (None, f"retry budget exhausted on every sample (budget_miss={budget_miss})")
+        ),
     )
 
     rng = derive_rng(cfg.seed, "epw.tangent")
@@ -321,15 +289,10 @@ def run_epw(cfg: RunConfig):
         prop = Matrix(Fp, [func, grad], ncols=6).rank() == 1
         ok = ok and nz and prop
         tested += 1
-    checks.append(
-        _sampled(
-            "tangent_functional_proportional",
-            "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
-            ok,
-            tested,
-            f"tested={tested}",
-            "retry budget exhausted on every sample",
-        )
+    yield (
+        "tangent_functional_proportional",
+        "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
+        *((ok, True, ok, f"tested={tested}") if tested else (None, "retry budget exhausted on every sample")),
     )
 
     rng = derive_rng(cfg.seed, "epw.sigma")
@@ -339,14 +302,12 @@ def run_epw(cfg: RunConfig):
         not epw.sigma_membership(A, _random_subspace(Fp, rng, 6, 3)) for _ in range(10)
     )
     u_line = epw.sigma_membership(ap, _u_wedge_subspace(Fp, rng))
-    checks.append(
-        _mk(
-            "sigma_membership",
-            "the wedge cube lies in A exactly for the constructed 3-spaces",
-            pos and negs and u_line,
-            True,
-            (pos, negs, u_line),
-        )
+    yield (
+        "sigma_membership",
+        "the wedge cube lies in A exactly for the constructed 3-spaces",
+        pos and negs and u_line,
+        True,
+        (pos, negs, u_line),
     )
 
     rng = derive_rng(cfg.seed, "epw.retries")
@@ -358,16 +319,13 @@ def run_epw(cfg: RunConfig):
         except epw.RetryBudgetExhausted:
             tried.append(-1)
     mean = sum(t for t in tried if t > 0) / max(len([t for t in tried if t > 0]), 1)
-    checks.append(
-        _mk(
-            "point_search_retries",
-            "expected number of lines scanned before a rational root (report)",
-            True,
-            "report only",
-            f"{mean:.2f}",
-        )
+    yield (
+        "point_search_retries",
+        "expected number of lines scanned before a rational root (report)",
+        True,
+        "report only",
+        f"{mean:.2f}",
     )
-    return checks
 
 
 def _decomposable_datum(sp, rng):
@@ -396,8 +354,8 @@ def _u_wedge_subspace(field, rng):
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_incidence(cfg: RunConfig):
-    checks = []
     Fp = GF(cfg.prime)
     sp = SymplecticSpace(Fp)
     sq = SymplecticSpace(QQ)
@@ -409,10 +367,8 @@ def run_incidence(cfg: RunConfig):
         u = _basis_slice(A, slice(9))
         pen = incidence.pencil_through(sp, u)
         m1, m2 = pen.member(1, 2), pen.member(3, 1)
-        ok = ok and sp.is_lagrangian(m1) and sp.is_lagrangian(m2) and m1.meet(m2) == u and sp.perp(u).dim == 11
-    checks.append(
-        _mk("pencil_axioms", "members are Lagrangian and meet exactly in the 9-dim core", ok, True, ok)
-    )
+        ok = ok and sp.is_lagrangian(m1) and sp.is_lagrangian(m2) and m1.meet(m2) == u
+    yield "pencil_axioms", "members are Lagrangian and meet exactly in the 9-dim core", ok
 
     rng = derive_rng(cfg.seed, "incidence.omega")
     dims = set()
@@ -424,19 +380,15 @@ def run_incidence(cfg: RunConfig):
         if B == A:
             B = pen.member(1, 2)
         dims.add(incidence.omega_tangent_dim(sp, A, B))
-    checks.append(
-        _mk(
-            "omega_tangent_dim",
-            "pairs of forms agreeing on the common core: dimension n + C(n+1,2) = 65",
-            dims == {65},
-            {65},
-            dims,
-        )
+    yield (
+        "omega_tangent_dim",
+        "pairs of forms agreeing on the common core: dimension n + C(n+1,2) = 65",
+        dims == {65},
+        {65},
+        dims,
     )
     free_dim = incidence.omega_unknowns(sp, A, B)
-    checks.append(
-        _mk("omega_unconstrained", "two free quadratic forms: dimension 110", free_dim == 110, 110, free_dim)
-    )
+    yield "omega_unconstrained", "two free quadratic forms: dimension 110", free_dim == 110, 110, free_dim
 
     # a kernel system built with rows of unequal width raises ShapeError;
     # it fails the check that built it, with the error as `got`
@@ -446,14 +398,12 @@ def run_incidence(cfg: RunConfig):
         got = "0" if ok else "nonzero"
     except ShapeError as exc:
         ok, got = False, f"error: {exc}"
-    checks.append(
-        _mk(
-            "injective_differential_kernel",
-            "forms vanishing on a hyperplane and on 10 independent points off it vanish",
-            ok,
-            0,
-            got,
-        )
+    yield (
+        "injective_differential_kernel",
+        "forms vanishing on a hyperplane and on 10 independent points off it vanish",
+        ok,
+        0,
+        got,
     )
 
     rng = derive_rng(cfg.seed, "incidence.knl9")
@@ -462,14 +412,12 @@ def run_incidence(cfg: RunConfig):
         ok = all(d == 1 for d in dims)
     except ShapeError as exc:
         ok, dims = False, f"error: {exc}"
-    checks.append(
-        _mk(
-            "relaxed_nine_conditions",
-            "with only 9 evaluation conditions one form survives (54 conditions on 55)",
-            ok,
-            1,
-            dims,
-        )
+    yield (
+        "relaxed_nine_conditions",
+        "with only 9 evaluation conditions one form survives (54 conditions on 55)",
+        ok,
+        1,
+        dims,
     )
 
     rng = derive_rng(cfg.seed, "incidence.witness")
@@ -485,14 +433,12 @@ def run_incidence(cfg: RunConfig):
         ok = got >= 1
     except ShapeError as exc:
         ok, got = False, f"error: {exc}"
-    checks.append(
-        _mk(
-            "hyperplane_product_witness",
-            "alphas inside a second hyperplane leave the product of the two linear forms",
-            ok,
-            ">= 1",
-            got,
-        )
+    yield (
+        "hyperplane_product_witness",
+        "alphas inside a second hyperplane leave the product of the two linear forms",
+        ok,
+        ">= 1",
+        got,
     )
 
     rng = derive_rng(cfg.seed, "incidence.perpsum")
@@ -503,7 +449,7 @@ def run_incidence(cfg: RunConfig):
         and incidence.perp_sum_identity(sp, A, B2)
         and incidence.perp_sum_identity(sp, A, incidence.pencil_through(sp, _basis_slice(A, slice(9))).member(2, 3))
     )
-    checks.append(_mk("perp_sum_identity", "perp(A ∩ B) = A + B", ok, True, ok))
+    yield "perp_sum_identity", "perp(A ∩ B) = A + B", ok
 
     rng = derive_rng(cfg.seed, "incidence.scenario")
     failures = 0
@@ -517,14 +463,12 @@ def run_incidence(cfg: RunConfig):
             ran += 1
         except incidence.PreconditionError:
             continue
-    checks.append(
-        _mk(
-            "tangency_scenarios",
-            "everywhere-tangent pair: equal fiber lines, a fiber plane in A+B, and a rank-2 pencil member",
-            failures == 0 and ran > 0,
-            f"0 failures of {ran}",
-            failures,
-        )
+    yield (
+        "tangency_scenarios",
+        "everywhere-tangent pair: equal fiber lines, a fiber plane in A+B, and a rank-2 pencil member",
+        failures == 0 and ran > 0,
+        f"0 failures of {ran}",
+        failures,
     )
 
     rng = derive_rng(cfg.seed, "incidence.sigma_tangent")
@@ -533,16 +477,13 @@ def run_incidence(cfg: RunConfig):
     one = incidence.sigma_tangent_space(sp, A, [A.basis()[0]])
     ten = incidence.sigma_tangent_space(sp, A, list(A.basis()))
     ok = full.dim == 55 and one.dim == 54 and ten.dim == 45
-    checks.append(
-        _mk(
-            "sigma_tangent_dims",
-            "evaluation conditions cut 55 -> 54 -> 45 for 0, 1, 10 independent points",
-            ok,
-            (55, 54, 45),
-            (full.dim, one.dim, ten.dim),
-        )
+    yield (
+        "sigma_tangent_dims",
+        "evaluation conditions cut 55 -> 54 -> 45 for 0, 1, 10 independent points",
+        ok,
+        (55, 54, 45),
+        (full.dim, one.dim, ten.dim),
     )
-    return checks
 
 
 def _injective_differential_sample(space, rng, count=10):
@@ -573,20 +514,18 @@ def _injective_differential_sample(space, rng, count=10):
 VERONESE_SETS = 64  # 10-point sets drawn before veronese_independence fails
 
 
+@_checks
 def run_quadrics(cfg: RunConfig):
-    checks = []
     Fp = GF(cfg.prime)
 
     ht = (quadrics.harris_tu_degree(4, 2), quadrics.harris_tu_degree(4, 3), quadrics.harris_tu_degree(3, 1))
     dets = all(quadrics.harris_tu_degree(n, n - 1) == n for n in range(2, 7))
-    checks.append(
-        _mk(
-            "harris_tu_degrees",
-            "rank loci of symmetric forms: deg D_2 = 10 on 4x4, determinant degree n, Veronese degree 4",
-            ht == (10, 4, 4) and dets,
-            (10, 4, 4),
-            ht,
-        )
+    yield (
+        "harris_tu_degrees",
+        "rank loci of symmetric forms: deg D_2 = 10 on 4x4, determinant degree n, Veronese degree 4",
+        ht == (10, 4, 4) and dets,
+        (10, 4, 4),
+        ht,
     )
 
     rng = derive_rng(cfg.seed, "quadrics.web")
@@ -596,9 +535,7 @@ def run_quadrics(cfg: RunConfig):
     for _ in range(50):
         t = [Fp.random(rng) for _ in range(4)]
         ok = ok and quadrics._mp_eval(Fp, poly, t) == web.member(t).det()
-    checks.append(
-        _mk("quartic_expansion", "expanded determinant agrees with member determinants", ok, True, ok)
-    )
+    yield "quartic_expansion", "expanded determinant agrees with member determinants", ok
 
     grads = quadrics.quartic_gradient(web)
     ok = True
@@ -611,15 +548,7 @@ def run_quadrics(cfg: RunConfig):
             for d in range(4):
                 tr = Fp.add(tr, prod.rows[d][d])
             ok = ok and quadrics._mp_eval(Fp, grads[i], t) == tr
-    checks.append(
-        _mk(
-            "adjugate_gradient_identity",
-            "each partial of det equals trace(adj(Q) Q_i)",
-            ok,
-            True,
-            ok,
-        )
-    )
+    yield "adjugate_gradient_identity", "each partial of det equals trace(adj(Q) Q_i)", ok
 
     rng = derive_rng(cfg.seed, "quadrics.bitangent")
     good = 0
@@ -637,14 +566,12 @@ def run_quadrics(cfg: RunConfig):
                 good += 1
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
-    checks.append(
-        _mk(
-            "bitangent_pairs",
-            "the two marked points on a base-locus line satisfy every generator's bilinear condition",
-            produced == want and good == want,
-            f"{want} verified pairs",
-            f"{good} of {produced}",
-        )
+    yield (
+        "bitangent_pairs",
+        "the two marked points on a base-locus line satisfy every generator's bilinear condition",
+        produced == want and good == want,
+        f"{want} verified pairs",
+        f"{good} of {produced}",
     )
 
     # one 10-point set with independent images shows that the dependent sets
@@ -661,15 +588,13 @@ def run_quadrics(cfg: RunConfig):
     conic_pts = [[1, a % cfg.prime, (a * a) % cfg.prime, 0] for a in range(2, 12)]
     r_conic = quadrics.veronese_independence(Fp, conic_pts)
     ok = r10 == 10 and r11 <= 10 and r_conic <= 9
-    checks.append(
-        _mk(
-            "veronese_independence",
-            "10 generic points have independent square images; a common quadric forces dependence",
-            ok,
-            f"(10 in one of <= {VERONESE_SETS} sets, <=10, <=9)",
-            (r10, r11, r_conic),
-            witness=f"sets={sets}",
-        )
+    yield (
+        "veronese_independence",
+        "10 generic points have independent square images; a common quadric forces dependence",
+        ok,
+        f"(10 in one of <= {VERONESE_SETS} sets, <=10, <=9)",
+        (r10, r11, r_conic),
+        f"sets={sets}",
     )
 
     scan_p = 61
@@ -680,33 +605,28 @@ def run_quadrics(cfg: RunConfig):
     census = quadrics.field_scan(diag)
     expect = {0: 0, 1: 4, 2: 6 * (scan_p - 1)}
     got = {r: census.rank_counts[r] for r in (0, 1, 2)}
-    checks.append(
-        _mk(
-            "diagonal_scan_census",
-            "diagonal web: the rank <= 2 locus is the six coordinate lines, 6p - 2 points",
-            got == expect
-            and census.rank_counts[1] + census.rank_counts[2] == 6 * scan_p - 2
-            and census.rank2_nonsingular == 0,
-            expect,
-            got,
-        )
+    yield (
+        "diagonal_scan_census",
+        "diagonal web: the rank <= 2 locus is the six coordinate lines, 6p - 2 points",
+        got == expect
+        and census.rank_counts[1] + census.rank_counts[2] == 6 * scan_p - 2
+        and census.rank2_nonsingular == 0,
+        expect,
+        got,
     )
 
     rng = derive_rng(cfg.seed, "quadrics.scan")
     web3 = _random_web(GF(scan_p), rng)
     census3 = quadrics.field_scan(web3)
     band = abs(census3.rank_counts[3] - scan_p * scan_p) <= 40 * scan_p
-    checks.append(
-        _mk(
-            "random_scan",
-            "every rank <= 2 point is singular on the quartic; rank-3 count sits in the surface band",
-            census3.rank2_nonsingular == 0 and band,
-            "no rank <= 2 point with nonzero gradient",
-            census3.rank2_nonsingular,
-            witness=f"counts={census3.json_rows()} generic={census3.is_generic()} band_ok={band}",
-        )
+    yield (
+        "random_scan",
+        "every rank <= 2 point is singular on the quartic; rank-3 count sits in the surface band",
+        census3.rank2_nonsingular == 0 and band,
+        "no rank <= 2 point with nonzero gradient",
+        census3.rank2_nonsingular,
+        f"counts={census3.json_rows()} generic={census3.is_generic()} band_ok={band}",
     )
-    return checks
 
 
 def _projective_point(field, rng):
@@ -753,29 +673,27 @@ def _bitangent_fixture(field, rng):
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_chow(cfg: RunConfig):
-    checks = []
     model = chow.VarietyModel()
     emb = chow.EmbeddingModel(model)
 
     idents = chow.table_identities(model)
     ok = all(l == r for _, l, r in idents)
-    checks.append(
-        _mk(
-            "degree_table_identities",
-            "3 deg(Z m) = deg((15h^2 - c2) m) for m in {h^2, c2, Z}; (1/240)(c2^2 - c4/3) = 3",
-            ok,
-            "all identities hold",
-            [(d, str(l), str(r)) for d, l, r in idents],
-        )
+    yield (
+        "degree_table_identities",
+        "3 deg(Z m) = deg((15h^2 - c2) m) for m in {h^2, c2, Z}; (1/240)(c2^2 - c4/3) = 3",
+        ok,
+        "all identities hold",
+        [(d, str(l), str(r)) for d, l, r in idents],
     )
 
     h = model.sym("h")
-    # (ok, expected, got, witness) of c2h_equals_5h3 and c4_combination
+    # (ok, expected, got[, witness]) of c2h_equals_5h3 and c4_combination
     try:
         rels = chow.derive_relations(model, emb)
     except chow.DerivationError as exc:
-        c2h_result = c4_result = (False, "derivation", f"error: {exc}", None)
+        c2h_result = c4_result = (False, "derivation", f"error: {exc}")
     else:
         c2h = rels.by_name("c2*h")
         c4rel = rels.by_name("c4")
@@ -783,20 +701,18 @@ def run_chow(cfg: RunConfig):
         c2h_ok = c2h.lhs == model.sym("c2") * h and c2h.rhs == (h**3).scale(5)
         c2h_result = (c2h_ok and deg is not None and deg[0] == deg[1], "5*h^3", repr(c2h.rhs), f"degreeCheck={deg}")
         c4_ok = c4rel.degree_check == (Fraction(324), Fraction(324))
-        c4_result = (c4_ok, 324, str(c4rel.degree_check[1]), None)
-    checks.append(_mk("c2h_equals_5h3", "two routes to the cokernel sheaf force c2 h = 5 h^3", *c2h_result))
-    checks.append(_mk("c4_combination", "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324", *c4_result))
+        c4_result = (c4_ok, 324, str(c4rel.degree_check[1]))
+    yield "c2h_equals_5h3", "two routes to the cokernel sheaf force c2 h = 5 h^3", *c2h_result
+    yield "c4_combination", "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324", *c4_result
 
     vals = {n: chow.hrr_chi(model, model.line(n)) for n in range(-3, 6)}
     ok = all(v == Fraction(n**4, 2) + Fraction(5 * n**2, 2) + 3 for n, v in vals.items())
-    checks.append(
-        _mk(
-            "riemann_roch_polynomial",
-            "chi(O(n)) = n^4/2 + 5n^2/2 + 3 for n in -3..5; chi(O) = 3, chi(O(3)) = 66",
-            ok and vals[0] == 3 and vals[3] == 66 and vals[1] == 6,
-            "polynomial values",
-            {n: str(v) for n, v in sorted(vals.items())},
-        )
+    yield (
+        "riemann_roch_polynomial",
+        "chi(O(n)) = n^4/2 + 5n^2/2 + 3 for n in -3..5; chi(O) = 3, chi(O(3)) = 66",
+        ok and vals[0] == 3 and vals[3] == 66 and vals[1] == 6,
+        "polynomial values",
+        {n: str(v) for n, v in sorted(vals.items())},
     )
 
     rng = derive_rng(cfg.seed, "chow.roundtrip")
@@ -806,19 +722,17 @@ def run_chow(cfg: RunConfig):
         ch = chow.ch_from_c(b)
         back = chow.c_from_ch(model, ch, b.rank)
         ok = ok and all(back.c(i) == b.c(i) for i in range(1, 5))
-    checks.append(_mk("chern_character_roundtrip", "c -> ch -> c is the identity", ok, True, ok))
+    yield "chern_character_roundtrip", "c -> ch -> c is the identity", ok
 
     tx = model.tangent()
     td = chow.todd_from_c(tx)
     sym_td4 = (model.sym("c2") ** 2).scale(Fraction(3, 720)) - model.sym("c4").scale(Fraction(1, 720))
-    checks.append(
-        _mk(
-            "todd_symplectic",
-            "with c1 = c3 = 0 the top Todd piece is (3 c2^2 - c4)/720",
-            td.component(4) == sym_td4,
-            repr(sym_td4),
-            repr(td.component(4)),
-        )
+    yield (
+        "todd_symplectic",
+        "with c1 = c3 = 0 the top Todd piece is (3 c2^2 - c4)/720",
+        td.component(4) == sym_td4,
+        repr(sym_td4),
+        repr(td.component(4)),
     )
 
     p5 = chow.BundleClass(
@@ -829,27 +743,22 @@ def run_chow(cfg: RunConfig):
     diff = chow.chern_difference(p5, tx)
     expected = (h * h).scale(15) - model.sym("c2")
     deg = model.degree(diff * h * h)
-    checks.append(
-        _mk(
-            "pullback_tangent_difference",
-            "c2 of the pulled-back ambient tangent minus the tangent is 15h^2 - c2; against h^2: 120",
-            diff == expected and deg == 120,
-            f"{expected!r}; 120",
-            f"{diff!r}; {deg}",
-        )
+    yield (
+        "pullback_tangent_difference",
+        "c2 of the pulled-back ambient tangent minus the tangent is 15h^2 - c2; against h^2: 120",
+        diff == expected and deg == 120,
+        f"{expected!r}; 120",
+        f"{diff!r}; {deg}",
     )
 
     rel = chow.normal_bundle_canonical_relation(emb)
-    checks.append(
-        _mk(
-            "canonical_class_relation",
-            "the rank-stratified sequence forces 2 c1(N) = 6 hZ on the surface",
-            rel.lhs == rel.rhs,
-            repr(rel.rhs),
-            repr(rel.lhs),
-        )
+    yield (
+        "canonical_class_relation",
+        "the rank-stratified sequence forces 2 c1(N) = 6 hZ on the surface",
+        rel.lhs == rel.rhs,
+        repr(rel.rhs),
+        repr(rel.lhs),
     )
-    return checks
 
 
 def _random_bundle(model, rng):
@@ -875,8 +784,8 @@ def _random_bundle(model, rng):
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_schubert(cfg: RunConfig):
-    checks = []
     ctx = schubert.Context(2, 6)
     s = schubert.SchubertClass.sigma
 
@@ -886,14 +795,12 @@ def run_schubert(cfg: RunConfig):
     ok2 = p2 == s(ctx, 4, 4)
     x = schubert.pieri(schubert.pieri(s(ctx, 2, 1), 2), 1)
     y = schubert.pieri(schubert.pieri(s(ctx, 2, 1), 1), 2)
-    checks.append(
-        _mk(
-            "pieri_samples",
-            "s1*s1 = s2 + s11; s43*s1 = s44; special products commute",
-            ok1 and ok2 and x == y,
-            True,
-            (ok1, ok2, x == y),
-        )
+    yield (
+        "pieri_samples",
+        "s1*s1 = s2 + s11; s43*s1 = s44; special products commute",
+        ok1 and ok2 and x == y,
+        True,
+        (ok1, ok2, x == y),
     )
 
     ok = True
@@ -906,59 +813,50 @@ def run_schubert(cfg: RunConfig):
             val = schubert.integrate(schubert.mul_by_partition(s(ctx, *lam), mu))
             comp = tuple(x for x in (4 - (lam + (0, 0))[1], 4 - (lam + (0, 0))[0]) if x)
             ok = ok and val == (1 if mu == comp else 0)
-    checks.append(
-        _mk("duality", "integrate(s_lam * s_mu) = 1 exactly for complementary box partitions", ok, True, ok)
-    )
+    yield "duality", "integrate(s_lam * s_mu) = 1 exactly for complementary box partitions", ok
 
     power = schubert.SchubertClass.one(ctx)
     for _ in range(8):
         power = schubert.pieri(power, 1)
     deg = schubert.integrate(power)
-    checks.append(_mk("plucker_degree", "integrate(s1^8) = 14 on Gr(2,6)", deg == 14, 14, deg))
+    yield "plucker_degree", "integrate(s1^8) = 14 on Gr(2,6)", deg == 14, 14, deg
 
     cls = schubert.sym6_top_chern()
     oracle = oracles.sym_power_box_class(6)
     got = cls.coeffs.get((4, 3), 0)
-    checks.append(
-        _mk(
-            "sym6_top_chern_oracle",
-            "Pieri reduction matches the root-product Schur oracle",
-            {(4, 3): got} == oracle,
-            oracle,
-            dict(cls.coeffs),
-        )
+    yield (
+        "sym6_top_chern_oracle",
+        "Pieri reduction matches the root-product Schur oracle",
+        {(4, 3): got} == oracle,
+        oracle,
+        dict(cls.coeffs),
     )
-    checks.append(
-        _mk(
-            "sym6_top_chern_stated_constant",
-            "multiplicity of the line class: catalogued value 432*134 = 57888",
-            got == 57888,
-            "57888*s[4,3]",
-            f"{got}*s[4,3]",
-            witness="root-product oracle and Pieri agree on 432*140 = 60480; "
-            "the catalogued 57888 does not match either route",
-        )
+    yield (
+        "sym6_top_chern_stated_constant",
+        "multiplicity of the line class: catalogued value 432*134 = 57888",
+        got == 57888,
+        "57888*s[4,3]",
+        f"{got}*s[4,3]",
+        "root-product oracle and Pieri agree on 432*140 = 60480; "
+        "the catalogued 57888 does not match either route",
     )
-    return checks
 
 
 # --------------------------------------------------------------------------
 
 
+@_checks
 def run_bbf(cfg: RunConfig):
-    checks = []
     lat = lattice.BBLattice()
 
     det = lat.determinant()
     sig = lat.signature()
-    checks.append(
-        _mk(
-            "gram_invariants",
-            "|det| = 2 and signature (3, 20) for U^3 + E8(-1)^2 + <-2>",
-            abs(det) == 2 and sig == (3, 20),
-            "(|det|, sig) = (2, (3, 20))",
-            (abs(det), sig),
-        )
+    yield (
+        "gram_invariants",
+        "|det| = 2 and signature (3, 20) for U^3 + E8(-1)^2 + <-2>",
+        abs(det) == 2 and sig == (3, 20),
+        "(|det|, sig) = (2, (3, 20))",
+        (abs(det), sig),
     )
 
     h = lat.h
@@ -973,40 +871,32 @@ def run_bbf(cfg: RunConfig):
         d = tuple(rng.randint(-3, 3) for _ in range(23))
         base = lat.quad_intersection(a, b, c, d)
         ok = ok and lat.quad_intersection(c, a, d, b) == base and lat.quad_intersection(d, c, b, a) == base
-    checks.append(
-        _mk(
-            "fujiki_polarization",
-            "deg(x^4) = 3 q(x,x)^2, fully symmetric; h^4 = 12 and the square -2 class has fourth power 12",
-            ok,
-            True,
-            ok,
-        )
+    yield (
+        "fujiki_polarization",
+        "deg(x^4) = 3 q(x,x)^2, fully symmetric; h^4 = 12 and the square -2 class has fourth power 12",
+        ok,
     )
 
     vals = (lattice.chi_of_class(-2), lattice.chi_of_class(0), lattice.chi_of_class(18))
-    checks.append(
-        _mk(
-            "chi_values",
-            "chi = q^2/8 + 5q/4 + 3: values 1, 3, 66 at q = -2, 0, 18",
-            vals == (1, 3, 66),
-            (1, 3, 66),
-            tuple(str(v) for v in vals),
-        )
+    yield (
+        "chi_values",
+        "chi = q^2/8 + 5q/4 + 3: values 1, 3, 66 at q = -2, 0, 18",
+        vals == (1, 3, 66),
+        (1, 3, 66),
+        tuple(str(v) for v in vals),
     )
 
     ok = lat.verify_deg6()
-    checks.append(_mk("deg6_functional", "c2 h = 5 h^3 paired against all 23 basis vectors", ok, True, ok))
+    yield "deg6_functional", "c2 h = 5 h^3 paired against all 23 basis vectors", ok
 
     alpha, v1, v2 = lat.deg4_independence_witness()
-    checks.append(
-        _mk(
-            "deg4_independence",
-            "an isotropic class meeting h separates h^2 from the dual form",
-            v1 != 0 and v2 == 0,
-            "(nonzero, 0)",
-            (v1, v2),
-            witness=f"h-values: ({lat.quad_intersection(h, h, h, h)}, {25 * lat.q(h, h)})",
-        )
+    yield (
+        "deg4_independence",
+        "an isotropic class meeting h separates h^2 from the dual form",
+        v1 != 0 and v2 == 0,
+        "(nonzero, 0)",
+        (v1, v2),
+        f"h-values: ({lat.quad_intersection(h, h, h, h)}, {25 * lat.q(h, h)})",
     )
 
     rng = derive_rng(cfg.seed, "bbf.c2e2")
@@ -1014,27 +904,16 @@ def run_bbf(cfg: RunConfig):
     for _ in range(50):
         a = tuple(rng.randint(-4, 4) for _ in range(23))
         ok = ok and lat.c2_pairing(a, a) == 30 * lat.q(a, a)
-    checks.append(
-        _mk(
-            "c2_pairing_consistency",
-            "deg(c2 e^2) = 30 q(e,e): the dual-form constants are mutually consistent",
-            ok,
-            True,
-            ok,
-        )
-    )
+    yield "c2_pairing_consistency", "deg(c2 e^2) = 30 q(e,e): the dual-form constants are mutually consistent", ok
 
     odd = lattice.odd_section_count()
-    checks.append(
-        _mk(
-            "odd_cubic_sections",
-            "66 cubic sections upstairs split as 56 pulled back plus 10 anti-invariant",
-            odd == 10,
-            10,
-            odd,
-        )
+    yield (
+        "odd_cubic_sections",
+        "66 cubic sections upstairs split as 56 pulled back plus 10 anti-invariant",
+        odd == 10,
+        10,
+        odd,
     )
-    return checks
 
 
 SUITES = {

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,46 @@ def _fault_pencil_member_off_perp(monkeypatch):
     monkeypatch.setattr(incidence.LagrangianPencil, "member", faulty)
 
 
+def _fault_harris_tu_d2(monkeypatch):
+    """deg D_2 on 4x4 symmetric forms read as 11."""
+    degree = quadrics.harris_tu_degree
+    monkeypatch.setattr(quadrics, "harris_tu_degree", lambda n, r: degree(n, r) + ((n, r) == (4, 2)))
+
+
+def _fault_plucker_quadric(monkeypatch):
+    """The Grassmannian quadric plus v0*v1: the sextic of A_+ is not its
+    cube, and a generic sextic is still no quadric cube."""
+    quadric = epw.plucker_quadric
+
+    def faulty(field, v):
+        return field.add(quadric(field, v), field.mul(field.of(v[0]), field.of(v[1])))
+
+    monkeypatch.setattr(epw, "plucker_quadric", faulty)
+
+
+def _fault_canonical_relation_rhs(monkeypatch):
+    """The sequence on the surface read as 2 c1(N) = 12 hZ."""
+    relation = chow.normal_bundle_canonical_relation
+
+    def faulty(emb):
+        rel = relation(emb)
+        return replace(rel, rhs=rel.rhs.scale(2))
+
+    monkeypatch.setattr(chow, "normal_bundle_canonical_relation", faulty)
+
+
+def _fault_chi_at_minus_two(monkeypatch):
+    """chi of a class of square -2 read as 2; the odd sections read chi at
+    q = 18 only."""
+    chi = lattice.chi_of_class
+    monkeypatch.setattr(lattice, "chi_of_class", lambda q: chi(q) + (q == -2))
+
+
+def _fault_ambient_cubics(monkeypatch):
+    """The cubics pulled back from the ambient P^7 counted as C(8,3) + 1."""
+    monkeypatch.setattr(lattice, "comb", lambda n, k: comb(n, k) + 1)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
@@ -133,6 +174,11 @@ FAULTS = {
     ("bbf", "deg6_functional"): _fault_c2_pairing,
     ("epw", "sextic_degree"): _fault_sextic_top_coefficient,
     ("incidence", "pencil_axioms"): _fault_pencil_member_off_perp,
+    ("quadrics", "harris_tu_degrees"): _fault_harris_tu_d2,
+    ("epw", "triple_quadric"): _fault_plucker_quadric,
+    ("chow", "canonical_class_relation"): _fault_canonical_relation_rhs,
+    ("bbf", "chi_values"): _fault_chi_at_minus_two,
+    ("bbf", "odd_cubic_sections"): _fault_ambient_cubics,
 }
 
 
@@ -166,6 +212,27 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
         assert after[cid].got == "error: injected"
     assert list(after) == list(before)
     assert {k for k in after if after[k].status != before[k]} == {"c2h_equals_5h3", "c4_combination"}
+
+
+def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
+    """When every point search runs out of budget, the two checks that
+    sample points of Y have no sample: each reports a skip with the reason
+    as its witness, and no other check changes status."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.run_epw(cfg)}
+
+    def exhausted(A, rng, budget=60):
+        raise epw.RetryBudgetExhausted("injected")
+
+    monkeypatch.setattr(epw, "find_point_stats", exhausted)
+    after = {c.id: c for c in suites.run_epw(cfg)}
+    changed = {
+        k: (before[k], c.status, c.expected, c.got, c.witness) for k, c in after.items() if c.status != before[k]
+    }
+    assert changed == {
+        "smoothness_equivalence": ("pass", "skip", "", "", "retry budget exhausted on every sample (budget_miss=1)"),
+        "tangent_functional_proportional": ("pass", "skip", "", "", "retry budget exhausted on every sample"),
+    }
 
 
 def test_a_nonsingular_low_rank_point_fails_both_scan_checks(monkeypatch):
@@ -292,11 +359,11 @@ def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
     def never(cfg):
         raise AssertionError("a suite after the failing check ran")
 
-    monkeypatch.setitem(suites.SUITES, first, lambda cfg: [suites._mk("a", "passes", True, 1, 1)])
+    monkeypatch.setitem(suites.SUITES, first, lambda cfg: [suites.Check("a", "passes", "pass", "1", "1")])
     monkeypatch.setitem(
         suites.SUITES,
         second,
-        lambda cfg: [suites._mk("b", "fails", False, 1, 2), suites._mk("c", "passes", True, 1, 1)],
+        lambda cfg: [suites.Check("b", "fails", "fail", "1", "2"), suites.Check("c", "passes", "pass", "1", "1")],
     )
     monkeypatch.setitem(suites.SUITES, third, never)
     checks = cli.run_suites("all", suites.RunConfig(seed=0, trials=2), fail_fast=True)
@@ -304,6 +371,32 @@ def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
     assert cli.main(["run", "all", "--fail-fast", "--seed", "0", "--trials", "2"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [(c["id"], c["status"]) for c in doc["checks"]] == [(f"{first}.a", "pass"), (f"{second}.b", "fail")]
+
+
+def test_each_yield_shape_becomes_its_check():
+    """A suite yields (id, anchor, ok), (id, anchor, ok, expected, got[,
+    witness]) or (id, anchor, None, why) per check. A suite call returns the
+    list of Checks, not a generator, so timing the call times the checks."""
+
+    @suites._checks
+    def toy(cfg):
+        yield "a", "expects True", 1 == 1
+        yield "b", "expects True", False
+        yield "c", "compares", 2 == 3, 2, 3
+        yield "d", "witnessed", True, (1, 2), {1}, "w"
+        yield "e", "skipped", None, "why"
+
+    assert toy(None) == [
+        suites.Check("a", "expects True", "pass", "True", "True"),
+        suites.Check("b", "expects True", "fail", "True", "False"),
+        suites.Check("c", "compares", "fail", "2", "3"),
+        suites.Check("d", "witnessed", "pass", "(1, 2)", "{1}", "w"),
+        suites.Check("e", "skipped", "skip", "", "", "why"),
+    ]
+    cfg = suites.RunConfig(seed=0, trials=1)
+    for run in suites.SUITES.values():
+        checks = run(cfg)
+        assert type(checks) is list and checks and all(type(c) is suites.Check for c in checks)
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
