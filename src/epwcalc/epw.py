@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, frame_rows, frame_struct, vol, wedge_table
+from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, chart_for, frame_struct, vol, wedge_table
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
@@ -33,13 +33,6 @@ class ChartError(ValueError):
 
 class RetryBudgetExhausted(RuntimeError):
     """A randomized search ran out of retries (bad luck or a degenerate input)."""
-
-
-def chart_for(field, vcoords) -> int:
-    for c, x in enumerate(vcoords):
-        if not field.is_zero(x):
-            return c
-    raise ValueError("zero vector has no chart")
 
 
 class EpwLagrangian:
@@ -91,13 +84,9 @@ def random_lagrangian_datum(space: SymplecticSpace, rng) -> EpwLagrangian:
 
 def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     """dim(F_v ∩ A) computed as 20 - rank of the stacked basis rows."""
-    F = A.field
-    v = [F.of(x) for x in vcoords]
-    if all(F.is_zero(x) for x in v):
-        raise ValueError("zero vector")
-    # frame rows of the coerced v and A's canonical basis: trusted
-    m = Matrix._reduced(F, [tuple(r) for r in frame_rows(F, v)] + list(A.basis), DIM3)
-    return 20 - m.rank()
+    fiber = A.space.fiber(ExteriorVector(A.field, 1, vcoords))
+    # canonical rows of the fiber and of A: trusted
+    return DIM3 - Matrix._reduced(A.field, fiber.basis() + A.basis, DIM3).rank()
 
 
 def _det10(field, flat):

@@ -66,18 +66,12 @@ def frame_struct(c):
     return struct
 
 
-def frame_rows(field, coords):
-    """The frame vectors v ^ e_i ^ e_j on the chart c of the first nonzero
-    coordinate of v, a basis of the fiber v ^ (2-vectors): each carries the
-    lone coordinate +-v_c at {c, i, j}."""
-    chart = next(c for c, x in enumerate(coords) if not field.is_zero(x))
-    rows = []
-    for entries in frame_struct(chart):
-        row = [field.zero] * DIM3
-        for s, sg, pos in entries:
-            row[pos] = coords[s] if sg > 0 else field.neg(coords[s])
-        rows.append(row)
-    return rows
+def chart_for(field, vcoords) -> int:
+    """The chart of v: the index of its first nonzero coordinate."""
+    for c, x in enumerate(vcoords):
+        if not field.is_zero(x):
+            return c
+    raise ValueError("zero vector has no chart")
 
 
 def chart_vector(field, y, unit=None):
@@ -248,10 +242,8 @@ class SymplecticSpace:
         which are no row's pivot. Sorted by pivot, these rows are the RREF."""
         if v.grade != 1:
             raise GradeError("fiber needs a grade-1 vector")
-        if v.is_zero():
-            raise ValueError("fiber of the zero vector")
         F = self.field
-        chart = next(c for c, x in enumerate(v.coords) if not F.is_zero(x))
+        chart = chart_for(F, v.coords)
         w = F.lincomb([F.inv(v.coords[chart])], [v.coords])
         rows = []
         for entries in frame_struct(chart):
@@ -326,9 +318,7 @@ class SymplecticSpace:
             col = [m[f][b] for f in free]
             for a, y, x in rows:
                 m[a][b] = m[b][a] = F.sub(y[b], F.dot(x, col))
-        out = graph_lagrangian(F, m)
-        assert self.is_lagrangian(out) and out.contains_subspace(s)
-        return out
+        return graph_lagrangian(F, m)
 
     def random_lagrangian(self, rng) -> Subspace:
         """`lagrangian_completion` of 0: `graph_lagrangian` of a random

@@ -9,7 +9,7 @@ characteristic used downstream.
 from fractions import Fraction
 from math import comb
 
-from .linalg import Matrix, interpolate_univariate
+from .linalg import Matrix, charpoly
 from .scalars import QQ
 
 _U = [[0, 1], [1, 0]]
@@ -48,16 +48,10 @@ def _inertia(gram):
     """(positive, negative) eigenvalue counts of a symmetric integer matrix.
 
     A real symmetric matrix has only real eigenvalues, so Descartes' rule of
-    signs is exact for its characteristic polynomial det(tI - G): the sign
-    changes of its coefficients count the positive eigenvalues, those of
-    det(-tI - G) the negative ones, with multiplicity. The polynomial is
-    interpolated from n + 1 exact determinants."""
-    n = len(gram)
-    samples = [
-        (t, Matrix(QQ, [[t * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]).det())
-        for t in range(n + 1)
-    ]
-    chi = interpolate_univariate(QQ, samples, n)
+    signs is exact for its characteristic polynomial det(tI - G) (`charpoly`
+    over QQ): the sign changes of its coefficients count the positive
+    eigenvalues, those of det(-tI - G) the negative ones, with multiplicity."""
+    chi = charpoly(QQ, gram)
     return _sign_changes(chi), _sign_changes([-c if i % 2 else c for i, c in enumerate(chi)])
 
 

@@ -238,34 +238,11 @@ class PrimeField:
         return rng.randrange(self.p)
 
     def sqrt(self, a):
-        """Tonelli-Shanks square root, or None for a non-residue."""
-        p = self.p
-        a %= p
-        if a == 0:
-            return 0
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        # write p-1 = q * 2^s with q odd
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c = s, pow(z, q, p)
-        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
+        """The smallest square root of a in [0, p), or None for a non-residue:
+        the smallest root of x^2 - a (`linalg.smallest_root`)."""
+        from .linalg import smallest_root  # linalg imports this module
+
+        return smallest_root([-a, 0, 1], self.p)
 
     def __repr__(self):
         return f"GF({self.p})"

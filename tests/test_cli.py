@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import resource
 import subprocess
@@ -144,6 +145,21 @@ def _fault_plucker_quadric(monkeypatch):
     monkeypatch.setattr(epw, "plucker_quadric", faulty)
 
 
+def _fault_second_bitangent_root(monkeypatch):
+    """On every other call, the second root of the residual binary quadratic
+    moved by +1: that pair misses a generator's bilinear condition."""
+    roots = quadrics._binary_quadratic_roots
+    calls = itertools.count()
+
+    def faulty(field, alpha, beta, gamma):
+        s1, (a, b), double = roots(field, alpha, beta, gamma)
+        if next(calls) % 2:
+            a = field.add(a, field.one)
+        return s1, (a, b), double
+
+    monkeypatch.setattr(quadrics, "_binary_quadratic_roots", faulty)
+
+
 def _fault_canonical_relation_rhs(monkeypatch):
     """The sequence on the surface read as 2 c1(N) = 12 hZ."""
     relation = chow.normal_bundle_canonical_relation
@@ -176,6 +192,7 @@ FAULTS = {
     ("incidence", "pencil_axioms"): _fault_pencil_member_off_perp,
     ("quadrics", "harris_tu_degrees"): _fault_harris_tu_d2,
     ("epw", "triple_quadric"): _fault_plucker_quadric,
+    ("quadrics", "bitangent_pairs"): _fault_second_bitangent_root,
     ("chow", "canonical_class_relation"): _fault_canonical_relation_rhs,
     ("bbf", "chi_values"): _fault_chi_at_minus_two,
     ("bbf", "odd_cubic_sections"): _fault_ambient_cubics,

@@ -12,7 +12,7 @@ from epwcalc.exterior import (
     ExteriorVector,
     GradeError,
     SymplecticSpace,
-    frame_rows,
+    frame_struct,
     graph_lagrangian,
     merge_sign,
     vol,
@@ -25,6 +25,20 @@ from epwcalc.rng import derive_rng
 F = GF(10007)
 SP = SymplecticSpace(F)
 SQ = SymplecticSpace(QQ)
+
+
+def frame_rows(field, coords):
+    """The frame vectors v ^ e_i ^ e_j on the chart c of the first nonzero
+    coordinate of v, unscaled, a basis of the fiber v ^ (2-vectors): each
+    carries the lone coordinate +-v_c at {c, i, j}."""
+    chart = next(c for c, x in enumerate(coords) if not field.is_zero(x))
+    rows = []
+    for entries in frame_struct(chart):
+        row = [field.zero] * DIM3
+        for s, sg, pos in entries:
+            row[pos] = coords[s] if sg > 0 else field.neg(coords[s])
+        rows.append(row)
+    return rows
 
 
 def vec(field, grade, coords):

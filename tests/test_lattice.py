@@ -4,7 +4,9 @@ from itertools import permutations
 import pytest
 
 from epwcalc import lattice
+from epwcalc.linalg import Matrix, charpoly, interpolate_univariate
 from epwcalc.rng import derive_rng
+from epwcalc.scalars import QQ
 
 LAT = lattice.BBLattice()
 
@@ -179,3 +181,23 @@ def test_signature_against_the_congruence_reduction():
         assert (pos, neg) == congruence_inertia(g), g
         kinds.add((pos + neg < n, pos > 0 and neg > 0))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def interpolated_charpoly(gram):
+    """det(tI - G) interpolated from its values at t = 0..n, each an exact
+    QQ determinant: the reference for the `charpoly` that `_inertia` reads."""
+    n = len(gram)
+    samples = [
+        (t, Matrix(QQ, [[t * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]).det())
+        for t in range(n + 1)
+    ]
+    return interpolate_univariate(QQ, samples, n)
+
+
+def test_charpoly_equals_the_interpolated_determinants():
+    """On the Gram matrix and on the same matrix with <+2> in place of <-2>
+    (the `gram_invariants` fault), whose signatures differ."""
+    plus_two = [row[:22] + [2 if i == 22 else 0] for i, row in enumerate(LAT.gram)]
+    for gram, sig in ((LAT.gram, (3, 20)), (plus_two, (4, 19))):
+        assert charpoly(QQ, gram) == interpolated_charpoly(gram)
+        assert lattice._inertia(gram) == sig

@@ -144,3 +144,17 @@ def test_qq_of_returns_a_fraction_unchanged():
     x = Fraction(3, 4)
     assert QQ.of(x) is x
     assert typed([QQ.of(3)]) == [(Fraction, Fraction(3))]
+
+
+@pytest.mark.parametrize("p", [17, 61, 101, 10007])
+def test_prime_field_sqrt_is_the_smallest_root_exactly_for_residues(p):
+    """Against the table of squares: None exactly for non-residues, else the
+    smaller of the two roots r and p - r (0 for a = 0)."""
+    F = GF(p)
+    smallest = {}
+    for r in range(p):
+        smallest.setdefault(r * r % p, r)
+    for a in range(p):
+        root = F.sqrt(a)
+        assert root == smallest.get(a), a
+        assert root is None or root * root % p == a
