@@ -681,20 +681,22 @@ def run_chow(cfg: RunConfig):
         [(d, str(l), str(r)) for d, l, r in idents],
     )
 
-    h = model.sym("h")
-    # (ok, expected, got[, witness]) of c2h_equals_5h3 and c4_combination
+    h, c2, Z, c4 = (model.sym(name) for name in ("h", "c2", "Z", "c4"))
+    # (ok, expected, got[, witness]) of c2h_equals_5h3 and c4_combination:
+    # R3 and R4 read modulo R2, with R2 solved for Z and for c2
     try:
-        rels = chow.derive_relations(model, emb)
+        r2, r3, r4 = chow.derive_relations(model, emb)
+        c2h_rhs = _solve(r3.substitute("Z", _solve(r2, Z)), c2 * h)
+        c4_expr = _solve(r4.substitute("c2", _solve(r2, c2)), c4)
     except chow.DerivationError as exc:
         c2h_result = c4_result = (False, "derivation", f"error: {exc}")
     else:
-        c2h = rels.by_name("c2*h")
-        c4rel = rels.by_name("c4")
-        deg = c2h.degree_check
-        c2h_ok = c2h.lhs == model.sym("c2") * h and c2h.rhs == (h**3).scale(5)
-        c2h_result = (c2h_ok and deg is not None and deg[0] == deg[1], "5*h^3", repr(c2h.rhs), f"degreeCheck={deg}")
-        c4_ok = c4rel.degree_check == (Fraction(324), Fraction(324))
-        c4_result = (c4_ok, 324, str(c4rel.degree_check[1]))
+        deg = (model.degree(c2 * h * h), model.degree(c2h_rhs * h))
+        c2h_ok = c2h_rhs == (h**3).scale(5) and deg[0] == deg[1]
+        c2h_result = (c2h_ok, "5*h^3", repr(c2h_rhs), f"degreeCheck={deg}")
+        c4_deg = model.degree(c4_expr)
+        c4_anchor = (h**4).scale(435) - (h * h * Z).scale(180) + (Z * Z).scale(12)
+        c4_result = (c4_expr == c4_anchor and model.degree(c4) == c4_deg == 324, 324, str(c4_deg))
     yield "c2h_equals_5h3", "two routes to the cokernel sheaf force c2 h = 5 h^3", *c2h_result
     yield "c4_combination", "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324", *c4_result
 
@@ -719,7 +721,7 @@ def run_chow(cfg: RunConfig):
 
     tx = model.tangent()
     td = chow.todd_from_c(tx)
-    sym_td4 = (model.sym("c2") ** 2).scale(Fraction(3, 720)) - model.sym("c4").scale(Fraction(1, 720))
+    sym_td4 = (c2**2).scale(Fraction(3, 720)) - c4.scale(Fraction(1, 720))
     yield (
         "todd_symplectic",
         "with c1 = c3 = 0 the top Todd piece is (3 c2^2 - c4)/720",
@@ -734,7 +736,7 @@ def run_chow(cfg: RunConfig):
         [h.scale(6), (h * h).scale(15), (h**3).scale(20), (h**4).scale(15)],
     )
     diff = chow.chern_difference(p5, tx)
-    expected = (h * h).scale(15) - model.sym("c2")
+    expected = (h * h).scale(15) - c2
     deg = model.degree(diff * h * h)
     yield (
         "pullback_tangent_difference",
@@ -744,14 +746,22 @@ def run_chow(cfg: RunConfig):
         f"{diff!r}; {deg}",
     )
 
-    rel = chow.normal_bundle_canonical_relation(emb)
+    two_c1n, six_hz = chow.normal_bundle_canonical_relation(emb)
     yield (
         "canonical_class_relation",
         "the rank-stratified sequence forces 2 c1(N) = 6 hZ on the surface",
-        rel.lhs == rel.rhs,
-        repr(rel.rhs),
-        repr(rel.lhs),
+        two_c1n == six_hz,
+        repr(six_hz),
+        repr(two_c1n),
     )
+
+
+def _solve(rel, x):
+    """The class that the monomial x equals where rel vanishes."""
+    (mono,) = x.terms
+    if mono not in rel.terms:
+        raise chow.DerivationError(f"{x!r} does not occur in {rel!r}")
+    return x - rel.scale(1 / rel.terms[mono])
 
 
 def _random_bundle(model, rng):

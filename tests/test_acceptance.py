@@ -308,16 +308,21 @@ def test_c12_relation_replay():
     t0 = time.monotonic()
     model = chow.VarietyModel()
     emb = chow.EmbeddingModel(model)
-    rels = chow.derive_relations(model, emb)  # raises on any intermediate mismatch
+    r2, r3, r4 = chow.derive_relations(model, emb)  # the classes that vanish
     h = model.sym("h")
+    c2 = model.sym("c2")
     Zs = model.sym("Z")
-    r6 = rels.by_name("c2*h")
-    r8 = rels.by_name("c4")
+    c4 = model.sym("c4")
+    # R3 and R4 modulo R2 = c2 + 3Z - 15h^2, solved for Z and for c2
+    r3_mod = r3.substitute("Z", Zs - r2.scale(Fraction(1, 3)))
+    r4_mod = r4.substitute("c2", c2 - r2)
+    c4_expr = c4 - r4_mod
     ok = (
-        r6.lhs == model.sym("c2") * h
-        and r6.rhs == (h**3).scale(5)
-        and r8.rhs == (h**4).scale(435) - (h * h * Zs).scale(180) + (Zs * Zs).scale(12)
-        and r8.degree_check == (Fraction(324), Fraction(324))
+        r2.terms[("Z",)] == 3
+        and r2.terms[("c2",)] == 1
+        and r3_mod.scale(1 / r3_mod.terms[("c2", "h")]) == c2 * h - (h**3).scale(5)
+        and c4_expr == (h**4).scale(435) - (h * h * Zs).scale(180) + (Zs * Zs).scale(12)
+        and (model.degree(c4), model.degree(c4_expr)) == (Fraction(324), Fraction(324))
     )
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 1.0

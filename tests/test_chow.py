@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from epwcalc import chow
+from epwcalc import chow, suites
 from epwcalc.rng import derive_rng
 
 M = chow.VarietyModel()
@@ -160,38 +160,50 @@ def test_pushforward_chern_classes():
 
 
 def test_derive_relations_full_replay():
-    rels = chow.derive_relations(M, EMB)
-    assert rels.by_name("c2(Q)").rhs == Z.scale(-3)
-    assert rels.by_name("c3(Q) route one").rhs == (H**3).scale(-70)
-    assert rels.by_name("c3(Q) route two").rhs == (H * Z).scale(-21)
-    r6 = rels.by_name("c2*h")
-    assert r6.lhs == C2 * H and r6.rhs == (H**3).scale(5)
-    assert r6.degree_check == (Fraction(60), Fraction(60))
-    r8 = rels.by_name("c4")
-    assert r8.rhs == (H**4).scale(435) - (H * H * Z).scale(180) + (Z * Z).scale(12)
-    assert r8.degree_check == (Fraction(324), Fraction(324))
+    """The relations are route one minus route two in each codimension.
+    Route one's components are pinned by the Whitney test, route two's
+    here."""
+    r2, r3, r4 = chow.derive_relations(M, EMB)
+    assert r2 == C2 + Z.scale(3) - (H * H).scale(15)
+    assert r3 == (H * Z).scale(21) - (H**3).scale(70)
+    assert r4 == C4 - (Z * Z).scale(12) + (H * H * Z).scale(135) - (H * H * C2).scale(15) - (H**4).scale(210)
+    route_two = M.unit()
+    for ch in (EMB.ch_det_tangent(), EMB.ch_tangent()):
+        pushed = chow.grr_push(EMB, ch)
+        route_two = route_two * chow.c_from_ch(M, [pushed.component(k) for k in range(5)], 0).total_chern()
+    assert route_two.component(1).is_zero()
+    assert route_two.component(2) == Z.scale(-3)
+    assert route_two.component(3) == (H * Z).scale(-21)
+    assert route_two.component(4) == (Z * Z).scale(12) - (H * H * Z).scale(135)
+    route_one = chow.whitney_solve(M.line(-6).total_chern() * M.tangent().total_chern(), (M.unit() - H) ** 6)
+    assert (r2, r3, r4) == tuple((route_one - route_two).component(k) for k in (2, 3, 4))
 
 
-def test_derive_relations_catches_bad_table():
-    bad = chow.VarietyModel(
-        {
-            ("h", "h", "h", "h"): 12,
-            ("c2", "h", "h"): 61,  # breaks the degree functional
-            ("c2", "c2"): 828,
-            ("c4",): 324,
-            ("Z", "h", "h"): 40,
-            ("Z", "c2"): 24,
-            ("Z", "Z"): 192,
-        }
-    )
-    emb = chow.EmbeddingModel(bad)
-    with pytest.raises(chow.DerivationError):
-        chow.derive_relations(bad, emb)
+def test_derive_relations_raises_when_the_routes_disagree_in_codimension_1():
+    class TangentWithC1(chow.VarietyModel):
+        def tangent(self):
+            return chow.BundleClass(self, 4, [self.sym("h"), self.sym("c2"), self.zero(), self.sym("c4")])
+
+    model = TangentWithC1()
+    with pytest.raises(chow.DerivationError, match="codimension 1"):
+        chow.derive_relations(model, chow.EmbeddingModel(model))
+
+
+def test_derive_relations_catches_bad_table(monkeypatch):
+    """The derivation reads no degree table; c2h_equals_5h3 pairs its
+    relation with h, so a table with c2h^2 = 61 fails that check."""
+    monkeypatch.setattr(chow, "DEGREE_TABLE", {**chow.DEGREE_TABLE, ("c2", "h", "h"): 61})
+    by_id = {c.id: c for c in suites.run_chow(suites.RunConfig(seed=0, trials=2))}
+    c2h = by_id["c2h_equals_5h3"]
+    assert (c2h.status, c2h.got) == ("fail", "5*h*h*h")
+    assert c2h.witness == "degreeCheck=(Fraction(61, 1), Fraction(60, 1))"
+    assert by_id["degree_table_identities"].status == "fail"
+    assert by_id["c4_combination"].status == "pass"  # c4's degree reads no c2 entry
 
 
 def test_normal_bundle_canonical_relation():
-    rel = chow.normal_bundle_canonical_relation(EMB)
-    assert rel.lhs == rel.rhs == EMB.surface.sym("hZ", 6)
+    two_c1n, six_hz = chow.normal_bundle_canonical_relation(EMB)
+    assert two_c1n == six_hz == EMB.surface.sym("hZ", 6)
 
 
 def test_model_mismatch_is_an_error():

@@ -4,7 +4,6 @@ import json
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -66,16 +65,26 @@ def test_chow_suite_has_the_headline_check():
     assert by_id["c2h_equals_5h3"]["status"] == "pass"
 
 
-def _fault_c2h_rhs(monkeypatch):
-    """The derived relation c2*h with right-hand side 4h^3."""
-    derive = chow.derive_relations
+def _fault_derived_relation(k, shift):
+    """Installs a derive_relations whose R_k is off by shift(model)."""
 
-    def faulty(model, emb):
-        four_h3 = (model.sym("h") ** 3).scale(4)
-        rels = derive(model, emb).relations
-        return chow.RelationSet(tuple(replace(r, rhs=four_h3) if r.name == "c2*h" else r for r in rels))
+    def install(monkeypatch):
+        derive = chow.derive_relations
 
-    monkeypatch.setattr(chow, "derive_relations", faulty)
+        def faulty(model, emb):
+            rels = list(derive(model, emb))
+            rels[k - 2] = rels[k - 2] + shift(model)
+            return tuple(rels)
+
+        monkeypatch.setattr(chow, "derive_relations", faulty)
+
+    return install
+
+
+# R3 - 7h^3: modulo R2 the codimension-3 relation reads c2*h = 4h^3
+_fault_c2h_rhs = _fault_derived_relation(3, lambda m: (m.sym("h") ** 3).scale(-7))
+# R4 + Z^2: c4 reads as 435h^4 - 180h^2 Z + 11 Z^2, of degree 132
+_fault_c4_expression = _fault_derived_relation(4, lambda m: m.sym("Z") ** 2)
 
 
 def _fault_plus_two_summand(monkeypatch):
@@ -165,8 +174,8 @@ def _fault_canonical_relation_rhs(monkeypatch):
     relation = chow.normal_bundle_canonical_relation
 
     def faulty(emb):
-        rel = relation(emb)
-        return replace(rel, rhs=rel.rhs.scale(2))
+        two_c1n, six_hz = relation(emb)
+        return two_c1n, six_hz.scale(2)
 
     monkeypatch.setattr(chow, "normal_bundle_canonical_relation", faulty)
 
@@ -185,6 +194,7 @@ def _fault_ambient_cubics(monkeypatch):
 
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
+    ("chow", "c4_combination"): _fault_c4_expression,
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
     ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
     ("bbf", "deg6_functional"): _fault_c2_pairing,
@@ -229,6 +239,53 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
         assert after[cid].got == "error: injected"
     assert list(after) == list(before)
     assert {k for k in after if after[k].status != before[k]} == {"c2h_equals_5h3", "c4_combination"}
+
+
+def _chow_changes(cfg, before):
+    """The chow checks whose status differs from `before`, with their `got`."""
+    return {c.id: c.got for c in suites.run_chow(cfg) if c.status != before[c.id]}
+
+
+def test_relation_faults_report_what_the_relations_force(monkeypatch):
+    """Read modulo R2, the faulty R3 gives c2*h = 4h^3 and the faulty R4 a
+    c4 expression of degree 324 - deg Z^2 = 132."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    with monkeypatch.context() as patch:
+        _fault_c2h_rhs(patch)
+        assert _chow_changes(cfg, before) == {"c2h_equals_5h3": "4*h*h*h"}
+    _fault_c4_expression(monkeypatch)
+    assert _chow_changes(cfg, before) == {"c4_combination": "132"}
+
+
+def test_the_codimension_2_relation_gates_both_relation_checks(monkeypatch):
+    """Both relation checks eliminate with R2, so R2 + Z in its place moves
+    c2*h = 5h^3 and the c4 expression: both fail, and no other check."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    _fault_derived_relation(2, lambda m: m.sym("Z"))(monkeypatch)
+    assert set(_chow_changes(cfg, before)) == {"c2h_equals_5h3", "c4_combination"}
+
+
+@pytest.mark.parametrize("k", [4, -4])
+def test_normal_data_off_the_sequence_fails_its_checks_in_the_report(k, monkeypatch):
+    """An embedding with c1(N) = k hZ, k != 3, contradicts 2 c1(N) = 6 hZ: the
+    report fails canonical_class_relation with 2k hZ as `got`, and both
+    relation checks, whose pushforwards read c1(N) through the normal Todd
+    class; no other chow check changes and the run goes on. At k = -4 the
+    hZ term of R3 cancels, so R3 modulo R2 has no c2*h to solve for."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c.status for c in suites.run_chow(cfg)}
+
+    class OffSequence(chow.EmbeddingModel):
+        def __init__(self, ambient):
+            super().__init__(ambient)
+            self.normal_c1 = self.surface.sym("hZ", k)
+
+    monkeypatch.setattr(chow, "EmbeddingModel", OffSequence)
+    changed = _chow_changes(cfg, before)
+    assert set(changed) == {"canonical_class_relation", "c2h_equals_5h3", "c4_combination"}
+    assert changed["canonical_class_relation"] == f"{2 * k}*hZ"
 
 
 def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
