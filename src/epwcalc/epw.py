@@ -271,14 +271,18 @@ def gradient_det(A: EpwLagrangian, v0, chart=None):
     return tuple(F.dot(adj_t, mk) for mk in A.pencil(chart))
 
 
+def _fiber_meet(A: EpwLagrangian, v0):
+    """F_v0 ∩ A as a Subspace."""
+    F = A.field
+    return A.space.fiber(ExteriorVector(F, 1, [F.of(x) for x in v0])).meet(A.subspace)
+
+
 def generator_of_intersection(A: EpwLagrangian, v0) -> ExteriorVector:
     """The (unique up to scale) element spanning F_v0 ∩ A; requires dim 1."""
-    F = A.field
-    vx = ExteriorVector(F, 1, [F.of(x) for x in v0])
-    inter = A.space.fiber(vx).meet(A.subspace)
+    inter = _fiber_meet(A, v0)
     if inter.dim != 1:
         raise ValueError(f"intersection has dimension {inter.dim}, need 1")
-    return ExteriorVector(F, 3, inter.basis()[0])
+    return ExteriorVector(A.field, 3, inter.basis()[0])
 
 
 def alpha_from_generator(field, v0, g: ExteriorVector) -> ExteriorVector:
@@ -338,12 +342,12 @@ def tangent_functional(A: EpwLagrangian, v0, alpha: ExteriorVector):
 
 def smoothness_predicate(A: EpwLagrangian, v) -> bool:
     """True iff the sextic is smooth at [v]: the fiber intersection is a
-    line spanned by an indecomposable 3-vector."""
-    d = fiber_intersection_dim(A, v)
-    if d != 1:
+    line spanned by an indecomposable 3-vector. The dimension is read off
+    the meet that gives the generator."""
+    inter = _fiber_meet(A, v)
+    if inter.dim != 1:
         return False
-    g = generator_of_intersection(A, v)
-    return not generator_is_decomposable(A.field, v, g)
+    return not generator_is_decomposable(A.field, v, ExteriorVector(A.field, 3, inter.basis()[0]))
 
 
 # -- the two triple-quadric Lagrangians of the rank-2 model ----------------

@@ -380,9 +380,6 @@ class Subspace:
             out_pivots.insert(k, q)
         return Subspace.from_rref(F, n, out, out_pivots)
 
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(r) for r in other.mat.rows)
-
     def coords_of(self, vec):
         """Coordinates w.r.t. the RREF basis; ValueError when vec is not in self."""
         coords, residue = self._split(vec)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import mul
+from operator import add
 
 from .linalg import Matrix
 from .scalars import PrimeField
@@ -28,27 +28,13 @@ class NoRationalRoots(ValueError):
 # -- small multivariate polynomials (exponent-tuple dicts) ------------------
 
 
-def _mp_add(field, a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = field.add(out.get(k, field.zero), v)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _mp_mul(field, a, b):
+def _mp_mul(a, b):
+    """The product of two polynomials on exact, unreduced coefficients."""
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = field.add(out.get(k, field.zero), field.mul(va, vb))
-            if field.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + va * vb
     return out
 
 
@@ -98,34 +84,33 @@ class WebOfQuadrics:
 
 
 def quartic_surface(web: WebOfQuadrics):
-    """Full expansion of det(sum t_i Q_i) as a polynomial in t0..t3;
-    raises on an identically zero determinant."""
+    """Full expansion of det(sum t_i Q_i) as a polynomial in t0..t3, by
+    Laplace expansion along the first two rows (as `_det4`): six products of
+    a 2x2 minor, a quadratic form in t, with its complementary minor. The
+    coefficients are summed exactly and made canonical once. Raises on an
+    identically zero determinant."""
     F = web.field
+    units = [tuple(int(k == a) for k in range(4)) for a in range(4)]
     # each entry of the member matrix is a linear form in t
     lin = [
-        [
-            {tuple(1 if k == a else 0 for k in range(4)): web.qs[a].rows[i][j] for a in range(4)}
-            for j in range(4)
-        ]
+        [{units[a]: q.rows[i][j] for a, q in enumerate(web.qs) if not F.is_zero(q.rows[i][j])} for j in range(4)]
         for i in range(4)
     ]
-    for i in range(4):
-        for j in range(4):
-            lin[i][j] = {k: v for k, v in lin[i][j].items() if not F.is_zero(v)}
-    total = {}
-    from itertools import permutations
 
-    for perm in permutations(range(4)):
-        sign = 1
-        for a, b in combinations(range(4), 2):
-            if perm[a] > perm[b]:
-                sign = -sign
-        term = {(0, 0, 0, 0): F.one}
-        for i in range(4):
-            term = _mp_mul(F, term, lin[i][perm[i]])
-        if sign < 0:
-            term = {k: F.neg(v) for k, v in term.items()}
-        total = _mp_add(F, total, term)
+    def minor(r, c, d):
+        """The 2x2 minor on rows r, r + 1 and columns c, d."""
+        out = _mp_mul(lin[r][c], lin[r + 1][d])
+        for k, v in _mp_mul(lin[r][d], lin[r + 1][c]).items():
+            out[k] = out.get(k, 0) - v
+        return out
+
+    total = {}
+    for c, d in combinations(range(4), 2):
+        e, f = (k for k in range(4) if k not in (c, d))
+        sign = -1 if (c + d) % 2 == 0 else 1  # (-1)^(0 + 1 + c + d)
+        for k, v in _mp_mul(minor(0, c, d), minor(2, e, f)).items():
+            total[k] = total.get(k, 0) + sign * v
+    total = {k: x for k, v in total.items() if not F.is_zero(x := F.of(v))}
     if not total:
         raise DegenerateWeb("determinant vanishes identically")
     return total
@@ -136,32 +121,45 @@ def quartic_gradient(web: WebOfQuadrics):
     return [_mp_partial(web.field, poly, i) for i in range(4)]
 
 
-def _compile_cubics(polys):
-    """Homogeneous cubics in t0..t3 over F_p as (monomials, rows): the
-    monomials t_i t_j t_k (i <= j <= k) that occur in any of them, as index
-    triples, and each cubic's coefficients against those, for
-    `_cubic_values`."""
-
-    def triple(expo):
-        return tuple(i for i, e in enumerate(expo) for _ in range(e))
-
-    monos = sorted({triple(expo) for poly in polys for expo in poly})
+def _compile_cubics(polys, p):
+    """Homogeneous cubics over F_p, in any number of variables, compiled for
+    `_cubic_values` as (monomials, packed, width, count): the monomials
+    t_i t_j t_k (i <= j <= k) that occur in any of them, as index triples,
+    and for each monomial one int that holds its coefficient in cubic g at
+    bit g * width. A slot is wide enough for a cubic's value at a point
+    with coordinates in [0, p), so no slot carries into the next."""
+    expos = {expo for poly in polys for expo in poly}
+    triples = {expo: tuple(i for i, e in enumerate(expo) for _ in range(e)) for expo in expos}
+    monos = sorted(set(triples.values()))
     index = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for poly in polys:
-        row = [0] * len(monos)
+    width = (len(monos) * (p - 1) ** 4).bit_length()
+    packed = [0] * len(monos)
+    for g, poly in enumerate(polys):
         for expo, c in poly.items():
-            row[index[triple(expo)]] = c
-        rows.append(row)
-    return monos, rows
+            packed[index[triples[expo]]] += c << (g * width)
+    return monos, packed, width, len(polys)
+
+
+def _on_plane(poly, head, p):
+    """The form poly(t0..t3) on the plane t0 = h0 s, t1 = h1 s, as a form in
+    (s, t2, t3) mod p: t0^e0 t1^e1 t2^i t3^j becomes h0^e0 h1^e1 s^(e0+e1)
+    t2^i t3^j."""
+    h0, h1 = head
+    out = {}
+    for (e0, e1, i, j), coef in poly.items():
+        k = (e0 + e1, i, j)
+        out[k] = out.get(k, 0) + coef * h0**e0 * h1**e1
+    return {k: v % p for k, v in out.items() if v % p}
 
 
 def _cubic_values(compiled, t, p):
-    """The compiled cubics at the integer point t, mod p: their shared
-    monomials once, then one dot product per cubic."""
-    monos, rows = compiled
-    vals = [t[i] * t[j] * t[k] for i, j, k in monos]
-    return [sum(map(mul, row, vals)) % p for row in rows]
+    """The compiled cubics at the point t, coordinates in [0, p), mod p:
+    their shared monomials once, then one dot product with the packed
+    coefficients, which leaves each cubic's value in its own slot."""
+    monos, packed, width, count = compiled
+    v = sum([t[i] * t[j] * t[k] * x for (i, j, k), x in zip(monos, packed)])
+    mask = (1 << width) - 1
+    return [(v >> (g * width) & mask) % p for g in range(count)]
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -356,36 +354,102 @@ class ScanCensus:
         return [{"rank": r, "count": self.rank_counts.get(r, 0)} for r in range(5)]
 
 
-# the largest p field_scan accepts: a scan visits p^3 + p^2 + p + 1 points
+# the largest p field_scan accepts: a scan covers p^3 + p^2 + p + 1 points
 SCAN_MAX_PRIME = 127
+
+
+class _Slots:
+    """n slots of whole bytes in one int, slot k at byte k * nbytes, each
+    holding a value v with 0 <= v <= 15 (p - 1)^2: a bivariate quartic, at
+    most 15 terms, with coefficients and monomial values in [0, p).
+    `reduce` takes every slot mod p at once as v - p * floor(v / p), where
+    floor(v / p) = (v * m) >> s for m = ceil(2^s / p) and 2^s > 15 (p - 1)^2
+    * p. A slot is wide enough to hold v * m, so no slot carries into the
+    next, and the mask drops the bits that the shift brings down from the
+    slot above. A residue is below p <= 127, so it is the slot's low byte."""
+
+    def __init__(self, p, n):
+        top = 15 * (p - 1) ** 2
+        self.p, self.n = p, n
+        self.shift = (top * p).bit_length()
+        self.mul = -(-(1 << self.shift) // p)
+        self.nbytes = -(-(top * self.mul).bit_length() // 8)
+        width = 8 * self.nbytes
+        ones = ((1 << (width * n)) - 1) // ((1 << width) - 1)
+        self.mask = ((1 << (width - self.shift)) - 1) * ones
+
+    def pack(self, values):
+        return int.from_bytes(b"".join(v.to_bytes(self.nbytes, "little") for v in values), "little")
+
+    def reduce(self, v):
+        return v - self.p * (((v * self.mul) >> self.shift) & self.mask)
+
+    def residues(self, v):
+        """The slots of v mod p as bytes, slot k at byte k."""
+        return self.reduce(v).to_bytes(self.nbytes * self.n, "little")[:: self.nbytes]
+
+
+def _plane_tables(slots, monomials):
+    """For each (i, j) of `monomials`, the values c^i d^j mod p over the
+    affine plane, packed into `slots` (n = p^2) with (c, d) at slot c p + d:
+    block c is c^i times the row of the d^j, reduced once."""
+    p = slots.p
+    size = slots.nbytes * p
+    rows = [slots.pack(pow(d, j, p) for d in range(p)) for j in range(5)]
+    return {
+        (i, j): slots.reduce(
+            int.from_bytes(b"".join((pow(c, i, p) * rows[j]).to_bytes(size, "little") for c in range(p)), "little")
+        )
+        for i, j in monomials
+    }
 
 
 def field_scan(web: WebOfQuadrics) -> ScanCensus:
     """Tallies the member ranks over every point of the projective parameter
     space over F_p, and counts the rank <= 2 points that are not singular
     points of the quartic, which the adjugate argument says are none; the
-    report gates on that count. Guarded to p <= SCAN_MAX_PRIME = 127, where
-    one scan of a diagonal or random web takes 1.0-1.2 s CPU (0.6-0.8 s at
-    p = 101 and 0.21-0.26 s at the quadrics suite's p = 61; CPython 3.11 on
-    a 2-vCPU x86_64 VM); the time grows as p^3.
+    report gates on that count. Guarded to p <= SCAN_MAX_PRIME = 127.
 
-    On each affine line (1, b, c, d), (0, 1, c, d) and (0, 0, 1, d),
-    det(base + d*f3) is a quartic in d: its values at d = 0..4 (on integers)
-    step through d < p by four forward differences. Only members where it
-    vanishes mod p are built and ranked; the rest of the line has rank 4.
-    A singular member has rank 3 when a principal 3x3 minor is nonzero
-    (`_rank3_minor`); only the members where all four vanish are eliminated,
-    so ranks 0, 1 and 2 do not rest on the gradient cubics.
-    The one point left, (0, 0, 0, 1), is the member f3. At a rank <= 3
-    member the four gradient cubics of the expanded quartic, compiled once
-    against the (at most 20) monomials they share, are one dot product each."""
+    The quartic det(sum t_i Q_i) is expanded once (`quartic_surface`). On
+    each of the p + 1 affine planes (1, b, c, d) and (0, 1, c, d) it is a
+    quartic in (c, d), and its values at all p^2 points of the plane are
+    one packed integer, p^2 slots (`_Slots`) with (c, d) at slot c p + d:
+    - the tables P_ij hold c^i d^j mod p (`_plane_tables`), so a quartic
+      sum a_ij c^i d^j with its at most 15 coefficients packs as
+      sum a_ij P_ij;
+    - on the plane (1, b) the quartic is sum_k b^k g_k(c, d), so the five
+      g_k are packed once per scan and each plane is a five-term sum;
+    - a few big-integer operations reduce every slot mod p, and `bytes.find`
+      walks the zero slots.
+    Only those points, the F_p-points of the quartic, are visited one at a
+    time; the rest of each plane has rank 4. The p + 1 points of the line
+    (0, 0, 1, d) and the point (0, 0, 0, 1) are tested one by one with
+    `_det4`. So a scan makes p + 1 plane evaluations, p + 1 determinants
+    and one Python step per point of the surface, about p^2 of them, where
+    a scan point by point makes p^3 + p^2 + p + 1.
+
+    At a visited member, rank 3 is read off a nonzero principal 3x3 minor
+    (`_rank3_minor`); only the members where all four vanish are
+    eliminated, so ranks 0, 1 and 2 do not rest on the gradient cubics.
+    At a rank <= 3 member the four gradient cubics of the expanded quartic
+    are evaluated by `_cubic_values`: restricted to the plane (`_on_plane`)
+    they share at most 10 monomials, compiled once per plane.
+
+    One scan of a diagonal or random web takes 75-120 and 40-60 ms CPU at
+    the quadrics suite's p = 61, and 0.3-0.5 and 0.17-0.28 s at p = 127
+    (CPython 3.11 on a 2-vCPU x86_64 VM, min of 3 to 5 runs, ranges over
+    runs on a loaded host); a scan point by point took 150-250 ms at p = 61
+    and 0.8-1.1 s at p = 127 there. The plane work is p^2 slots of a few
+    bytes on each of p + 1 planes, so it grows as p^3 bytes of big-integer
+    arithmetic; the visits grow as p^2."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
     p = F.p
     if p > SCAN_MAX_PRIME:
         raise ValueError(f"scan guard: p = {p} > {SCAN_MAX_PRIME}")
-    grads = _compile_cubics(quartic_gradient(web))
+    poly = quartic_surface(web)
+    grads = [_mp_partial(F, poly, i) for i in range(4)]
     from .fpkernel import fp_rank
 
     f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
@@ -393,48 +457,60 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     rank3_singular = 0
     rank2_nonsingular = 0
 
-    def visit_singular(t, flat):
-        """Tally the member with flat (unreduced) entries at the point t,
-        where its determinant vanishes mod p."""
+    def visit_singular(flat, compiled, t):
+        """Tally the member with flat (unreduced) entries, where its
+        determinant vanishes mod p; the compiled gradient cubics vanish at
+        t exactly where the quartic is singular there."""
         nonlocal rank3_singular, rank2_nonsingular
         r = 3 if _rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
-            singular = not any(_cubic_values(grads, t, p))
+            singular = not any(_cubic_values(compiled, t, p))
             if r <= 2:
                 if not singular:
                     rank2_nonsingular += 1
             elif singular:
                 rank3_singular += 1
 
-    def scan_line(head, base):
-        """The p members base + d*f3 at the points head + (d,)."""
-        # forward differences of the quartic det(base + d*f3) at d = 0
-        diffs = [_det4([x + d * w for x, w in zip(base, f3)]) for d in range(5)]
-        for k in range(1, 5):
-            for i in range(4, k - 1, -1):
-                diffs[i] -= diffs[i - 1]
-        v, d1, d2, d3, d4 = diffs
-        zeros = 0
-        for d in range(p):
-            if v % p == 0:
-                zeros += 1
-                visit_singular((*head, d), [x + d * w for x, w in zip(base, f3)])
-            v += d1
-            d1 += d2
-            d2 += d3
-            d3 += d4
-        counts[4] += p - zeros
+    # on the plane (1, b) the quartic is sum_k b^k g_k(c, d), where g_k
+    # collects the monomials t0^e0 t1^k t2^i t3^j; on (0, 1) it is h(c, d),
+    # the monomials with e0 = 0. Each is packed over the p^2 points once.
+    slots = _Slots(p, p * p)
+    tables = _plane_tables(slots, {(i, j) for _, _, i, j in poly})
+    g, h = [0] * 5, 0
+    for (e0, e1, i, j), coef in poly.items():
+        g[e1] += coef * tables[i, j]
+        if e0 == 0:
+            h += coef * tables[i, j]
+    g = [slots.reduce(x) for x in g]
+    c_f2 = [[c * x for x in f2] for c in range(p)]
+    d_f3 = [[d * x for x in f3] for d in range(p)]
+
+    def scan_plane(head, base, values):
+        """The p^2 members base + c*f2 + d*f3 at the points head + (c, d) of
+        the plane t0 = h0, t1 = h1, where the packed quartic is `values`."""
+        compiled = _compile_cubics([_on_plane(grad, head, p) for grad in grads], p)
+        residues = slots.residues(values)
+        row_c = None
+        k = residues.find(0)
+        while k >= 0:
+            c, d = divmod(k, p)
+            if c != row_c:
+                row_c, row = c, list(map(add, base, c_f2[c]))
+            visit_singular(list(map(add, row, d_f3[d])), compiled, (1, c, d))
+            k = residues.find(0, k + 1)
+        counts[4] += p * p - residues.count(0)
 
     for b in range(p):
-        for c in range(p):
-            scan_line((1, b, c), [x + b * y + c * z for x, y, z in zip(f0, f1, f2)])
-    for c in range(p):
-        scan_line((0, 1, c), [y + c * z for y, z in zip(f1, f2)])
-    scan_line((0, 0, 1), f2)
-    if _det4(f3) % p:
-        counts[4] += 1
-    else:
-        visit_singular((0, 0, 0, 1), f3)
+        values = sum(pow(b, k, p) * gk for k, gk in enumerate(g))
+        scan_plane((1, b), [x + b * y for x, y in zip(f0, f1)], values)
+    scan_plane((0, 1), f1, h)
+    compiled = _compile_cubics(grads, p)
+    points = [((0, 0, 1, d), list(map(add, f2, d_f3[d]))) for d in range(p)]
+    for t, flat in points + [((0, 0, 0, 1), f3)]:
+        if _det4(flat) % p:
+            counts[4] += 1
+        else:
+            visit_singular(flat, compiled, t)
 
     return ScanCensus(p, counts, rank3_singular, rank2_nonsingular)

@@ -683,20 +683,29 @@ def run_chow(cfg: RunConfig):
 
     h, c2, Z, c4 = (model.sym(name) for name in ("h", "c2", "Z", "c4"))
     # (ok, expected, got[, witness]) of c2h_equals_5h3 and c4_combination:
-    # R3 and R4 read modulo R2, with R2 solved for Z and for c2
+    # R3 and R4 read modulo R2, with R2 solved for Z and for c2; a failed
+    # elimination fails only its own check
     try:
         r2, r3, r4 = chow.derive_relations(model, emb)
-        c2h_rhs = _solve(r3.substitute("Z", _solve(r2, Z)), c2 * h)
-        c4_expr = _solve(r4.substitute("c2", _solve(r2, c2)), c4)
     except chow.DerivationError as exc:
         c2h_result = c4_result = (False, "derivation", f"error: {exc}")
     else:
-        deg = (model.degree(c2 * h * h), model.degree(c2h_rhs * h))
-        c2h_ok = c2h_rhs == (h**3).scale(5) and deg[0] == deg[1]
-        c2h_result = (c2h_ok, "5*h^3", repr(c2h_rhs), f"degreeCheck={deg}")
-        c4_deg = model.degree(c4_expr)
-        c4_anchor = (h**4).scale(435) - (h * h * Z).scale(180) + (Z * Z).scale(12)
-        c4_result = (c4_expr == c4_anchor and model.degree(c4) == c4_deg == 324, 324, str(c4_deg))
+        try:
+            c2h_rhs = _solve(r3.substitute("Z", _solve(r2, Z)), c2 * h)
+        except chow.DerivationError as exc:
+            c2h_result = (False, "derivation", f"error: {exc}")
+        else:
+            deg = (model.degree(c2 * h * h), model.degree(c2h_rhs * h))
+            c2h_ok = c2h_rhs == (h**3).scale(5) and deg[0] == deg[1]
+            c2h_result = (c2h_ok, "5*h^3", repr(c2h_rhs), f"degreeCheck={deg}")
+        try:
+            c4_expr = _solve(r4.substitute("c2", _solve(r2, c2)), c4)
+        except chow.DerivationError as exc:
+            c4_result = (False, "derivation", f"error: {exc}")
+        else:
+            c4_deg = model.degree(c4_expr)
+            c4_anchor = (h**4).scale(435) - (h * h * Z).scale(180) + (Z * Z).scale(12)
+            c4_result = (c4_expr == c4_anchor and model.degree(c4) == c4_deg == 324, 324, str(c4_deg))
     yield "c2h_equals_5h3", "two routes to the cokernel sheaf force c2 h = 5 h^3", *c2h_result
     yield "c4_combination", "c4 = 435 h^4 - 180 h^2 Z + 12 Z^2, of degree 324", *c4_result
 

@@ -273,7 +273,8 @@ def test_normal_data_off_the_sequence_fails_its_checks_in_the_report(k, monkeypa
     report fails canonical_class_relation with 2k hZ as `got`, and both
     relation checks, whose pushforwards read c1(N) through the normal Todd
     class; no other chow check changes and the run goes on. At k = -4 the
-    hZ term of R3 cancels, so R3 modulo R2 has no c2*h to solve for."""
+    hZ term of R3 cancels, so R3 modulo R2 has no c2*h to solve for: that
+    fails c2h_equals_5h3 alone, and c4_combination reports its own degree."""
     cfg = suites.RunConfig(seed=0, trials=2)
     before = {c.id: c.status for c in suites.run_chow(cfg)}
 
@@ -284,8 +285,12 @@ def test_normal_data_off_the_sequence_fails_its_checks_in_the_report(k, monkeypa
 
     monkeypatch.setattr(chow, "EmbeddingModel", OffSequence)
     changed = _chow_changes(cfg, before)
-    assert set(changed) == {"canonical_class_relation", "c2h_equals_5h3", "c4_combination"}
-    assert changed["canonical_class_relation"] == f"{2 * k}*hZ"
+    relations = {4: ("25/4*h*h*h", "-1236"), -4: ("error: 1*c2*h does not occur in -70*h*h*h", "4524")}
+    assert changed == {
+        "canonical_class_relation": f"{2 * k}*hZ",
+        "c2h_equals_5h3": relations[k][0],
+        "c4_combination": relations[k][1],
+    }
 
 
 def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):

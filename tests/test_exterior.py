@@ -216,7 +216,7 @@ def test_perp_examples(rng):
     u = Subspace.from_spanning(F, DIM3, A.basis()[:9])
     pu = SP.perp(u)
     assert pu.dim == 11
-    assert pu.contains_subspace(u)
+    assert all(map(pu.contains, u.basis()))
 
 
 def test_lagrangian_completion(rng):
@@ -300,9 +300,9 @@ def test_completion_is_a_chart_lagrangian_through_its_start(field):
         for seed in range(2):
             rnd, twin = derive_rng(seed, name), derive_rng(seed, name)
             got = space.lagrangian_completion(start, rnd)
-            assert space.is_lagrangian(got) and got.contains_subspace(start)
+            assert space.is_lagrangian(got) and all(map(got.contains, start.basis()))
             assert got.pivots == tuple(range(10))
-            assert space.perp(start).contains_subspace(got)
+            assert all(map(space.perp(start).contains, got.basis()))
             for _ in range((10 - k) * (11 - k) // 2):
                 field.random(twin)
             assert rnd.getstate() == twin.getstate()

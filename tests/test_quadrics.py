@@ -1,9 +1,10 @@
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count, permutations
 
 import pytest
 
-from epwcalc import quadrics
+from epwcalc import quadrics, suites
+from epwcalc.fpkernel import fp_rank
 from epwcalc.linalg import Matrix
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ, is_prime
@@ -117,6 +118,50 @@ def test_quartic_surface_matches_member_det(rng):
         assert quadrics._mp_eval(F, poly, t) == web.member(t).det()
 
 
+def zero_block_web(field, rnd):
+    """A web whose generators all vanish at e0: (1, 0, 0, 0) is a base point."""
+    while True:
+        try:
+            return quadrics.WebOfQuadrics(field, [suites._random_symmetric(field, rnd, 1) for _ in range(4)])
+        except quadrics.DegenerateWeb:
+            continue
+
+
+def quartic_by_permutations(web):
+    """det(sum t_i Q_i) expanded over the 24 permutations, each a product of
+    four linear forms: the reference for `quartic_surface`."""
+    F = web.field
+
+    def times(a, b):
+        out = {}
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                out[k] = F.add(out.get(k, F.zero), F.mul(va, vb))
+        return out
+
+    units = [tuple(int(k == a) for k in range(4)) for a in range(4)]
+    total = {}
+    for perm in permutations(range(4)):
+        term = {(0, 0, 0, 0): F.one}
+        for i in range(4):
+            term = times(term, {units[a]: q.rows[i][perm[i]] for a, q in enumerate(web.qs)})
+        odd = sum(perm[a] > perm[b] for a, b in combinations(range(4), 2)) % 2
+        for k, v in term.items():
+            total[k] = F.add(total.get(k, F.zero), F.neg(v) if odd else v)
+    return {k: v for k, v in total.items() if not F.is_zero(v)}
+
+
+@pytest.mark.parametrize("field", [GF(61), GF(10007), QQ], ids=["GF61", "GF10007", "QQ"])
+def test_quartic_surface_equals_the_permutation_expansion(field):
+    rnd = derive_rng(13, "quartic.minors")
+    webs = [diagonal_web(field)]
+    webs += [random_web(field, rnd) for _ in range(3)]
+    webs += [zero_block_web(field, rnd) for _ in range(3)]
+    for web in webs:
+        assert quadrics.quartic_surface(web) == quartic_by_permutations(web)
+
+
 def test_degenerate_web_detection():
     qs = [Matrix(QQ, [[1 if i == j else 0 for j in range(4)] for i in range(4)])] * 3
     with pytest.raises(quadrics.DegenerateWeb):
@@ -128,6 +173,7 @@ def test_degenerate_web_detection():
         return Matrix(QQ, rows)
 
     thin = quadrics.WebOfQuadrics(QQ, [e(0, 0), e(0, 1), e(1, 1), e(0, 2)])
+    assert quartic_by_permutations(thin) == {}
     with pytest.raises(quadrics.DegenerateWeb):
         quadrics.quartic_surface(thin)
 
@@ -283,7 +329,7 @@ def test_rank3_minor_agrees_with_the_kernel_rank(p):
     assert fp_rank(hyp, 4, 4, p) == 4 and not quadrics._rank3_minor(hyp, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 13])  # below 5 the sample abscissae d = 0..4 run past p
+@pytest.mark.parametrize("p", [3, 5, 13])  # at p = 3 a plane has 9 points, fewer than a quartic has terms
 def test_field_scan_census_equals_member_ranks(p):
     web = random_web(GF(p), derive_rng(9, "scan"))
     census = quadrics.field_scan(web)
@@ -296,13 +342,104 @@ def test_field_scan_census_equals_member_ranks(p):
     assert census.rank_counts == counts
 
 
+def line_scan_reference(web):
+    """The census by the line-at-a-time scan: on each affine line (1, b, c, d),
+    (0, 1, c, d) and (0, 0, 1, d), det(base + d*f3) is a quartic in d that
+    four forward differences step through d < p, and each member where it
+    vanishes mod p is ranked and its gradient tested; then (0, 0, 0, 1)."""
+    p = web.field.p
+    grads = quadrics._compile_cubics(quadrics.quartic_gradient(web), p)
+    f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
+    counts = {r: 0 for r in range(5)}
+    rank3_singular = rank2_nonsingular = 0
+
+    def visit_singular(t, flat):
+        nonlocal rank3_singular, rank2_nonsingular
+        r = 3 if quadrics._rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
+        counts[r] += 1
+        if r <= 3:
+            singular = not any(quadrics._cubic_values(grads, t, p))
+            if r <= 2:
+                rank2_nonsingular += not singular
+            else:
+                rank3_singular += singular
+
+    def scan_line(head, base):
+        diffs = [quadrics._det4([x + d * w for x, w in zip(base, f3)]) for d in range(5)]
+        for k in range(1, 5):
+            for i in range(4, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        v, d1, d2, d3, d4 = diffs
+        for d in range(p):
+            if v % p == 0:
+                visit_singular((*head, d), [x + d * w for x, w in zip(base, f3)])
+            else:
+                counts[4] += 1
+            v, d1, d2, d3 = v + d1, d1 + d2, d2 + d3, d3 + d4
+
+    for b in range(p):
+        for c in range(p):
+            scan_line((1, b, c), [x + b * y + c * z for x, y, z in zip(f0, f1, f2)])
+    for c in range(p):
+        scan_line((0, 1, c), [y + c * z for y, z in zip(f1, f2)])
+    scan_line((0, 0, 1), f2)
+    if quadrics._det4(f3) % p:
+        counts[4] += 1
+    else:
+        visit_singular((0, 0, 0, 1), f3)
+    return quadrics.ScanCensus(p, counts, rank3_singular, rank2_nonsingular)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 61])
+def test_field_scan_equals_the_line_scan(p):
+    """Diagonal, random and zero-block webs. A zero-block web has the base
+    point e0, so the member that kills e0 is a singular point of the
+    quartic: at p = 61 it has rank 3 in three of the four, which covers the
+    rank-3 singular branch, and rank 2 in the fourth."""
+    field = GF(p)
+    rnd = derive_rng(p, "scan.reference")
+    webs = [diagonal_web(field)] + [random_web(field, rnd) for _ in range(2 if p == 61 else 4)]
+    blocks = [zero_block_web(field, derive_rng(seed, "scan.zero_block")) for seed in range(4)]
+    for web in webs + blocks:
+        assert quadrics.field_scan(web) == line_scan_reference(web)
+    if p == 61:
+        assert [quadrics.field_scan(web).rank3_singular for web in blocks] == [1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("p", [17, quadrics.SCAN_MAX_PRIME])
+def test_slot_reduction_is_exact_at_the_largest_slot_value(p):
+    slots = quadrics._Slots(p, p * p)
+    top = 15 * (p - 1) ** 2
+    values = [top - k for k in range(p * p)]
+    assert slots.residues(slots.pack(values)) == bytes(v % p for v in values)
+    # every table, every coefficient p - 1: the quartic of a plane at its largest
+    monos = [(i, j) for i in range(5) for j in range(5 - i)]
+    tables = quadrics._plane_tables(slots, monos)
+    got = slots.residues(sum((p - 1) * tables[m] for m in monos))
+    want = bytes(sum((p - 1) * c**i * d**j for i, j in monos) % p for c in range(p) for d in range(p))
+    assert got == want
+
+
+def test_field_scan_ranks_only_the_points_of_the_quartic(monkeypatch):
+    """Python work goes to the points of the surface: `_rank3_minor` runs
+    once at each point where the determinant vanishes, and at no other."""
+    calls = []
+    rank3_minor = quadrics._rank3_minor
+    monkeypatch.setattr(quadrics, "_rank3_minor", lambda a, p: calls.append(1) or rank3_minor(a, p))
+    field = GF(61)
+    for web in (diagonal_web(field), random_web(field, derive_rng(7, "scan.calls"))):
+        calls.clear()
+        census = quadrics.field_scan(web)
+        assert len(calls) == sum(census.rank_counts[r] for r in range(4))
+
+
 @pytest.mark.parametrize("p", [13, 61])
 def test_compiled_gradient_cubics_equal_mp_eval(p):
     field = GF(p)
     rnd = derive_rng(12, "cubics")
     for web in (diagonal_web(field), random_web(field, rnd)):
         grads = quadrics.quartic_gradient(web)
-        compiled = quadrics._compile_cubics(grads)
+        compiled = quadrics._compile_cubics(grads, p)
         for _ in range(50):
             t = [rnd.randrange(p) for _ in range(4)]
             assert quadrics._cubic_values(compiled, t, p) == [quadrics._mp_eval(field, g, t) for g in grads]
