@@ -435,13 +435,13 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     are evaluated by `_cubic_values`: restricted to the plane (`_on_plane`)
     they share at most 10 monomials, compiled once per plane.
 
-    One scan of a diagonal or random web takes 75-120 and 40-60 ms CPU at
-    the quadrics suite's p = 61, and 0.3-0.5 and 0.17-0.28 s at p = 127
-    (CPython 3.11 on a 2-vCPU x86_64 VM, min of 3 to 5 runs, ranges over
-    runs on a loaded host); a scan point by point took 150-250 ms at p = 61
-    and 0.8-1.1 s at p = 127 there. The plane work is p^2 slots of a few
-    bytes on each of p + 1 planes, so it grows as p^3 bytes of big-integer
-    arithmetic; the visits grow as p^2."""
+    One scan of the diagonal web and of a random web takes 66-73 and
+    33-40 ms CPU at the quadrics suite's p = 61, and 0.31 and 0.17 s at
+    p = 127, where a scan point by point took 142-172 ms at p = 61 and
+    0.73-0.81 s at p = 127 (min of 5 alternated runs each; CPython 3.11 on
+    a 2-vCPU x86_64 VM). The plane work is p^2 slots of a few bytes on each
+    of p + 1 planes, so it grows as p^3 bytes of big-integer arithmetic;
+    the visits grow as p^2."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
@@ -459,18 +459,17 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
 
     def visit_singular(flat, compiled, t):
         """Tally the member with flat (unreduced) entries, where its
-        determinant vanishes mod p; the compiled gradient cubics vanish at
-        t exactly where the quartic is singular there."""
+        determinant vanishes mod p, so its rank is at most 3; the compiled
+        gradient cubics vanish at t exactly where the quartic is singular."""
         nonlocal rank3_singular, rank2_nonsingular
         r = 3 if _rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
         counts[r] += 1
-        if r <= 3:
-            singular = not any(_cubic_values(compiled, t, p))
-            if r <= 2:
-                if not singular:
-                    rank2_nonsingular += 1
-            elif singular:
-                rank3_singular += 1
+        singular = not any(_cubic_values(compiled, t, p))
+        if r <= 2:
+            if not singular:
+                rank2_nonsingular += 1
+        elif singular:
+            rank3_singular += 1
 
     # on the plane (1, b) the quartic is sum_k b^k g_k(c, d), where g_k
     # collects the monomials t0^e0 t1^k t2^i t3^j; on (0, 1) it is h(c, d),

@@ -422,15 +422,19 @@ def test_slot_reduction_is_exact_at_the_largest_slot_value(p):
 
 def test_field_scan_ranks_only_the_points_of_the_quartic(monkeypatch):
     """Python work goes to the points of the surface: `_rank3_minor` runs
-    once at each point where the determinant vanishes, and at no other."""
-    calls = []
-    rank3_minor = quadrics._rank3_minor
+    once at each point where the determinant vanishes, and at no other;
+    `_det4` runs only on the line (0, 0, 1, d) and at (0, 0, 0, 1)."""
+    calls, dets = [], []
+    rank3_minor, det4 = quadrics._rank3_minor, quadrics._det4
     monkeypatch.setattr(quadrics, "_rank3_minor", lambda a, p: calls.append(1) or rank3_minor(a, p))
-    field = GF(61)
-    for web in (diagonal_web(field), random_web(field, derive_rng(7, "scan.calls"))):
+    monkeypatch.setattr(quadrics, "_det4", lambda a: dets.append(1) or det4(a))
+    p = 61
+    for web in (diagonal_web(GF(p)), random_web(GF(p), derive_rng(7, "scan.calls"))):
         calls.clear()
+        dets.clear()
         census = quadrics.field_scan(web)
         assert len(calls) == sum(census.rank_counts[r] for r in range(4))
+        assert len(dets) == p + 1
 
 
 @pytest.mark.parametrize("p", [13, 61])
