@@ -431,9 +431,9 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     At a visited member, rank 3 is read off a nonzero principal 3x3 minor
     (`_rank3_minor`); only the members where all four vanish are
     eliminated, so ranks 0, 1 and 2 do not rest on the gradient cubics.
-    At a rank <= 3 member the four gradient cubics of the expanded quartic
-    are evaluated by `_cubic_values`: restricted to the plane (`_on_plane`)
-    they share at most 10 monomials, compiled once per plane.
+    At every visited member the four gradient cubics of the expanded
+    quartic are evaluated by `_cubic_values`: restricted to the plane
+    (`_on_plane`) they share at most 10 monomials, compiled once per plane.
 
     One scan of the diagonal web and of a random web takes 66-73 and
     33-40 ms CPU at the quadrics suite's p = 61, and 0.31 and 0.17 s at
