@@ -167,15 +167,16 @@ def test_degenerate_web_detection():
     with pytest.raises(quadrics.DegenerateWeb):
         quadrics.WebOfQuadrics(QQ, qs + [qs[0]])
     # independent generators but identically zero determinant
-    def e(i, j):
+    def e(field, i, j):
         rows = [[0] * 4 for _ in range(4)]
         rows[i][j] = rows[j][i] = 1
-        return Matrix(QQ, rows)
+        return Matrix(field, rows)
 
-    thin = quadrics.WebOfQuadrics(QQ, [e(0, 0), e(0, 1), e(1, 1), e(0, 2)])
-    assert quartic_by_permutations(thin) == {}
-    with pytest.raises(quadrics.DegenerateWeb):
-        quadrics.quartic_surface(thin)
+    for field in (QQ, GF(61)):
+        thin = quadrics.WebOfQuadrics(field, [e(field, 0, 0), e(field, 0, 1), e(field, 1, 1), e(field, 0, 2)])
+        assert quartic_by_permutations(thin) == {}
+        with pytest.raises(quadrics.DegenerateWeb):
+            quadrics.quartic_surface(thin)
 
 
 def test_adjugate_gradient_identity(rng):
