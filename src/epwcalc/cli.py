@@ -10,6 +10,7 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -74,27 +75,30 @@ def main(argv=None):
         except ValueError:
             parser.error(f"EPW_SEED must be an integer, got {env!r}")
     cfg = RunConfig(seed=seed, prime=args.prime, trials=args.trials)
-
-    suite_cpu_ms = {}
-    start = time.monotonic()
-    checks = run_suites(suite, cfg, fail_fast=args.fail_fast, suite_cpu_ms=suite_cpu_ms)
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-
-    report = {
-        "suite": suite,
-        "seed": seed,
-        "prime": args.prime,
-        "checks": [c.json_obj() for c in checks],
-        "ms": elapsed_ms if args.timing else 0,
-    }
-    if args.timing:
-        report["suite_cpu_ms"] = suite_cpu_ms
-    doc = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    # opened before any suite runs, so a path that cannot be written is a usage error
+    out = contextlib.nullcontext(sys.stdout)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+        try:
+            out = open(args.json_path, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.error(f"--json: cannot write {args.json_path}: {exc.strerror}")
+
+    with out as fh:
+        suite_cpu_ms = {}
+        start = time.monotonic()
+        checks = run_suites(suite, cfg, fail_fast=args.fail_fast, suite_cpu_ms=suite_cpu_ms)
+        elapsed_ms = int((time.monotonic() - start) * 1000)
+
+        report = {
+            "suite": suite,
+            "seed": seed,
+            "prime": args.prime,
+            "checks": [c.json_obj() for c in checks],
+            "ms": elapsed_ms if args.timing else 0,
+        }
+        if args.timing:
+            report["suite_cpu_ms"] = suite_cpu_ms
+        fh.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
 
     failed = [c for c in checks if c.status == "fail"]
     for c in checks:

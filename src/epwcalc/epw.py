@@ -273,8 +273,7 @@ def gradient_det(A: EpwLagrangian, v0, chart=None):
 
 def _fiber_meet(A: EpwLagrangian, v0):
     """F_v0 ∩ A as a Subspace."""
-    F = A.field
-    return A.space.fiber(ExteriorVector(F, 1, [F.of(x) for x in v0])).meet(A.subspace)
+    return A.space.fiber(ExteriorVector(A.field, 1, v0)).meet(A.subspace)
 
 
 def generator_of_intersection(A: EpwLagrangian, v0) -> ExteriorVector:
@@ -324,10 +323,9 @@ def tangent_functional(A: EpwLagrangian, v0, alpha: ExteriorVector):
     to gradient_det.
     """
     F = A.field
-    v0 = [F.of(x) for x in v0]
     vx = ExteriorVector(F, 1, v0)
     g = vx.wedge(alpha)
-    inter = A.space.fiber(vx).meet(A.subspace)
+    inter = _fiber_meet(A, v0)
     if inter.dim != 1:
         raise ValueError("point lies on the rank-2 stratum")
     if g.is_zero() or not inter.contains(g.coords):

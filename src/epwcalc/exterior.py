@@ -129,20 +129,9 @@ class ExteriorVector:
         coords[POS[k][s]] = field.one
         return cls(field, k, coords)
 
-    @classmethod
-    def zero(cls, field, grade):
-        return cls(field, grade, [field.zero] * len(SUBSETS[grade]))
-
     def is_zero(self):
         F = self.field
         return all(F.is_zero(c) for c in self.coords)
-
-    def add(self, other):
-        same_field(self.field, other.field)
-        if self.grade != other.grade:
-            raise GradeError("grade mismatch in addition")
-        F = self.field
-        return ExteriorVector(F, self.grade, F.axpy(self.coords, 1, other.coords))
 
     def scale(self, c):
         F = self.field

@@ -74,7 +74,8 @@ def _integerize(rows):
 
 
 class Matrix:
-    """Immutable row-major matrix over a fixed field."""
+    """Immutable row-major matrix over a fixed field. Matrices compare by
+    identity; their `rows` compare by value."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -109,21 +110,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n):
         return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols=ncols)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"

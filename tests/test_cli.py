@@ -11,11 +11,12 @@ import pytest
 
 from epwcalc import chow, cli, epw, incidence, lattice, oracles, quadrics, suites
 from epwcalc.exterior import DIM3, SymplecticSpace
-from epwcalc.linalg import Subspace
+from epwcalc.linalg import Matrix, Subspace
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def run_cli(*args, env_extra=None):
@@ -192,6 +193,24 @@ def _fault_ambient_cubics(monkeypatch):
     monkeypatch.setattr(lattice, "comb", lambda n, k: comb(n, k) + 1)
 
 
+def _fault_fiber_dim_plus_one(monkeypatch):
+    """dim(F_v ∩ A) read one too high: a point off Y looks like a point of
+    Y while its pairing determinant stays nonzero."""
+    dim = epw.fiber_intersection_dim
+    monkeypatch.setattr(epw, "fiber_intersection_dim", lambda A, v: dim(A, v) + 1)
+
+
+def _fault_gram_row_zeroed(monkeypatch):
+    """The Gram matrix of the form with its first row zeroed."""
+    gram = SymplecticSpace.gram
+
+    def faulty(self):
+        m = gram(self)
+        return Matrix(m.field, [[0] * m.ncols, *m.rows[1:]])
+
+    monkeypatch.setattr(SymplecticSpace, "gram", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -206,6 +225,8 @@ FAULTS = {
     ("chow", "canonical_class_relation"): _fault_canonical_relation_rhs,
     ("bbf", "chi_values"): _fault_chi_at_minus_two,
     ("bbf", "odd_cubic_sections"): _fault_ambient_cubics,
+    ("epw", "det_vs_rank_detector"): _fault_fiber_dim_plus_one,
+    ("exterior", "gram_nondegenerate"): _fault_gram_row_zeroed,
 }
 
 
@@ -232,7 +253,7 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
 
     monkeypatch.setattr(chow, "derive_relations", raising)
     after = {c.id: c for c in suites.run_chow(cfg)}
-    anchors = {(suite, cid): statement for suite, cid, statement in _traceability_rows()}
+    anchors = {(suite, cid): statement for suite, cid, statement, _ in _traceability_rows()}
     for cid in ("c2h_equals_5h3", "c4_combination"):
         assert (before[cid], after[cid].status) == ("pass", "fail")
         assert after[cid].anchor == anchors["chow", cid]
@@ -355,7 +376,7 @@ def test_a_seed_off_the_chart_is_redrawn(tmp_path):
     assert {c["status"] for c in checks} == {"pass"}
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     assert run_cli("run", "nosuchsuite").returncode == 2
     assert run_cli("run", "--suite", "bbf").returncode == 2  # the suite is positional only
     assert run_cli("run", "bbf", "--prime", "10").returncode == 2
@@ -363,6 +384,11 @@ def test_usage_errors_exit_two():
     assert run_cli("run", "bbf", "--trials", "0").returncode == 2
     # psi_12: a composite that passes Miller-Rabin to the first 12 prime bases
     assert run_cli("run", "bbf", "--prime", "318665857834031151167461").returncode == 2
+    # a report path that cannot be written is refused before any suite runs
+    unwritable = tmp_path / "missing" / "report.json"
+    res = run_cli("run", "bbf", "--trials", "1", "--json", str(unwritable))
+    assert res.returncode == 2 and str(unwritable) in res.stderr
+    assert "Traceback" not in res.stderr and "checks," not in res.stderr
 
 
 def test_seed_resolution_env_and_flag():
@@ -409,27 +435,38 @@ def test_epw_suite_finishes_at_large_primes(prime):
 
 
 def _traceability_rows():
-    """(suite, check id, statement) for each table row of the traceability
-    doc. A statement may itself hold a `|`, as in `|det|`, so each row is
-    split at its first two column separators only."""
+    """(suite, check id, statement, fault test) for each table row of the
+    traceability doc. A statement may itself hold a `|`, as in `|det|`, so
+    each row is split at its first two and its last column separator only."""
     rows = []
     for line in TRACEABILITY.read_text(encoding="utf-8").splitlines():
         if not line.startswith("| ") or line.startswith("| suite |"):
             continue
-        suite, cid, statement = line[2:].removesuffix(" |").split(" | ", 2)
-        rows.append((suite, cid.strip("`"), statement))
+        suite, cid, rest = line[2:].removesuffix(" |").split(" | ", 2)
+        statement, fault = rest.rsplit(" | ", 1)
+        rows.append((suite, cid.strip("`"), statement, fault.strip("`")))
     return rows
 
 
 def test_traceability_lists_every_check_of_the_report_in_order():
     report = cli.run_suites("all", suites.RunConfig(seed=0, trials=2))
     rows = _traceability_rows()
-    assert [(suite, cid) for suite, cid, _ in rows] == [tuple(c.id.split(".", 1)) for c in report]
-    for (suite, cid, statement), check in zip(rows, report):
+    assert [(suite, cid) for suite, cid, *_ in rows] == [tuple(c.id.split(".", 1)) for c in report]
+    for (suite, cid, statement, _), check in zip(rows, report):
         assert statement.startswith(check.anchor), check.id
         if cid != "sym6_top_chern_stated_constant":
             assert statement == check.anchor, check.id
-    assert dict(((s, c), st) for s, c, st in rows)[("bbf", "gram_invariants")].startswith("|det| = 2")
+    assert dict(((s, c), st) for s, c, st, _ in rows)[("bbf", "gram_invariants")].startswith("|det| = 2")
+
+
+def test_traceability_names_each_fault_test():
+    """The fault column says `FAULTS` exactly for the checks with an entry
+    there, and every other test it names is defined in its test file."""
+    rows = _traceability_rows()
+    assert {(suite, cid) for suite, cid, _, fault in rows if fault == "FAULTS"} == set(FAULTS)
+    for fault in {fault for *_, fault in rows} - {"FAULTS", "—"}:
+        path, name = fault.split("::")
+        assert f"def {name}(" in (Path(__file__).parent / path).read_text(encoding="utf-8"), fault
 
 
 def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
@@ -538,3 +575,81 @@ def test_every_definition_in_the_package_has_a_caller_in_the_package():
         if name not in used and not (name.startswith("__") and name.endswith("__")) and (module, name) != ("cli", "main")
     )
     assert not unused, f"defined in src/epwcalc but never referenced there: {unused}"
+
+
+# The benchmark's two gated workloads in a fresh interpreter: the profiler is
+# on before `import epwcalc`, so import-time code such as the `suites._checks`
+# decorator is seen and no `functools.cache` is warm; -B writes no bytecode.
+# Prints the (file, first line, name) of every code object that ran.
+_WORKLOAD_PROFILE = """
+import cProfile, contextlib, importlib.util, io, json, sys
+src, workloads = sys.argv[1:]
+sys.path.insert(0, src)
+profile = cProfile.Profile()
+profile.enable()
+from epwcalc import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["run", "all", "--seed", "0", "--trials", "1"])
+spec = importlib.util.spec_from_file_location("perfbench_workloads", workloads)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+op = module.make("rational_qq", None)
+op.run(op.prepare(7))
+profile.disable()
+profile.create_stats()
+json.dump(list(profile.stats), sys.stdout)
+"""
+
+# Field methods that both workloads call only on GF(p): generic code calls
+# them on whichever field it is handed, and a test reaches each over QQ.
+QQ_PROTOCOL = {
+    "scalars.RationalField.sub": "interpolate_univariate; over QQ in test_linalg.py::test_interpolation_examples",
+    "scalars.RationalField.dot": "SymplecticSpace.form; over QQ in test_exterior.py::test_is_isotropic_agrees_with_the_form_over_both_fields",
+    "scalars.RationalField.sqrt": "quadrics._binary_quadratic_roots; over QQ in test_quadrics.py::test_bitangent_pair_over_qq",
+}
+
+
+def _definitions(package):
+    """(qualified name, file, first line, name) of every def in the package,
+    nested ones included. A decorated def's code starts at its first
+    decorator."""
+    out = []
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out.append((prefix + child.name, str(path), first, child.name))
+                walk(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return out
+
+
+def test_every_function_in_the_package_serves_a_benchmark_workload():
+    """No unused API, by traffic: every non-dunder def in `src/epwcalc` runs
+    under the benchmark's gated workloads, `run all --seed 0 --trials 1`
+    (battery) and one rational_qq op. The only exemptions are dunders and
+    the QQ_PROTOCOL methods, each with the generic caller and the test that
+    reaches it over QQ."""
+    package = Path(cli.__file__).resolve().parent
+    res = subprocess.run(
+        [sys.executable, "-B", "-c", _WORKLOAD_PROFILE, str(package.parent), str(WORKLOADS)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    reached = {(str(Path(f).resolve()), line, name) for f, line, name in json.loads(res.stdout) if f != "~"}
+    unreached = {
+        qual
+        for qual, path, line, name in _definitions(package)
+        if not (name.startswith("__") and name.endswith("__")) and (path, line, name) not in reached
+    }
+    assert set(QQ_PROTOCOL) <= unreached, "QQ_PROTOCOL names a function the workloads reach"
+    unserved = sorted(unreached - set(QQ_PROTOCOL))
+    assert not unserved, f"no benchmark workload runs: {unserved}"

@@ -37,11 +37,15 @@ def mat_strategy(field, max_dim=6):
     )
 
 
+def zero_matrix(field, nrows, ncols):
+    return Matrix(field, [[0] * ncols for _ in range(nrows)])
+
+
 def test_rank_identity_and_zero():
     assert Matrix.identity(QQ, 3).rank() == 3
-    assert Matrix.zero(QQ, 4, 7).rank() == 0
+    assert zero_matrix(QQ, 4, 7).rank() == 0
     assert Matrix.identity(F101, 3).rank() == 3
-    assert Matrix.zero(F101, 4, 7).rank() == 0
+    assert zero_matrix(F101, 4, 7).rank() == 0
 
 
 @given(mat_strategy(QQ))
@@ -171,7 +175,7 @@ def test_kernel_basis_edge_shapes_equal_the_two_elimination_route():
     for field in KERNEL_FIELDS:
         shapes = [
             Matrix(field, [], ncols=5),  # no rows: the kernel is everything
-            Matrix.zero(field, 3, 4),
+            zero_matrix(field, 3, 4),
             Matrix.identity(field, 5),  # full rank, square
             Matrix(field, [[1, 2, 0, 3, 0, 1, 5], [0, 0, 1, 5, 0, 2, 1]]),  # wide
             Matrix(field, [[1, 2], [2, 4], [3, 6], [0, 1], [5, 5]]),  # tall, full column rank
@@ -784,10 +788,14 @@ def test_certified_rank_full_is_inconclusive_mod_10007_only():
 
 
 def test_matrix_immutable_and_hashable():
+    """A Matrix compares and hashes by identity; its value is its tuple of
+    rows of field elements, which is hashable and compares by value."""
     m = Matrix(QQ, [[1, 2], [3, 4]])
     with pytest.raises(AttributeError):
         m.rows = ()
-    assert isinstance(hash(m), int)
+    same = Matrix(QQ, [[Fraction(2, 2), 2], [3, 4]])
+    assert m.rows == same.rows and hash(m.rows) == hash(same.rows)
+    assert all(type(x) is Fraction for r in m.rows for x in r)
 
 
 def _scan_smallest_root(coeffs, p):
