@@ -75,11 +75,13 @@ def main(argv=None):
         except ValueError:
             parser.error(f"EPW_SEED must be an integer, got {env!r}")
     cfg = RunConfig(seed=seed, prime=args.prime, trials=args.trials)
-    # opened before any suite runs, so a path that cannot be written is a usage error
+    # opened before any suite runs, so a path that cannot be written is a usage
+    # error; opened to append and truncated only once the report is ready, so a
+    # run that raises leaves an earlier report at that path as it was
     out = contextlib.nullcontext(sys.stdout)
     if args.json_path:
         try:
-            out = open(args.json_path, "w", encoding="utf-8")
+            out = open(args.json_path, "a", encoding="utf-8")
         except OSError as exc:
             parser.error(f"--json: cannot write {args.json_path}: {exc.strerror}")
 
@@ -98,7 +100,10 @@ def main(argv=None):
         }
         if args.timing:
             report["suite_cpu_ms"] = suite_cpu_ms
-        fh.write(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
+        text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        if args.json_path:
+            fh.truncate(0)
+        fh.write(text)
 
     failed = [c for c in checks if c.status == "fail"]
     for c in checks:

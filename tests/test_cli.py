@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import itertools
 import json
 import resource
@@ -391,6 +393,25 @@ def test_usage_errors_exit_two(tmp_path):
     assert "Traceback" not in res.stderr and "checks," not in res.stderr
 
 
+def test_report_file_survives_a_run_that_raises(tmp_path, monkeypatch):
+    """The report path is opened before the suites run but truncated only
+    once the new report is ready: a run that raises leaves the old one."""
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n", encoding="utf-8")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suites", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", "bbf", "--trials", "1", "--json", str(path)])
+    assert path.read_text(encoding="utf-8") == "earlier report\n"
+    monkeypatch.undo()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["run", "bbf", "--seed", "3", "--trials", "5", "--json", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == run_cli("run", "bbf", "--seed", "3", "--trials", "5").stdout
+
+
 def test_seed_resolution_env_and_flag():
     res = run_cli("run", "bbf", "--trials", "2", env_extra={"EPW_SEED": "42"})
     assert json.loads(res.stdout)["seed"] == 42
@@ -577,24 +598,27 @@ def test_every_definition_in_the_package_has_a_caller_in_the_package():
     assert not unused, f"defined in src/epwcalc but never referenced there: {unused}"
 
 
-# The benchmark's two gated workloads in a fresh interpreter: the profiler is
-# on before `import epwcalc`, so import-time code such as the `suites._checks`
-# decorator is seen and no `functools.cache` is warm; -B writes no bytecode.
-# Prints the (file, first line, name) of every code object that ran.
+# The benchmark's two gated workloads in a fresh interpreter, each as the
+# op perfbench/workloads.py times at the benchmark seed 7: battery is `run all`
+# at CLI defaults with a JSON report, rational_qq its exact QQ calls. The
+# profiler is on before `import epwcalc`, so import-time code such as the
+# `suites._checks` decorator is seen and no `functools.cache` is warm; -B
+# writes no bytecode. Prints the (file, first line, name) of every code
+# object that ran.
 _WORKLOAD_PROFILE = """
-import cProfile, contextlib, importlib.util, io, json, sys
+import cProfile, contextlib, importlib.util, io, json, pathlib, sys, tempfile
 src, workloads = sys.argv[1:]
 sys.path.insert(0, src)
 profile = cProfile.Profile()
 profile.enable()
-from epwcalc import cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    cli.main(["run", "all", "--seed", "0", "--trials", "1"])
 spec = importlib.util.spec_from_file_location("perfbench_workloads", workloads)
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
-op = module.make("rational_qq", None)
-op.run(op.prepare(7))
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("battery", "rational_qq"):
+        op = module.make(name, pathlib.Path(tmp) / "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            op.run(op.prepare(7))
 profile.disable()
 profile.create_stats()
 json.dump(list(profile.stats), sys.stdout)
@@ -633,8 +657,8 @@ def _definitions(package):
 
 def test_every_function_in_the_package_serves_a_benchmark_workload():
     """No unused API, by traffic: every non-dunder def in `src/epwcalc` runs
-    under the benchmark's gated workloads, `run all --seed 0 --trials 1`
-    (battery) and one rational_qq op. The only exemptions are dunders and
+    under one op of each of the benchmark's gated workloads at seed 7,
+    battery (`run all --seed 7 --json`, 100 trials) and rational_qq. The only exemptions are dunders and
     the QQ_PROTOCOL methods, each with the generic caller and the test that
     reaches it over QQ."""
     package = Path(cli.__file__).resolve().parent
