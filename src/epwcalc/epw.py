@@ -12,6 +12,11 @@ integer Bareiss pass. The point search restricts the determinant to a line
 p + t q by a rank-6 factorization M(q) = U R, read off q, and a 6x6
 characteristic polynomial (`sextic_from_factorization`); `sextic_on_line`
 keeps the 11-point interpolation as the independent route.
+
+A point [v] of the sextic is read by one meet of F_v with A: when it is a
+line v ^ alpha, `tangent_functional` solves for alpha once and returns the
+tangent covector vol(v ^ . ^ alpha ^ alpha), and `smoothness_predicate` is
+that covector being nonzero. Points come from `find_point_stats(A, rng)[0]`.
 """
 
 from bisect import bisect_left
@@ -271,19 +276,6 @@ def gradient_det(A: EpwLagrangian, v0, chart=None):
     return tuple(F.dot(adj_t, mk) for mk in A.pencil(chart))
 
 
-def _fiber_meet(A: EpwLagrangian, v0):
-    """F_v0 ∩ A as a Subspace."""
-    return A.space.fiber(ExteriorVector(A.field, 1, v0)).meet(A.subspace)
-
-
-def generator_of_intersection(A: EpwLagrangian, v0) -> ExteriorVector:
-    """The (unique up to scale) element spanning F_v0 ∩ A; requires dim 1."""
-    inter = _fiber_meet(A, v0)
-    if inter.dim != 1:
-        raise ValueError(f"intersection has dimension {inter.dim}, need 1")
-    return ExteriorVector(A.field, 3, inter.basis()[0])
-
-
 def alpha_from_generator(field, v0, g: ExteriorVector) -> ExteriorVector:
     """Solve v0 ^ alpha = g for a 2-vector alpha (well-defined mod v0 ^ V).
 
@@ -307,45 +299,32 @@ def alpha_from_generator(field, v0, g: ExteriorVector) -> ExteriorVector:
     return ExteriorVector(F, 2, x)
 
 
-def generator_is_decomposable(field, v0, g: ExteriorVector) -> bool:
-    """True iff g = v0 ^ alpha is a decomposable 3-vector, tested through
-    alpha ^ alpha ^ v0 = 0 (independent of the choice of alpha)."""
-    alpha = alpha_from_generator(field, v0, g)
-    vx = ExteriorVector(field, 1, [field.of(x) for x in v0])
-    return alpha.wedge(alpha).wedge(vx).is_zero()
+def tangent_functional(A: EpwLagrangian, v0):
+    """The covector v -> vol(v0 ^ v ^ alpha ^ alpha) of the point [v0], or
+    None unless F_v0 ∩ A is a line.
 
-
-def tangent_functional(A: EpwLagrangian, v0, alpha: ExteriorVector):
-    """The covector v -> vol(v0 ^ v ^ alpha ^ alpha).
-
-    Precondition (checked): F_v0 ∩ A is spanned by v0 ^ alpha alone, so the
-    point is off the rank-2 stratum. At smooth points this is proportional
-    to gradient_det.
+    One meet gives that line's generator g, and one solve gives the alpha
+    with g = v0 ^ alpha (`alpha_from_generator`). Entry k is read off the
+    5-vector w = v0 ^ alpha ^ alpha as vol(v0 ^ e_k ^ alpha ^ alpha) =
+    -vol(e_k ^ w), so the covector is zero exactly when w is, that is when
+    g is decomposable. At smooth points it is proportional to gradient_det.
     """
     F = A.field
     vx = ExteriorVector(F, 1, v0)
-    g = vx.wedge(alpha)
-    inter = _fiber_meet(A, v0)
+    inter = A.space.fiber(vx).meet(A.subspace)
     if inter.dim != 1:
-        raise ValueError("point lies on the rank-2 stratum")
-    if g.is_zero() or not inter.contains(g.coords):
-        raise ValueError("v0 ^ alpha does not span the fiber intersection")
-    u = alpha.wedge(alpha)
-    out = []
-    for k in range(6):
-        w = vx.wedge(ExteriorVector.basis(F, k)).wedge(u)
-        out.append(vol(w))
-    return tuple(out)
+        return None
+    alpha = alpha_from_generator(F, v0, ExteriorVector(F, 3, inter.basis()[0]))
+    w = vx.wedge(alpha.wedge(alpha))
+    return tuple(F.neg(vol(ExteriorVector.basis(F, k).wedge(w))) for k in range(6))
 
 
 def smoothness_predicate(A: EpwLagrangian, v) -> bool:
-    """True iff the sextic is smooth at [v]: the fiber intersection is a
-    line spanned by an indecomposable 3-vector. The dimension is read off
-    the meet that gives the generator."""
-    inter = _fiber_meet(A, v)
-    if inter.dim != 1:
-        return False
-    return not generator_is_decomposable(A.field, v, ExteriorVector(A.field, 3, inter.basis()[0]))
+    """True iff the sextic is smooth at [v]: the fiber meets A in a line
+    spanned by an indecomposable 3-vector, that is, the tangent covector
+    exists and is nonzero."""
+    func = tangent_functional(A, v)
+    return func is not None and any(not A.field.is_zero(x) for x in func)
 
 
 # -- the two triple-quadric Lagrangians of the rank-2 model ----------------
@@ -486,6 +465,3 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
         return ExteriorVector(F, 1, v), tried
     raise RetryBudgetExhausted(f"no rational root found on {budget} lines")
 
-
-def find_point_on_Y(A: EpwLagrangian, rng) -> ExteriorVector:
-    return find_point_stats(A, rng)[0]

@@ -252,7 +252,7 @@ def run_epw(cfg: RunConfig):
                     continue
             else:
                 B = epw.random_lagrangian_datum(sp, rng)
-                v = epw.find_point_on_Y(B, rng).coords
+                v = epw.find_point_stats(B, rng)[0].coords
         except epw.RetryBudgetExhausted:
             budget_miss += 1
             continue
@@ -276,16 +276,14 @@ def run_epw(cfg: RunConfig):
     for _ in range(max(cfg.trials // 2, 1)):
         try:
             B = epw.random_lagrangian_datum(sp, rng)
-            v = epw.find_point_on_Y(B, rng).coords
+            v = epw.find_point_stats(B, rng)[0].coords
         except epw.RetryBudgetExhausted:
             continue
-        if not epw.smoothness_predicate(B, v):
+        func = epw.tangent_functional(B, v)
+        if func is None or all(Fp.is_zero(x) for x in func):
             continue
-        g = epw.generator_of_intersection(B, v)
-        alpha = epw.alpha_from_generator(Fp, v, g)
-        func = epw.tangent_functional(B, v, alpha)
         grad = epw.gradient_det(B, v)
-        nz = any(not Fp.is_zero(x) for x in func) and any(not Fp.is_zero(x) for x in grad)
+        nz = any(not Fp.is_zero(x) for x in grad)
         prop = Matrix(Fp, [func, grad], ncols=6).rank() == 1
         ok = ok and nz and prop
         tested += 1

@@ -6,6 +6,7 @@ import json
 import resource
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
+README = Path(__file__).resolve().parents[1] / "README.md"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -213,6 +215,24 @@ def _fault_gram_row_zeroed(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "gram", faulty)
 
 
+def _fault_smoothness_negated(monkeypatch):
+    """The smoothness predicate read the other way round."""
+    smooth = epw.smoothness_predicate
+    monkeypatch.setattr(epw, "smoothness_predicate", lambda A, v: not smooth(A, v))
+
+
+def _fault_tangent_entries_swapped(monkeypatch):
+    """Entries 0 and 1 of the tangent covector swapped. The zero pattern
+    stays, so the smoothness predicate, which reads it, does not move."""
+    tangent = epw.tangent_functional
+
+    def faulty(A, v0):
+        func = tangent(A, v0)
+        return func if func is None else (func[1], func[0], *func[2:])
+
+    monkeypatch.setattr(epw, "tangent_functional", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -229,6 +249,8 @@ FAULTS = {
     ("bbf", "odd_cubic_sections"): _fault_ambient_cubics,
     ("epw", "det_vs_rank_detector"): _fault_fiber_dim_plus_one,
     ("exterior", "gram_nondegenerate"): _fault_gram_row_zeroed,
+    ("epw", "smoothness_equivalence"): _fault_smoothness_negated,
+    ("epw", "tangent_functional_proportional"): _fault_tangent_entries_swapped,
 }
 
 
@@ -490,6 +512,17 @@ def test_traceability_names_each_fault_test():
         assert f"def {name}(" in (Path(__file__).parent / path).read_text(encoding="utf-8"), fault
 
 
+def test_readme_library_example_runs():
+    """The README's library example runs as written, and the point it finds
+    lies on the sextic, smooth there, as its comments say."""
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    A, v = namespace["A"], namespace["v"]
+    assert epw.fiber_intersection_dim(A, v) == 1 and epw.smoothness_predicate(A, v)
+
+
 def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
     first, second, third = cli.SUITE_ORDER[:3]
 
@@ -576,28 +609,6 @@ def test_small_prime_sampling_accidents_are_not_failures(suite, prime, seed, tmp
         assert by_id["veronese_independence"]["witness"] != "sets=1"
 
 
-def test_every_definition_in_the_package_has_a_caller_in_the_package():
-    """No unused API: each function and class defined in `src/epwcalc` is
-    named, as a Name or an Attribute (f-strings included), somewhere in
-    `src/epwcalc`. Dunders and the entry point `cli.main` are exempt."""
-    package = Path(cli.__file__).resolve().parent
-    defined, used = set(), set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add((path.stem, node.name))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = sorted(
-        f"{module}.{name}"
-        for module, name in defined
-        if name not in used and not (name.startswith("__") and name.endswith("__")) and (module, name) != ("cli", "main")
-    )
-    assert not unused, f"defined in src/epwcalc but never referenced there: {unused}"
-
-
 # The benchmark's two gated workloads in a fresh interpreter, each as the
 # op perfbench/workloads.py times at the benchmark seed 7: battery is `run all`
 # at CLI defaults with a JSON report, rational_qq its exact QQ calls. The
@@ -655,13 +666,39 @@ def _definitions(package):
     return out
 
 
+def _classes_named_only_in_their_own_body(package):
+    """The classes defined in the package that no Name or Attribute outside
+    their own body names (f-strings included). A class the workloads never
+    instantiate, such as an exception raised only on bad input, runs no
+    code a profile would see; being named is its reachability."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    everywhere = Counter(name for _, tree in trees for name in names(tree))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and everywhere[node.name] == Counter(names(node))[node.name]
+    )
+
+
 def test_every_function_in_the_package_serves_a_benchmark_workload():
     """No unused API, by traffic: every non-dunder def in `src/epwcalc` runs
     under one op of each of the benchmark's gated workloads at seed 7,
     battery (`run all --seed 7 --json`, 100 trials) and rational_qq. The only exemptions are dunders and
     the QQ_PROTOCOL methods, each with the generic caller and the test that
-    reaches it over QQ."""
+    reaches it over QQ. Every class is named in the package outside its own
+    body."""
     package = Path(cli.__file__).resolve().parent
+    unnamed = _classes_named_only_in_their_own_body(package)
+    assert not unnamed, f"classes named nowhere outside their own body: {unnamed}"
     res = subprocess.run(
         [sys.executable, "-B", "-c", _WORKLOAD_PROFILE, str(package.parent), str(WORKLOADS)],
         capture_output=True,

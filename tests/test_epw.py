@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from epwcalc import epw
-from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
+from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace, vol
 from epwcalc.linalg import Matrix, Subspace, interpolate_univariate, poly_degree
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ, PrimeField
@@ -107,7 +107,7 @@ def test_gradient_matches_interpolated_partials(field):
     A = epw.EpwLagrangian(sp, sp.random_lagrangian(rnd))
     if isinstance(field, PrimeField):
         for _ in range(3):
-            v = epw.find_point_on_Y(A, rnd).coords
+            v = epw.find_point_stats(A, rnd)[0].coords
             chart = epw.chart_for(field, v)
             assert epw.gradient_det(A, v) == _gradient_by_interpolation(A, v, chart)
         low = field.of(field.p - 5)
@@ -154,7 +154,7 @@ def test_gradient_matches_row_replacement(field):
     rnd = derive_rng(26, "jacobi")
     A = epw.EpwLagrangian(sp, sp.random_lagrangian(rnd))
     for _ in range(4):  # points found on the sextic, corank 1 in the main
-        v = epw.find_point_on_Y(A, rnd).coords
+        v = epw.find_point_stats(A, rnd)[0].coords
         assert epw.gradient_det(A, v) == _gradient_by_row_replacement(A, v, epw.chart_for(field, v))
     # corank 2: A meets F_v in a plane at least, and the gradient vanishes
     v = [field.one] + [field.random(rnd) for _ in range(5)]
@@ -207,8 +207,8 @@ def test_sextic_through_two_marked_points(datum):
     from epwcalc.linalg import poly_eval
 
     rnd = derive_rng(5, "two_points")
-    v1 = epw.find_point_on_Y(datum, rnd).coords
-    v2 = epw.find_point_on_Y(datum, rnd).coords
+    v1 = epw.find_point_stats(datum, rnd)[0].coords
+    v2 = epw.find_point_stats(datum, rnd)[0].coords
     if F.is_zero(v2[0]):
         pytest.skip("second point off the chart for this seed")
     # normalize both points onto the chart and take their difference as the
@@ -242,7 +242,7 @@ def test_smoothness_criterion_down_both_routes(datum):
     rnd = derive_rng(7, "smooth")
     seen_smooth = 0
     for _ in range(10):
-        v = epw.find_point_on_Y(datum, rnd).coords
+        v = epw.find_point_stats(datum, rnd)[0].coords
         grad = epw.gradient_det(datum, v)
         nonzero = any(not F.is_zero(g) for g in grad)
         assert nonzero == epw.smoothness_predicate(datum, v)
@@ -250,18 +250,24 @@ def test_smoothness_criterion_down_both_routes(datum):
     assert seen_smooth > 0
 
 
+def _fiber_generator(A, v):
+    """The first canonical basis vector of F_v ∩ A, as a 3-vector, and the
+    dimension of that meet."""
+    inter = A.space.fiber(ExteriorVector(A.field, 1, v)).meet(A.subspace)
+    return ExteriorVector(A.field, 3, inter.basis()[0]) if inter.dim else None, inter.dim
+
+
 def test_tangent_functional_matches_gradient(datum):
     rnd = derive_rng(8, "tangent")
     done = 0
     while done < 6:
-        v = epw.find_point_on_Y(datum, rnd).coords
+        v = epw.find_point_stats(datum, rnd)[0].coords
         if not epw.smoothness_predicate(datum, v):
             continue
-        g = epw.generator_of_intersection(datum, v)
-        alpha = epw.alpha_from_generator(F, v, g)
-        func = epw.tangent_functional(datum, v, alpha)
+        func = epw.tangent_functional(datum, v)
         grad = epw.gradient_det(datum, v)
         assert any(not F.is_zero(x) for x in func)
+        assert any(not F.is_zero(x) for x in grad)
         assert Matrix(F, [func, grad], ncols=6).rank() == 1
         # the base point lies on its own tangent hyperplane
         acc = F.zero
@@ -272,19 +278,70 @@ def test_tangent_functional_matches_gradient(datum):
 
 
 def test_tangent_functional_precondition(datum):
+    """No covector unless F_v ∩ A is a line: None where the fiber misses A
+    (a generic v) and where it meets A in a plane or more."""
     rnd = derive_rng(9, "tangent_pre")
-    v = [F.random(rnd) for _ in range(6)]  # generic: fiber misses the Lagrangian
-    alpha = ExteriorVector(F, 2, [F.random(rnd) for _ in range(15)])
-    with pytest.raises(ValueError):
-        epw.tangent_functional(datum, v, alpha)
+    v = [F.random(rnd) for _ in range(6)]
+    assert epw.fiber_intersection_dim(datum, v) == 0
+    assert epw.tangent_functional(datum, v) is None
+    assert not epw.smoothness_predicate(datum, v)
+    v = [F.one] + [F.random(rnd) for _ in range(5)]
+    B = _completed_through_fiber(SP, v, 2, rnd)
+    assert epw.fiber_intersection_dim(B, v) >= 2
+    assert epw.tangent_functional(B, v) is None
+    assert not epw.smoothness_predicate(B, v)
 
 
 def test_alpha_from_generator_roundtrip(datum):
     rnd = derive_rng(10, "alpha")
-    v = epw.find_point_on_Y(datum, rnd)
-    g = epw.generator_of_intersection(datum, v.coords)
+    v = epw.find_point_stats(datum, rnd)[0]
+    g, dim = _fiber_generator(datum, v.coords)
+    assert dim == 1
     alpha = epw.alpha_from_generator(F, v.coords, g)
     assert v.wedge(alpha) == g
+
+
+def _covector_by_wedges(field, v0, alpha):
+    """vol(v0 ^ e_k ^ alpha ^ alpha) for k = 0..5: twelve wedges."""
+    vx = ExteriorVector(field, 1, v0)
+    u = alpha.wedge(alpha)
+    return tuple(vol(vx.wedge(ExteriorVector.basis(field, k)).wedge(u)) for k in range(6))
+
+
+@pytest.mark.parametrize("field", [GF(13), GF(10007), QQ], ids=repr)
+def test_tangent_functional_equals_the_wedge_route(field):
+    """The covector read off v0 ^ alpha ^ alpha equals the twelve-wedge
+    covector, with alpha solved from a test-local meet, on data completed
+    through a random vector of F_v (smooth in the main) and through a
+    decomposable 3-vector of a 3-space containing v (g decomposable, the
+    covector zero). Wherever the meet is not a line it is None."""
+    sp = SymplecticSpace(field)
+    rnd = derive_rng(14, "tangent_wedges")
+    seen = {"smooth": 0, "decomposable": 0}
+    for k in range(30):
+        v = [field.one] + [field.random(rnd) for _ in range(5)]
+        if k % 2:
+            rows = [v] + [[field.random(rnd) for _ in range(6)] for _ in range(2)]
+            w = Subspace.from_spanning(field, 6, rows)
+            if w.dim != 3:
+                continue
+            dec = sp.decomposable_of(w)
+            A = epw.EpwLagrangian(sp, sp.lagrangian_completion(Subspace.from_spanning(field, DIM3, [dec.coords]), rnd))
+        else:
+            A = _completed_through_fiber(sp, v, 1, rnd)
+        func = epw.tangent_functional(A, v)
+        g, dim = _fiber_generator(A, v)
+        if dim != 1:
+            assert func is None
+            continue
+        want = _covector_by_wedges(field, v, epw.alpha_from_generator(field, v, g))
+        assert func == want and [type(x) for x in func] == [type(x) for x in want]
+        smooth = any(not field.is_zero(x) for x in want)
+        assert epw.smoothness_predicate(A, v) == smooth
+        if k % 2:
+            assert not smooth
+        seen["smooth" if smooth else "decomposable"] += 1
+    assert seen["smooth"] >= 10 and seen["decomposable"] >= 10, seen
 
 
 def _alpha_by_wedges(field, v0, g):
@@ -405,13 +462,13 @@ def test_find_point_needs_prime_field():
     rnd = derive_rng(16, "qq")
     A = epw.EpwLagrangian(sq, sq.random_lagrangian(rnd))
     with pytest.raises(ValueError):
-        epw.find_point_on_Y(A, rnd)
+        epw.find_point_stats(A, rnd)
 
 
 def test_find_point_root_property(datum):
     rnd = derive_rng(17, "roots")
     for _ in range(5):
-        v = epw.find_point_on_Y(datum, rnd)
+        v = epw.find_point_stats(datum, rnd)[0]
         assert epw.pairing_det(datum, v.coords) == 0
         assert epw.fiber_intersection_dim(datum, v.coords) >= 1
 
@@ -462,11 +519,12 @@ def test_tangent_functional_vanishes_at_decomposable_generator():
             continue
         if epw.fiber_intersection_dim(A, v) != 1:
             continue
-        g = epw.generator_of_intersection(A, v)
-        assert epw.generator_is_decomposable(F, v, g)
+        g, _ = _fiber_generator(A, v)
         alpha = epw.alpha_from_generator(F, v, g)
-        func = epw.tangent_functional(A, v, alpha)
+        assert alpha.wedge(alpha).wedge(ExteriorVector(F, 1, v)).is_zero()
+        func = epw.tangent_functional(A, v)
         assert all(F.is_zero(x) for x in func)
+        assert not epw.smoothness_predicate(A, v)
         return
     pytest.fail("no dimension-1 sample found")
 
@@ -485,7 +543,7 @@ def test_find_point_on_triple_quadric_lands_on_the_quadric():
     rnd = derive_rng(21, "find_on_3g")
     ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
     for _ in range(5):
-        v = epw.find_point_on_Y(ap, rnd)
+        v = epw.find_point_stats(ap, rnd)[0]
         assert F.is_zero(epw.plucker_quadric(F, v.coords))
 
 
@@ -558,10 +616,10 @@ def test_factored_sextic_over_qq_with_fractional_lines():
 
 
 def test_factored_sextic_falls_back_at_a_base_point_on_the_sextic(datum, monkeypatch):
-    """det M(p) = 0 at a point from `find_point_on_Y`: the factorization has
+    """det M(p) = 0 at a point from `find_point_stats`: the factorization has
     no M(p)^-1, and the 11-point route gives the coefficients."""
     rnd = derive_rng(42, "fallback")
-    base = list(epw.find_point_on_Y(datum, rnd).coords)
+    base = list(epw.find_point_stats(datum, rnd)[0].coords)
     assert base[0] == 1 and epw.pairing_det(datum, base, 0) == 0
     q = [0] + [F.random(rnd) for _ in range(5)]
     expected = epw.sextic_on_line(datum, base, q, 0)
@@ -607,7 +665,7 @@ def test_point_search_interpolates_nothing_off_the_sextic(datum, monkeypatch):
     monkeypatch.setattr(epw, "interpolate_univariate", lambda *a: interpolations.append(a) or interpolate(*a))
     rnd = derive_rng(43, "no-interpolation")
     for _ in range(5):
-        v = epw.find_point_on_Y(datum, rnd)
+        v = epw.find_point_stats(datum, rnd)[0]
         assert epw.pairing_det(datum, v.coords) == 0
     assert bases and all(epw.pairing_det(datum, p, 0) != 0 for p in bases)
     assert interpolations == []
