@@ -2,9 +2,9 @@
 
 `epwcalc run [suite]` executes a named battery (or all of them) and emits
 one JSON report per run. Reports are deterministic functions of
-(seed, prime, trials); wall time is printed on stderr, and it and each
-suite's CPU time are embedded in the JSON only under --timing, keeping
-default reports byte-identical across reruns.
+(seed, prime, trials); wall time is printed on stderr, and it and the CPU
+time of each suite and of each check are embedded in the JSON only under
+--timing, keeping default reports byte-identical across reruns.
 
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
 """
@@ -33,7 +33,7 @@ def build_parser():
     run.add_argument("--trials", type=int, default=100)
     run.add_argument("--json", dest="json_path", default=None, help="write the report here (default: stdout)")
     run.add_argument("--fail-fast", action="store_true")
-    run.add_argument("--timing", action="store_true", help="embed measured wall time and per-suite CPU time (breaks byte-identity)")
+    run.add_argument("--timing", action="store_true", help="embed measured wall time and per-suite and per-check CPU time (breaks byte-identity)")
     return parser
 
 
@@ -100,6 +100,7 @@ def main(argv=None):
         }
         if args.timing:
             report["suite_cpu_ms"] = suite_cpu_ms
+            report["check_cpu_ms"] = {c.id: c.cpu_ms for c in checks}
         text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
         if args.json_path:
             fh.truncate(0)

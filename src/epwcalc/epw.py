@@ -14,9 +14,10 @@ characteristic polynomial (`sextic_from_factorization`); `sextic_on_line`
 keeps the 11-point interpolation as the independent route.
 
 A point [v] of the sextic is read by one meet of F_v with A: when it is a
-line v ^ alpha, `tangent_functional` solves for alpha once and returns the
-tangent covector vol(v ^ . ^ alpha ^ alpha), and `smoothness_predicate` is
-that covector being nonzero. Points come from `find_point_stats(A, rng)[0]`.
+line v ^ alpha, `tangent_functional` reads alpha off the line's generator
+at the fiber's pivots, with no solve, and returns the tangent covector
+vol(v ^ . ^ alpha ^ alpha), and `smoothness_predicate` is that covector
+being nonzero. Points come from `find_point_stats(A, rng)[0]`.
 """
 
 from bisect import bisect_left
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, chart_for, frame_struct, vol, wedge_table
+from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, chart_for, frame_leads, frame_struct, vol
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
@@ -276,45 +277,30 @@ def gradient_det(A: EpwLagrangian, v0, chart=None):
     return tuple(F.dot(adj_t, mk) for mk in A.pencil(chart))
 
 
-def alpha_from_generator(field, v0, g: ExteriorVector) -> ExteriorVector:
-    """Solve v0 ^ alpha = g for a 2-vector alpha (well-defined mod v0 ^ V).
-
-    Column b of the 20 x 15 system is v0 ^ e_b for the b-th 2-subset, read
-    off `wedge_table(1, 2)`: +-v0_s at the 3-subset {s} + b. Its entries
-    and g's are canonical, so the augmented rows are trusted."""
-    F = field
-    v = [F.of(x) for x in v0]
-    aug = [[F.zero] * 15 + [x] for x in g.coords]
-    for s, row in enumerate(wedge_table(1, 2)):
-        for b, hit in enumerate(row):
-            if hit is not None:
-                sg, pos = hit
-                aug[pos][b] = v[s] if sg > 0 else F.neg(v[s])
-    red, pivots = Matrix._reduced(F, [tuple(r) for r in aug], 16).rref()
-    if 15 in pivots:
-        raise ValueError("generator is not divisible by v0")
-    x = [F.zero] * 15
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][15]
-    return ExteriorVector(F, 2, x)
-
-
 def tangent_functional(A: EpwLagrangian, v0):
     """The covector v -> vol(v0 ^ v ^ alpha ^ alpha) of the point [v0], or
     None unless F_v0 ∩ A is a line.
 
-    One meet gives that line's generator g, and one solve gives the alpha
-    with g = v0 ^ alpha (`alpha_from_generator`). Entry k is read off the
-    5-vector w = v0 ^ alpha ^ alpha as vol(v0 ^ e_k ^ alpha ^ alpha) =
-    -vol(e_k ^ w), so the covector is zero exactly when w is, that is when
-    g is decomposable. At smooth points it is proportional to gradient_det.
+    One meet gives that line's generator g. The fiber's canonical rows are
+    the frame vectors v0 ^ e_i ^ e_j scaled by lead / v0_c, so g = v0 ^ alpha
+    for alpha = sum lead * g[pivot] / v0_c * e_i ^ e_j over `frame_leads`:
+    no elimination. Any alpha with g = v0 ^ alpha gives the same w =
+    v0 ^ alpha ^ alpha, and entry k is read off it as
+    vol(v0 ^ e_k ^ alpha ^ alpha) = -vol(e_k ^ w), so the covector is zero
+    exactly when w is, that is when g is decomposable. At smooth points it
+    is proportional to gradient_det.
     """
     F = A.field
     vx = ExteriorVector(F, 1, v0)
     inter = A.space.fiber(vx).meet(A.subspace)
     if inter.dim != 1:
         return None
-    alpha = alpha_from_generator(F, v0, ExteriorVector(F, 3, inter.basis()[0]))
+    g = inter.basis()[0]
+    chart = chart_for(F, vx.coords)
+    alpha = [F.zero] * 15
+    for b, lead, pivot in frame_leads(chart):
+        alpha[b] = g[pivot] if lead > 0 else F.neg(g[pivot])
+    alpha = ExteriorVector(F, 2, alpha).scale(F.inv(vx.coords[chart]))
     w = vx.wedge(alpha.wedge(alpha))
     return tuple(F.neg(vol(ExteriorVector.basis(F, k).wedge(w))) for k in range(6))
 

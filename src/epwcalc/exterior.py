@@ -54,16 +54,20 @@ for s in SUBSETS[3]:
 # v ^ e_i ^ e_j has coordinate sign * v_s at the 3-subset {s, i, j}
 @cache
 def frame_struct(c):
-    pairs = [p for p in SUBSETS[2] if c not in p]
-    struct = []
-    for i, j in pairs:
-        entries = []
-        for s in range(N):
-            if s in (i, j):
-                continue
-            entries.append((s, merge_sign((s,), (i, j)), POS[3][tuple(sorted((s, i, j)))]))
-        struct.append(entries)
-    return struct
+    return [
+        [(s, merge_sign((s,), (i, j)), POS[3][tuple(sorted((s, i, j)))]) for s in range(N) if s not in (i, j)]
+        for i, j in SUBSETS[2]
+        if c not in (i, j)
+    ]
+
+
+@cache
+def frame_leads(c):
+    """Per frame row of `frame_struct(c)`: (b, lead, pivot), b the index of
+    its pair {i, j} among the 2-subsets and (lead, pivot) its chart entry,
+    the coordinate lead * v_c at {c, i, j}."""
+    pairs = [b for b, p in enumerate(SUBSETS[2]) if c not in p]
+    return tuple((b, sg, pos) for b, entries in zip(pairs, frame_struct(c)) for s, sg, pos in entries if s == c)
 
 
 def chart_for(field, vcoords) -> int:
@@ -228,15 +232,16 @@ class SymplecticSpace:
         v ^ e_i ^ e_j scaled by 1/(+-v_c) is 1 at {c, i, j}, its leading
         position (v_s = 0 for s < c, and swapping c for a larger s raises a
         sorted triple), and its other entries sit at triples without c,
-        which are no row's pivot. Sorted by pivot, these rows are the RREF."""
+        which are no row's pivot. Sorted by pivot, these rows are the RREF,
+        so a vector g of the fiber is v ^ alpha with alpha the sum of
+        lead * g[pivot] / v_c * e_i ^ e_j over `frame_leads(c)`."""
         if v.grade != 1:
             raise GradeError("fiber needs a grade-1 vector")
         F = self.field
         chart = chart_for(F, v.coords)
         w = F.lincomb([F.inv(v.coords[chart])], [v.coords])
         rows = []
-        for entries in frame_struct(chart):
-            lead, pivot = next((sg, pos) for s, sg, pos in entries if s == chart)
+        for (_, lead, pivot), entries in zip(frame_leads(chart), frame_struct(chart)):
             row = [F.zero] * DIM3
             for s, sg, pos in entries:
                 row[pos] = w[s] if sg == lead else F.neg(w[s])

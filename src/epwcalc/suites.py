@@ -9,10 +9,13 @@ report order: (id, anchor, ok) for a check that expects True,
 (id, anchor, ok, expected, got[, witness]) for any other, and
 (id, anchor, None, why) for a skip. `_checks` collects the tuples into the
 list of `Check`s that the suite function returns, so a call of the suite
-runs all of its checks.
+runs all of its checks, and stamps each with the process CPU spent since
+the previous yield (or the call), which includes the shared state the
+suite built for that check.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field as dataclass_field
 from functools import wraps
 from fractions import Fraction
 from math import comb
@@ -32,6 +35,9 @@ class Check:
     expected: str
     got: str
     witness: str | None = None
+    # process CPU milliseconds since the previous check's yield (or the
+    # suite call): left out of json_obj and of equality
+    cpu_ms: int = dataclass_field(default=0, compare=False, repr=False)
 
     def json_obj(self):
         obj = {
@@ -66,12 +72,17 @@ def _checks(suite):
     @wraps(suite)
     def run(cfg: RunConfig):
         checks = []
+        start = time.process_time()
+        spent = 0
         for cid, anchor, ok, *rest in suite(cfg):
+            # milliseconds off one clock, so a suite's checks sum to its total
+            ms = int((time.process_time() - start) * 1000) - spent
+            spent += ms
             if ok is None:
-                checks.append(Check(cid, anchor, "skip", "", "", *rest))
+                checks.append(Check(cid, anchor, "skip", "", "", *rest, cpu_ms=ms))
             else:
                 expected, got, *witness = rest or (True, ok)
-                checks.append(Check(cid, anchor, "pass" if ok else "fail", str(expected), str(got), *witness))
+                checks.append(Check(cid, anchor, "pass" if ok else "fail", str(expected), str(got), *witness, cpu_ms=ms))
         return checks
 
     return run

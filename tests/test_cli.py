@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import chow, cli, epw, incidence, lattice, oracles, quadrics, suites
+from epwcalc import chow, cli, epw, fpkernel, incidence, lattice, oracles, quadrics, suites
 from epwcalc.exterior import DIM3, SymplecticSpace
 from epwcalc.linalg import Matrix, Subspace
 from epwcalc.rng import derive_rng
@@ -233,6 +233,19 @@ def _fault_tangent_entries_swapped(monkeypatch):
     monkeypatch.setattr(epw, "tangent_functional", faulty)
 
 
+def _fault_a_minus_is_a_plus(monkeypatch):
+    """The mirror Lagrangian built as a second copy of the symmetric one, so
+    the two meet in all of A_+ and do not split the 3-vector space."""
+    plus = epw.a_plus
+    monkeypatch.setattr(epw, "a_minus", lambda space, ubasis, rng: plus(space, ubasis, rng))
+
+
+def _fault_u_wedge_is_random(monkeypatch):
+    """A random 3-space of the base space in place of u ^ U, whose wedge
+    cube does not lie in A_+."""
+    monkeypatch.setattr(suites, "_u_wedge_subspace", lambda field, rng: suites._random_subspace(field, rng, 6, 3))
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -251,6 +264,8 @@ FAULTS = {
     ("exterior", "gram_nondegenerate"): _fault_gram_row_zeroed,
     ("epw", "smoothness_equivalence"): _fault_smoothness_negated,
     ("epw", "tangent_functional_proportional"): _fault_tangent_entries_swapped,
+    ("epw", "plus_minus_decomposition"): _fault_a_minus_is_a_plus,
+    ("epw", "sigma_membership"): _fault_u_wedge_is_random,
 }
 
 
@@ -449,17 +464,26 @@ def test_single_suite_rerun_is_byte_identical():
     assert a.stdout == b.stdout
 
 
-def test_timing_adds_per_suite_cpu_only():
+def test_timing_adds_per_suite_and_per_check_cpu_only():
+    """--timing adds the CPU milliseconds of each suite and of each check,
+    keyed by report check id, and changes nothing else; a suite's check
+    times sum to its own within the 1 ms truncation of each check."""
     plain = json.loads(run_cli("run", "bbf", "--seed", "3", "--trials", "5").stdout)
     timed = json.loads(run_cli("run", "bbf", "--seed", "3", "--trials", "5", "--timing").stdout)
     assert set(plain) == {"suite", "seed", "prime", "checks", "ms"}
-    assert set(timed) == set(plain) | {"suite_cpu_ms"}
+    assert set(timed) == set(plain) | {"suite_cpu_ms", "check_cpu_ms"}
     assert set(timed["suite_cpu_ms"]) == {"bbf"}
     assert isinstance(timed["suite_cpu_ms"]["bbf"], int)
+    assert list(timed["check_cpu_ms"]) == [c["id"] for c in plain["checks"]]
     assert timed["checks"] == plain["checks"]
     every = json.loads(run_cli("run", "all", "--seed", "3", "--trials", "5", "--timing").stdout)
     assert list(every["suite_cpu_ms"]) == ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
     assert all(isinstance(ms, int) and ms >= 0 for ms in every["suite_cpu_ms"].values())
+    assert list(every["check_cpu_ms"]) == [c["id"] for c in every["checks"]]
+    assert all(isinstance(ms, int) and ms >= 0 for ms in every["check_cpu_ms"].values())
+    for suite, suite_ms in every["suite_cpu_ms"].items():
+        ms = [v for cid, v in every["check_cpu_ms"].items() if cid.startswith(f"{suite}.")]
+        assert abs(suite_ms - sum(ms)) <= len(ms), (suite, suite_ms, ms)
 
 
 @pytest.mark.parametrize("prime", [2147483647, 2305843009213693951], ids=["2^31-1", "2^61-1"])
@@ -567,6 +591,25 @@ def test_each_yield_shape_becomes_its_check():
     for run in suites.SUITES.values():
         checks = run(cfg)
         assert type(checks) is list and checks and all(type(c) is suites.Check for c in checks)
+
+
+def test_epw_suite_work_counts_at_seed_7(monkeypatch):
+    """The epw suite at seed 7 and CLI defaults makes 106 point searches and
+    2,259 F_p forward eliminations: one meet per tangent covector, and no
+    solve for its alpha."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(fpkernel, "_forward", counted("forward", fpkernel._forward))
+    monkeypatch.setattr(epw, "find_point_stats", counted("find_point_stats", epw.find_point_stats))
+    suites.run_epw(suites.RunConfig(seed=7))
+    assert calls == {"find_point_stats": 106, "forward": 2259}
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
