@@ -16,8 +16,8 @@ keeps the 11-point interpolation as the independent route.
 A point [v] of the sextic is read by one meet of F_v with A: when it is a
 line v ^ alpha, `tangent_functional` reads alpha off the line's generator
 at the fiber's pivots, with no solve, and returns the tangent covector
-vol(v ^ . ^ alpha ^ alpha), and `smoothness_predicate` is that covector
-being nonzero. Points come from `find_point_stats(A, rng)[0]`.
+vol(v ^ . ^ alpha ^ alpha). The sextic is smooth at [v] exactly when that
+covector exists and is nonzero. Points come from `find_point_stats(A, rng)[0]`.
 """
 
 from bisect import bisect_left
@@ -303,14 +303,6 @@ def tangent_functional(A: EpwLagrangian, v0):
     alpha = ExteriorVector(F, 2, alpha).scale(F.inv(vx.coords[chart]))
     w = vx.wedge(alpha.wedge(alpha))
     return tuple(F.neg(vol(ExteriorVector.basis(F, k).wedge(w))) for k in range(6))
-
-
-def smoothness_predicate(A: EpwLagrangian, v) -> bool:
-    """True iff the sextic is smooth at [v]: the fiber meets A in a line
-    spanned by an indecomposable 3-vector, that is, the tangent covector
-    exists and is nonzero."""
-    func = tangent_functional(A, v)
-    return func is not None and any(not A.field.is_zero(x) for x in func)
 
 
 # -- the two triple-quadric Lagrangians of the rank-2 model ----------------

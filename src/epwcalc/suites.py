@@ -249,59 +249,54 @@ def run_epw(cfg: RunConfig):
         ok,
     )
 
-    rng = derive_rng(cfg.seed, "epw.smooth")
-    ok = True
-    tested = 0
+    # one stream of points of the sextic for the three point checks: a point
+    # found on a fresh datum per search, then points of the plane P(w) of a
+    # datum through a decomposable, each with its lines tried (None off the
+    # search), its tangent covector and its gradient
+    rng = derive_rng(cfg.seed, "epw.points")
+    points = []
     budget_miss = 0
-    for i in range(max(cfg.trials // 2, 1)):
+    for _ in range(max(cfg.trials // 2, 1)):
+        B = epw.random_lagrangian_datum(sp, rng)
         try:
-            if i % 5 == 4:
-                # a Lagrangian through a decomposable: singular points on the plane
-                w, B = _decomposable_datum(sp, rng)
-                v = Fp.lincomb([Fp.random(rng) for _ in range(3)], w.basis())
-                if all(Fp.is_zero(x) for x in v):
-                    continue
-            else:
-                B = epw.random_lagrangian_datum(sp, rng)
-                v = epw.find_point_stats(B, rng)[0].coords
+            point, tried = epw.find_point_stats(B, rng)
         except epw.RetryBudgetExhausted:
             budget_miss += 1
             continue
-        grad = epw.gradient_det(B, v)
-        grad_nonzero = any(not Fp.is_zero(g) for g in grad)
-        ok = ok and (grad_nonzero == epw.smoothness_predicate(B, v))
-        tested += 1
+        points.append((tried, B, point.coords))
+    for _ in range(max(cfg.trials // 10, 1)):
+        # a Lagrangian through a decomposable: singular points on the plane
+        w, B = _decomposable_datum(sp, rng)
+        v = Fp.lincomb([Fp.random(rng) for _ in range(3)], w.basis())
+        if not all(Fp.is_zero(x) for x in v):
+            points.append((None, B, v))
+    points = [(tried, epw.tangent_functional(B, v), epw.gradient_det(B, v)) for tried, B, v in points]
+
+    def nonzero(vec):
+        return vec is not None and any(not Fp.is_zero(x) for x in vec)
+
+    searched = [tried for tried, _, _ in points if tried is not None]
+    smooth = [(func, grad) for _, func, grad in points if nonzero(func)]
+    # the decomposable samples test only the singular side, so both
+    # directions need a searched point
+    missed = None, f"retry budget exhausted on every search (budget_miss={budget_miss})"
+
+    ok = all(nonzero(grad) == nonzero(func) for _, func, grad in points)
     yield (
         "smoothness_equivalence",
         "gradient nonzero iff the fiber meets A in one indecomposable line",
-        *(
-            (ok, True, ok, f"tested={tested} budget_miss={budget_miss}")
-            if tested
-            else (None, f"retry budget exhausted on every sample (budget_miss={budget_miss})")
-        ),
+        *((ok, True, ok, f"tested={len(points)} budget_miss={budget_miss}") if searched else missed),
     )
 
-    rng = derive_rng(cfg.seed, "epw.tangent")
-    ok = True
-    tested = 0
-    for _ in range(max(cfg.trials // 2, 1)):
-        try:
-            B = epw.random_lagrangian_datum(sp, rng)
-            v = epw.find_point_stats(B, rng)[0].coords
-        except epw.RetryBudgetExhausted:
-            continue
-        func = epw.tangent_functional(B, v)
-        if func is None or all(Fp.is_zero(x) for x in func):
-            continue
-        grad = epw.gradient_det(B, v)
-        nz = any(not Fp.is_zero(x) for x in grad)
-        prop = Matrix(Fp, [func, grad], ncols=6).rank() == 1
-        ok = ok and nz and prop
-        tested += 1
+    ok = all(nonzero(grad) and Matrix(Fp, [func, grad], ncols=6).rank() == 1 for func, grad in smooth)
     yield (
         "tangent_functional_proportional",
         "the hyperplane covector vol(v0 ^ . ^ a ^ a) is proportional to the gradient",
-        *((ok, True, ok, f"tested={tested}") if tested else (None, "retry budget exhausted on every sample")),
+        *(
+            (ok, True, ok, f"tested={len(smooth)}")
+            if smooth
+            else (None, f"no smooth point among {len(searched)} found (budget_miss={budget_miss})")
+        ),
     )
 
     rng = derive_rng(cfg.seed, "epw.sigma")
@@ -319,21 +314,10 @@ def run_epw(cfg: RunConfig):
         (pos, negs, u_line),
     )
 
-    rng = derive_rng(cfg.seed, "epw.retries")
-    tried = []
-    for _ in range(16):
-        try:
-            _, t = epw.find_point_stats(epw.random_lagrangian_datum(sp, rng), rng)
-            tried.append(t)
-        except epw.RetryBudgetExhausted:
-            tried.append(-1)
-    mean = sum(t for t in tried if t > 0) / max(len([t for t in tried if t > 0]), 1)
     yield (
         "point_search_retries",
         "expected number of lines scanned before a rational root (report)",
-        True,
-        "report only",
-        f"{mean:.2f}",
+        *((True, "report only", f"{sum(searched) / len(searched):.2f}") if searched else missed),
     )
 
 

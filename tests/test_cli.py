@@ -215,15 +215,23 @@ def _fault_gram_row_zeroed(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "gram", faulty)
 
 
-def _fault_smoothness_negated(monkeypatch):
-    """The smoothness predicate read the other way round."""
-    smooth = epw.smoothness_predicate
-    monkeypatch.setattr(epw, "smoothness_predicate", lambda A, v: not smooth(A, v))
+def _fault_gradient_never_zero(monkeypatch):
+    """The gradient of det M(v) with its first entry set to 1 wherever it
+    would vanish: a singular point of the plane of a decomposable reads as
+    smooth. Smooth points keep their gradient, so the proportionality check
+    does not move."""
+    gradient = epw.gradient_det
+
+    def faulty(A, v0, chart=None):
+        g = gradient(A, v0, chart)
+        return g if any(g) else (1, *g[1:])
+
+    monkeypatch.setattr(epw, "gradient_det", faulty)
 
 
 def _fault_tangent_entries_swapped(monkeypatch):
     """Entries 0 and 1 of the tangent covector swapped. The zero pattern
-    stays, so the smoothness predicate, which reads it, does not move."""
+    stays, so the smoothness check, which reads it, does not move."""
     tangent = epw.tangent_functional
 
     def faulty(A, v0):
@@ -262,7 +270,7 @@ FAULTS = {
     ("bbf", "odd_cubic_sections"): _fault_ambient_cubics,
     ("epw", "det_vs_rank_detector"): _fault_fiber_dim_plus_one,
     ("exterior", "gram_nondegenerate"): _fault_gram_row_zeroed,
-    ("epw", "smoothness_equivalence"): _fault_smoothness_negated,
+    ("epw", "smoothness_equivalence"): _fault_gradient_never_zero,
     ("epw", "tangent_functional_proportional"): _fault_tangent_entries_swapped,
     ("epw", "plus_minus_decomposition"): _fault_a_minus_is_a_plus,
     ("epw", "sigma_membership"): _fault_u_wedge_is_random,
@@ -354,9 +362,10 @@ def test_normal_data_off_the_sequence_fails_its_checks_in_the_report(k, monkeypa
 
 
 def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
-    """When every point search runs out of budget, the two checks that
-    sample points of Y have no sample: each reports a skip with the reason
-    as its witness, and no other check changes status."""
+    """When every point search runs out of budget, the point stream holds
+    only its decomposable samples, which test the singular side alone: the
+    three checks that read it report a skip with the reason as its witness,
+    and no other check changes status."""
     cfg = suites.RunConfig(seed=0, trials=2)
     before = {c.id: c.status for c in suites.run_epw(cfg)}
 
@@ -368,9 +377,11 @@ def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
     changed = {
         k: (before[k], c.status, c.expected, c.got, c.witness) for k, c in after.items() if c.status != before[k]
     }
+    missed = "retry budget exhausted on every search (budget_miss=1)"
     assert changed == {
-        "smoothness_equivalence": ("pass", "skip", "", "", "retry budget exhausted on every sample (budget_miss=1)"),
-        "tangent_functional_proportional": ("pass", "skip", "", "", "retry budget exhausted on every sample"),
+        "smoothness_equivalence": ("pass", "skip", "", "", missed),
+        "tangent_functional_proportional": ("pass", "skip", "", "", "no smooth point among 0 found (budget_miss=1)"),
+        "point_search_retries": ("pass", "skip", "", "", missed),
     }
 
 
@@ -544,7 +555,8 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(code, namespace)
     A, v = namespace["A"], namespace["v"]
-    assert epw.fiber_intersection_dim(A, v) == 1 and epw.smoothness_predicate(A, v)
+    func = epw.tangent_functional(A, v)
+    assert epw.fiber_intersection_dim(A, v) == 1 and any(not A.field.is_zero(x) for x in func)
 
 
 def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
@@ -594,9 +606,10 @@ def test_each_yield_shape_becomes_its_check():
 
 
 def test_epw_suite_work_counts_at_seed_7(monkeypatch):
-    """The epw suite at seed 7 and CLI defaults makes 106 point searches and
-    2,259 F_p forward eliminations: one meet per tangent covector, and no
-    solve for its alpha."""
+    """The epw suite at seed 7 and CLI defaults makes 50 point searches and
+    1,921 F_p forward eliminations: one point stream of 60 samples, each
+    with one tangent covector (one meet, no solve for its alpha) and one
+    gradient."""
     calls = Counter()
 
     def counted(name, fn):
@@ -607,9 +620,10 @@ def test_epw_suite_work_counts_at_seed_7(monkeypatch):
         return run
 
     monkeypatch.setattr(fpkernel, "_forward", counted("forward", fpkernel._forward))
-    monkeypatch.setattr(epw, "find_point_stats", counted("find_point_stats", epw.find_point_stats))
+    for name in ("find_point_stats", "tangent_functional", "gradient_det"):
+        monkeypatch.setattr(epw, name, counted(name, getattr(epw, name)))
     suites.run_epw(suites.RunConfig(seed=7))
-    assert calls == {"find_point_stats": 106, "forward": 2259}
+    assert calls == {"find_point_stats": 50, "forward": 1921, "tangent_functional": 60, "gradient_det": 60}
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3])
