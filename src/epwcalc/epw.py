@@ -91,8 +91,7 @@ def random_lagrangian_datum(space: SymplecticSpace, rng) -> EpwLagrangian:
 def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     """dim(F_v ∩ A) computed as 20 - rank of the stacked basis rows."""
     fiber = A.space.fiber(ExteriorVector(A.field, 1, vcoords))
-    # canonical rows of the fiber and of A: trusted
-    return DIM3 - Matrix._reduced(A.field, fiber.basis() + A.basis, DIM3).rank()
+    return DIM3 - Matrix(A.field, fiber.basis() + A.basis).rank()
 
 
 def _det10(field, flat):
@@ -114,7 +113,7 @@ def _on_chart(F, vcoords, chart):
     return v, chart
 
 
-def pairing_entries(A: EpwLagrangian, vcoords, chart: int):
+def pairing_entries(A: EpwLagrangian, vcoords, chart=None):
     """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list."""
     v, chart = _on_chart(A.field, vcoords, chart)
     return A.field.lincomb(v, A.pencil(chart))
@@ -125,9 +124,9 @@ def pairing_det(A: EpwLagrangian, vcoords, chart=None):
     pencil is combined on v's numerators, which gives (L den) M(v) as an
     integer matrix, and one Bareiss pass on it gives the determinant."""
     F = A.field
-    v, chart = _on_chart(F, vcoords, chart)
     if isinstance(F, PrimeField):
-        return _det10(F, F.lincomb(v, A.pencil(chart)))
+        return _det10(F, pairing_entries(A, vcoords, chart))
+    v, chart = _on_chart(F, vcoords, chart)
     scale, nums = _numerators(v)
     den, mats = A.int_pencil(chart)
     flat = _combination(nums, mats)
@@ -227,7 +226,7 @@ def sextic_from_factorization(A: EpwLagrangian, p, q, chart=None):
         for s, sg, col in entries:
             row[col] = coeff[s] if sg > 0 else F.neg(coeff[s])
         aug.append((*mp[10 * i : 10 * i + 10], *row))
-    red = Matrix._reduced(F, aug, 16).rref()[0]
+    red = Matrix(F, aug).rref()[0]
     x_cols = list(zip(*[r[10:] for r in red.rows]))
     mq = F.lincomb(q, pencil)
     k_rows = [[F.dot(mq[10 * r : 10 * r + 10], col) for col in x_cols] for r in keep]
@@ -248,12 +247,11 @@ def gradient_det(A: EpwLagrangian, v0, chart=None):
     - at corank >= 2 every 9x9 minor vanishes, so the gradient is 0.
     """
     F = A.field
-    if chart is None:
-        chart = chart_for(F, [F.of(x) for x in v0])
-    m0 = pairing_entries(A, v0, chart)
+    v0, chart = _on_chart(F, v0, chart)
+    m0 = F.lincomb(v0, A.pencil(chart))
     zero, one = F.zero, F.one
     aug = [(*m0[10 * i : 10 * i + 10], *(one if j == i else zero for j in range(10))) for i in range(10)]
-    red, pivots = Matrix._reduced(F, aug, 20).rref()
+    red, pivots = Matrix(F, aug).rref()
     rows = red.rows
     rank = bisect_left(pivots, 10)
     if rank == 10:

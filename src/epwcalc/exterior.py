@@ -276,9 +276,7 @@ class SymplecticSpace:
         F = self.field
         if s.dim == 0:
             return Subspace.full(F, DIM3)
-        # form_row of a canonical row is a tuple of field elements: trusted
-        rows = [self.form_row(r) for r in s.basis()]
-        out = Matrix._reduced(F, rows, DIM3).kernel_basis()
+        out = Matrix(F, [self.form_row(r) for r in s.basis()]).kernel_basis()
         assert out.dim == DIM3 - s.dim
         return out
 

@@ -73,10 +73,9 @@ def _kernel_dim(field, build, inputs):
         if shape is not None:
             nrows, ncols = shape
             return ncols - nrows
-    # the rows are sums and products of canonical coordinates: trusted
-    rows = [tuple(r) for r in build(field, *inputs)]
+    rows = build(field, *inputs)
     ncols = system_width(rows)
-    return ncols - Matrix._reduced(field, rows, ncols).rank()
+    return ncols - Matrix(field, rows, ncols).rank()
 
 
 @dataclass(frozen=True)
@@ -143,11 +142,12 @@ def omega_unknowns(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
 
 
 def _alpha_coords(B: Subspace, alphas, u=None):
-    """Each alpha's coordinates in B; PreconditionError off B or in u."""
+    """Each alpha's coordinates in B; PreconditionError off B or in u. An
+    alpha is an ExteriorVector or a row of elements of B's field."""
     out = []
     for a in alphas:
         vec = a.coords if isinstance(a, ExteriorVector) else a
-        coords, residue = B._split(vec)
+        coords, residue = B._reduce(vec)
         if any(residue):
             raise PreconditionError("alpha outside the base subspace")
         if u is not None and u.contains(vec):
@@ -165,7 +165,7 @@ def injective_differential_kernel(space, B: Subspace, u: Subspace, alphas, requi
     if not space.is_lagrangian(B):
         raise PreconditionError("base subspace must be Lagrangian")
     # u's coordinates in B, and its residues modulo B
-    split = [B._split(r) for r in u.basis()] if u.dim == 9 else ()
+    split = [B._reduce(r) for r in u.basis()] if u.dim == 9 else ()
     if u.dim != 9 or any(any(residue) for _, residue in split):
         raise PreconditionError("u must be a hyperplane of the base subspace")
     coords = _alpha_coords(B, alphas, u)

@@ -1,26 +1,35 @@
 """Dense exact linear algebra: matrices, canonical subspaces, interpolation
 and roots of univariate polynomials over F_p.
 
-Over Q, rank and determinant share one fraction-free (Bareiss) forward
-pass, `_bareiss`, which controls entry growth; over F_p rank, determinant
-and rref all run through the one forward elimination in `fpkernel`. Those
-eliminations and the integer Gauss-Jordan loop of `Matrix.rref` over Q are
-the only code here that branches on the field; every vector combination,
-reduction and product goes through the field's `lincomb`, `axpy` and
-`dot`. Subspaces are stored in reduced row echelon form, which makes
-subspace equality syntactic. A canonical row is 1 at its own pivot and 0
-at every other pivot, so the pivot columns are read, not computed:
-reductions run on the k x (n - k) free-column block of a k-dimensional
-subspace, and a residue is computed on the free columns only. Each
-subspace operation reads its canonical form off the one elimination it
-needs: a kernel off the rref of the matrix with its columns reversed, a
-meet off the kernel of the residues modulo the other side's canonical
-basis, a join off their rref. A join and `with_vector` share one insert of
-canonical rows into a canonical basis, `Subspace._insert`. The univariate
-polynomial helpers sit together at the end: interpolation, evaluation,
-degree and the Hessenberg characteristic polynomial over either field, and
-`smallest_root`, a gcd-and-split root finder over F_p that takes no pass
-over the field.
+Entries are trusted. Every Matrix, Subspace, vector and sample handed to
+this module holds elements of its field: reduced ints in [0, p) over F_p,
+Fractions (or ints, the integer rationals) over Q. Nothing here coerces
+them; raw numbers are made canonical once, where they enter the program
+(`ExteriorVector`, the point and line arguments of `epw` and `quadrics`,
+`WebOfQuadrics` generators given as lists, `LagrangianPencil.member`).
+The reduction mod 10007 in `certified_rank_full` is a change of field,
+the one place here that maps entries into a field.
+
+Over Q, rank, determinant and rref share one fraction-free (Bareiss)
+forward pass, `_bareiss`, which controls entry growth; rref then
+back-substitutes from the last pivot up. Over F_p rank, determinant and
+rref all run through the one forward elimination in `fpkernel`. Those
+eliminations are the only code here that branches on the field; every
+vector combination, reduction and product goes through the field's
+`lincomb`, `axpy` and `dot`. Subspaces are stored in reduced row echelon
+form, which makes subspace equality syntactic. A canonical row is 1 at its
+own pivot and 0 at every other pivot, so the pivot columns are read, not
+computed: reductions run on the k x (n - k) free-column block of a
+k-dimensional subspace, and a residue is computed on the free columns
+only. Each subspace operation reads its canonical form off the one
+elimination it needs: a kernel off the rref of the matrix with its columns
+reversed, a meet off the kernel of the residues modulo the other side's
+canonical basis, a join off their rref. A join and `with_vector` share one
+insert of canonical rows into a canonical basis, `Subspace._insert`. The
+univariate polynomial helpers sit together at the end: interpolation,
+evaluation, degree and the Hessenberg characteristic polynomial over
+either field, and `smallest_root`, a gcd-and-split root finder over F_p
+that takes no pass over the field.
 """
 
 from bisect import bisect_left
@@ -74,14 +83,14 @@ def _integerize(rows):
 
 
 class Matrix:
-    """Immutable row-major matrix over a fixed field. Matrices compare by
-    identity; their `rows` compare by value."""
+    """Immutable row-major matrix over a fixed field, its rows stored as
+    tuples of the given entries. Matrices compare by identity; their `rows`
+    compare by value."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field, rows, ncols=None):
-        of = field.of
-        rows = tuple(tuple(map(of, r)) for r in rows)
+        rows = tuple(map(tuple, rows))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -92,17 +101,6 @@ class Matrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _reduced(cls, field, rows, ncols):
-        """A Matrix over rows that already are tuples of field elements, such
-        as the output of an elimination: no entry is coerced again."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "rows", tuple(rows))
-        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
@@ -115,7 +113,7 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
     def transpose(self):
-        return Matrix._reduced(self.field, list(zip(*self.rows)), self.nrows)
+        return Matrix(self.field, list(zip(*self.rows)), self.nrows)
 
     def mul(self, other):
         same_field(self.field, other.field)
@@ -124,7 +122,7 @@ class Matrix:
         F = self.field
         bt = list(zip(*other.rows))
         out = [tuple([F.dot(r, c) for c in bt]) for r in self.rows]
-        return Matrix._reduced(F, out, other.ncols)
+        return Matrix(F, out, other.ncols)
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -153,7 +151,7 @@ class Matrix:
             scale /= mult
             rows.append(ints)
         rank, sign, last = _bareiss(rows)
-        return F.of(sign * scale * last) if rank == n else F.zero
+        return sign * scale * last if rank == n else F.zero
 
     def rref(self):
         """Return (canonical rref Matrix, pivot column tuple)."""
@@ -164,36 +162,22 @@ class Matrix:
             flat = [x for r in self.rows for x in r]
             rank, pivots, red = fp_rref(flat, self.nrows, self.ncols, F.p)
             rows = [tuple(red[i * self.ncols : (i + 1) * self.ncols]) for i in range(self.nrows)]
-            return Matrix._reduced(F, rows, self.ncols), tuple(pivots)
-        # over Q: eliminate on integer-scaled rows, dividing out each row's
-        # content; row scaling keeps the row space, so the final division by
-        # the pivots gives the same canonical form as Fraction elimination
+            return Matrix(F, rows), tuple(pivots)
+        # over Q: the Bareiss pass on integer-scaled rows (which keeps the row
+        # space) leaves them in echelon form; from the last pivot up, each row
+        # is scaled to 1 at its leading entry and cleared at the pivots below
         m = _integerize(self.rows)
-        nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for col in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][col]), -1)
-            if piv < 0:
-                continue
-            if piv != r:
-                m[r], m[piv] = m[piv], m[r]
-            top = m[r]
-            a = top[col]
-            for i in range(nrows):
-                f = m[i][col]
-                if i != r and f:
-                    row = [a * x - f * y for x, y in zip(m[i], top)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(col)
-            r += 1
-            if r == nrows:
-                break
-        zero = Fraction(0)
-        red = [tuple([Fraction(x, row[pc]) if x else zero for x in row]) for row, pc in zip(m, pivots)]
-        red += [(zero,) * ncols for _ in range(nrows - r)]
-        return Matrix._reduced(F, red, ncols), tuple(pivots)
+        rank = _bareiss(m)[0]
+        pivots = [next(c for c, x in enumerate(row) if x) for row in m[:rank]]
+        red = []
+        for k in range(rank - 1, -1, -1):
+            row = F.lincomb([Fraction(1, m[k][pivots[k]])], [m[k]])
+            for below, pc in zip(red, pivots[:k:-1]):
+                if row[pc]:
+                    row = F.axpy(row, -row[pc], below)
+            red.append(row)
+        red = red[::-1] + [(F.zero,) * self.ncols] * (self.nrows - rank)
+        return Matrix(F, red), tuple(pivots)
 
     def kernel_basis(self) -> "Subspace":
         """Right kernel {x : M x = 0} as a canonical Subspace, from one rref
@@ -205,7 +189,7 @@ class Matrix:
         at f and vanishes at the other pivotless columns. Sorted by f, these
         vectors already are the kernel's canonical RREF, pivoting there."""
         F, n = self.field, self.ncols
-        red, rev_pivots = Matrix._reduced(F, [row[::-1] for row in self.rows], n).rref()
+        red, rev_pivots = Matrix(F, [row[::-1] for row in self.rows], n).rref()
         free = [f for f in range(n) if n - 1 - f not in rev_pivots]
         basis = []
         for f in free:
@@ -220,19 +204,20 @@ class Matrix:
 
 
 class Subspace:
-    """A linear subspace stored as an RREF basis; equality is syntactic.
+    """A linear subspace stored as its canonical RREF rows, a tuple, with
+    their pivot columns; equality is syntactic.
 
     A canonical row is 1 at its own pivot and 0 at every other pivot, so only
     the k x (n - k) block on the free columns has to be computed. Reductions,
     memberships, meets and joins work on that block, built once from the
     canonical rows on first use."""
 
-    __slots__ = ("field", "ambient", "mat", "pivots", "_free")
+    __slots__ = ("field", "ambient", "_rows", "pivots", "_free")
 
-    def __init__(self, field, ambient, mat: Matrix, pivots):
+    def __init__(self, field, ambient, rows, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_free", None)
 
@@ -241,32 +226,24 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, field, ambient, vectors) -> "Subspace":
-        vectors = [v for v in vectors]
-        if not vectors:
-            return cls(field, ambient, Matrix(field, [], ncols=ambient), ())
-        m = Matrix(field, vectors)
+        """The span of `vectors`, rows of length `ambient`, by one rref."""
+        m = Matrix(field, vectors, ncols=ambient)
         if m.ncols != ambient:
             raise ShapeError("vector length does not match ambient dimension")
-        return cls._span(field, ambient, m.rows)
-
-    @classmethod
-    def _span(cls, field, ambient, rows) -> "Subspace":
-        """`from_spanning` of rows of length `ambient` whose entries already
-        are field elements: the rows are eliminated, not coerced again."""
-        red, pivots = Matrix._reduced(field, rows, ambient).rref()
-        return cls.from_rref(field, ambient, red.rows[: len(pivots)], pivots)
+        red, pivots = m.rref()
+        return cls(field, ambient, red.rows[: len(pivots)], pivots)
 
     @classmethod
     def from_rref(cls, field, ambient, rows, pivots) -> "Subspace":
-        """Trusted constructor: `rows` (tuples of field elements) already are
-        the canonical RREF basis with these pivot columns. Nothing is checked,
-        coerced or eliminated. Any subset of a canonical basis, with its
-        pivots, is again the canonical basis of its span."""
-        return cls(field, ambient, Matrix._reduced(field, rows, ambient), pivots)
+        """`rows` (tuples of field elements) already are the canonical RREF
+        basis with these pivot columns. Nothing is checked or eliminated.
+        Any subset of a canonical basis, with its pivots, is again the
+        canonical basis of its span."""
+        return cls(field, ambient, rows, pivots)
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
-        """The trusted `from_rref` of no rows: no Matrix is coerced."""
+        """The `from_rref` of no rows."""
         return cls.from_rref(field, ambient, (), ())
 
     @classmethod
@@ -278,21 +255,21 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.mat.nrows
+        return len(self._rows)
 
     def basis(self):
-        return self.mat.rows
+        return self._rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.mat.rows == other.mat.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.mat.rows))
+        return hash((self.field, self.ambient, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field!r})"
@@ -303,31 +280,24 @@ class Subspace:
         if self._free is None:
             pivots = set(self.pivots)
             free = tuple([c for c in range(self.ambient) if c not in pivots])
-            block = tuple([tuple([row[c] for c in free]) for row in self.mat.rows])
+            block = tuple([tuple([row[c] for c in free]) for row in self._rows])
             object.__setattr__(self, "_free", (free, block))
         return self._free
 
-    def _split(self, vec):
+    def _reduce(self, vec):
         """(coords, residue) with vec = sum coords[i] * basis[i] + residue,
         the residue zero exactly when vec lies in self. Each RREF row vanishes
         at the other rows' pivots, so the coordinates are vec's pivot entries,
         and the residue vanishes at every pivot: it is given on the free
-        columns only."""
-        F = self.field
-        v = [F.of(x) for x in vec]
-        if len(v) != self.ambient:
+        columns only, k x (n - k) products on the free-column block."""
+        if len(vec) != self.ambient:
             raise ShapeError("vector length mismatch")
-        return self._reduce(v)
-
-    def _reduce(self, v):
-        """`_split` of a vector whose entries already are field elements,
-        k x (n - k) products on the free-column block."""
         free, block = self._free_block()
-        coords = [v[pc] for pc in self.pivots]
-        return coords, self.field.lincomb([1, *(-c for c in coords)], [[v[c] for c in free], *block])
+        coords = [vec[pc] for pc in self.pivots]
+        return coords, self.field.lincomb([1, *(-c for c in coords)], [[vec[c] for c in free], *block])
 
     def contains(self, vec) -> bool:
-        return not any(self._split(vec)[1])
+        return not any(self._reduce(vec)[1])
 
     def with_vector(self, vec) -> "Subspace":
         """The span of self and vec by one RREF insert, with no elimination of
@@ -336,7 +306,7 @@ class Subspace:
         The residue of vec has zeros in every pivot column, so its leading
         entry is a new pivot: normalised to one, the residue is a canonical
         row on the free columns, and `_insert` places it."""
-        res = self._split(vec)[1]
+        res = self._reduce(vec)[1]
         if not any(res):
             return self
         F = self.field
@@ -353,7 +323,7 @@ class Subspace:
         canonical RREF of the span after every step."""
         F, n = self.field, self.ambient
         free = self._free_block()[0]
-        out, out_pivots = list(self.mat.rows), list(self.pivots)
+        out, out_pivots = list(self._rows), list(self.pivots)
         for row, pc in zip(rows, pivots):
             q = free[pc]
             v = [F.zero] * n
@@ -368,7 +338,7 @@ class Subspace:
 
     def coords_of(self, vec):
         """Coordinates w.r.t. the RREF basis; ValueError when vec is not in self."""
-        coords, residue = self._split(vec)
+        coords, residue = self._reduce(vec)
         if any(residue):
             raise ValueError("vector not in subspace")
         return tuple(coords)
@@ -379,7 +349,7 @@ class Subspace:
         same_field(self.field, other.field)
         if self.ambient != other.ambient:
             raise ShapeError("ambient dimension mismatch")
-        return self._free_block()[0], [tuple(self._reduce(t)[1]) for t in other.mat.rows]
+        return self._free_block()[0], [tuple(self._reduce(t)[1]) for t in other._rows]
 
     def meet(self, other) -> "Subspace":
         """Intersection {c.T : c.R = 0}, T being other's k basis rows and R
@@ -393,7 +363,7 @@ class Subspace:
         RREF."""
         free, block = self._residues(other)
         F, n = self.field, self.ambient
-        cs = Matrix._reduced(F, list(zip(*block)), other.dim).kernel_basis()
+        cs = Matrix(F, list(zip(*block)), other.dim).kernel_basis()
         tfree, tblock = other._free_block()
         rows = []
         for c in cs.basis():
@@ -419,7 +389,7 @@ class Subspace:
         eliminated; its canonical rows pivot at free columns, and `_insert`
         places them among self's rows."""
         free, block = self._residues(other)
-        red, pivots = Matrix._reduced(self.field, block, len(free)).rref()
+        red, pivots = Matrix(self.field, block, len(free)).rref()
         if not pivots:
             return self
         join = self._insert(red.rows[: len(pivots)], pivots)
@@ -439,7 +409,7 @@ def interpolate_univariate(field, samples, degree_bound):
     samples must be consistent with the bound or InterpolationError is raised.
     """
     F = field
-    pts = [(F.of(t), F.of(v)) for t, v in samples]
+    pts = list(samples)
     if len({t for t, _ in pts}) != len(pts):
         raise InterpolationError("duplicate abscissae")
     d = degree_bound
@@ -643,9 +613,9 @@ def certified_rank_full(build, inputs):
         reduced = [[[F.of(x) for x in row] for row in rows] for rows in inputs]
     except ZeroDivisionError:
         return None
-    rows = [tuple(r) for r in build(F, *reduced)]
+    rows = build(F, *reduced)
     ncols = system_width(rows)
-    return (len(rows), ncols) if Matrix._reduced(F, rows, ncols).rank() == len(rows) else None
+    return (len(rows), ncols) if Matrix(F, rows, ncols).rank() == len(rows) else None
 
 
 def system_width(rows) -> int:

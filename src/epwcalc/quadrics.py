@@ -68,7 +68,7 @@ class WebOfQuadrics:
         self.field = field
         mats = []
         for q in qs:
-            m = q if isinstance(q, Matrix) else Matrix(field, q)
+            m = q if isinstance(q, Matrix) else Matrix(field, [[field.of(x) for x in r] for r in q])
             if m.nrows != 4 or m.ncols != 4 or m.rows != m.transpose().rows:
                 raise ValueError("generators must be symmetric 4x4")
             mats.append(m)

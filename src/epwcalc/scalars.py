@@ -4,6 +4,10 @@ Scalars are raw carriers (fractions.Fraction for the rationals, small ints
 in [0, p) for F_p); the field they belong to is carried by the containers
 (Matrix, Subspace, ExteriorVector) and by these context objects. Mixing
 carriers from different fields is a hard error wherever two fields meet.
+A field's `of` makes a raw number one of its elements. It is called once,
+where numbers enter the program, and on a formula's own integers; `linalg`
+trusts the elements it is given and calls `of` only to change field (see
+its docstring).
 
 The field objects also own vector arithmetic: `lincomb`, `axpy` and `dot`
 combine and pair vectors with one body per field and return canonical

@@ -118,7 +118,7 @@ def run_exterior(cfg: RunConfig):
         a = ExteriorVector(Fp, j, [Fp.random(rng) for _ in range(comb(6, j))])
         b = ExteriorVector(Fp, k, [Fp.random(rng) for _ in range(comb(6, k))])
         lhs = a.wedge(b)
-        rhs = b.wedge(a).scale(Fp.of((-1) ** (j * k)))
+        rhs = b.wedge(a).scale((-1) ** (j * k))
         ok = ok and lhs == rhs
     yield "graded_anticommutativity", "a^b = (-1)^{jk} b^a", ok
 

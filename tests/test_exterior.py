@@ -156,19 +156,20 @@ def test_fiber_is_the_wedge_span_on_every_chart_over_qq():
 
 @pytest.mark.parametrize("K", [F, QQ], ids=repr)
 def test_trusted_span_of_frame_rows_equals_from_spanning_on_every_chart(K):
-    """`Subspace._span` eliminates the frame rows without coercing their
-    entries again, and `fiber`, written down with no elimination, equals
-    that span."""
+    """`Subspace.from_spanning` eliminates the frame rows, field elements,
+    as given; their span is that of the wedges v ^ e_i ^ e_j, and `fiber`,
+    written down with no elimination, equals it."""
     rnd = derive_rng(34, "fiber.span")
     for chart in range(6):
         v = [K.zero] * chart + [K.of(Fraction(rnd.randint(1, 9), rnd.randint(1, 9)))]
         v += [K.of(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))) for _ in range(5 - chart)]
-        rows = frame_rows(K, v)
-        span = Subspace._span(K, DIM3, rows)
-        assert span == Subspace.from_spanning(K, DIM3, rows)
+        vx = ExteriorVector(K, 1, v)
+        span = Subspace.from_spanning(K, DIM3, frame_rows(K, v))
+        wedges = [vx.wedge(ExteriorVector.basis(K, i, j)).coords for i, j in combinations(range(6), 2)]
+        assert span == Subspace.from_spanning(K, DIM3, wedges)
         assert span.dim == 10
         assert all(type(x) is type(K.zero) for row in span.basis() for x in row)
-        assert SymplecticSpace(K).fiber(ExteriorVector(K, 1, v)) == span
+        assert SymplecticSpace(K).fiber(vx) == span
 
 
 @pytest.mark.parametrize("K", [GF(7), F, QQ], ids=repr)
@@ -183,7 +184,7 @@ def test_fiber_rref_written_down_equals_the_eliminated_span(K):
         v = [K.zero] * chart + [K.of(Fraction(rnd.randint(1, 6), rnd.randint(1, 5)))]
         v += [K.of(Fraction(rnd.randint(-3, 3), rnd.randint(1, 5))) for _ in range(5 - chart)]
         fib = space.fiber(ExteriorVector(K, 1, v))
-        span = Subspace._span(K, DIM3, frame_rows(K, v))
+        span = Subspace.from_spanning(K, DIM3, frame_rows(K, v))
         assert fib == span and fib.pivots == span.pivots
         assert all(type(x) is type(K.zero) for row in fib.basis() for x in row)
 

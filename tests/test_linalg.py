@@ -257,20 +257,21 @@ def test_coords_of_members_and_non_members(rows, coeffs, vec):
     for field in (QQ, F101):
         s = Subspace.from_spanning(field, 5, rows)
         coeffs = [field.of(c) for c in (coeffs + [0] * s.dim)[: s.dim]]
-        member = [sum((c * row[j] for c, row in zip(coeffs, s.basis())), field.zero) for j in range(5)]
+        member = [field.of(sum((c * row[j] for c, row in zip(coeffs, s.basis())), field.zero)) for j in range(5)]
         assert s.coords_of(member) == tuple(coeffs)
-        assert s.coords_of(member) == tuple(field.of(member[pc]) for pc in s.pivots)
-        if s.contains(vec):
-            assert s.coords_of(vec) == tuple(field.of(vec[pc]) for pc in s.pivots)
+        assert s.coords_of(member) == tuple(member[pc] for pc in s.pivots)
+        x = [field.of(c) for c in vec]
+        if s.contains(x):
+            assert s.coords_of(x) == tuple(x[pc] for pc in s.pivots)
         else:
             with pytest.raises(ValueError):
-                s.coords_of(vec)
+                s.coords_of(x)
 
 
 def test_coords_of_examples():
     for field in (QQ, F101):
         s = Subspace.from_spanning(field, 3, [[2, 4, 0], [0, 0, 3]])  # rref rows (1, 2, 0), (0, 0, 1)
-        assert s.coords_of([3, 6, -5]) == (field.of(3), field.of(-5))
+        assert s.coords_of([field.of(x) for x in (3, 6, -5)]) == (field.of(3), field.of(-5))
         with pytest.raises(ValueError):
             s.coords_of([0, 1, 0])
 
@@ -302,7 +303,7 @@ def _zassenhaus_reference(s, t):
     the left, and their right halves are the meet's."""
     F, n = s.field, s.ambient
     z = (F.zero,) * n
-    block = [r + r for r in s.mat.rows] + [r + z for r in t.mat.rows]
+    block = [r + r for r in s.basis()] + [r + z for r in t.basis()]
     if not block:
         return Subspace.zero(F, n), Subspace.zero(F, n)
     red, pivots = Matrix(F, block).rref()
@@ -692,6 +693,50 @@ def test_qq_det_and_rank_equal_the_fraction_reference():
                     assert m.det() == det, rows
 
 
+def _fraction_rref(rows):
+    """(reduced rows, pivot columns) by Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        a = m[r][col]
+        m[r] = [x / a for x in m[r]]
+        for i in range(nrows):
+            f = m[i][col]
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return tuple(map(tuple, m)), tuple(pivots)
+
+
+def test_qq_rref_equals_the_fraction_gauss_jordan_reference():
+    rng = random.Random(16)
+    draws = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    for draw in draws:
+        for nrows, ncols in [(n, n) for n in range(1, 8)] + [(3, 5), (2, 7), (6, 4), (7, 3)]:
+            full = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+            cases = [full, [[0] * ncols for _ in range(nrows)]]
+            if nrows > 1:
+                cases.append([*full[:-1], full[0]])
+                cases.append([[0] + r[1:] for r in full])
+                # a zero row between two others
+                cases.append([full[0], [0] * ncols, *full[2:]])
+            if nrows > 2:
+                # the last row a combination of the first two
+                cases.append([*full[:-1], [2 * x - y for x, y in zip(full[0], full[1])]])
+            for rows in cases:
+                red, pivots = Matrix(QQ, rows).rref()
+                assert (red.rows, pivots) == _fraction_rref(rows), rows
+                assert all(type(x) is Fraction for r in red.rows for x in r)
+
+
 def test_interpolation_examples():
     pts = [(t, t * t) for t in range(5)]
     assert interpolate_univariate(QQ, pts, 2) == [0, 0, 1]
@@ -789,12 +834,13 @@ def test_certified_rank_full_is_inconclusive_mod_10007_only():
 
 def test_matrix_immutable_and_hashable():
     """A Matrix cannot be reassigned, hashes (by identity, as it compares),
-    and holds its entries as elements of its field."""
-    m = Matrix(QQ, [[1, 2], [3, 4]])
+    and holds its rows as tuples of the entries it was given."""
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
+    m = Matrix(QQ, rows)
     with pytest.raises(AttributeError):
         m.rows = ()
     assert isinstance(hash(m), int)
-    assert all(type(x) is Fraction for r in m.rows for x in r)
+    assert m.rows == ((1, 2), (3, 4)) and all(a is b for r, t in zip(rows, m.rows) for a, b in zip(r, t))
 
 
 def _scan_smallest_root(coeffs, p):
