@@ -97,7 +97,7 @@ def graph_lagrangian(field, m) -> Subspace:
     the graph is Lagrangian exactly when m is symmetric. The rows are the
     canonical RREF with pivots 0..9."""
     rows = [chart_vector(field, m[a], a) for a in range(10)]
-    return Subspace.from_rref(field, DIM3, rows, range(10))
+    return Subspace(field, DIM3, rows, range(10))
 
 
 class GradeError(ValueError):
@@ -247,7 +247,7 @@ class SymplecticSpace:
                 row[pos] = w[s] if sg == lead else F.neg(w[s])
             rows.append((pivot, tuple(row)))
         rows.sort()
-        return Subspace.from_rref(F, DIM3, [r for _, r in rows], [pc for pc, _ in rows])
+        return Subspace(F, DIM3, [r for _, r in rows], [pc for pc, _ in rows])
 
     # -- isotropy ---------------------------------------------------------
 

@@ -243,7 +243,7 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
         f = max(i for i, x in enumerate(ell) if x)
         pivots = [a for a in range(10) if a != f]
         rows = [tuple(F.axpy(lag[a], F.neg(F.div(ell[a], ell[f])), lag[f])) for a in pivots]
-        u = Subspace.from_rref(F, DIM3, rows, pivots)
+        u = Subspace(F, DIM3, rows, pivots)
         pencil = pencil_through(space, u)
         B = pencil.member(1, 0)
         if B == A:

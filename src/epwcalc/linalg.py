@@ -200,12 +200,17 @@ class Matrix:
                 vec[n - 1 - pc] = F.neg(row[c])
             basis.append(tuple(vec))
         assert len(basis) + len(rev_pivots) == n, "rank-nullity violated"
-        return Subspace.from_rref(F, n, basis, free)
+        return Subspace(F, n, basis, free)
 
 
 class Subspace:
     """A linear subspace stored as its canonical RREF rows, a tuple, with
     their pivot columns; equality is syntactic.
+
+    `Subspace(field, ambient, rows, pivots)` takes `rows` (tuples of field
+    elements) as the canonical RREF basis with these pivot columns; nothing
+    is checked or eliminated. Any subset of a canonical basis, with its
+    pivots, is again the canonical basis of its span.
 
     A canonical row is 1 at its own pivot and 0 at every other pivot, so only
     the k x (n - k) block on the free columns has to be computed. Reductions,
@@ -234,24 +239,16 @@ class Subspace:
         return cls(field, ambient, red.rows[: len(pivots)], pivots)
 
     @classmethod
-    def from_rref(cls, field, ambient, rows, pivots) -> "Subspace":
-        """`rows` (tuples of field elements) already are the canonical RREF
-        basis with these pivot columns. Nothing is checked or eliminated.
-        Any subset of a canonical basis, with its pivots, is again the
-        canonical basis of its span."""
-        return cls(field, ambient, rows, pivots)
-
-    @classmethod
     def zero(cls, field, ambient) -> "Subspace":
-        """The `from_rref` of no rows."""
-        return cls.from_rref(field, ambient, (), ())
+        """The subspace of no rows."""
+        return cls(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
         """The identity rows, which already are the canonical RREF."""
         one, zero = field.one, field.zero
         rows = [tuple(one if i == j else zero for j in range(ambient)) for i in range(ambient)]
-        return cls.from_rref(field, ambient, rows, range(ambient))
+        return cls(field, ambient, rows, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -334,7 +331,7 @@ class Subspace:
             k = bisect_left(out_pivots, q)
             out.insert(k, v)
             out_pivots.insert(k, q)
-        return Subspace.from_rref(F, n, out, out_pivots)
+        return Subspace(F, n, out, out_pivots)
 
     def coords_of(self, vec):
         """Coordinates w.r.t. the RREF basis; ValueError when vec is not in self."""
@@ -373,7 +370,7 @@ class Subspace:
             for fc, x in zip(tfree, F.lincomb(c, tblock)):
                 u[fc] = x
             rows.append(tuple(u))
-        meet = Subspace.from_rref(F, n, rows, [other.pivots[pc] for pc in cs.pivots])
+        meet = Subspace(F, n, rows, [other.pivots[pc] for pc in cs.pivots])
         assert other.dim - meet.dim <= len(free), "rank R + dim meet = dim T, rank R <= w"
         return meet
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .linalg import Matrix
 from .scalars import PrimeField
@@ -85,8 +85,8 @@ class WebOfQuadrics:
 
 def quartic_surface(web: WebOfQuadrics):
     """Full expansion of det(sum t_i Q_i) as a polynomial in t0..t3, by
-    Laplace expansion along the first two rows (as `_det4`): six products of
-    a 2x2 minor, a quadratic form in t, with its complementary minor. The
+    Laplace expansion along the first two rows: six products of a 2x2
+    minor, a quadratic form in t, with its complementary minor. The
     coefficients are summed exactly and made canonical once. Raises on an
     identically zero determinant."""
     F = web.field
@@ -119,47 +119,6 @@ def quartic_surface(web: WebOfQuadrics):
 def quartic_gradient(web: WebOfQuadrics):
     poly = quartic_surface(web)
     return [_mp_partial(web.field, poly, i) for i in range(4)]
-
-
-def _compile_cubics(polys, p):
-    """Homogeneous cubics over F_p, in any number of variables, compiled for
-    `_cubic_values` as (monomials, packed, width, count): the monomials
-    t_i t_j t_k (i <= j <= k) that occur in any of them, as index triples,
-    and for each monomial one int that holds its coefficient in cubic g at
-    bit g * width. A slot is wide enough for a cubic's value at a point
-    with coordinates in [0, p), so no slot carries into the next."""
-    expos = {expo for poly in polys for expo in poly}
-    triples = {expo: tuple(i for i, e in enumerate(expo) for _ in range(e)) for expo in expos}
-    monos = sorted(set(triples.values()))
-    index = {m: k for k, m in enumerate(monos)}
-    width = (len(monos) * (p - 1) ** 4).bit_length()
-    packed = [0] * len(monos)
-    for g, poly in enumerate(polys):
-        for expo, c in poly.items():
-            packed[index[triples[expo]]] += c << (g * width)
-    return monos, packed, width, len(polys)
-
-
-def _on_plane(poly, head, p):
-    """The form poly(t0..t3) on the plane t0 = h0 s, t1 = h1 s, as a form in
-    (s, t2, t3) mod p: t0^e0 t1^e1 t2^i t3^j becomes h0^e0 h1^e1 s^(e0+e1)
-    t2^i t3^j."""
-    h0, h1 = head
-    out = {}
-    for (e0, e1, i, j), coef in poly.items():
-        k = (e0 + e1, i, j)
-        out[k] = out.get(k, 0) + coef * h0**e0 * h1**e1
-    return {k: v % p for k, v in out.items() if v % p}
-
-
-def _cubic_values(compiled, t, p):
-    """The compiled cubics at the point t, coordinates in [0, p), mod p:
-    their shared monomials once, then one dot product with the packed
-    coefficients, which leaves each cubic's value in its own slot."""
-    monos, packed, width, count = compiled
-    v = sum([t[i] * t[j] * t[k] * x for (i, j, k), x in zip(monos, packed)])
-    mask = (1 << width) - 1
-    return [(v >> (g * width) & mask) % p for g in range(count)]
 
 
 def adjugate(m: Matrix) -> Matrix:
@@ -310,20 +269,6 @@ def veronese_independence(field, points) -> int:
     return Matrix(field, rows, ncols=10).rank()
 
 
-def _det4(a):
-    """Determinant of a flat row-major 4x4 integer matrix: Laplace expansion
-    along the first two rows, 2x2 minors times their complements."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
-    return (
-        (a0 * a5 - a1 * a4) * (a10 * a15 - a11 * a14)
-        - (a0 * a6 - a2 * a4) * (a9 * a15 - a11 * a13)
-        + (a0 * a7 - a3 * a4) * (a9 * a14 - a10 * a13)
-        + (a1 * a6 - a2 * a5) * (a8 * a15 - a11 * a12)
-        - (a1 * a7 - a3 * a5) * (a8 * a14 - a10 * a12)
-        + (a2 * a7 - a3 * a6) * (a8 * a13 - a9 * a12)
-    )
-
-
 def _rank3_minor(a, p):
     """True when a principal 3x3 minor of the flat symmetric 4x4 integer
     matrix a is nonzero mod p. When det a = 0 mod p that is exactly rank 3:
@@ -361,7 +306,8 @@ SCAN_MAX_PRIME = 127
 class _Slots:
     """n slots of whole bytes in one int, slot k at byte k * nbytes, each
     holding a value v with 0 <= v <= 15 (p - 1)^2: a bivariate quartic, at
-    most 15 terms, with coefficients and monomial values in [0, p).
+    most 15 terms, or a cubic, at most 10, with coefficients and monomial
+    values in [0, p).
     `reduce` takes every slot mod p at once as v - p * floor(v / p), where
     floor(v / p) = (v * m) >> s for m = ceil(2^s / p) and 2^s > 15 (p - 1)^2
     * p. A slot is wide enough to hold v * m, so no slot carries into the
@@ -384,9 +330,13 @@ class _Slots:
     def reduce(self, v):
         return v - self.p * (((v * self.mul) >> self.shift) & self.mask)
 
-    def residues(self, v):
-        """The slots of v mod p as bytes, slot k at byte k."""
-        return self.reduce(v).to_bytes(self.nbytes * self.n, "little")[:: self.nbytes]
+    def residues(self, *values):
+        """The slots of a value mod p as bytes, slot k at byte k; of several
+        values, the OR of their residues, 0 exactly where all of them are."""
+        v = 0
+        for x in values:
+            v |= self.reduce(x)
+        return v.to_bytes(self.nbytes * self.n, "little")[:: self.nbytes]
 
 
 def _plane_tables(slots, monomials):
@@ -404,44 +354,73 @@ def _plane_tables(slots, monomials):
     }
 
 
+def _plane_values(slots, forms):
+    """The values of the forms in t0..t3, of degree <= 4 with coefficients
+    in [0, p), packed over each affine plane (`slots`, n = p^2): the planes
+    (1, b, c, d) for b = 0..p-1, then (0, 1, c, d), one list per plane.
+
+    On the plane (1, b) a form is sum_k b^k g_k(c, d), where g_k collects
+    its monomials t0^e0 t1^k t2^i t3^j; on (0, 1) it is h(c, d), the
+    monomials with e0 = 0. Each g_k and h is packed once, so a plane costs
+    five products per form."""
+    p = slots.p
+    tables = _plane_tables(slots, {(i, j) for form in forms for _, _, i, j in form})
+    gs, hs = [], []
+    for form in forms:
+        g, h = [0] * 5, 0
+        for (e0, e1, i, j), coef in form.items():
+            g[e1] += coef * tables[i, j]
+            if e0 == 0:
+                h += coef * tables[i, j]
+        gs.append([slots.reduce(x) for x in g])
+        hs.append(h)
+    for b in range(p):
+        powers = [pow(b, k, p) for k in range(5)]
+        yield [sum(map(mul, powers, g)) for g in gs]
+    yield hs
+
+
 def field_scan(web: WebOfQuadrics) -> ScanCensus:
     """Tallies the member ranks over every point of the projective parameter
     space over F_p, and counts the rank <= 2 points that are not singular
     points of the quartic, which the adjugate argument says are none; the
     report gates on that count. Guarded to p <= SCAN_MAX_PRIME = 127.
 
-    The quartic det(sum t_i Q_i) is expanded once (`quartic_surface`). On
-    each of the p + 1 affine planes (1, b, c, d) and (0, 1, c, d) it is a
-    quartic in (c, d), and its values at all p^2 points of the plane are
-    one packed integer, p^2 slots (`_Slots`) with (c, d) at slot c p + d:
-    - the tables P_ij hold c^i d^j mod p (`_plane_tables`), so a quartic
-      sum a_ij c^i d^j with its at most 15 coefficients packs as
-      sum a_ij P_ij;
-    - on the plane (1, b) the quartic is sum_k b^k g_k(c, d), so the five
-      g_k are packed once per scan and each plane is a five-term sum;
+    The quartic det(sum t_i Q_i) is expanded once (`quartic_surface`), and
+    so are its four partials, the gradient cubics. On each of the p + 1
+    affine planes (1, b, c, d) and (0, 1, c, d) these five forms are forms
+    in (c, d), and the values of each at all p^2 points of the plane are one
+    packed integer, p^2 slots (`_Slots`) with (c, d) at slot c p + d:
+    - the tables P_ij hold c^i d^j mod p (`_plane_tables`), so a form
+      sum a_ij c^i d^j, with at most 15 coefficients, packs as sum a_ij P_ij;
+    - on the plane (1, b) a form is sum_k b^k g_k(c, d), so the g_k of each
+      form are packed once per scan and each plane is a sum of five terms
+      (`_plane_values`);
     - a few big-integer operations reduce every slot mod p, and `bytes.find`
-      walks the zero slots.
+      walks the zero slots of the quartic.
     Only those points, the F_p-points of the quartic, are visited one at a
-    time; the rest of each plane has rank 4. The p + 1 points of the line
-    (0, 0, 1, d) and the point (0, 0, 0, 1) are tested one by one with
-    `_det4`. So a scan makes p + 1 plane evaluations, p + 1 determinants
-    and one Python step per point of the surface, about p^2 of them, where
-    a scan point by point makes p^3 + p^2 + p + 1.
+    time; the rest of each plane has rank 4. A visited point is a singular
+    point of the quartic when the four gradient residues at its slot are 0,
+    which one OR of the reduced gradients shows (`_Slots.residues`).
+    The p + 1 members (0, 0, 1, d) and (0, 0, 0, 1) of the line at infinity
+    are ranked by `fp_rank`, and the gradient is evaluated (`_mp_eval`) at
+    those of rank < 4. So a scan makes p + 1 plane evaluations, p + 1 small
+    ranks and one Python step per point of the surface, about p^2 of them,
+    where a scan point by point makes p^3 + p^2 + p + 1.
 
     At a visited member, rank 3 is read off a nonzero principal 3x3 minor
     (`_rank3_minor`); only the members where all four vanish are
     eliminated, so ranks 0, 1 and 2 do not rest on the gradient cubics.
-    At every visited member the four gradient cubics of the expanded
-    quartic are evaluated by `_cubic_values`: restricted to the plane
-    (`_on_plane`) they share at most 10 monomials, compiled once per plane.
 
-    One scan of the diagonal web and of a random web takes 66-73 and
-    33-40 ms CPU at the quadrics suite's p = 61, and 0.31 and 0.17 s at
-    p = 127, where a scan point by point took 142-172 ms at p = 61 and
-    0.73-0.81 s at p = 127 (min of 5 alternated runs each; CPython 3.11 on
-    a 2-vCPU x86_64 VM). The plane work is p^2 slots of a few bytes on each
-    of p + 1 planes, so it grows as p^3 bytes of big-integer arithmetic;
-    the visits grow as p^2."""
+    One scan of the diagonal web and of a random web takes 42-49 and 30-35
+    ms CPU at the quadrics suite's p = 61, and 0.27-0.29 s each at p = 127,
+    where a scan point by point took 142-172 ms at p = 61 and 0.73-0.81 s at
+    p = 127 (min of 15 scans per process, alternated processes; CPython 3.11
+    on a 2-vCPU x86_64 VM). The plane work is p^2 slots of a few bytes for
+    each of five forms on each of p + 1 planes, so it grows as p^3 bytes of
+    big-integer arithmetic; the four gradient forms are most of it, and at
+    p = 127 they cost a random web about 0.1 s more than evaluating the
+    gradient at the visited points alone did. The visits grow as p^2."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
@@ -450,6 +429,8 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
         raise ValueError(f"scan guard: p = {p} > {SCAN_MAX_PRIME}")
     poly = quartic_surface(web)
     grads = [_mp_partial(F, poly, i) for i in range(4)]
+    # imported here, not at module level, so that a tracer that patches
+    # `fpkernel.fp_rank` also sees the scan's ranks
     from .fpkernel import fp_rank
 
     f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
@@ -457,59 +438,37 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     rank3_singular = 0
     rank2_nonsingular = 0
 
-    def visit_singular(flat, compiled, t):
-        """Tally the member with flat (unreduced) entries, where its
-        determinant vanishes mod p, so its rank is at most 3; the compiled
-        gradient cubics vanish at t exactly where the quartic is singular."""
+    def tally(r, singular):
+        """Count a member of rank r; `singular` says whether the gradient of
+        the quartic vanishes at its point, as it must at rank <= 2."""
         nonlocal rank3_singular, rank2_nonsingular
-        r = 3 if _rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
         counts[r] += 1
-        singular = not any(_cubic_values(compiled, t, p))
         if r <= 2:
-            if not singular:
-                rank2_nonsingular += 1
-        elif singular:
-            rank3_singular += 1
+            rank2_nonsingular += not singular
+        elif r == 3:
+            rank3_singular += singular
 
-    # on the plane (1, b) the quartic is sum_k b^k g_k(c, d), where g_k
-    # collects the monomials t0^e0 t1^k t2^i t3^j; on (0, 1) it is h(c, d),
-    # the monomials with e0 = 0. Each is packed over the p^2 points once.
     slots = _Slots(p, p * p)
-    tables = _plane_tables(slots, {(i, j) for _, _, i, j in poly})
-    g, h = [0] * 5, 0
-    for (e0, e1, i, j), coef in poly.items():
-        g[e1] += coef * tables[i, j]
-        if e0 == 0:
-            h += coef * tables[i, j]
-    g = [slots.reduce(x) for x in g]
     c_f2 = [[c * x for x in f2] for c in range(p)]
     d_f3 = [[d * x for x in f3] for d in range(p)]
 
-    def scan_plane(head, base, values):
-        """The p^2 members base + c*f2 + d*f3 at the points head + (c, d) of
-        the plane t0 = h0, t1 = h1, where the packed quartic is `values`."""
-        compiled = _compile_cubics([_on_plane(grad, head, p) for grad in grads], p)
-        residues = slots.residues(values)
+    bases = [[x + b * y for x, y in zip(f0, f1)] for b in range(p)] + [f1]
+    for base, values in zip(bases, _plane_values(slots, [poly, *grads])):
+        # the p^2 members base + c*f2 + d*f3 of one affine plane
+        quartic, gradient = slots.residues(values[0]), slots.residues(*values[1:])
         row_c = None
-        k = residues.find(0)
+        k = quartic.find(0)
         while k >= 0:
             c, d = divmod(k, p)
             if c != row_c:
                 row_c, row = c, list(map(add, base, c_f2[c]))
-            visit_singular(list(map(add, row, d_f3[d])), compiled, (1, c, d))
-            k = residues.find(0, k + 1)
-        counts[4] += p * p - residues.count(0)
-
-    for b in range(p):
-        values = sum(pow(b, k, p) * gk for k, gk in enumerate(g))
-        scan_plane((1, b), [x + b * y for x, y in zip(f0, f1)], values)
-    scan_plane((0, 1), f1, h)
-    compiled = _compile_cubics(grads, p)
-    points = [((0, 0, 1, d), list(map(add, f2, d_f3[d]))) for d in range(p)]
-    for t, flat in points + [((0, 0, 0, 1), f3)]:
-        if _det4(flat) % p:
-            counts[4] += 1
-        else:
-            visit_singular(flat, compiled, t)
+            flat = list(map(add, row, d_f3[d]))
+            tally(3 if _rank3_minor(flat, p) else fp_rank(flat, 4, 4, p), not gradient[k])
+            k = quartic.find(0, k + 1)
+        counts[4] += p * p - quartic.count(0)
+    line = [((0, 0, 1, d), list(map(add, f2, d_f3[d]))) for d in range(p)]
+    for t, flat in line + [((0, 0, 0, 1), f3)]:
+        r = fp_rank(flat, 4, 4, p)
+        tally(r, r < 4 and not any(_mp_eval(F, grad, t) for grad in grads))
 
     return ScanCensus(p, counts, rank3_singular, rank2_nonsingular)

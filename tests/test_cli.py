@@ -255,6 +255,17 @@ def _fault_u_wedge_is_random(monkeypatch):
     monkeypatch.setattr(suites, "_u_wedge_subspace", lambda field, rng: suites._random_subspace(field, rng, 6, 3))
 
 
+def _fault_veronese_drops_a_monomial(monkeypatch):
+    """The square images of the points without their t3^2 coordinate: nine
+    monomials, so no set of 10 points is independent."""
+
+    def faulty(field, points):
+        rows = [[field.mul(pt[i], pt[j]) for i in range(4) for j in range(i, 4)][:-1] for pt in points]
+        return Matrix(field, rows, ncols=9).rank()
+
+    monkeypatch.setattr(quadrics, "veronese_independence", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -275,6 +286,7 @@ FAULTS = {
     ("epw", "tangent_functional_proportional"): _fault_tangent_entries_swapped,
     ("epw", "plus_minus_decomposition"): _fault_a_minus_is_a_plus,
     ("epw", "sigma_membership"): _fault_u_wedge_is_random,
+    ("quadrics", "veronese_independence"): _fault_veronese_drops_a_monomial,
 }
 
 
@@ -389,9 +401,11 @@ def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
 def test_a_nonsingular_low_rank_point_fails_both_scan_checks(monkeypatch):
     """A rank <= 2 member off the singular locus of the quartic contradicts
     the adjugate argument; both scans gate on their count of such points
-    instead of raising inside the scan."""
+    instead of raising inside the scan. The fault adds a constant term to
+    every partial, so no gradient the scan reads vanishes anywhere."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    monkeypatch.setattr(quadrics, "_cubic_values", lambda compiled, t, p: [1, 0, 0, 0])
+    partial = quadrics._mp_partial
+    monkeypatch.setattr(quadrics, "_mp_partial", lambda field, poly, i: {**partial(field, poly, i), (0, 0, 0, 0): 1})
     by_id = {c.id: c for c in suites.run_quadrics(cfg)}
     assert by_id["diagonal_scan_census"].status == "fail"
     assert by_id["random_scan"].status == "fail" and int(by_id["random_scan"].got) > 0

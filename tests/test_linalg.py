@@ -309,8 +309,8 @@ def _zassenhaus_reference(s, t):
     red, pivots = Matrix(F, block).rref()
     k = bisect_left(pivots, n)
     return (
-        Subspace.from_rref(F, n, [row[:n] for row in red.rows[:k]], pivots[:k]),
-        Subspace.from_rref(F, n, [row[n:] for row in red.rows[k : len(pivots)]], [pc - n for pc in pivots[k:]]),
+        Subspace(F, n, [row[:n] for row in red.rows[:k]], pivots[:k]),
+        Subspace(F, n, [row[n:] for row in red.rows[k : len(pivots)]], [pc - n for pc in pivots[k:]]),
     )
 
 
@@ -501,7 +501,7 @@ def test_cached_block_equals_a_fresh_recomputation(field):
         vec = [field.of(rnd.randint(-9, 9)) for _ in range(n)]
         part = slice(rnd.randint(0, s.dim), None)
         results = [
-            Subspace.from_rref(field, n, s.basis()[part], s.pivots[part]),
+            Subspace(field, n, s.basis()[part], s.pivots[part]),
             s.with_vector(vec),
             s.meet(t),
             s.join(t),

@@ -3,7 +3,7 @@ from itertools import combinations, count, permutations
 
 import pytest
 
-from epwcalc import quadrics, suites
+from epwcalc import fpkernel, quadrics, suites
 from epwcalc.fpkernel import fp_rank
 from epwcalc.linalg import Matrix
 from epwcalc.rng import derive_rng
@@ -290,6 +290,20 @@ def test_field_scan_random_web():
     assert abs(census.rank_counts[3] - p * p) <= 40 * p
 
 
+def det4(a):
+    """Determinant of a flat row-major 4x4 integer matrix: Laplace expansion
+    along the first two rows, 2x2 minors times their complements."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = a
+    return (
+        (a0 * a5 - a1 * a4) * (a10 * a15 - a11 * a14)
+        - (a0 * a6 - a2 * a4) * (a9 * a15 - a11 * a13)
+        + (a0 * a7 - a3 * a4) * (a9 * a14 - a10 * a13)
+        + (a1 * a6 - a2 * a5) * (a8 * a15 - a11 * a12)
+        - (a1 * a7 - a3 * a5) * (a8 * a14 - a10 * a12)
+        + (a2 * a7 - a3 * a6) * (a8 * a13 - a9 * a12)
+    )
+
+
 def test_det4_matches_the_kernel_det():
     from epwcalc.fpkernel import fp_det
 
@@ -299,7 +313,7 @@ def test_det4_matches_the_kernel_det():
             a = [rnd.randrange(-3 * p, 3 * p) for _ in range(16)]
             if k % 4 == 0:  # a repeated row: singular
                 a[4:8] = a[0:4]
-            assert quadrics._det4(a) % p == fp_det(a, 4, p)
+            assert det4(a) % p == fp_det(a, 4, p)
 
 
 @pytest.mark.parametrize("p", [3, 61, 10007])
@@ -321,7 +335,7 @@ def test_rank3_minor_agrees_with_the_kernel_rank(p):
         rank = fp_rank(a, 4, 4, p)
         seen.add(rank)
         # field_scan's test: det first, then the principal minors
-        assert bool(quadrics._det4(a) % p or quadrics._rank3_minor(a, p)) == (rank >= 3)
+        assert bool(det4(a) % p or quadrics._rank3_minor(a, p)) == (rank >= 3)
         if rank <= 3:
             assert quadrics._rank3_minor(a, p) == (rank == 3)
     assert seen == {0, 1, 2, 3, 4}
@@ -348,8 +362,9 @@ def line_scan_reference(web):
     (0, 1, c, d) and (0, 0, 1, d), det(base + d*f3) is a quartic in d that
     four forward differences step through d < p, and each member where it
     vanishes mod p is ranked and its gradient tested; then (0, 0, 0, 1)."""
-    p = web.field.p
-    grads = quadrics._compile_cubics(quadrics.quartic_gradient(web), p)
+    F = web.field
+    p = F.p
+    grads = quadrics.quartic_gradient(web)
     f0, f1, f2, f3 = ([x for row in q.rows for x in row] for q in web.qs)
     counts = {r: 0 for r in range(5)}
     rank3_singular = rank2_nonsingular = 0
@@ -359,14 +374,14 @@ def line_scan_reference(web):
         r = 3 if quadrics._rank3_minor(flat, p) else fp_rank(flat, 4, 4, p)
         counts[r] += 1
         if r <= 3:
-            singular = not any(quadrics._cubic_values(grads, t, p))
+            singular = not any(quadrics._mp_eval(F, g, t) for g in grads)
             if r <= 2:
                 rank2_nonsingular += not singular
             else:
                 rank3_singular += singular
 
     def scan_line(head, base):
-        diffs = [quadrics._det4([x + d * w for x, w in zip(base, f3)]) for d in range(5)]
+        diffs = [det4([x + d * w for x, w in zip(base, f3)]) for d in range(5)]
         for k in range(1, 5):
             for i in range(4, k - 1, -1):
                 diffs[i] -= diffs[i - 1]
@@ -384,7 +399,7 @@ def line_scan_reference(web):
     for c in range(p):
         scan_line((0, 1, c), [y + c * z for y, z in zip(f1, f2)])
     scan_line((0, 0, 1), f2)
-    if quadrics._det4(f3) % p:
+    if det4(f3) % p:
         counts[4] += 1
     else:
         visit_singular((0, 0, 0, 1), f3)
@@ -413,6 +428,10 @@ def test_slot_reduction_is_exact_at_the_largest_slot_value(p):
     top = 15 * (p - 1) ** 2
     values = [top - k for k in range(p * p)]
     assert slots.residues(slots.pack(values)) == bytes(v % p for v in values)
+    # of several values the OR of the residues, 0 exactly where all are 0; at
+    # p = 127 a sum would not be: 87 + 87 + 82 = 256 has a zero low byte
+    lower = slots.pack(v - 5 for v in values)
+    assert slots.residues(slots.pack(values), slots.pack(values), lower) == bytes(v % p | (v - 5) % p for v in values)
     # every table, every coefficient p - 1: the quartic of a plane at its largest
     monos = [(i, j) for i in range(5) for j in range(5 - i)]
     tables = quadrics._plane_tables(slots, monos)
@@ -422,32 +441,45 @@ def test_slot_reduction_is_exact_at_the_largest_slot_value(p):
 
 
 def test_field_scan_ranks_only_the_points_of_the_quartic(monkeypatch):
-    """Python work goes to the points of the surface: `_rank3_minor` runs
-    once at each point where the determinant vanishes, and at no other;
-    `_det4` runs only on the line (0, 0, 1, d) and at (0, 0, 0, 1)."""
-    calls, dets = [], []
-    rank3_minor, det4 = quadrics._rank3_minor, quadrics._det4
-    monkeypatch.setattr(quadrics, "_rank3_minor", lambda a, p: calls.append(1) or rank3_minor(a, p))
-    monkeypatch.setattr(quadrics, "_det4", lambda a: dets.append(1) or det4(a))
+    """Python work goes to the points of the surface: on the p + 1 affine
+    planes `_rank3_minor` runs once at each point where the determinant
+    vanishes, and at no other, and `fp_rank` only where it finds no nonzero
+    minor; each of the p + 1 members of the line at infinity is ranked by
+    `fp_rank` once."""
     p = 61
+    minors, ranks = [], []
+    rank3_minor, kernel_rank = quadrics._rank3_minor, fpkernel.fp_rank
+    monkeypatch.setattr(quadrics, "_rank3_minor", lambda a, p: minors.append(rank3_minor(a, p)) or minors[-1])
+    monkeypatch.setattr(fpkernel, "fp_rank", lambda a, m, n, p: ranks.append(1) or kernel_rank(a, m, n, p))
     for web in (diagonal_web(GF(p)), random_web(GF(p), derive_rng(7, "scan.calls"))):
-        calls.clear()
-        dets.clear()
+        line = [(0, 0, 1, d) for d in range(p)] + [(0, 0, 0, 1)]
+        line_singular = sum(member_rank(web, t) < 4 for t in line)
+        minors.clear()
+        ranks.clear()
         census = quadrics.field_scan(web)
-        assert len(calls) == sum(census.rank_counts[r] for r in range(4))
-        assert len(dets) == p + 1
+        assert len(minors) == sum(census.rank_counts[r] for r in range(4)) - line_singular
+        assert len(ranks) - minors.count(False) == p + 1
 
 
 @pytest.mark.parametrize("p", [13, 61])
-def test_compiled_gradient_cubics_equal_mp_eval(p):
+def test_packed_plane_values_equal_mp_eval(p):
+    """The quartic and its four gradient cubics, packed over the planes
+    (1, b) and (0, 1), reduce to their values by `_mp_eval` at every point of
+    the plane: at p = 13 on all p + 1 planes, at p = 61 on the planes
+    (1, p - 1), where b has its largest powers, and (0, 1)."""
     field = GF(p)
     rnd = derive_rng(12, "cubics")
+    slots = quadrics._Slots(p, p * p)
+    heads = [(1, b) for b in range(p)] + [(0, 1)]
+    checked = range(p + 1) if p == 13 else (p - 1, p)
     for web in (diagonal_web(field), random_web(field, rnd)):
-        grads = quadrics.quartic_gradient(web)
-        compiled = quadrics._compile_cubics(grads, p)
-        for _ in range(50):
-            t = [rnd.randrange(p) for _ in range(4)]
-            assert quadrics._cubic_values(compiled, t, p) == [quadrics._mp_eval(field, g, t) for g in grads]
+        forms = [quadrics.quartic_surface(web), *quadrics.quartic_gradient(web)]
+        planes = list(quadrics._plane_values(slots, forms))
+        assert len(planes) == p + 1
+        for k in checked:
+            got = [slots.residues(v) for v in planes[k]]
+            points = [(*heads[k], c, d) for c in range(p) for d in range(p)]
+            assert got == [bytes(quadrics._mp_eval(field, f, t) for t in points) for f in forms]
 
 
 def test_field_scan_guard():

@@ -1,0 +1,45 @@
+import hashlib
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from epwcalc import cli
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "acceptance.py"
+
+
+def _acceptance():
+    spec = importlib.util.spec_from_file_location("acceptance", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_acceptance_script_reads_the_cli_report(tmp_path, capsys):
+    """One configuration at --trials 2: the script's sha and statuses are
+    those of the CLI's own report, and `differences` names a changed sha
+    and a changed status, and nothing else."""
+    out = tmp_path / "table.json"
+    args = [str(out), "--only", "seed0@17", "--trials", "2"]
+    run = subprocess.run([sys.executable, str(SCRIPT), *args], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    table = json.loads(out.read_text(encoding="utf-8"))
+
+    assert cli.main(["run", "all", "--seed", "0", "--prime", "17", "--trials", "2"]) == 1
+    report = capsys.readouterr().out
+    sha = hashlib.sha256(report.encode("utf-8")).hexdigest()
+    statuses = {c["id"]: c["status"] for c in json.loads(report)["checks"]}
+    assert table == {"seed0@17": {"sha256": sha, "statuses": statuses}}
+    assert run.stdout == f"seed0@17       {sha[:8]}  51 pass 1 fail 0 skip\n"
+
+    acceptance = _acceptance()
+    assert len(acceptance.CONFIGURATIONS) == 23
+    assert acceptance.differences(table, table) == []
+    old = {"seed0@17": {"sha256": "0" * 64, "statuses": {**statuses, "quadrics.random_scan": "fail"}}}
+    assert acceptance.differences(old, table) == [
+        f"seed0@17: bytes differ (00000000 -> {sha[:8]})",
+        "seed0@17 quadrics.random_scan: fail -> pass",
+    ]
+    assert acceptance.differences({}, table) == ["seed0@17: not in the old table"]
