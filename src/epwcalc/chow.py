@@ -198,9 +198,10 @@ class BundleClass:
         self.cs = tuple(full)
 
     def c(self, i) -> FormalClass:
+        """c_i: 1 at i = 0, and 0 above the model's dimension."""
         if i == 0:
             return self.model.unit()
-        return self.cs[i - 1]
+        return self.cs[i - 1] if i <= self.model.dim else self.model.zero()
 
     def total_chern(self) -> FormalClass:
         out = self.model.unit()
@@ -367,22 +368,13 @@ class EmbeddingModel:
         return out
 
     def inverse_todd_normal(self) -> FormalClass:
-        n1, n2 = self.normal_c1, self.normal_c2
-        one = self.surface.unit()
-        return (
-            one
-            - n1.scale(Fraction(1, 2))
-            + (n1 * n1).scale(Fraction(1, 6))
-            - n2.scale(Fraction(1, 12))
-        )
+        return series_inverse(todd_from_c(BundleClass(self.surface, 2, [self.normal_c1, self.normal_c2])))
 
     def ch_tangent(self) -> FormalClass:
-        c1, c2 = self.tangent_c1, self.tangent_c2
-        return self.surface.unit().scale(2) + c1 + (c1 * c1 - 2 * c2).scale(Fraction(1, 2))
+        return total_ch(BundleClass(self.surface, 2, [self.tangent_c1, self.tangent_c2]))
 
     def ch_det_tangent(self) -> FormalClass:
-        c1 = self.tangent_c1
-        return self.surface.unit() + c1 + (c1 * c1).scale(Fraction(1, 2))
+        return total_ch(line_bundle(self.surface, self.tangent_c1))
 
 
 def grr_push(emb: EmbeddingModel, ch_sheaf: FormalClass) -> FormalClass:

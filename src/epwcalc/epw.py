@@ -306,7 +306,6 @@ def tangent_functional(A: EpwLagrangian, v0):
 # -- the two triple-quadric Lagrangians of the rank-2 model ----------------
 
 _PAIRS4 = tuple(combinations(range(4), 2))
-_POS4 = {p: i for i, p in enumerate(_PAIRS4)}
 
 
 def wedge2_of_4(field, a, b):

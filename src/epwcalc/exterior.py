@@ -273,10 +273,7 @@ class SymplecticSpace:
         """Symplectic orthogonal {x : form(b, x) = 0 for all b in s}."""
         if s.ambient != DIM3:
             raise ShapeError("expected a subspace of the 3-vector space")
-        F = self.field
-        if s.dim == 0:
-            return Subspace.full(F, DIM3)
-        out = Matrix(F, [self.form_row(r) for r in s.basis()]).kernel_basis()
+        out = Matrix(self.field, [self.form_row(r) for r in s.basis()], DIM3).kernel_basis()
         assert out.dim == DIM3 - s.dim
         return out
 

@@ -5,42 +5,42 @@ coordinates for dimension 10); the module solves the linear systems cut by
 restriction and evaluation conditions, builds pencils of Lagrangians
 through a common 9-dimensional core, and replays the everywhere-tangency
 construction point by point.
+
+Each row entry of a kernel system is computed from its formula and made
+canonical by one `of`. Kernel dimensions are computed here: over F_p by one
+elimination, over QQ by the certificate of a full rank mod 10007
+(`certified_rank_full`, a change of field), with exact Bareiss when that is
+inconclusive.
 """
 
 from dataclasses import dataclass
 
 from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_vector
-from .linalg import Matrix, Subspace, certified_rank_full, system_width
-from .scalars import PrimeField
+from .linalg import Matrix, ShapeError, Subspace
+from .scalars import GF, PrimeField
 
 
 class PreconditionError(ValueError):
     pass
 
 
+# the 55 upper coordinates (k, l), k <= l, of a quadratic form on a 10-space
+_UPPER = [(k, l) for k in range(10) for l in range(k, 10)]
+
+
 def _restriction_rows(field, R, i, j):
     """Row of coefficients (over the 55 upper coordinates) of the (i, j)
     entry of the restricted form R Q R^T: R[i][k] R[j][l] + R[j][k] R[i][l]
-    at k < l and R[i][k] R[j][k] at k = l, one combination per k."""
-    a, b = R[i], R[j]
-    row = []
-    for k in range(10):
-        seg = field.lincomb((a[k], b[k]), (b[k:], a[k:]))
-        seg[0] = field.mul(a[k], b[k])
-        row += seg
-    return row
+    at k < l and R[i][k] R[j][k] at k = l."""
+    a, b, of = R[i], R[j], field.of
+    return [of(a[k] * b[k] if k == l else a[k] * b[l] + b[k] * a[l]) for k, l in _UPPER]
 
 
 def _evaluation_row(field, c):
     """Coefficients of q(c) over the 55 upper coordinates: c_k^2 at k = l
-    and 2 c_k c_l at k < l, one combination per k."""
-    two = field.of(2)
-    row = []
-    for k in range(10):
-        seg = field.lincomb((field.mul(two, c[k]),), (c[k:],))
-        seg[0] = field.mul(c[k], c[k])
-        row += seg
-    return row
+    and 2 c_k c_l at k < l."""
+    of = field.of
+    return [of(c[k] * c[k] if k == l else 2 * c[k] * c[l]) for k, l in _UPPER]
 
 
 def _omega_rows(field, RA, RB):
@@ -59,6 +59,40 @@ def _injective_rows(field, R, coords):
     the hyperplane with coordinate rows R vanishes, and q(c) = 0 for every c."""
     rows = [_restriction_rows(field, R, i, j) for i in range(9) for j in range(i, 9)]
     return rows + [_evaluation_row(field, c) for c in coords]
+
+
+def certified_rank_full(build, inputs):
+    """(row count, `system_width`) of the QQ system build(QQ, *inputs) when
+    it provably has full row rank, else None; the QQ system itself is not
+    built.
+
+    `build(field, *inputs)` makes the rows by sums and products (with
+    integer coefficients) of the entries of `inputs`, lists of coordinate
+    rows. Reduction mod 10007 is a ring homomorphism on the rationals whose
+    denominators are prime to 10007, so build(GF(10007), *reduced inputs) is
+    the reduction of the QQ system. Its rank is at most the QQ rank, which
+    is at most the row count: a full-rank elimination over GF(10007) is an
+    exact certificate, not a probabilistic one. None is inconclusive (a rank
+    deficit mod 10007, or an input denominator divisible by 10007); callers
+    fall back to exact elimination.
+    """
+    F = GF(10007)
+    try:
+        reduced = [[[F.of(x) for x in row] for row in rows] for rows in inputs]
+    except ZeroDivisionError:
+        return None
+    rows = build(F, *reduced)
+    ncols = system_width(rows)
+    return (len(rows), ncols) if Matrix(F, rows, ncols).rank() == len(rows) else None
+
+
+def system_width(rows) -> int:
+    """The number of unknowns of a linear system: the common length of its
+    rows (0 without rows). Rows of unequal width raise ShapeError."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ShapeError(f"system rows of unequal widths {sorted(widths)}")
+    return widths.pop() if widths else 0
 
 
 def _kernel_dim(field, build, inputs):
@@ -183,8 +217,6 @@ def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
     if not space.is_lagrangian(A):
         raise PreconditionError("base subspace must be Lagrangian")
     rows = [_evaluation_row(F, c) for c in _alpha_coords(A, alphas)]
-    if not rows:
-        return Subspace.full(F, 55)
     return Matrix(F, rows, ncols=55).kernel_basis()
 
 

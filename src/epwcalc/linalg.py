@@ -7,8 +7,6 @@ Fractions (or ints, the integer rationals) over Q. Nothing here coerces
 them; raw numbers are made canonical once, where they enter the program
 (`ExteriorVector`, the point and line arguments of `epw` and `quadrics`,
 `WebOfQuadrics` generators given as lists, `LagrangianPencil.member`).
-The reduction mod 10007 in `certified_rank_full` is a change of field,
-the one place here that maps entries into a field.
 
 Over Q, rank, determinant and rref share one fraction-free (Bareiss)
 forward pass, `_bareiss`, which controls entry growth; rref then
@@ -37,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fpkernel import fp_det, fp_rank, fp_rref
-from .scalars import GF, PrimeField, _numerators, same_field
+from .scalars import PrimeField, _numerators, same_field
 
 
 class ShapeError(ValueError):
@@ -92,9 +90,10 @@ class Matrix:
     def __init__(self, field, rows, ncols=None):
         rows = tuple(map(tuple, rows))
         if rows:
-            ncols = len(rows[0])
+            if ncols is None:
+                ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
-                raise ShapeError("ragged rows")
+                raise ShapeError(f"rows are not all of width {ncols}")
         elif ncols is None:
             raise ShapeError("empty matrix needs an explicit column count")
         object.__setattr__(self, "field", field)
@@ -232,23 +231,13 @@ class Subspace:
     @classmethod
     def from_spanning(cls, field, ambient, vectors) -> "Subspace":
         """The span of `vectors`, rows of length `ambient`, by one rref."""
-        m = Matrix(field, vectors, ncols=ambient)
-        if m.ncols != ambient:
-            raise ShapeError("vector length does not match ambient dimension")
-        red, pivots = m.rref()
+        red, pivots = Matrix(field, vectors, ncols=ambient).rref()
         return cls(field, ambient, red.rows[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
         """The subspace of no rows."""
         return cls(field, ambient, (), ())
-
-    @classmethod
-    def full(cls, field, ambient) -> "Subspace":
-        """The identity rows, which already are the canonical RREF."""
-        one, zero = field.one, field.zero
-        rows = [tuple(one if i == j else zero for j in range(ambient)) for i in range(ambient)]
-        return cls(field, ambient, rows, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -588,37 +577,3 @@ def smallest_root(coeffs, p):
                     todo += [(d, a), (_divmod_monic(h, d, p)[0], a)]
                     break
     return min(roots, default=None)
-
-
-def certified_rank_full(build, inputs):
-    """(row count, `system_width`) of the QQ system build(QQ, *inputs) when
-    it provably has full row rank, else None; the QQ system itself is not
-    built.
-
-    `build(field, *inputs)` makes the rows by sums and products (with
-    integer coefficients) of the entries of `inputs`, lists of coordinate
-    rows. Reduction mod 10007 is a ring homomorphism on the rationals whose
-    denominators are prime to 10007, so build(GF(10007), *reduced inputs) is
-    the reduction of the QQ system. Its rank is at most the QQ rank, which
-    is at most the row count: a full-rank elimination over GF(10007) is an
-    exact certificate, not a probabilistic one. None is inconclusive (a rank
-    deficit mod 10007, or an input denominator divisible by 10007); callers
-    fall back to exact elimination.
-    """
-    F = GF(10007)
-    try:
-        reduced = [[[F.of(x) for x in row] for row in rows] for rows in inputs]
-    except ZeroDivisionError:
-        return None
-    rows = build(F, *reduced)
-    ncols = system_width(rows)
-    return (len(rows), ncols) if Matrix(F, rows, ncols).rank() == len(rows) else None
-
-
-def system_width(rows) -> int:
-    """The number of unknowns of a linear system: the common length of its
-    rows (0 without rows). Rows of unequal width raise ShapeError."""
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise ShapeError(f"system rows of unequal widths {sorted(widths)}")
-    return widths.pop() if widths else 0

@@ -143,6 +143,12 @@ def test_grr_pushforwards():
         Fraction(7, 6)
     )
     assert chow.grr_push(EMB, EMB.surface.zero()).is_zero()
+    # the surface classes come from the generic formulas, which read c3 and c4
+    S = EMB.surface
+    hz, c2z = S.sym("hZ"), S.sym("c2Z")
+    inverse_todd = S.unit() - hz.scale(Fraction(3, 2)) + (hz * hz).scale(Fraction(3, 2)) - c2z.scale(Fraction(1, 12))
+    assert EMB.inverse_todd_normal() == inverse_todd
+    assert chow.BundleClass(S, 2, [hz, c2z]).c(3).is_zero()
 
 
 def test_pushforward_chern_classes():

@@ -5,7 +5,7 @@ import pytest
 
 from epwcalc import incidence, linalg, suites
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
-from epwcalc.linalg import Matrix, ShapeError, Subspace, certified_rank_full
+from epwcalc.linalg import Matrix, ShapeError, Subspace
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ
 
@@ -117,7 +117,7 @@ def test_pencil_preconditions(field, rng):
     with pytest.raises(incidence.PreconditionError):
         incidence.pencil_through(space, not_iso)
     # 9 rows of L' = wedge^3 <e_1..e_5>: isotropic, but in no graph
-    in_lprime = Subspace.from_spanning(field, DIM3, Subspace.full(field, DIM3).basis()[10:19])
+    in_lprime = Subspace.from_spanning(field, DIM3, Matrix.identity(field, DIM3).rows[10:19])
     assert space.is_isotropic(in_lprime) and in_lprime.pivots[0] == 10
     with pytest.raises(incidence.PreconditionError, match="no graph"):
         incidence.pencil_through(space, in_lprime)
@@ -390,6 +390,29 @@ def test_qq_kernel_dim_falls_back_when_the_certificate_is_inconclusive():
         (incidence._omega_rows, (divided, R2), 110, 65, None),
     ]
     for build, inputs, ncols, dim, certified in cases:
-        assert certified_rank_full(build, inputs) == certified
+        assert incidence.certified_rank_full(build, inputs) == certified
         assert exact_kernel_dim(build, inputs, ncols) == dim
         assert incidence._kernel_dim(QQ, build, inputs) == dim
+
+
+def _given_rows(field, rows):
+    """The system whose rows are its one input, as they are."""
+    return rows
+
+
+def test_certified_rank_full():
+    m = Matrix(QQ, [[1, 0, 2], [0, 1, 3]])
+    assert incidence.certified_rank_full(_given_rows, [m.rows]) == (2, 3)
+    n = Matrix(QQ, [[1, 2, 3], [2, 4, 6]])
+    assert incidence.certified_rank_full(_given_rows, [n.rows]) is None
+
+
+def test_certified_rank_full_is_inconclusive_mod_10007_only():
+    """A system of full QQ rank that is singular mod 10007, and one whose
+    input has a denominator divisible by 10007: no certificate, though the
+    exact rank is full."""
+    singular_mod_p = Matrix(QQ, [[1, 0, 2], [0, 10007, 3 * 10007]])
+    vanishing_den = Matrix(QQ, [[Fraction(1, 10007), 0, 2], [0, 1, 3]])
+    for m in (singular_mod_p, vanishing_den):
+        assert m.rank() == 2
+        assert incidence.certified_rank_full(_given_rows, [m.rows]) is None

@@ -13,7 +13,6 @@ from epwcalc.linalg import (
     Matrix,
     ShapeError,
     Subspace,
-    certified_rank_full,
     charpoly,
     interpolate_univariate,
     poly_degree,
@@ -35,6 +34,11 @@ def mat_strategy(field, max_dim=6):
             ).map(lambda rows: Matrix(field, rows))
         )
     )
+
+
+def full_space(field, n):
+    """The whole n-space: the identity rows are its canonical RREF."""
+    return Subspace(field, n, Matrix.identity(field, n).rows, range(n))
 
 
 def zero_matrix(field, nrows, ncols):
@@ -190,7 +194,7 @@ def test_kernel_basis_edge_shapes_equal_the_two_elimination_route():
     # x0 + 2 x1 + 3 x3 = 0 over GF(7): x3 = -(x0 + 2 x1) / 3 = 2 x0 + 4 x1
     k = Matrix(GF(7), [[1, 2, 0, 3]]).kernel_basis()
     assert k.pivots == (0, 1, 2) and k.basis() == ((1, 0, 0, 2), (0, 1, 0, 4), (0, 0, 1, 0))
-    assert Matrix(GF(7), [], ncols=3).kernel_basis() == Subspace.full(GF(7), 3)
+    assert Matrix(GF(7), [], ncols=3).kernel_basis() == full_space(GF(7), 3)
 
 
 def test_kernel_basis_replays_the_suite_calls(monkeypatch):
@@ -281,13 +285,13 @@ def test_meet_join_trivial_cases():
     assert s.meet(s) == s and s.join(s) == s
     t = Subspace.from_spanning(QQ, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert s.meet(t).dim == 0
-    assert s.join(t) == Subspace.full(QQ, 4)
+    assert s.join(t) == full_space(QQ, 4)
     for field in (QQ, F101):
         # a chain zero < part < full: the meet is the smaller, the join the larger
         chain = [
             Subspace.zero(field, 4),
             Subspace.from_spanning(field, 4, [[1, 2, 0, 3], [0, 0, 1, 5]]),
-            Subspace.full(field, 4),
+            full_space(field, 4),
         ]
         for i, a in enumerate(chain):
             for k, b in enumerate(chain):
@@ -352,11 +356,11 @@ def test_zassenhaus_edge_cases_equal_the_double_block():
         nested = Subspace.from_spanning(field, 6, [[1, 2, 1, 8, 0, 3]])
         free = [c for c in range(6) if c not in part.pivots]
         complement = Subspace.from_spanning(field, 6, [[int(c == f) for c in range(6)] for f in free])
-        cases = [Subspace.zero(field, 6), nested, part, complement, Subspace.full(field, 6)]
+        cases = [Subspace.zero(field, 6), nested, part, complement, full_space(field, 6)]
         for a in cases:
             for b in cases:
                 _assert_zassenhaus_matches(a, b)
-        assert part.meet(complement).dim == 0 and part.join(complement) == Subspace.full(field, 6)
+        assert part.meet(complement).dim == 0 and part.join(complement) == full_space(field, 6)
         assert part.meet(nested) == nested and part.join(nested) == part
         # one side empty
         zero = Subspace.zero(field, 6)
@@ -389,15 +393,6 @@ def test_zassenhaus_replays_the_suite_calls(monkeypatch):
     assert (10, 11, 2) in shapes and (9, 2, 1) in shapes
 
 
-def test_full_is_the_canonical_identity():
-    for field in (QQ, F101):
-        for n in (1, 4, 20):
-            full = Subspace.full(field, n)
-            want = Subspace.from_spanning(field, n, Matrix.identity(field, n).rows)
-            assert full == want and full.pivots == want.pivots == tuple(range(n))
-            assert all(type(row) is tuple for row in full.basis())
-
-
 def test_complementary_coordinate_subspaces_dim20():
     a = Subspace.from_spanning(QQ, 20, Matrix.identity(QQ, 20).rows[:9])
     b = Subspace.from_spanning(QQ, 20, Matrix.identity(QQ, 20).rows[9:])
@@ -413,6 +408,19 @@ def test_meet_ambient_and_field_mismatch():
     c = Subspace.from_spanning(F101, 3, [[1, 0, 0]])
     with pytest.raises(FieldMismatch):
         a.meet(c)
+
+
+def test_matrix_rows_must_have_the_given_width():
+    """A given column count is checked against non-empty rows, and
+    `Subspace.from_spanning` checks vector lengths through it."""
+    for field in (GF(7), QQ):
+        for rows, ncols in (([[1, 2, 3]], 2), ([[1, 2], [3]], None), ([[1, 2], [3]], 2)):
+            with pytest.raises(ShapeError):
+                Matrix(field, rows, ncols)
+        with pytest.raises(ShapeError):
+            Subspace.from_spanning(field, 4, [[1, 0, 0]])
+        assert Matrix(field, [[1, 2, 3]], ncols=3).ncols == 3
+        assert Matrix(field, [], ncols=2).ncols == 2
 
 
 RESIDUE_FIELDS = (GF(7), GF(10007), GF(2**61 - 1), QQ)
@@ -807,29 +815,6 @@ def test_charpoly_matches_the_leibniz_reference(field):
         got = charpoly(field, k)
         assert got == [field.of(c) for c in _leibniz_charpoly(k)]
         assert all(type(c) is type(field.zero) for c in got)
-
-
-def _given_rows(field, rows):
-    """The system whose rows are its one input, as they are."""
-    return rows
-
-
-def test_certified_rank_full():
-    m = Matrix(QQ, [[1, 0, 2], [0, 1, 3]])
-    assert certified_rank_full(_given_rows, [m.rows]) == (2, 3)
-    n = Matrix(QQ, [[1, 2, 3], [2, 4, 6]])
-    assert certified_rank_full(_given_rows, [n.rows]) is None
-
-
-def test_certified_rank_full_is_inconclusive_mod_10007_only():
-    """A system of full QQ rank that is singular mod 10007, and one whose
-    input has a denominator divisible by 10007: no certificate, though the
-    exact rank is full."""
-    singular_mod_p = Matrix(QQ, [[1, 0, 2], [0, 10007, 3 * 10007]])
-    vanishing_den = Matrix(QQ, [[Fraction(1, 10007), 0, 2], [0, 1, 3]])
-    for m in (singular_mod_p, vanishing_den):
-        assert m.rank() == 2
-        assert certified_rank_full(_given_rows, [m.rows]) is None
 
 
 def test_matrix_immutable_and_hashable():

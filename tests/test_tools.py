@@ -8,6 +8,7 @@ from pathlib import Path
 from epwcalc import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "acceptance.py"
+SIZE = SCRIPT.parent / "size.py"
 
 
 def _acceptance():
@@ -43,3 +44,18 @@ def test_acceptance_script_reads_the_cli_report(tmp_path, capsys):
         "seed0@17 quadrics.random_scan: fail -> pass",
     ]
     assert acceptance.differences({}, table) == ["seed0@17: not in the old table"]
+
+
+def test_size_counts_lines_and_code_tokens(tmp_path):
+    """Lines as `wc -l` counts them; NAME, OP, NUMBER and STRING tokens, so
+    a comment, a blank line and a docstring's length add no token."""
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "b.py").write_text('"""A docstring of some length."""\n\ndef f(a, b):\n    return a + b  # sum\n')
+    (tmp_path / "notes.txt").write_text("not python\n")
+    run = subprocess.run([sys.executable, str(SIZE), str(tmp_path)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert [line.split() for line in run.stdout.splitlines()] == [
+        ["a.py", "1", "lines", "3", "tokens"],
+        ["b.py", "4", "lines", "13", "tokens"],
+        ["total", "5", "lines", "16", "tokens"],
+    ]
