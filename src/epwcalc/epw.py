@@ -9,9 +9,10 @@ The pairing is held as data: per chart, six 10x10 matrices M_s with
 M(v) = sum v_s M_s (`EpwLagrangian.pencil`), and over QQ the same pencil on
 integers over one common denominator, so a QQ pairing determinant is one
 integer Bareiss pass. The point search restricts the determinant to a line
-p + t q by a rank-6 factorization M(q) = U R, read off q, and a 6x6
-characteristic polynomial (`sextic_from_factorization`); `sextic_on_line`
-keeps the 11-point interpolation as the independent route.
+p + t q by one rref of [M(p) | M(q)] and the characteristic polynomial of
+K = M(p)^-1 M(q) (`sextic_from_factorization`); `sextic_on_line` keeps the
+11-point interpolation as the independent route. The frame layout of the
+fibers is read only through `frame_struct` and `frame_leads`.
 
 A point [v] of the sextic is read by one meet of F_v with A: when it is a
 line v ^ alpha, `tangent_functional` reads alpha off the line's generator
@@ -22,10 +23,9 @@ covector exists and is nonzero. Points come from `find_point_stats(A, rng)[0]`.
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 
-from .exterior import DIM3, SUBSETS, ExteriorVector, SymplecticSpace, chart_for, frame_leads, frame_struct, vol
+from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_for, frame_leads, frame_struct, vol
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
@@ -167,71 +167,28 @@ def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
     return interpolate_univariate(F, samples, 6)
 
 
-@cache
-def _rank6_frame(chart, k):
-    """The factorization M(q) = U R on the chart c for q with q_c = 0 and
-    q_k != 0, as (keep, u): keep the indices of the six frame rows whose
-    pair avoids k, which are R, and per frame row the entries
-    (s, sign, column) of U, each being sign * q_s / q_k (s = k and sign 1
-    for the identity on R).
-
-    Row {a, b} of M(q) is linear in q ^ e_a ^ e_b. From
-    q ^ e_k = -(1/q_k) sum_{s != k} q_s q ^ e_s (q ^ q = 0), the row of a
-    pair {k, j} is -(1/q_k) sum_s q_s times the row of {s, j} over the s
-    off {c, k, j} (q_c = 0, and e_j ^ e_j = 0): a signed combination of R."""
-    pairs = [pr for pr in SUBSETS[2] if chart not in pr]
-    keep = [i for i, pr in enumerate(pairs) if k not in pr]
-    column = {pairs[i]: n for n, i in enumerate(keep)}
-    u = []
-    for a, b in pairs:
-        if k not in (a, b):
-            u.append(((k, 1, column[a, b]),))
-            continue
-        j, eps = (b, 1) if a == k else (a, -1)
-        u.append(
-            tuple(
-                (s, -eps if s < j else eps, column[min(s, j), max(s, j)])
-                for s in range(6)
-                if s not in (chart, k, j)
-            )
-        )
-    return tuple(keep), tuple(u)
-
-
 def sextic_from_factorization(A: EpwLagrangian, p, q, chart=None):
-    """The coefficients of `sextic_on_line`, from a rank-6 factorization.
+    """The coefficients of `sextic_on_line`, from M(p + t q) = M(p) (I + t K).
 
-    With q_k != 0, M(q) = U R (`_rank6_frame`), R being six rows of M(q) and
-    U a 10 x 6 matrix read off q, so det(M(p) + t M(q)) = det M(p) det(I_6 +
-    t K) with K = R M(p)^-1 U. One rref of [M(p) | U] gives M(p)^-1 U, and
-    det(I + t K) has the coefficients (-1)^i a_{6-i} of the characteristic
-    polynomial sum a_i x^i of K (`charpoly`). When det M(p) = 0, q = 0 or
-    the field has fewer than 11 elements, this is `sextic_on_line`, which
-    then also raises what it raises."""
+    One rref of [M(p) | M(q)] gives K = M(p)^-1 M(q) as its right block, and
+    det(I + t K) has the coefficients (-1)^i a_{10-i} of the characteristic
+    polynomial sum a_i x^i of K (`charpoly`). On the chart M(q) has rank
+    <= 6, so the coefficients of t^7..t^10 vanish (asserted). When
+    det M(p) = 0, q = 0 or the field has fewer than 11 elements, this is
+    `sextic_on_line`, which then also raises what it raises."""
     F = A.field
     p, q, chart = _line(F, p, q, chart)
-    k = next((s for s, x in enumerate(q) if not F.is_zero(x)), None)
     pencil = A.pencil(chart)
     mp = F.lincomb(p, pencil)
     small = isinstance(F, PrimeField) and F.p < 11
-    d = F.zero if k is None or small else _det10(F, mp)
+    d = F.zero if small or all(F.is_zero(x) for x in q) else _det10(F, mp)
     if F.is_zero(d):
         return sextic_on_line(A, p, q, chart)
-    keep, u = _rank6_frame(chart, k)
-    inv = F.inv(q[k])
-    coeff = [F.mul(x, inv) for x in q]
-    aug = []
-    for i, entries in enumerate(u):
-        row = [F.zero] * 6
-        for s, sg, col in entries:
-            row[col] = coeff[s] if sg > 0 else F.neg(coeff[s])
-        aug.append((*mp[10 * i : 10 * i + 10], *row))
-    red = Matrix(F, aug).rref()[0]
-    x_cols = list(zip(*[r[10:] for r in red.rows]))
     mq = F.lincomb(q, pencil)
-    k_rows = [[F.dot(mq[10 * r : 10 * r + 10], col) for col in x_cols] for r in keep]
-    a = charpoly(F, k_rows)
-    return [F.mul(d, a[6 - i] if i % 2 == 0 else F.neg(a[6 - i])) for i in range(7)]
+    aug = [(*mp[10 * i : 10 * i + 10], *mq[10 * i : 10 * i + 10]) for i in range(10)]
+    a = charpoly(F, [r[10:] for r in Matrix(F, aug).rref()[0].rows])
+    assert all(F.is_zero(x) for x in a[:4]), "M(q) has rank above 6 on the chart"
+    return [F.mul(d, a[10 - i] if i % 2 == 0 else F.neg(a[10 - i])) for i in range(7)]
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
@@ -420,8 +377,8 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
     """A point of the sextic over F_p: on random chart-0 lines, the smallest
     root of the restricted sextic, found by `smallest_root` (gcd with
     x^p - x and deterministic splits, no pass over F_p), or t = 0 when the
-    whole line lies on the sextic. The restriction comes from the rank-6
-    factorization (`sextic_from_factorization`), which interpolates only
+    whole line lies on the sextic. The restriction comes from one rref of
+    [M(p) | M(q)] (`sextic_from_factorization`), which interpolates only
     when the base point lies on the sextic. Returns (point, lines_tried)."""
     F = A.field
     if not isinstance(F, PrimeField):

@@ -114,15 +114,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)), self.nrows)
 
-    def mul(self, other):
-        same_field(self.field, other.field)
-        if self.ncols != other.nrows:
-            raise ShapeError("inner dimension mismatch")
-        F = self.field
-        bt = list(zip(*other.rows))
-        out = [tuple([F.dot(r, c) for c in bt]) for r in self.rows]
-        return Matrix(F, out, other.ncols)
-
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
             return 0

@@ -166,8 +166,9 @@ def quadric_contains_line(field, q: Matrix, r0, r1) -> bool:
 def _binary_quadratic_roots(field, alpha, beta, gamma):
     """Projective roots of alpha s0^2 + beta s0 s1 + gamma s1^2.
 
-    Returns ((s0, s1), (s0, s1), is_double); raises NoRationalRoots when the
-    discriminant is not a square, DegenerateWeb when identically zero.
+    Returns the two roots (s0, s1), equal at a double root; raises
+    NoRationalRoots when the discriminant is not a square, DegenerateWeb
+    when identically zero.
     """
     F = field
     if all(F.is_zero(x) for x in (alpha, beta, gamma)):
@@ -175,8 +176,8 @@ def _binary_quadratic_roots(field, alpha, beta, gamma):
     if F.is_zero(alpha):
         # (1:0) is a root; the other from beta s0 + gamma s1 = 0
         if F.is_zero(beta):
-            return (F.one, F.zero), (F.one, F.zero), True
-        return (F.one, F.zero), (F.neg(F.div(gamma, beta)), F.one), False
+            return (F.one, F.zero), (F.one, F.zero)
+        return (F.one, F.zero), (F.neg(F.div(gamma, beta)), F.one)
     disc = F.sub(F.mul(beta, beta), F.mul(F.of(4), F.mul(alpha, gamma)))
     root = F.sqrt(disc)
     if root is None:
@@ -184,7 +185,7 @@ def _binary_quadratic_roots(field, alpha, beta, gamma):
     two_a = F.mul(F.of(2), alpha)
     s_plus = F.div(F.add(F.neg(beta), root), two_a)
     s_minus = F.div(F.sub(F.neg(beta), root), two_a)
-    return (s_plus, F.one), (s_minus, F.one), F.is_zero(disc)
+    return (s_plus, F.one), (s_minus, F.one)
 
 
 def _point_on_line(field, r0, r1, s):
@@ -203,7 +204,6 @@ def _canonical_point(field, pt):
 class BitangentPair:
     x: tuple
     y: tuple
-    tangent: bool  # double-point case
 
 
 def bitangent_pair(web: WebOfQuadrics, pencil, line) -> BitangentPair:
@@ -212,8 +212,8 @@ def bitangent_pair(web: WebOfQuadrics, pencil, line) -> BitangentPair:
 
     `pencil` holds two members vanishing on the line (checked); their
     conditions are automatic there, and the two completing generators cut a
-    binary quadratic whose roots are the pair. A double root is flagged as
-    a tangency; an identically zero residual system is an error. The
+    binary quadratic whose roots are the pair (x = y at a double root); an
+    identically zero residual system is an error. The
     `bitangent_pairs` check, not this function, evaluates every generator's
     condition on the pair.
     """
@@ -246,15 +246,12 @@ def bitangent_pair(web: WebOfQuadrics, pencil, line) -> BitangentPair:
         bilinear(F, qd, r1, r1),
     )
     alpha = F.sub(F.mul(c00, d01), F.mul(c01, d00))
-    beta = F.sub(
-        F.add(F.mul(c00, d11), F.mul(c01, d01)),
-        F.add(F.mul(c01, d01), F.mul(c11, d00)),
-    )
+    beta = F.sub(F.mul(c00, d11), F.mul(c11, d00))
     gamma = F.sub(F.mul(c01, d11), F.mul(c11, d01))
-    s1, s2, double = _binary_quadratic_roots(F, alpha, beta, gamma)
+    s1, s2 = _binary_quadratic_roots(F, alpha, beta, gamma)
     x = _canonical_point(F, _point_on_line(F, r0, r1, s1))
     y = _canonical_point(F, _point_on_line(F, r0, r1, s2))
-    return BitangentPair(x, y, double)
+    return BitangentPair(x, y)
 
 
 def veronese_independence(field, points) -> int:

@@ -169,10 +169,10 @@ def _fault_second_bitangent_root(monkeypatch):
     calls = itertools.count()
 
     def faulty(field, alpha, beta, gamma):
-        s1, (a, b), double = roots(field, alpha, beta, gamma)
+        s1, (a, b) = roots(field, alpha, beta, gamma)
         if next(calls) % 2:
             a = field.add(a, field.one)
-        return s1, (a, b), double
+        return s1, (a, b)
 
     monkeypatch.setattr(quadrics, "_binary_quadratic_roots", faulty)
 
@@ -257,6 +257,28 @@ def _fault_u_wedge_is_random(monkeypatch):
     monkeypatch.setattr(suites, "_u_wedge_subspace", lambda field, rng: suites._random_subspace(field, rng, 6, 3))
 
 
+def _fault_chi_of_2h(monkeypatch):
+    """chi(O(2)) read one too high: the value at n = 2 leaves the
+    Riemann-Roch polynomial."""
+    chi = chow.hrr_chi
+
+    def faulty(model, b):
+        return chi(model, b) + (b.c(1) == model.sym("h", 2))
+
+    monkeypatch.setattr(chow, "hrr_chi", faulty)
+
+
+def _fault_sigma_tangent_drops_an_alpha(monkeypatch):
+    """The evaluation conditions without their last alpha: 55, 55, 46."""
+    space = incidence.sigma_tangent_space
+    monkeypatch.setattr(incidence, "sigma_tangent_space", lambda sp, A, alphas: space(sp, A, alphas[:-1]))
+
+
+def _fault_every_sextic_is_a_quadric_cube(monkeypatch):
+    """The triple-quadric identity read as holding for every datum."""
+    monkeypatch.setattr(epw, "verify_triple_quadric", lambda A, trials, rng: True)
+
+
 def _fault_veronese_drops_a_monomial(monkeypatch):
     """The square images of the points without their t3^2 coordinate: nine
     monomials, so no set of 10 points is independent."""
@@ -289,6 +311,9 @@ FAULTS = {
     ("epw", "plus_minus_decomposition"): _fault_a_minus_is_a_plus,
     ("epw", "sigma_membership"): _fault_u_wedge_is_random,
     ("quadrics", "veronese_independence"): _fault_veronese_drops_a_monomial,
+    ("chow", "riemann_roch_polynomial"): _fault_chi_of_2h,
+    ("incidence", "sigma_tangent_dims"): _fault_sigma_tangent_drops_an_alpha,
+    ("epw", "triple_quadric_generic_fails"): _fault_every_sextic_is_a_quadric_cube,
 }
 
 

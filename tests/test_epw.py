@@ -5,7 +5,7 @@ import pytest
 
 from epwcalc import epw
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace, vol
-from epwcalc.linalg import Matrix, Subspace, interpolate_univariate, poly_degree
+from epwcalc.linalg import InterpolationError, Matrix, Subspace, interpolate_univariate, poly_degree
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ, PrimeField
 
@@ -625,6 +625,21 @@ def test_factored_sextic_raises_where_the_interpolated_one_raises(datum):
                 route(A, p, q, chart)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+
+def test_factored_sextic_checks_the_degree_bound_it_relies_on(datum, monkeypatch):
+    """A pencil of six random 10x10 matrices is not of rank <= 6 on the
+    chart: the restriction has degree 10, the interpolation raises and the
+    factored route trips its assertion instead of returning coefficients."""
+    rnd = derive_rng(44, "random-pencil")
+    mats = [[F.random(rnd) for _ in range(100)] for _ in range(6)]
+    monkeypatch.setattr(datum, "pencil", lambda chart: mats)
+    base = [1] + [F.random(rnd) for _ in range(5)]
+    q = [0] + [F.random(rnd) for _ in range(5)]
+    with pytest.raises(InterpolationError):
+        epw.sextic_on_line(datum, base, q, 0)
+    with pytest.raises(AssertionError):
+        epw.sextic_from_factorization(datum, base, q, 0)
 
 
 def test_point_search_interpolates_nothing_off_the_sextic(datum, monkeypatch):

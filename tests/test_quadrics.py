@@ -185,11 +185,10 @@ def test_adjugate_gradient_identity(rng):
     for _ in range(12):
         t = [F.random(rng) for _ in range(4)]
         adj = quadrics.adjugate(web.member(t))
+        entries = [x for row in adj.rows for x in row]
         for i in range(4):
-            prod = adj.mul(web.qs[i])
-            trace = F.zero
-            for d in range(4):
-                trace = F.add(trace, prod.rows[d][d])
+            # tr(adj Q_i) = sum_ab adj[a][b] Q_i[b][a]
+            trace = F.dot(entries, [x for row in zip(*web.qs[i].rows) for x in row])
             assert quadrics._mp_eval(F, grads[i], t) == trace
 
 
@@ -506,12 +505,11 @@ def test_member_rank_partial_diagonal_block():
     assert member_rank(web, (1, 0, 0, 0)) == 2
 
 
-def test_binary_quadratic_double_root_flag():
-    roots = quadrics._binary_quadratic_roots(QQ, Fraction(1), Fraction(-2), Fraction(1))
-    (s1, t1), (s2, t2), double = roots
-    assert double and (s1, t1) == (s2, t2) == (1, 1)
+def test_binary_quadratic_roots():
+    double = quadrics._binary_quadratic_roots(QQ, Fraction(1), Fraction(-2), Fraction(1))
+    assert double == ((1, 1), (1, 1))
     lin = quadrics._binary_quadratic_roots(QQ, Fraction(0), Fraction(1), Fraction(-3))
-    assert lin[0] == (1, 0) and lin[1] == (3, 1) and not lin[2]
+    assert lin == ((1, 0), (3, 1))
     with pytest.raises(quadrics.NoRationalRoots):
         quadrics._binary_quadratic_roots(QQ, Fraction(1), Fraction(0), Fraction(1))
     with pytest.raises(quadrics.DegenerateWeb):
