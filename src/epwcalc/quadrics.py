@@ -351,30 +351,28 @@ def _plane_tables(slots, monomials):
     }
 
 
-def _plane_values(slots, forms):
-    """The values of the forms in t0..t3, of degree <= 4 with coefficients
-    in [0, p), packed over each affine plane (`slots`, n = p^2): the planes
-    (1, b, c, d) for b = 0..p-1, then (0, 1, c, d), one list per plane.
+def _plane_values(slots, affine, infinity):
+    """The values of forms in t0..t3, of degree <= 4 with coefficients in
+    [0, p), packed over each affine plane (`slots`, n = p^2): those of the
+    forms `affine` on the planes (1, b, c, d) for b = 0..p-1, then those of
+    the forms `infinity` on (0, 1, c, d), one list per plane.
 
     On the plane (1, b) a form is sum_k b^k g_k(c, d), where g_k collects
     its monomials t0^e0 t1^k t2^i t3^j; on (0, 1) it is h(c, d), the
     monomials with e0 = 0. Each g_k and h is packed once, so a plane costs
     five products per form."""
     p = slots.p
-    tables = _plane_tables(slots, {(i, j) for form in forms for _, _, i, j in form})
-    gs, hs = [], []
-    for form in forms:
-        g, h = [0] * 5, 0
-        for (e0, e1, i, j), coef in form.items():
+    tables = _plane_tables(slots, {(i, j) for form in affine + infinity for _, _, i, j in form})
+    gs = []
+    for form in affine:
+        g = [0] * 5
+        for (_, e1, i, j), coef in form.items():
             g[e1] += coef * tables[i, j]
-            if e0 == 0:
-                h += coef * tables[i, j]
         gs.append([slots.reduce(x) for x in g])
-        hs.append(h)
     for b in range(p):
         powers = [pow(b, k, p) for k in range(5)]
         yield [sum(map(mul, powers, g)) for g in gs]
-    yield hs
+    yield [sum(coef * tables[i, j] for (e0, _, i, j), coef in form.items() if e0 == 0) for form in infinity]
 
 
 def field_scan(web: WebOfQuadrics) -> ScanCensus:
@@ -384,10 +382,14 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     report gates on that count. Guarded to p <= SCAN_MAX_PRIME = 127.
 
     The quartic det(sum t_i Q_i) is expanded once (`quartic_surface`), and
-    so are its four partials, the gradient cubics. On each of the p + 1
-    affine planes (1, b, c, d) and (0, 1, c, d) these five forms are forms
-    in (c, d), and the values of each at all p^2 points of the plane are one
-    packed integer, p^2 slots (`_Slots`) with (c, d) at slot c p + d:
+    so are its four partials, the gradient cubics. By Euler's identity
+    4f = sum t_i d_i f, at a zero of f on the planes (1, b, c, d) the
+    partial d_0 f vanishes when d_1 f, d_2 f and d_3 f do, and d_1 f on the
+    plane (0, 1, c, d) when d_0 f, d_2 f and d_3 f do; no division is
+    needed, so this holds at every p. On each of these p + 1 affine planes
+    the quartic and those three partials are forms in (c, d), and the
+    values of each at all p^2 points of the plane are one packed integer,
+    p^2 slots (`_Slots`) with (c, d) at slot c p + d:
     - the tables P_ij hold c^i d^j mod p (`_plane_tables`), so a form
       sum a_ij c^i d^j, with at most 15 coefficients, packs as sum a_ij P_ij;
     - on the plane (1, b) a form is sum_k b^k g_k(c, d), so the g_k of each
@@ -397,27 +399,29 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
       walks the zero slots of the quartic.
     Only those points, the F_p-points of the quartic, are visited one at a
     time; the rest of each plane has rank 4. A visited point is a singular
-    point of the quartic when the four gradient residues at its slot are 0,
-    which one OR of the reduced gradients shows (`_Slots.residues`).
+    point of the quartic when the three gradient residues at its slot are
+    0, which one OR of the reduced partials shows (`_Slots.residues`).
     The p + 1 members (0, 0, 1, d) and (0, 0, 0, 1) of the line at infinity
-    are ranked by `fp_rank`, and the gradient is evaluated (`_mp_eval`) at
-    those of rank < 4. So a scan makes p + 1 plane evaluations, p + 1 small
-    ranks and one Python step per point of the surface, about p^2 of them,
-    where a scan point by point makes p^3 + p^2 + p + 1.
+    are ranked by `fp_rank`, and all four partials are evaluated
+    (`_mp_eval`) at those of rank < 4. So a scan makes p + 1 plane
+    evaluations, p + 1 small ranks and one Python step per point of the
+    surface, about p^2 of them, where a scan point by point makes
+    p^3 + p^2 + p + 1.
 
     At a visited member, rank 3 is read off a nonzero principal 3x3 minor
     (`_rank3_minor`); only the members where all four vanish are
     eliminated, so ranks 0, 1 and 2 do not rest on the gradient cubics.
 
-    One scan of the diagonal web and of a random web takes 42-49 and 30-35
-    ms CPU at the quadrics suite's p = 61, and 0.27-0.29 s each at p = 127,
-    where a scan point by point took 142-172 ms at p = 61 and 0.73-0.81 s at
-    p = 127 (min of 15 scans per process, alternated processes; CPython 3.11
-    on a 2-vCPU x86_64 VM). The plane work is p^2 slots of a few bytes for
-    each of five forms on each of p + 1 planes, so it grows as p^3 bytes of
-    big-integer arithmetic; the four gradient forms are most of it, and at
-    p = 127 they cost a random web about 0.1 s more than evaluating the
-    gradient at the visited points alone did. The visits grow as p^2."""
+    One scan of the diagonal web and of a random web takes 37-42 and 24-28
+    ms CPU at the quadrics suite's p = 61, and 0.23-0.24 and 0.20-0.21 s at
+    p = 127; packing all four partials took 39-71 and 27-31 ms, and
+    0.24-0.26 and 0.23-0.25 s (min of 7 scans at p = 61 and of 5 at
+    p = 127 per process, 5 alternated processes each; CPython 3.11 on a
+    2-vCPU x86_64 VM). A scan point by point took 142-172 ms at p = 61 and
+    0.73-0.81 s at p = 127. The plane work is p^2 slots of a few bytes for
+    each of four forms on each of p + 1 planes, so it grows as p^3 bytes of
+    big-integer arithmetic, three quarters of it for the partials. The
+    visits grow as p^2."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")
@@ -450,7 +454,9 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
     d_f3 = [[d * x for x in f3] for d in range(p)]
 
     bases = [[x + b * y for x, y in zip(f0, f1)] for b in range(p)] + [f1]
-    for base, values in zip(bases, _plane_values(slots, [poly, *grads])):
+    # by Euler, three partials per plane: d_0 f is left out on t0 = 1, d_1 f on (0, 1)
+    planes = _plane_values(slots, [poly, *grads[1:]], [poly, grads[0], *grads[2:]])
+    for base, values in zip(bases, planes):
         # the p^2 members base + c*f2 + d*f3 of one affine plane
         quartic, gradient = slots.residues(values[0]), slots.residues(*values[1:])
         row_c = None

@@ -192,7 +192,8 @@ def run_epw(cfg: RunConfig):
 
     rng = derive_rng(cfg.seed, "epw.sextic")
     deg6 = 0
-    for _ in range(cfg.trials):
+    lines = max(cfg.trials, SEXTIC_MIN_LINES)
+    for _ in range(lines):
         B = epw.random_lagrangian_datum(sp, rng) if rng.random() < 0.2 else A
         base = [1] + [Fp.random(rng) for _ in range(5)]
         direction = [0] + [Fp.random(rng) for _ in range(5)]
@@ -207,7 +208,7 @@ def run_epw(cfg: RunConfig):
         "sextic_degree",
         "line restriction of the pairing determinant has degree <= 6, generically 6",
         deg6 >= 1,
-        f">= 1 of {cfg.trials} lines of degree exactly 6",
+        f">= 1 of {lines} lines of degree exactly 6",
         deg6,
     )
 
@@ -251,8 +252,9 @@ def run_epw(cfg: RunConfig):
 
     # one stream of points of the sextic for the three point checks: a point
     # found on a fresh datum per search, then points of the plane P(w) of a
-    # datum through a decomposable, each with its lines tried (None off the
-    # search), its tangent covector and its gradient
+    # datum through a decomposable, each kept as its lines tried (None off
+    # the search), its tangent covector and its gradient, read as it is
+    # drawn, so that one datum is alive at a time
     rng = derive_rng(cfg.seed, "epw.points")
     points = []
     budget_miss = 0
@@ -263,14 +265,13 @@ def run_epw(cfg: RunConfig):
         except epw.RetryBudgetExhausted:
             budget_miss += 1
             continue
-        points.append((tried, B, point.coords))
+        points.append((tried, epw.tangent_functional(B, point.coords), epw.gradient_det(B, point.coords)))
     for _ in range(max(cfg.trials // 10, 1)):
         # a Lagrangian through a decomposable: singular points on the plane
         w, B = _decomposable_datum(sp, rng)
         v = Fp.lincomb([Fp.random(rng) for _ in range(3)], w.basis())
         if not all(Fp.is_zero(x) for x in v):
-            points.append((None, B, v))
-    points = [(tried, epw.tangent_functional(B, v), epw.gradient_det(B, v)) for tried, B, v in points]
+            points.append((None, epw.tangent_functional(B, v), epw.gradient_det(B, v)))
 
     def nonzero(vec):
         return vec is not None and any(not Fp.is_zero(x) for x in vec)
@@ -499,6 +500,7 @@ def _injective_differential_sample(space, rng, count=10):
 
 # --------------------------------------------------------------------------
 
+SEXTIC_MIN_LINES = 40  # lines sextic_degree draws at the least, whatever --trials says
 VERONESE_SETS = 64  # 10-point sets drawn before veronese_independence fails
 
 

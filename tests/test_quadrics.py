@@ -473,12 +473,37 @@ def test_packed_plane_values_equal_mp_eval(p):
     checked = range(p + 1) if p == 13 else (p - 1, p)
     for web in (diagonal_web(field), random_web(field, rnd)):
         forms = [quadrics.quartic_surface(web), *quadrics.quartic_gradient(web)]
-        planes = list(quadrics._plane_values(slots, forms))
+        planes = list(quadrics._plane_values(slots, forms, forms))
         assert len(planes) == p + 1
         for k in checked:
             got = [slots.residues(v) for v in planes[k]]
             points = [(*heads[k], c, d) for c in range(p) for d in range(p)]
             assert got == [bytes(quadrics._mp_eval(field, f, t) for t in points) for f in forms]
+
+
+@pytest.mark.parametrize("p", [13, 61])
+def test_three_packed_partials_find_the_singular_points(p):
+    """By Euler, 4f = sum t_i d_i f, the scan packs three partials per plane:
+    d_1, d_2, d_3 on (1, b) and d_0, d_2, d_3 on (0, 1). On every plane of a
+    random web and of a zero-block web, which has a singular point, they
+    vanish at a zero of the quartic exactly where all four partials by
+    `_mp_eval` do."""
+    field = GF(p)
+    rnd = derive_rng(p, "euler")
+    slots = quadrics._Slots(p, p * p)
+    heads = [(1, b) for b in range(p)] + [(0, 1)]
+    singular = 0
+    for web in (random_web(field, rnd), zero_block_web(field, rnd)):
+        f = quadrics.quartic_surface(web)
+        grads = quadrics.quartic_gradient(web)
+        planes = quadrics._plane_values(slots, [f, *grads[1:]], [f, grads[0], *grads[2:]])
+        for head, values in zip(heads, planes):
+            quartic, gradient = slots.residues(values[0]), slots.residues(*values[1:])
+            for k in (k for k in range(p * p) if quartic[k] == 0):
+                t = (*head, *divmod(k, p))
+                assert (gradient[k] == 0) == all(quadrics._mp_eval(field, g, t) == 0 for g in grads)
+                singular += gradient[k] == 0
+    assert singular
 
 
 def test_field_scan_guard():

@@ -9,6 +9,7 @@ from epwcalc import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "acceptance.py"
 SIZE = SCRIPT.parent / "size.py"
+HEAP = SCRIPT.parent / "heap.py"
 
 
 def _acceptance():
@@ -59,3 +60,11 @@ def test_size_counts_lines_and_code_tokens(tmp_path):
         ["b.py", "4", "lines", "13", "tokens"],
         ["total", "5", "lines", "16", "tokens"],
     ]
+
+
+def test_heap_prints_one_peak_per_named_suite():
+    """One line per named suite: its name and a positive peak in KiB."""
+    run = subprocess.run([sys.executable, str(HEAP), "bbf", "--trials", "2"], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    [(name, kib, unit)] = [line.split() for line in run.stdout.splitlines()]
+    assert (name, unit) == ("bbf", "KiB") and int(kib) > 0
