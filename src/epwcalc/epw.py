@@ -21,7 +21,6 @@ vol(v ^ . ^ alpha ^ alpha). The sextic is smooth at [v] exactly when that
 covector exists and is nonzero. Points come from `find_point_stats(A, rng)[0]`.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,7 +28,7 @@ from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_for, frame_le
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
-from .linalg import Matrix, Subspace, _bareiss, charpoly, interpolate_univariate, poly_eval, smallest_root
+from .linalg import Matrix, Subspace, _bareiss, adjugate, charpoly, interpolate_univariate, poly_eval, smallest_root
 from .scalars import PrimeField, _combination, _numerators
 
 
@@ -193,43 +192,16 @@ def sextic_from_factorization(A: EpwLagrangian, p, q, chart=None):
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
     """Exact gradient of v -> det M(v) at v0 by Jacobi's formula,
-    d/dv_k det M = tr(adj M . M_k) = <adj(M)^T, M_k> over the pencil.
-
-    One rref of [M | I] = [E M | E] gives the rank of M, a right kernel
-    vector x from E M and, in the rows where E M vanishes, a left kernel
-    vector y (or M^-1 = E at full rank):
-    - off the sextic, adj M = det M . M^-1;
-    - at corank 1, adj M = c x y^T, where det(M + e_i e_j^T) = c x_j y_i by
-      the matrix determinant lemma; i and j are taken where y_i = x_j = 1;
-    - at corank >= 2 every 9x9 minor vanishes, so the gradient is 0.
-    """
+    d/dv_k det M = tr(adj M . M_k) = <adj(M)^T, M_k> over the pencil, with
+    adj M from `linalg.adjugate`: det M . M^-1 off the sextic, rank 1 at
+    corank 1 and 0 at corank >= 2, where the gradient vanishes."""
     F = A.field
     v0, chart = _on_chart(F, v0, chart)
-    m0 = F.lincomb(v0, A.pencil(chart))
-    zero, one = F.zero, F.one
-    aug = [(*m0[10 * i : 10 * i + 10], *(one if j == i else zero for j in range(10))) for i in range(10)]
-    red, pivots = Matrix(F, aug).rref()
-    rows = red.rows
-    rank = bisect_left(pivots, 10)
-    if rank == 10:
-        d = _det10(F, m0)
-        adj_t = [F.mul(d, rows[b][10 + a]) for a in range(10) for b in range(10)]
-    elif rank == 9:
-        # x from the free column j of E M, with x_j = 1; y is the right half
-        # of the last row, whose leading entry y_i = 1 sits at its pivot
-        j = next(c for c in range(10) if c not in pivots)
-        i = pivots[9] - 10
-        x = [zero] * 10
-        x[j] = one
-        for r, pc in enumerate(pivots[:9]):
-            x[pc] = F.neg(rows[r][j])
-        bumped = list(m0)
-        bumped[10 * i + j] = F.add(bumped[10 * i + j], one)
-        c = _det10(F, bumped)  # c x_j y_i with x_j = y_i = 1
-        adj_t = [F.mul(F.mul(c, ya), xb) for ya in rows[9][10:] for xb in x]
-    else:
-        return (zero,) * 6
-    return tuple(F.dot(adj_t, mk) for mk in A.pencil(chart))
+    pencil = A.pencil(chart)
+    m0 = F.lincomb(v0, pencil)
+    adj = adjugate(Matrix(F, [m0[10 * i : 10 * i + 10] for i in range(10)]))
+    adj_t = [x for col in zip(*adj.rows) for x in col]
+    return tuple(F.dot(adj_t, mk) for mk in pencil)
 
 
 def tangent_functional(A: EpwLagrangian, v0):

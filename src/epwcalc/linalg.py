@@ -24,7 +24,8 @@ elimination it needs: a kernel off the rref of the matrix with its columns
 reversed, a meet off the kernel of the residues modulo the other side's
 canonical basis, a join off their rref. A join and `with_vector` share one
 insert of canonical rows into a canonical basis, `Subspace._insert`. The
-univariate polynomial helpers sit together at the end: interpolation,
+adjugate of a square matrix is read off one rref of [M | I] (`adjugate`).
+The univariate polynomial helpers sit together at the end: interpolation,
 evaluation, degree and the Hessenberg characteristic polynomial over
 either field, and `smallest_root`, a gcd-and-split root finder over F_p
 that takes no pass over the field.
@@ -191,6 +192,44 @@ class Matrix:
             basis.append(tuple(vec))
         assert len(basis) + len(rev_pivots) == n, "rank-nullity violated"
         return Subspace(F, n, basis, free)
+
+
+def adjugate(m: Matrix) -> Matrix:
+    """The adjugate adj M of a square M, with M adj M = adj M M = det M I.
+
+    One rref of [M | I] = [E M | E] gives the rank of M, a right kernel
+    vector x from E M and, in the rows where E M vanishes, a left kernel
+    vector y (or M^-1 = E at full rank):
+    - at full rank, adj M = det M . M^-1;
+    - at corank 1, adj M = c x y^T, where det(M + e_i e_j^T) = c x_j y_i by
+      the matrix determinant lemma; i and j are taken where y_i = x_j = 1;
+    - at corank >= 2 every (n-1) x (n-1) minor vanishes, so adj M = 0.
+    """
+    F, n = m.field, m.nrows
+    if m.ncols != n:
+        raise ShapeError("adjugate of a non-square matrix")
+    zero, one = F.zero, F.one
+    aug = [(*row, *(one if j == i else zero for j in range(n))) for i, row in enumerate(m.rows)]
+    red, pivots = Matrix(F, aug).rref()
+    rows = red.rows
+    rank = bisect_left(pivots, n)
+    if rank == n:
+        d = m.det()
+        return Matrix(F, [F.lincomb([d], [row[n:]]) for row in rows])
+    if rank < n - 1:
+        return Matrix(F, [[zero] * n] * n)
+    # x from the free column j of E M, with x_j = 1; y is the right half of
+    # the last row, whose leading entry y_i = 1 sits at its pivot
+    j = next(c for c in range(n) if c not in pivots)
+    i = pivots[-1] - n
+    x = [zero] * n
+    x[j] = one
+    for row, pc in zip(rows, pivots[:-1]):
+        x[pc] = F.neg(row[j])
+    bumped = [list(row) for row in m.rows]
+    bumped[i][j] = F.add(bumped[i][j], one)
+    y = F.lincomb([Matrix(F, bumped).det()], [rows[-1][n:]])  # c y, as c x_j y_i = c
+    return Matrix(F, [F.lincomb([xa], [y]) for xa in x])
 
 
 class Subspace:

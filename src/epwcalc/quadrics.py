@@ -121,23 +121,6 @@ def quartic_gradient(web: WebOfQuadrics):
     return [_mp_partial(web.field, poly, i) for i in range(4)]
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """Classical adjoint: adj(M)[j][i] = (-1)^{i+j} det(minor_ij)."""
-    F = m.field
-    n = m.nrows
-    out = [[F.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [m.rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            d = Matrix(F, sub).det()
-            out[j][i] = d if (i + j) % 2 == 0 else F.neg(d)
-    return Matrix(F, out)
-
-
 def harris_tu_degree(n: int, r: int) -> int:
     """Degree of the rank <= r locus of symmetric n x n forms:
     prod_{a=0}^{n-r-1} C(n+a, n-r-a) / C(2a+1, a)."""
@@ -414,14 +397,11 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
 
     One scan of the diagonal web and of a random web takes 37-42 and 24-28
     ms CPU at the quadrics suite's p = 61, and 0.23-0.24 and 0.20-0.21 s at
-    p = 127; packing all four partials took 39-71 and 27-31 ms, and
-    0.24-0.26 and 0.23-0.25 s (min of 7 scans at p = 61 and of 5 at
-    p = 127 per process, 5 alternated processes each; CPython 3.11 on a
-    2-vCPU x86_64 VM). A scan point by point took 142-172 ms at p = 61 and
-    0.73-0.81 s at p = 127. The plane work is p^2 slots of a few bytes for
-    each of four forms on each of p + 1 planes, so it grows as p^3 bytes of
-    big-integer arithmetic, three quarters of it for the partials. The
-    visits grow as p^2."""
+    p = 127 (min of 7 scans at p = 61 and of 5 at p = 127 per process, 5
+    alternated processes each; CPython 3.11 on a 2-vCPU x86_64 VM). The
+    plane work is p^2 slots of a few bytes for each of four forms on each
+    of p + 1 planes, so it grows as p^3 bytes of big-integer arithmetic,
+    three quarters of it for the partials. The visits grow as p^2."""
     F = web.field
     if not isinstance(F, PrimeField):
         raise ValueError("field scan needs a prime-field context")

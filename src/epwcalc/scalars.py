@@ -195,7 +195,8 @@ class PrimeField:
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+        # any other number is read exactly, as QQ reads it: 0.5 is 1/2
+        return self.of(Fraction(x))
 
     def add(self, a, b):
         return (a + b) % self.p

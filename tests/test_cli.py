@@ -19,7 +19,7 @@ import pytest
 
 from epwcalc import chow, cli, epw, fpkernel, incidence, lattice, oracles, quadrics, suites
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
-from epwcalc.linalg import Matrix, Subspace
+from epwcalc.linalg import InterpolationError, Matrix, Subspace
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF
 
@@ -332,6 +332,18 @@ def _fault_fourth_power_off_by_one(monkeypatch):
     monkeypatch.setattr(lattice.BBLattice, "quad_intersection", faulty)
 
 
+def _fault_gradient_partials_swapped(monkeypatch):
+    """The partials d_0 f and d_1 f of the quartic returned in each other's
+    place; the scans take their partials through `_mp_partial`, not this."""
+    gradient = quadrics.quartic_gradient
+
+    def faulty(web):
+        d0, d1, *rest = gradient(web)
+        return [d1, d0, *rest]
+
+    monkeypatch.setattr(quadrics, "quartic_gradient", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -360,6 +372,7 @@ FAULTS = {
     ("chow", "chern_character_roundtrip"): _fault_ch4_drops_c2_squared,
     ("incidence", "relaxed_nine_conditions"): _fault_nine_alphas_leave_two_forms,
     ("bbf", "fujiki_polarization"): _fault_fourth_power_off_by_one,
+    ("quadrics", "adjugate_gradient_identity"): _fault_gradient_partials_swapped,
 }
 
 
@@ -463,10 +476,16 @@ def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
     changed = {
         k: (before[k], c.status, c.expected, c.got, c.witness) for k, c in after.items() if c.status != before[k]
     }
-    missed = "retry budget exhausted on every search (budget_miss=1)"
+    missed = f"retry budget exhausted on every search (budget_miss={suites.POINT_MIN_SEARCHES})"
     assert changed == {
         "smoothness_equivalence": ("pass", "skip", "", "", missed),
-        "tangent_functional_proportional": ("pass", "skip", "", "", "no smooth point among 0 found (budget_miss=1)"),
+        "tangent_functional_proportional": (
+            "pass",
+            "skip",
+            "",
+            "",
+            f"no smooth point among 0 found (budget_miss={suites.POINT_MIN_SEARCHES})",
+        ),
         "point_search_retries": ("pass", "skip", "", "", missed),
     }
 
@@ -764,6 +783,45 @@ def test_sextic_degree_draws_its_minimum_lines_at_one_trial(tmp_path):
     check = next(c for c in json.loads(out.read_text(encoding="utf-8"))["checks"] if c["id"] == "sextic_degree")
     assert check["status"] == "pass", check
     assert check["expected"] == f">= 1 of {suites.SEXTIC_MIN_LINES} lines of degree exactly 6"
+
+
+def test_a_line_of_degree_above_6_fails_sextic_degree_with_its_witness(monkeypatch):
+    """A line whose samples admit no polynomial of degree <= 6 fails
+    sextic_degree, with the first such line as the witness; the suite draws
+    on and reports, and no other epw check changes status."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c for c in suites.run_epw(cfg)}
+    interpolate, on_line = epw.interpolate_univariate, epw.sextic_on_line
+    lines = []
+
+    def raising_once(field, samples, degree_bound):
+        if len(lines) == 1:
+            raise InterpolationError("injected")
+        return interpolate(field, samples, degree_bound)
+
+    def recorded(A, p, q, chart=None):
+        lines.append((p, q))
+        return on_line(A, p, q, chart)
+
+    monkeypatch.setattr(epw, "interpolate_univariate", raising_once)
+    monkeypatch.setattr(epw, "sextic_on_line", recorded)
+    after = {c.id: c for c in suites.run_epw(cfg)}
+    check, old = after["sextic_degree"], before["sextic_degree"]
+    assert (old.status, check.status) == ("pass", "fail")
+    assert (check.expected, check.witness) == (old.expected, f"line 0: base={lines[0][0]} direction={lines[0][1]}: injected")
+    assert int(check.got) == int(old.got) - 1
+    assert {k for k in after if after[k].status != before[k].status} == {"sextic_degree"}
+
+
+def test_the_point_stream_makes_its_minimum_searches_at_small_trials():
+    """At p = 17, --trials 1 and 2 leave trials // 2 at most one search, and
+    at seed 16 that one finds no smooth point. The stream makes
+    POINT_MIN_SEARCHES searches at the least, so no epw check skips or fails
+    over seeds 0-19."""
+    for seed in range(20):
+        for trials in (1, 2):
+            report = suites.run_epw(suites.RunConfig(seed=seed, prime=17, trials=trials))
+            assert {c.status for c in report} == {"pass"}, (seed, trials, [c for c in report if c.status != "pass"])
 
 
 def test_perp_meet_join_reaches_every_intersection_dimension():

@@ -13,6 +13,7 @@ from epwcalc.linalg import (
     Matrix,
     ShapeError,
     Subspace,
+    adjugate,
     charpoly,
     interpolate_univariate,
     poly_degree,
@@ -815,6 +816,52 @@ def test_charpoly_matches_the_leibniz_reference(field):
         got = charpoly(field, k)
         assert got == [field.of(c) for c in _leibniz_charpoly(k)]
         assert all(type(c) is type(field.zero) for c in got)
+
+
+def _cofactor_adjugate(field, rows):
+    """adj(M)[j][i] = (-1)^(i+j) det(M without row i and column j), each
+    minor by the Leibniz sum."""
+    n = len(rows)
+    adj = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+            adj[j][i] = field.of((-1) ** (i + j) * _leibniz_det(minor))
+    return adj
+
+
+def _matrix_of_rank(field, rnd, n, rank):
+    """A random n x n Matrix of exactly this rank: an n x rank times a
+    rank x n factor, redrawn until the product has full rank `rank`."""
+
+    def draw(nrows, ncols):
+        return [[field.of(Fraction(rnd.randint(-9, 9), rnd.randint(1, 3))) for _ in range(ncols)] for _ in range(nrows)]
+
+    while True:
+        left, right = draw(n, rank), draw(rank, n)
+        rows = [[field.dot(row, col) for col in zip(*right)] if rank else [field.zero] * n for row in left]
+        m = Matrix(field, rows)
+        if m.rank() == rank:
+            return m
+
+
+@pytest.mark.parametrize("field", [GF(17), GF(10007), QQ], ids=repr)
+def test_adjugate_equals_the_cofactor_expansion(field):
+    """At ranks n, n - 1 and n - 2 for n = 1..5, `adjugate` equals the
+    cofactor expansion, holds elements of the field, and M adj M = det M I."""
+    rnd = random.Random(f"adjugate-{field!r}")
+    for n in range(1, 6):
+        for rank in range(max(n - 2, 0), n + 1):
+            for _ in range(3):
+                m = _matrix_of_rank(field, rnd, n, rank)
+                adj = adjugate(m)
+                assert [list(r) for r in adj.rows] == _cofactor_adjugate(field, m.rows), (n, rank, m.rows)
+                assert all(type(x) is type(field.zero) for r in adj.rows for x in r)
+                d = m.det()
+                product = [[field.dot(row, col) for col in zip(*adj.rows)] for row in m.rows]
+                assert product == [[d if i == j else field.zero for j in range(n)] for i in range(n)]
+    with pytest.raises(ShapeError):
+        adjugate(Matrix(field, [[field.one, field.zero]]))
 
 
 def test_matrix_immutable_and_hashable():

@@ -5,7 +5,7 @@ import pytest
 
 from epwcalc import fpkernel, quadrics, suites
 from epwcalc.fpkernel import fp_rank
-from epwcalc.linalg import Matrix
+from epwcalc.linalg import Matrix, adjugate
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ, is_prime
 
@@ -184,7 +184,7 @@ def test_adjugate_gradient_identity(rng):
     grads = quadrics.quartic_gradient(web)
     for _ in range(12):
         t = [F.random(rng) for _ in range(4)]
-        adj = quadrics.adjugate(web.member(t))
+        adj = adjugate(web.member(t))
         entries = [x for row in adj.rows for x in row]
         for i in range(4):
             # tr(adj Q_i) = sum_ab adj[a][b] Q_i[b][a]
@@ -194,7 +194,7 @@ def test_adjugate_gradient_identity(rng):
 
 def test_adjugate_of_rank_le_2_vanishes():
     m = Matrix(QQ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    adj = quadrics.adjugate(m)
+    adj = adjugate(m)
     assert all(x == 0 for row in adj.rows for x in row)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from epwcalc.exterior import ExteriorVector
 from epwcalc.scalars import GF, QQ
 
 FIELDS = [GF(7), GF(101), GF(2**61 - 1), QQ]
@@ -144,6 +145,16 @@ def test_qq_of_returns_a_fraction_unchanged():
     x = Fraction(3, 4)
     assert QQ.of(x) is x
     assert typed([QQ.of(3)]) == [(Fraction, Fraction(3))]
+
+
+def test_prime_field_of_reads_every_number_exactly():
+    """A float or a bool is read as the rational it is, as QQ reads it, not
+    truncated: 0.5 is 1/2 = 9 in F_17, also inside an ExteriorVector."""
+    F = GF(17)
+    for x in (0.5, -0.25, 3.0, 1e-3, True):
+        assert F.of(x) == F.of(QQ.of(x)) == F.of(Fraction(x))
+    assert F.of(0.5) == 9
+    assert ExteriorVector(F, 1, [0.5, 1.5, 0, 0, 0, 0]).coords == (9, 10, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("p", [17, 61, 101, 10007])
