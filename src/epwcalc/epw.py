@@ -256,26 +256,24 @@ def plucker_quadric(field, v):
     return field.add(field.sub(t1, t2), t3)
 
 
-def u_wedge_space(field, u, basis):
-    """The 3-space u ^ U spanned by the u ^ b over a basis b of the
-    4-dimensional U, or None when it is not 3-dimensional (u = 0)."""
+def u_wedge_space(field, u):
+    """The 3-space u ^ U spanned by the u ^ e_i over the standard basis of
+    the 4-dimensional U, or None when it is not 3-dimensional (u = 0)."""
     if all(field.is_zero(x) for x in u):
         return None
-    w = Subspace.from_spanning(field, 6, [wedge2_of_4(field, u, b) for b in basis])
+    units = [[field.one if k == i else field.zero for k in range(4)] for i in range(4)]
+    w = Subspace.from_spanning(field, 6, [wedge2_of_4(field, u, e) for e in units])
     return w if w.dim == 3 else None
 
 
-def _construction_lagrangian(space, ubasis, rng, three_space):
+def _construction_lagrangian(space, rng, three_space):
     """The span of the wedge-cubes of 24 sampled 3-spaces, each drawn as
-    three_space(basis, four random scalars); a None draw is retried, up to
-    400 draws in all."""
+    three_space(four random scalars); a None draw is retried, up to 400
+    draws in all."""
     F = space.field
-    basis = [[F.of(x) for x in b] for b in ubasis]
-    if Matrix(F, basis).rank() != 4:
-        raise ValueError("degenerate basis of the 4-dimensional space")
     spanning = []
     for _ in range(400):
-        w = three_space(basis, [F.random(rng) for _ in range(4)])
+        w = three_space([F.random(rng) for _ in range(4)])
         if w is not None:
             spanning.append(space.decomposable_of(w).coords)
             if len(spanning) == 24:
@@ -288,32 +286,29 @@ def _construction_lagrangian(space, ubasis, rng, three_space):
     return EpwLagrangian(space, sub)
 
 
-def a_plus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
+def a_plus(space: SymplecticSpace, rng) -> EpwLagrangian:
     """Span of the wedge-cubes of the 3-spaces u ^ U over sampled u: a
     10-dimensional Lagrangian in the model where the base space is the
-    wedge square of a 4-dimensional U."""
-    F = space.field
-
-    def u_wedge(basis, coeffs):
-        return u_wedge_space(F, F.lincomb(coeffs, basis), basis)
-
-    return _construction_lagrangian(space, ubasis, rng, u_wedge)
+    wedge square of a 4-dimensional U, read in its standard basis. The
+    span does not depend on that basis: u ^ U is the same 3-space over
+    any basis of U."""
+    return _construction_lagrangian(space, rng, lambda u: u_wedge_space(space.field, u))
 
 
-def a_minus(space: SymplecticSpace, ubasis, rng) -> EpwLagrangian:
+def a_minus(space: SymplecticSpace, rng) -> EpwLagrangian:
     """The mirror construction through the dual 4-dimensional space: each
-    functional phi gives the 3-space annihilating phi ^ (dual space)."""
+    functional phi, in the dual standard basis, gives the 3-space
+    annihilating phi ^ (dual space)."""
     F = space.field
-    dual_basis = Matrix.identity(F, 4).rows
 
-    def annihilator(basis, phi):
-        t = u_wedge_space(F, phi, dual_basis)
+    def annihilator(phi):
+        t = u_wedge_space(F, phi)
         if t is None:
             return None
         ann = Matrix(F, t.basis(), ncols=6).kernel_basis()
         return ann if ann.dim == 3 else None
 
-    return _construction_lagrangian(space, ubasis, rng, annihilator)
+    return _construction_lagrangian(space, rng, annihilator)
 
 
 def verify_triple_quadric(A: EpwLagrangian, trials, rng):

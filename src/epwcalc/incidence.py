@@ -177,10 +177,9 @@ def omega_unknowns(space: SymplecticSpace, A: Subspace, B: Subspace) -> int:
 
 def _alpha_coords(B: Subspace, alphas, u=None):
     """Each alpha's coordinates in B; PreconditionError off B or in u. An
-    alpha is an ExteriorVector or a row of elements of B's field."""
+    alpha is a row of elements of B's field."""
     out = []
-    for a in alphas:
-        vec = a.coords if isinstance(a, ExteriorVector) else a
+    for vec in alphas:
         coords, residue = B._reduce(vec)
         if any(residue):
             raise PreconditionError("alpha outside the base subspace")

@@ -18,12 +18,13 @@ _U = [[0, 1], [1, 0]]
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
 
 
-def _e8_gram(sign):
+def _e8_gram():
+    """The Gram matrix of E8(-1): the negated Cartan matrix."""
     g = [[0] * 8 for _ in range(8)]
     for i in range(8):
-        g[i][i] = 2 * sign
+        g[i][i] = -2
     for a, b in _E8_EDGES:
-        g[a][b] = g[b][a] = -sign
+        g[a][b] = g[b][a] = 1
     return g
 
 
@@ -59,7 +60,7 @@ class BBLattice:
     """Gram matrix, Fujiki constant 3, and the induced degree functionals."""
 
     def __init__(self):
-        self.gram = _block_diag([_U, _U, _U, _e8_gram(-1), _e8_gram(-1), [[-2]]])
+        self.gram = _block_diag([_U, _U, _U, _e8_gram(), _e8_gram(), [[-2]]])
         self.rank = 23
         # the nonzero Gram entries (i, j, g_ij): 51 of the 529
         self._entries = [(i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g]

@@ -6,7 +6,7 @@ this module holds elements of its field: reduced ints in [0, p) over F_p,
 Fractions (or ints, the integer rationals) over Q. Nothing here coerces
 them; raw numbers are made canonical once, where they enter the program
 (`ExteriorVector`, the point and line arguments of `epw` and `quadrics`,
-`WebOfQuadrics` generators given as lists, `LagrangianPencil.member`).
+`LagrangianPencil.member`).
 
 Over Q, rank, determinant and rref share one fraction-free (Bareiss)
 forward pass, `_bareiss`, which controls entry growth; rref then
@@ -104,10 +104,6 @@ class Matrix:
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"

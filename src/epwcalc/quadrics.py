@@ -3,8 +3,8 @@
 A web is a 4-dimensional linear system of symmetric 4x4 forms; its
 singular members sweep a determinantal quartic whose singular points are
 the rank <= 2 members (the adjugate kills the gradient there). Bitangent
-point-pairs on a line in the base locus of a pencil come out of a single
-binary quadratic.
+point-pairs on a line in the base locus of the pencil of Q0 and Q1 come out
+of a single binary quadratic.
 """
 
 from dataclasses import dataclass
@@ -60,20 +60,18 @@ def _mp_partial(field, poly, i):
 
 
 class WebOfQuadrics:
-    """Four linearly independent symmetric 4x4 forms Q0..Q3."""
+    """Four linearly independent symmetric 4x4 forms Q0..Q3, each a Matrix
+    over the field."""
 
     def __init__(self, field, qs):
         if len(qs) != 4:
             raise ValueError("a web needs four generators")
         self.field = field
-        mats = []
-        for q in qs:
-            m = q if isinstance(q, Matrix) else Matrix(field, [[field.of(x) for x in r] for r in q])
+        for m in qs:
             if m.nrows != 4 or m.ncols != 4 or m.rows != m.transpose().rows:
                 raise ValueError("generators must be symmetric 4x4")
-            mats.append(m)
-        self.qs = tuple(mats)
-        flat = [[x for row in m.rows for x in row] for m in mats]
+        self.qs = tuple(qs)
+        flat = [[x for row in m.rows for x in row] for m in qs]
         if Matrix(field, flat, ncols=16).rank() != 4:
             raise DegenerateWeb("generators are linearly dependent")
 
@@ -189,35 +187,22 @@ class BitangentPair:
     y: tuple
 
 
-def bitangent_pair(web: WebOfQuadrics, pencil, line) -> BitangentPair:
+def bitangent_pair(web: WebOfQuadrics, line) -> BitangentPair:
     """The unordered point pair {x, y} on the line satisfying the bilinear
     condition for every member of the web.
 
-    `pencil` holds two members vanishing on the line (checked); their
-    conditions are automatic there, and the two completing generators cut a
-    binary quadratic whose roots are the pair (x = y at a double root); an
-    identically zero residual system is an error. The
-    `bitangent_pairs` check, not this function, evaluates every generator's
-    condition on the pair.
+    Q0 and Q1 must vanish on the line (checked); their conditions are
+    automatic there, and Q2 and Q3 cut a binary quadratic whose roots are
+    the pair (x = y at a double root); an identically zero residual system
+    is an error. The `bitangent_pairs` check, not this function, evaluates
+    every generator's condition on the pair.
     """
     F = web.field
     r0, r1 = line
-    qa, qb = pencil
-    for q in (qa, qb):
+    for q in web.qs[:2]:
         if not quadric_contains_line(F, q, r0, r1):
-            raise ValueError("pencil member does not vanish on the line")
-    flat_pencil = [[x for row in q.rows for x in row] for q in (qa, qb)]
-    completion = []
-    for q in web.qs:
-        cand = flat_pencil + [[x for row in m.rows for x in row] for m in completion]
-        cand.append([x for row in q.rows for x in row])
-        if Matrix(F, cand, ncols=16).rank() == len(cand):
-            completion.append(q)
-        if len(completion) == 2:
-            break
-    if len(completion) != 2:
-        raise DegenerateWeb("pencil does not extend to the web")
-    qc, qd = completion
+            raise ValueError("Q0 and Q1 must vanish on the line")
+    qc, qd = web.qs[2:]
     c00, c01, c11 = (
         bilinear(F, qc, r0, r0),
         bilinear(F, qc, r0, r1),

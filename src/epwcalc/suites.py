@@ -154,19 +154,32 @@ def run_exterior(cfg: RunConfig):
     rng = derive_rng(cfg.seed, "exterior.decomposable")
     ok = True
     for _ in range(20):
-        w1 = _random_subspace(Fp, rng, 6, 3)
-        w2 = _random_subspace(Fp, rng, 6, 3)
+        w1 = _random_3_space(Fp, rng)
+        w2 = _random_3_space(Fp, rng)
         d1, d2 = sp.decomposable_of(w1), sp.decomposable_of(w2)
         vanish = Fp.is_zero(sp.form(d1, d2))
         ok = ok and (vanish == (w1.meet(w2).dim > 0))
+    # random pairs are transverse but with probability about 1/p, so the
+    # direction "= 0 when W ∩ W' != 0" takes pairs that share W's first row
+    rng = derive_rng(cfg.seed, "exterior.decomposable.meet")
+    for _ in range(20):
+        w1 = _random_3_space(Fp, rng)
+        while True:
+            rows = [w1.basis()[0]] + [[Fp.random(rng) for _ in range(6)] for _ in range(2)]
+            w2 = Subspace.from_spanning(Fp, 6, rows)
+            if w2.dim == 3:
+                break
+        d1, d2 = sp.decomposable_of(w1), sp.decomposable_of(w2)
+        ok = ok and Fp.is_zero(sp.form(d1, d2)) and w1.meet(w2).dim > 0
     yield "decomposable_orthogonality", "form(cube(W), cube(W')) = 0 iff W ∩ W' is nonzero", ok
 
 
-def _random_subspace(field, rng, ambient, dim):
+def _random_3_space(field, rng):
+    """A random 3-space of the 6-dimensional base space: three random rows,
+    redrawn until they span."""
     while True:
-        vecs = [[field.random(rng) for _ in range(ambient)] for _ in range(dim)]
-        s = Subspace.from_spanning(field, ambient, vecs)
-        if s.dim == dim:
+        s = Subspace.from_spanning(field, 6, [[field.random(rng) for _ in range(6)] for _ in range(3)])
+        if s.dim == 3:
             return s
 
 
@@ -219,9 +232,8 @@ def run_epw(cfg: RunConfig):
     )
 
     rng = derive_rng(cfg.seed, "epw.triple")
-    ubasis = Matrix.identity(Fp, 4).rows
-    ap = epw.a_plus(sp, ubasis, rng)
-    am = epw.a_minus(sp, ubasis, rng)
+    ap = epw.a_plus(sp, rng)
+    am = epw.a_minus(sp, rng)
     yield (
         "triple_quadric",
         "the sextic of the symmetric-construction Lagrangian is the quadric cubed",
@@ -310,7 +322,7 @@ def run_epw(cfg: RunConfig):
     w, B = _decomposable_datum(sp, rng)
     pos = epw.sigma_membership(B, w)
     negs = all(
-        not epw.sigma_membership(A, _random_subspace(Fp, rng, 6, 3)) for _ in range(10)
+        not epw.sigma_membership(A, _random_3_space(Fp, rng)) for _ in range(10)
     )
     u_line = epw.sigma_membership(ap, _u_wedge_subspace(Fp, rng))
     yield (
@@ -334,7 +346,7 @@ def _decomposable_datum(sp, rng):
     w is redrawn while its cube lies in wedge^3 <e_1..e_5>, which no
     completion contains (zero at the ten triples with 0)."""
     while True:
-        w = _random_subspace(sp.field, rng, 6, 3)
+        w = _random_3_space(sp.field, rng)
         cube = sp.decomposable_of(w).coords
         if any(cube[:10]):
             break
@@ -344,9 +356,8 @@ def _decomposable_datum(sp, rng):
 
 def _u_wedge_subspace(field, rng):
     """The 3-space u ^ U in the wedge-square model, for a random u."""
-    basis = Matrix.identity(field, 4).rows
     while True:
-        s = epw.u_wedge_space(field, [field.random(rng) for _ in range(4)], basis)
+        s = epw.u_wedge_space(field, [field.random(rng) for _ in range(4)])
         if s is not None:
             return s
 
@@ -553,8 +564,8 @@ def run_quadrics(cfg: RunConfig):
     while produced < want and attempts < want * 40:
         attempts += 1
         try:
-            web2, pencil, line = _bitangent_fixture(Fp, rng)
-            pair = quadrics.bitangent_pair(web2, pencil, line)
+            web2, line = _bitangent_fixture(Fp, rng)
+            pair = quadrics.bitangent_pair(web2, line)
             produced += 1
             good += all(Fp.is_zero(quadrics.bilinear(Fp, q, pair.x, pair.y)) for q in web2.qs)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
@@ -655,12 +666,12 @@ def _random_web(field, rng):
 
 
 def _bitangent_fixture(field, rng):
-    """A web whose first two generators vanish on the line t2 = t3 = 0."""
+    """(web, line): a web whose first two generators vanish on the line
+    t2 = t3 = 0, and that line."""
     r0, r1 = (1, 0, 0, 0), (0, 1, 0, 0)
     qs = [_random_symmetric(field, rng, 2) for _ in range(2)]
     qs += [_random_symmetric(field, rng, 0) for _ in range(2)]
-    web = quadrics.WebOfQuadrics(field, qs)
-    return web, (qs[0], qs[1]), (r0, r1)
+    return quadrics.WebOfQuadrics(field, qs), (r0, r1)
 
 
 # --------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_c02_sextic_degree_on_lines():
 def test_c03_triple_quadric_identity():
     t0 = time.monotonic()
     rnd = derive_rng(103, "acc.triple")
-    ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
+    ap = epw.a_plus(SP, rnd)
     ok = epw.verify_triple_quadric(ap, 200, rnd)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
@@ -97,8 +97,8 @@ def test_c03_triple_quadric_identity():
 def test_c04_plus_minus_direct_sum():
     t0 = time.monotonic()
     rnd = derive_rng(104, "acc.apm")
-    ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
-    am = epw.a_minus(SP, Matrix.identity(F, 4).rows, rnd)
+    ap = epw.a_plus(SP, rnd)
+    am = epw.a_minus(SP, rnd)
     ok = (
         ap.subspace.dim == 10
         and am.subspace.dim == 10
@@ -253,8 +253,8 @@ def test_c10_bitangent_pairs():
     ok = True
     while produced < 50:
         try:
-            web, pencil, line = _bitangent_fixture(rnd)
-            pair = quadrics.bitangent_pair(web, pencil, line)
+            web, line = _bitangent_fixture(rnd)
+            pair = quadrics.bitangent_pair(web, line)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         produced += 1
@@ -277,7 +277,7 @@ def _bitangent_fixture(rnd):
                     continue
                 m[i][j] = m[j][i] = F.random(rnd)
         qs.append(Matrix(F, m))
-    return quadrics.WebOfQuadrics(F, qs), (qs[0], qs[1]), (r0, r1)
+    return quadrics.WebOfQuadrics(F, qs), (r0, r1)
 
 
 def test_c11_degree_table():

@@ -21,11 +21,16 @@ from epwcalc import chow, cli, epw, fpkernel, incidence, lattice, oracles, quadr
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
 from epwcalc.linalg import InterpolationError, Matrix, Subspace
 from epwcalc.rng import derive_rng
-from epwcalc.scalars import GF
+from epwcalc.scalars import GF, QQ
 
 TRACEABILITY = Path(__file__).resolve().parents[1] / "docs" / "traceability.md"
 README = Path(__file__).resolve().parents[1] / "README.md"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def unit_rows(field, n):
+    """The rows of the n x n identity matrix, as tuples."""
+    return [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]
 
 
 def run_cli(*args, env_extra=None):
@@ -141,7 +146,7 @@ def _fault_pencil_member_off_perp(monkeypatch):
         if (t, s) != (3, 1):
             return member(self, t, s)
         perp = self.space.perp(self.core)
-        off = next(e for e in Matrix.identity(perp.field, DIM3).rows if not perp.contains(e))
+        off = next(e for e in unit_rows(perp.field, DIM3) if not perp.contains(e))
         return self.core.with_vector(off)
 
     monkeypatch.setattr(incidence.LagrangianPencil, "member", faulty)
@@ -250,13 +255,13 @@ def _fault_a_minus_is_a_plus(monkeypatch):
     """The mirror Lagrangian built as a second copy of the symmetric one, so
     the two meet in all of A_+ and do not split the 3-vector space."""
     plus = epw.a_plus
-    monkeypatch.setattr(epw, "a_minus", lambda space, ubasis, rng: plus(space, ubasis, rng))
+    monkeypatch.setattr(epw, "a_minus", lambda space, rng: plus(space, rng))
 
 
 def _fault_u_wedge_is_random(monkeypatch):
     """A random 3-space of the base space in place of u ^ U, whose wedge
     cube does not lie in A_+."""
-    monkeypatch.setattr(suites, "_u_wedge_subspace", lambda field, rng: suites._random_subspace(field, rng, 6, 3))
+    monkeypatch.setattr(suites, "_u_wedge_subspace", suites._random_3_space)
 
 
 def _fault_chi_of_2h(monkeypatch):
@@ -344,6 +349,41 @@ def _fault_gradient_partials_swapped(monkeypatch):
     monkeypatch.setattr(quadrics, "quartic_gradient", faulty)
 
 
+def _fault_form_plus_one(monkeypatch):
+    """The symplectic form on 3-vectors read one too high: the cubes of two
+    3-spaces that meet no longer pair to zero."""
+    form = SymplecticSpace.form
+    monkeypatch.setattr(SymplecticSpace, "form", lambda self, a, b: self.field.add(form(self, a, b), self.field.one))
+
+
+def _fault_qq_fiber_drops_a_row(monkeypatch):
+    """F_v over QQ without its last canonical row: 9-dimensional, so not
+    Lagrangian. Fibers over F_p keep all ten rows."""
+    fiber = SymplecticSpace.fiber
+
+    def faulty(self, v):
+        fib = fiber(self, v)
+        if self.field is not QQ:
+            return fib
+        return Subspace(fib.field, fib.ambient, fib.basis()[:-1], fib.pivots[:-1])
+
+    monkeypatch.setattr(SymplecticSpace, "fiber", faulty)
+
+
+def _fault_perp_drops_a_row_off_isotropic(monkeypatch):
+    """perp(S) without its last canonical row when S is not isotropic; the
+    perp of an isotropic subspace, such as A ∩ B, keeps all its rows."""
+    perp = SymplecticSpace.perp
+
+    def faulty(self, s):
+        out = perp(self, s)
+        if self.is_isotropic(s):
+            return out
+        return Subspace(out.field, out.ambient, out.basis()[:-1], out.pivots[:-1])
+
+    monkeypatch.setattr(SymplecticSpace, "perp", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -373,6 +413,9 @@ FAULTS = {
     ("incidence", "relaxed_nine_conditions"): _fault_nine_alphas_leave_two_forms,
     ("bbf", "fujiki_polarization"): _fault_fourth_power_off_by_one,
     ("quadrics", "adjugate_gradient_identity"): _fault_gradient_partials_swapped,
+    ("exterior", "decomposable_orthogonality"): _fault_form_plus_one,
+    ("exterior", "fiber_lagrangian"): _fault_qq_fiber_drops_a_row,
+    ("exterior", "perp_involution"): _fault_perp_drops_a_row_off_isotropic,
 }
 
 
@@ -523,7 +566,7 @@ def test_a_seed_off_the_chart_is_redrawn(tmp_path):
     passing instead of raising."""
     sp = SymplecticSpace(GF(17))
     rng = derive_rng(594, "epw.sigma")
-    cube = sp.decomposable_of(suites._random_subspace(sp.field, rng, 6, 3)).coords
+    cube = sp.decomposable_of(suites._random_3_space(sp.field, rng)).coords
     assert not any(cube[:10])
     with pytest.raises(ValueError):
         sp.lagrangian_completion(Subspace.from_spanning(sp.field, DIM3, [cube]), rng)
@@ -714,7 +757,7 @@ def test_each_yield_shape_becomes_its_check():
 
 def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     """The epw suite at seed 7 and CLI defaults makes 50 point searches and
-    1,921 F_p forward eliminations: one point stream of 60 samples, each
+    1,919 F_p forward eliminations: one point stream of 60 samples, each
     with one tangent covector (one meet, no solve for its alpha) and one
     gradient."""
     calls = Counter()
@@ -730,7 +773,7 @@ def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     for name in ("find_point_stats", "tangent_functional", "gradient_det"):
         monkeypatch.setattr(epw, name, counted(name, getattr(epw, name)))
     suites.run_epw(suites.RunConfig(seed=7))
-    assert calls == {"find_point_stats": 50, "forward": 1921, "tangent_functional": 60, "gradient_det": 60}
+    assert calls == {"find_point_stats": 50, "forward": 1919, "tangent_functional": 60, "gradient_det": 60}
 
 
 def _live_data_at_tangent_calls(monkeypatch, trials):

@@ -13,6 +13,11 @@ F = GF(10007)
 SP = SymplecticSpace(F)
 
 
+def unit_rows(field, n):
+    """The rows of the n x n identity matrix, as tuples."""
+    return [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]
+
+
 def pairing_matrix(A, vcoords, chart):
     """M[i][j] = form(frame_i(v), a_j) on the chart, as a Matrix: the
     entries of `epw.pairing_entries`, which are linear homogeneous in v."""
@@ -368,18 +373,28 @@ def _alpha_by_wedges(field, v0, g):
 
 def test_a_plus_minus_decomposition():
     rnd = derive_rng(11, "apm")
-    ub = Matrix.identity(F, 4).rows
-    ap = epw.a_plus(SP, ub, rnd)
-    am = epw.a_minus(SP, ub, rnd)
+    ap = epw.a_plus(SP, rnd)
+    am = epw.a_minus(SP, rnd)
     assert ap.subspace.dim == 10 and am.subspace.dim == 10
     assert SP.is_lagrangian(ap.subspace) and SP.is_lagrangian(am.subspace)
     assert ap.subspace.meet(am.subspace).dim == 0
     assert ap.subspace.join(am.subspace).dim == 20
-    # the construction is basis-independent
-    other = epw.a_plus(SP, [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 5], [3, 0, 0, 1]], rnd)
-    assert other.subspace == ap.subspace
-    with pytest.raises(ValueError):
-        epw.a_plus(SP, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1]], rnd)
+
+
+def test_a_plus_does_not_depend_on_the_basis_of_u():
+    """The wedge cubes of the 3-spaces u ^ U, each spanned by the u ^ b over
+    a non-standard basis b of U and u a random combination of it, span the
+    Lagrangian that `a_plus` builds in the standard basis."""
+    rnd = derive_rng(11, "apm.basis")
+    basis = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 5], [3, 0, 0, 1]]
+    assert Matrix(F, basis).rank() == 4
+    cubes = []
+    while len(cubes) < 24:
+        u = F.lincomb([F.random(rnd) for _ in range(4)], basis)
+        w = Subspace.from_spanning(F, 6, [epw.wedge2_of_4(F, u, b) for b in basis])
+        if w.dim == 3:
+            cubes.append(SP.decomposable_of(w).coords)
+    assert Subspace.from_spanning(F, DIM3, cubes) == epw.a_plus(SP, rnd).subspace
 
 
 def test_a_plus_images_are_pairwise_orthogonal():
@@ -387,8 +402,8 @@ def test_a_plus_images_are_pairwise_orthogonal():
     for _ in range(8):
         u0 = [F.random(rnd) for _ in range(4)]
         u1 = [F.random(rnd) for _ in range(4)]
-        rows0 = [epw.wedge2_of_4(F, u0, b) for b in Matrix.identity(F, 4).rows]
-        rows1 = [epw.wedge2_of_4(F, u1, b) for b in Matrix.identity(F, 4).rows]
+        rows0 = [epw.wedge2_of_4(F, u0, b) for b in unit_rows(F, 4)]
+        rows1 = [epw.wedge2_of_4(F, u1, b) for b in unit_rows(F, 4)]
         s0 = Subspace.from_spanning(F, 6, rows0)
         s1 = Subspace.from_spanning(F, 6, rows1)
         if s0.dim != 3 or s1.dim != 3:
@@ -400,8 +415,7 @@ def test_a_plus_images_are_pairwise_orthogonal():
 
 def test_triple_quadric_identity_and_failure():
     rnd = derive_rng(13, "triple")
-    ub = Matrix.identity(F, 4).rows
-    ap = epw.a_plus(SP, ub, rnd)
+    ap = epw.a_plus(SP, rnd)
     assert epw.verify_triple_quadric(ap, 60, rnd)
     generic = epw.random_lagrangian_datum(SP, rnd)
     assert not epw.verify_triple_quadric(generic, 12, rnd)
@@ -409,8 +423,7 @@ def test_triple_quadric_identity_and_failure():
 
 def test_quadric_points_lie_on_triple_sextic():
     rnd = derive_rng(14, "qpts")
-    ub = Matrix.identity(F, 4).rows
-    ap = epw.a_plus(SP, ub, rnd)
+    ap = epw.a_plus(SP, rnd)
     for _ in range(10):
         x = [F.random(rnd) for _ in range(4)]
         y = [F.random(rnd) for _ in range(4)]
@@ -452,7 +465,7 @@ def test_find_point_root_property(datum):
 
 def test_triple_quadric_line_section_is_a_perfect_cube():
     rnd = derive_rng(18, "cube")
-    ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
+    ap = epw.a_plus(SP, rnd)
     for _ in range(5):
         p = [1] + [F.random(rnd) for _ in range(5)]
         q = [0] + [F.random(rnd) for _ in range(5)]
@@ -508,9 +521,9 @@ def test_tangent_functional_vanishes_at_decomposable_generator():
 
 def test_sigma_membership_for_construction_lagrangian():
     rnd = derive_rng(20, "sigma_ap")
-    ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
+    ap = epw.a_plus(SP, rnd)
     u = [F.random(rnd) for _ in range(4)]
-    rows = [epw.wedge2_of_4(F, u, b) for b in Matrix.identity(F, 4).rows]
+    rows = [epw.wedge2_of_4(F, u, b) for b in unit_rows(F, 4)]
     w = Subspace.from_spanning(F, 6, rows)
     assert w.dim == 3
     assert epw.sigma_membership(ap, w)
@@ -518,7 +531,7 @@ def test_sigma_membership_for_construction_lagrangian():
 
 def test_find_point_on_triple_quadric_lands_on_the_quadric():
     rnd = derive_rng(21, "find_on_3g")
-    ap = epw.a_plus(SP, Matrix.identity(F, 4).rows, rnd)
+    ap = epw.a_plus(SP, rnd)
     for _ in range(5):
         v = epw.find_point_stats(ap, rnd)[0]
         assert F.is_zero(epw.plucker_quadric(F, v.coords))

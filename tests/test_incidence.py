@@ -14,6 +14,11 @@ SP = SymplecticSpace(F)
 SQ = SymplecticSpace(QQ)
 
 
+def unit_rows(field, n):
+    """The rows of the n x n identity matrix, as tuples."""
+    return [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]
+
+
 def lag_and_hyperplane(space, rnd):
     A = space.random_lagrangian(rnd)
     u = Subspace.from_spanning(space.field, DIM3, A.basis()[:9])
@@ -117,7 +122,7 @@ def test_pencil_preconditions(field, rng):
     with pytest.raises(incidence.PreconditionError):
         incidence.pencil_through(space, not_iso)
     # 9 rows of L' = wedge^3 <e_1..e_5>: isotropic, but in no graph
-    in_lprime = Subspace.from_spanning(field, DIM3, Matrix.identity(field, DIM3).rows[10:19])
+    in_lprime = Subspace.from_spanning(field, DIM3, unit_rows(field, DIM3)[10:19])
     assert space.is_isotropic(in_lprime) and in_lprime.pivots[0] == 10
     with pytest.raises(incidence.PreconditionError, match="no graph"):
         incidence.pencil_through(space, in_lprime)

@@ -162,7 +162,7 @@ def test_signature_reduction_edge_blocks():
 
 
 def test_signature_against_the_congruence_reduction():
-    for gram, sig in ((lattice._U, (1, 1)), (lattice._e8_gram(-1), (0, 8)), (LAT.gram, (3, 20))):
+    for gram, sig in ((lattice._U, (1, 1)), (lattice._e8_gram(), (0, 8)), (LAT.gram, (3, 20))):
         assert lattice._inertia(gram) == congruence_inertia(gram) == sig
     rnd = derive_rng(4, "inertia")
     kinds = set()

@@ -37,9 +37,14 @@ def mat_strategy(field, max_dim=6):
     )
 
 
+def unit_rows(field, n):
+    """The rows of the n x n identity matrix, as tuples."""
+    return [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]
+
+
 def full_space(field, n):
     """The whole n-space: the identity rows are its canonical RREF."""
-    return Subspace(field, n, Matrix.identity(field, n).rows, range(n))
+    return Subspace(field, n, unit_rows(field, n), range(n))
 
 
 def zero_matrix(field, nrows, ncols):
@@ -47,9 +52,9 @@ def zero_matrix(field, nrows, ncols):
 
 
 def test_rank_identity_and_zero():
-    assert Matrix.identity(QQ, 3).rank() == 3
+    assert Matrix(QQ, unit_rows(QQ, 3)).rank() == 3
     assert zero_matrix(QQ, 4, 7).rank() == 0
-    assert Matrix.identity(F101, 3).rank() == 3
+    assert Matrix(F101, unit_rows(F101, 3)).rank() == 3
     assert zero_matrix(F101, 4, 7).rank() == 0
 
 
@@ -121,7 +126,7 @@ def test_rref_is_canonical():
 
 
 def test_kernel_basis_examples():
-    assert Matrix.identity(QQ, 4).kernel_basis().dim == 0
+    assert Matrix(QQ, unit_rows(QQ, 4)).kernel_basis().dim == 0
     k = Matrix(QQ, [[1, 1]]).kernel_basis()
     assert k.dim == 1
     assert k.contains([1, -1])
@@ -181,7 +186,7 @@ def test_kernel_basis_edge_shapes_equal_the_two_elimination_route():
         shapes = [
             Matrix(field, [], ncols=5),  # no rows: the kernel is everything
             zero_matrix(field, 3, 4),
-            Matrix.identity(field, 5),  # full rank, square
+            Matrix(field, unit_rows(field, 5)),  # full rank, square
             Matrix(field, [[1, 2, 0, 3, 0, 1, 5], [0, 0, 1, 5, 0, 2, 1]]),  # wide
             Matrix(field, [[1, 2], [2, 4], [3, 6], [0, 1], [5, 5]]),  # tall, full column rank
             Matrix(field, [[1, 2], [2, 4], [3, 6]]),  # tall, rank one
@@ -395,8 +400,8 @@ def test_zassenhaus_replays_the_suite_calls(monkeypatch):
 
 
 def test_complementary_coordinate_subspaces_dim20():
-    a = Subspace.from_spanning(QQ, 20, Matrix.identity(QQ, 20).rows[:9])
-    b = Subspace.from_spanning(QQ, 20, Matrix.identity(QQ, 20).rows[9:])
+    a = Subspace.from_spanning(QQ, 20, unit_rows(QQ, 20)[:9])
+    b = Subspace.from_spanning(QQ, 20, unit_rows(QQ, 20)[9:])
     assert a.meet(b).dim == 0
     assert a.join(b).dim == 20
 

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, permutations
 
 import pytest
 
-from epwcalc import fpkernel, quadrics, suites
+from epwcalc import fpkernel, linalg, quadrics, suites
 from epwcalc.fpkernel import fp_rank
 from epwcalc.linalg import Matrix, adjugate
 from epwcalc.rng import derive_rng
@@ -215,8 +216,7 @@ def bitangent_fixture(field, rnd):
             for j in range(i, 4):
                 m[i][j] = m[j][i] = field.random(rnd)
         qs.append(Matrix(field, m))
-    web = quadrics.WebOfQuadrics(field, qs)
-    return web, (qs[0], qs[1]), (r0, r1)
+    return quadrics.WebOfQuadrics(field, qs), (r0, r1)
 
 
 def test_bitangent_pair_satisfies_all_conditions():
@@ -224,8 +224,8 @@ def test_bitangent_pair_satisfies_all_conditions():
     produced = 0
     while produced < 12:
         try:
-            web, pencil, line = bitangent_fixture(F, rnd)
-            pair = quadrics.bitangent_pair(web, pencil, line)
+            web, line = bitangent_fixture(F, rnd)
+            pair = quadrics.bitangent_pair(web, line)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         produced += 1
@@ -234,12 +234,30 @@ def test_bitangent_pair_satisfies_all_conditions():
             assert F.is_zero(quadrics.bilinear(F, q, pair.y, pair.x))
 
 
+def test_one_bitangent_pair_makes_no_fp_elimination(monkeypatch):
+    """Q2 and Q3 cut the residual quadratic: the call ranks no stack of
+    generators, so it makes no F_p elimination."""
+    web, line = bitangent_fixture(F, derive_rng(3, "bit.count"))
+    calls = Counter()
+    for owner, name in ((linalg, "fp_rank"), (fpkernel, "fp_rank"), (fpkernel, "_forward")):
+        fn = getattr(owner, name)
+
+        def counted(*args, key=f"{owner.__name__}.{name}", fn=fn):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    pair = quadrics.bitangent_pair(web, line)
+    assert not calls
+    assert all(F.is_zero(quadrics.bilinear(F, q, pair.x, pair.y)) for q in web.qs)
+
+
 def test_bitangent_pair_over_qq():
     rnd = derive_rng(258, "bitqq")
     for attempt in range(4000):
         try:
-            web, pencil, line = bitangent_fixture(QQ, derive_rng(attempt, "bitqq"))
-            pair = quadrics.bitangent_pair(web, pencil, line)
+            web, line = bitangent_fixture(QQ, derive_rng(attempt, "bitqq"))
+            pair = quadrics.bitangent_pair(web, line)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         for q in web.qs:
@@ -252,7 +270,7 @@ def test_bitangent_pair_requires_line_in_base_locus():
     rnd = derive_rng(4, "bitpre")
     web = random_web(F, rnd)
     with pytest.raises(ValueError):
-        quadrics.bitangent_pair(web, (web.qs[0], web.qs[1]), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        quadrics.bitangent_pair(web, ((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def test_veronese_independence():
@@ -560,4 +578,4 @@ def test_bitangent_residual_identically_zero_is_reported():
         except quadrics.DegenerateWeb:
             continue
     with pytest.raises(quadrics.DegenerateWeb):
-        quadrics.bitangent_pair(web, (qs[0], qs[1]), (r0, r1))
+        quadrics.bitangent_pair(web, (r0, r1))

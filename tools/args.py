@@ -1,0 +1,134 @@
+"""Print the package parameters that take a single value under the benchmark's workloads.
+
+    python tools/args.py
+
+One op of each gated workload of `BENCHMARK.json` runs at seed 7 under a
+profile hook: battery (`run all --seed 7 --json`) and rational_qq, both as
+`perfbench/workloads.py` builds them; that file is loaded read-only, with no
+bytecode written. Every call of a function defined in `src/epwcalc` records
+the value of each of its parameters, defaults included (not `self` or
+`cls`, not `*args` or `**kwargs`, and a generator only when it starts).
+A parameter that took exactly one value over all its calls is printed as
+
+    module.qualname  parameter=value  calls=N
+
+sorted by name. Small immutables (None, bool, int, float, str, Fraction and
+tuples of them) are shown by `repr`; anything else by its type, as
+`<Matrix>`. A value equals the first one seen when it is that object or
+`==` to it. A parameter listed here is one that no caller of this traffic
+varies: a candidate for deletion, once every call site in `src/`, `tests/`,
+`tools/` and `perfbench/` is checked to fix it as well.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "epwcalc"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SEED = 7
+CO_GENERATOR = 0x20
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
+
+
+def is_small(value):
+    if value is None or isinstance(value, (bool, int, float, str, Fraction)):
+        return True
+    return isinstance(value, tuple) and len(value) <= 16 and all(map(is_small, value))
+
+
+class Census:
+    """Per package code object: its generator start offset and, per
+    parameter, [name, first value, calls, varied]."""
+
+    def __init__(self, package):
+        self.package = str(package)
+        self.codes = {}
+
+    def _params(self, code):
+        if code.co_name in COMPREHENSIONS or not code.co_filename.startswith(self.package):
+            return None
+        n = code.co_argcount + code.co_kwonlyargcount
+        names = list(code.co_varnames[:n])
+        if names[:1] in (["self"], ["cls"]):
+            names = names[1:]
+        return {"start": None, "params": [[name, None, 0, False] for name in names]}
+
+    def hook(self, frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        state = self.codes.get(code, False)
+        if state is False:
+            state = self.codes[code] = self._params(code)
+        if not state:
+            return
+        if code.co_flags & CO_GENERATOR:
+            if state["start"] is None:
+                state["start"] = frame.f_lasti
+            elif frame.f_lasti != state["start"]:
+                return  # a resume starts at a later offset than the call
+        local = frame.f_locals
+        for entry in state["params"]:
+            name, first, calls, varied = entry
+            value = local[name]
+            if not calls:
+                entry[1] = value
+            elif not varied and not (value is first or value == first):
+                entry[1], entry[3] = None, True
+            entry[2] = calls + 1
+
+    def single_valued(self):
+        """(module.qualname, parameter, shown value, calls) of every
+        parameter that took one value, sorted."""
+        out = []
+        for code, state in self.codes.items():
+            if not state:
+                continue
+            # co_qualname is new in Python 3.11
+            qual = f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+            for name, value, calls, varied in state["params"]:
+                if calls and not varied:
+                    shown = repr(value) if is_small(value) else f"<{type(value).__name__}>"
+                    out.append((qual, name, shown, calls))
+        return sorted(out)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def main():
+    sys.path.insert(0, str(PACKAGE.parent))
+    workloads = load_workloads()
+    census = Census(PACKAGE)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("battery", "rational_qq"):
+            op = workloads.make(name, Path(tmp) / "report.json")
+            inputs = op.prepare(SEED)
+            with contextlib.redirect_stdout(io.StringIO()):
+                sys.setprofile(census.hook)
+                try:
+                    op.run(inputs)
+                finally:
+                    sys.setprofile(None)
+    for qual, name, shown, calls in census.single_valued():
+        print(f"{qual}  {name}={shown}  calls={calls}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
