@@ -149,6 +149,20 @@ def pencil_through(space: SymplecticSpace, u: Subspace) -> LagrangianPencil:
     return LagrangianPencil(space, u, chart_vector(F, y, f), chart_vector(F, ell))
 
 
+def hyperplane(A: Subspace, ell) -> Subspace:
+    """u = {z in A : ell(z[0..9]) = 0}, for A with pivots 0..9 (a graph, as
+    `graph_lagrangian` builds it) and ell a nonzero list of 10 elements of
+    A's field. With f the last index where ell_f != 0, the rows
+    A_a - (ell_a / ell_f) A_f, a != f, are u's canonical RREF: A_f is 0 at
+    every other pivot, and ell_a = 0 for a > f."""
+    F = A.field
+    f = max(i for i, x in enumerate(ell) if x)
+    lag = A.basis()
+    pivots = [a for a in range(10) if a != f]
+    rows = [tuple(F.axpy(lag[a], F.neg(F.div(ell[a], ell[f])), lag[f])) for a in pivots]
+    return Subspace(F, DIM3, rows, pivots)
+
+
 def _omega_cores(space: SymplecticSpace, A: Subspace, B: Subspace):
     """(RA, RB): the coordinates of the common 9-dimensional core's basis in
     A and in B, the inputs of the agreement system `_omega_rows`."""
@@ -264,17 +278,13 @@ def tangency_scenario(space: SymplecticSpace, rng) -> TangencyScenario:
         line_a = fiber.meet(A)
         if line_a.dim != 1:
             continue
-        # u = {z in A : l(z[0..9]) = 0} for a random l that kills alpha: with
-        # f the last l_f != 0, the rows A_a - (l_a / l_f) A_f, a != f, are RREF
-        k, lag = seed_sub.pivots[0], A.basis()
+        # u = {z in A : l(z[0..9]) = 0} for a random l that kills alpha
+        k = seed_sub.pivots[0]
         ell = [F.random(rng) for _ in range(10)]
         ell[k] = F.sub(ell[k], F.dot(ell, seed_sub.basis()[0][:10]))
         if not any(ell):
             continue
-        f = max(i for i, x in enumerate(ell) if x)
-        pivots = [a for a in range(10) if a != f]
-        rows = [tuple(F.axpy(lag[a], F.neg(F.div(ell[a], ell[f])), lag[f])) for a in pivots]
-        u = Subspace(F, DIM3, rows, pivots)
+        u = hyperplane(A, ell)
         pencil = pencil_through(space, u)
         B = pencil.member(1, 0)
         if B == A:

@@ -137,13 +137,6 @@ def bilinear(field, q: Matrix, x, y):
     return field.dot(field.lincomb(x, q.rows), y)
 
 
-def quadric_contains_line(field, q: Matrix, r0, r1) -> bool:
-    return all(
-        field.is_zero(bilinear(field, q, a, b))
-        for a, b in ((r0, r0), (r0, r1), (r1, r1))
-    )
-
-
 def _binary_quadratic_roots(field, alpha, beta, gamma):
     """Projective roots of alpha s0^2 + beta s0 s1 + gamma s1^2.
 
@@ -169,10 +162,6 @@ def _binary_quadratic_roots(field, alpha, beta, gamma):
     return (s_plus, F.one), (s_minus, F.one)
 
 
-def _point_on_line(field, r0, r1, s):
-    return tuple(field.lincomb(s, ([field.of(a) for a in r0], [field.of(b) for b in r1])))
-
-
 def _canonical_point(field, pt):
     lead = next((x for x in pt if not field.is_zero(x)), None)
     if lead is None:
@@ -187,38 +176,28 @@ class BitangentPair:
     y: tuple
 
 
-def bitangent_pair(web: WebOfQuadrics, line) -> BitangentPair:
-    """The unordered point pair {x, y} on the line satisfying the bilinear
-    condition for every member of the web.
+def bitangent_pair(web: WebOfQuadrics) -> BitangentPair:
+    """The unordered point pair {x, y} on the line t2 = t3 = 0 satisfying the
+    bilinear condition for every member of the web.
 
-    Q0 and Q1 must vanish on the line (checked); their conditions are
-    automatic there, and Q2 and Q3 cut a binary quadratic whose roots are
-    the pair (x = y at a double root); an identically zero residual system
-    is an error. The `bitangent_pairs` check, not this function, evaluates
-    every generator's condition on the pair.
+    Q0 and Q1 must vanish on the line (checked: their top-left 2x2 blocks
+    are zero); their conditions are automatic there, and Q2 and Q3 cut a
+    binary quadratic whose roots (s0, s1) give the pair as (s0, s1, 0, 0)
+    (x = y at a double root); an identically zero residual system is an
+    error. The `bitangent_pairs` check, not this function, evaluates every
+    generator's condition on the pair.
     """
     F = web.field
-    r0, r1 = line
-    for q in web.qs[:2]:
-        if not quadric_contains_line(F, q, r0, r1):
-            raise ValueError("Q0 and Q1 must vanish on the line")
-    qc, qd = web.qs[2:]
-    c00, c01, c11 = (
-        bilinear(F, qc, r0, r0),
-        bilinear(F, qc, r0, r1),
-        bilinear(F, qc, r1, r1),
-    )
-    d00, d01, d11 = (
-        bilinear(F, qd, r0, r0),
-        bilinear(F, qd, r0, r1),
-        bilinear(F, qd, r1, r1),
-    )
+    if any(not F.is_zero(x) for q in web.qs[:2] for row in q.rows[:2] for x in row[:2]):
+        raise ValueError("Q0 and Q1 must vanish on the line t2 = t3 = 0")
+    # the bilinear form of a generator at e_0, e_1 is its top-left 2x2 block
+    (c00, c01), (_, c11) = (row[:2] for row in web.qs[2].rows[:2])
+    (d00, d01), (_, d11) = (row[:2] for row in web.qs[3].rows[:2])
     alpha = F.sub(F.mul(c00, d01), F.mul(c01, d00))
     beta = F.sub(F.mul(c00, d11), F.mul(c11, d00))
     gamma = F.sub(F.mul(c01, d11), F.mul(c11, d01))
-    s1, s2 = _binary_quadratic_roots(F, alpha, beta, gamma)
-    x = _canonical_point(F, _point_on_line(F, r0, r1, s1))
-    y = _canonical_point(F, _point_on_line(F, r0, r1, s2))
+    roots = _binary_quadratic_roots(F, alpha, beta, gamma)
+    x, y = (_canonical_point(F, (s0, s1, F.zero, F.zero)) for s0, s1 in roots)
     return BitangentPair(x, y)
 
 

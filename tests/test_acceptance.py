@@ -253,8 +253,8 @@ def test_c10_bitangent_pairs():
     ok = True
     while produced < 50:
         try:
-            web, line = _bitangent_fixture(rnd)
-            pair = quadrics.bitangent_pair(web, line)
+            web = _bitangent_fixture(rnd)
+            pair = quadrics.bitangent_pair(web)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         produced += 1
@@ -267,7 +267,7 @@ def test_c10_bitangent_pairs():
 
 
 def _bitangent_fixture(rnd):
-    r0, r1 = (1, 0, 0, 0), (0, 1, 0, 0)
+    """A web whose first two generators vanish on the line t2 = t3 = 0."""
     qs = []
     for keep_block in (True, True, False, False):
         m = [[F.zero] * 4 for _ in range(4)]
@@ -277,7 +277,7 @@ def _bitangent_fixture(rnd):
                     continue
                 m[i][j] = m[j][i] = F.random(rnd)
         qs.append(Matrix(F, m))
-    return quadrics.WebOfQuadrics(F, qs), (r0, r1)
+    return quadrics.WebOfQuadrics(F, qs)
 
 
 def test_c11_degree_table():

@@ -199,7 +199,7 @@ def test_derive_relations_catches_bad_table(monkeypatch):
     """The derivation reads no degree table; c2h_equals_5h3 pairs its
     relation with h, so a table with c2h^2 = 61 fails that check."""
     monkeypatch.setattr(chow, "DEGREE_TABLE", {**chow.DEGREE_TABLE, ("c2", "h", "h"): 61})
-    by_id = {c.id: c for c in suites.run_chow(suites.RunConfig(seed=0, trials=2))}
+    by_id = {c.id: c for c in suites.SUITES["chow"](suites.RunConfig(seed=0, trials=2))}
     c2h = by_id["c2h_equals_5h3"]
     assert (c2h.status, c2h.got) == ("fail", "5*h*h*h")
     assert c2h.witness == "degreeCheck=(Fraction(61, 1), Fraction(60, 1))"

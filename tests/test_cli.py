@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import chow, cli, epw, fpkernel, incidence, lattice, oracles, quadrics, suites
+from epwcalc import chow, cli, epw, fpkernel, incidence, lattice, oracles, quadrics, schubert, suites
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace
 from epwcalc.linalg import InterpolationError, Matrix, Subspace
 from epwcalc.rng import derive_rng
@@ -384,6 +384,46 @@ def _fault_perp_drops_a_row_off_isotropic(monkeypatch):
     monkeypatch.setattr(SymplecticSpace, "perp", faulty)
 
 
+def _fault_chern_difference_adds_the_inverse(monkeypatch):
+    """c(e - f) read as c(e) + c(f)^-1 in place of c(e) c(f)^-1. In
+    codimension 2 the two differ by c1(e) c1(f^-1), so the pulled-back
+    tangent against T_X, whose c1 is 0, does not see it; the random pair
+    does."""
+    monkeypatch.setattr(
+        chow,
+        "chern_difference",
+        lambda e, f: (e.total_chern() + chow.series_inverse(f.total_chern())).component(2),
+    )
+
+
+def _fault_two_part_partition_reversed(monkeypatch):
+    """A two-part partition with distinct parts multiplied by in reverse,
+    (b, a) for (a, b). The top Chern class of Sym^6 multiplies only by
+    (1, 1), which stays."""
+    mul = schubert.mul_by_partition
+
+    def faulty(x, parts):
+        return mul(x, parts[::-1] if len(parts) == 2 and parts[0] != parts[1] else parts)
+
+    monkeypatch.setattr(schubert, "mul_by_partition", faulty)
+
+
+def _fault_todd_plus_a_degree_zero_class(monkeypatch):
+    """td4 plus (Z^2 - 8 c2 Z)/720 on a model that has Z. That class has
+    degree 192 - 8 * 24 = 0, so chi(O(n)), which reads td4 through its
+    degree, does not move."""
+    todd = chow.todd_from_c
+
+    def faulty(b):
+        m = b.model
+        if "Z" not in m.symbols:
+            return todd(b)
+        Z = m.sym("Z")
+        return todd(b) + (Z * Z - (m.sym("c2") * Z).scale(8)).scale(Fraction(1, 720))
+
+    monkeypatch.setattr(chow, "todd_from_c", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
@@ -416,6 +456,9 @@ FAULTS = {
     ("exterior", "decomposable_orthogonality"): _fault_form_plus_one,
     ("exterior", "fiber_lagrangian"): _fault_qq_fiber_drops_a_row,
     ("exterior", "perp_involution"): _fault_perp_drops_a_row_off_isotropic,
+    ("chow", "pullback_tangent_difference"): _fault_chern_difference_adds_the_inverse,
+    ("schubert", "duality"): _fault_two_part_partition_reversed,
+    ("chow", "todd_symplectic"): _fault_todd_plus_a_degree_zero_class,
 }
 
 
@@ -435,13 +478,13 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
     """When the relation replay raises, both checks it feeds fail under their
     own anchors, with the error as `got`; no other check changes."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    before = {c.id: c.status for c in suites.SUITES["chow"](cfg)}
 
     def raising(model, emb):
         raise chow.DerivationError("injected")
 
     monkeypatch.setattr(chow, "derive_relations", raising)
-    after = {c.id: c for c in suites.run_chow(cfg)}
+    after = {c.id: c for c in suites.SUITES["chow"](cfg)}
     anchors = {(suite, cid): statement for suite, cid, statement, _ in _traceability_rows()}
     for cid in ("c2h_equals_5h3", "c4_combination"):
         assert (before[cid], after[cid].status) == ("pass", "fail")
@@ -453,14 +496,14 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
 
 def _chow_changes(cfg, before):
     """The chow checks whose status differs from `before`, with their `got`."""
-    return {c.id: c.got for c in suites.run_chow(cfg) if c.status != before[c.id]}
+    return {c.id: c.got for c in suites.SUITES["chow"](cfg) if c.status != before[c.id]}
 
 
 def test_relation_faults_report_what_the_relations_force(monkeypatch):
     """Read modulo R2, the faulty R3 gives c2*h = 4h^3 and the faulty R4 a
     c4 expression of degree 324 - deg Z^2 = 132."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    before = {c.id: c.status for c in suites.SUITES["chow"](cfg)}
     with monkeypatch.context() as patch:
         _fault_c2h_rhs(patch)
         assert _chow_changes(cfg, before) == {"c2h_equals_5h3": "4*h*h*h"}
@@ -472,7 +515,7 @@ def test_the_codimension_2_relation_gates_both_relation_checks(monkeypatch):
     """Both relation checks eliminate with R2, so R2 + Z in its place moves
     c2*h = 5h^3 and the c4 expression: both fail, and no other check."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    before = {c.id: c.status for c in suites.SUITES["chow"](cfg)}
     _fault_derived_relation(2, lambda m: m.sym("Z"))(monkeypatch)
     assert set(_chow_changes(cfg, before)) == {"c2h_equals_5h3", "c4_combination"}
 
@@ -486,7 +529,7 @@ def test_normal_data_off_the_sequence_fails_its_checks_in_the_report(k, monkeypa
     hZ term of R3 cancels, so R3 modulo R2 has no c2*h to solve for: that
     fails c2h_equals_5h3 alone, and c4_combination reports its own degree."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c.status for c in suites.run_chow(cfg)}
+    before = {c.id: c.status for c in suites.SUITES["chow"](cfg)}
 
     class OffSequence(chow.EmbeddingModel):
         def __init__(self, ambient):
@@ -509,13 +552,13 @@ def test_a_point_search_that_always_misses_skips_both_point_checks(monkeypatch):
     three checks that read it report a skip with the reason as its witness,
     and no other check changes status."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c.status for c in suites.run_epw(cfg)}
+    before = {c.id: c.status for c in suites.SUITES["epw"](cfg)}
 
     def exhausted(A, rng, budget=60):
         raise epw.RetryBudgetExhausted("injected")
 
     monkeypatch.setattr(epw, "find_point_stats", exhausted)
-    after = {c.id: c for c in suites.run_epw(cfg)}
+    after = {c.id: c for c in suites.SUITES["epw"](cfg)}
     changed = {
         k: (before[k], c.status, c.expected, c.got, c.witness) for k, c in after.items() if c.status != before[k]
     }
@@ -541,7 +584,7 @@ def test_a_nonsingular_low_rank_point_fails_both_scan_checks(monkeypatch):
     cfg = suites.RunConfig(seed=0, trials=2)
     partial = quadrics._mp_partial
     monkeypatch.setattr(quadrics, "_mp_partial", lambda field, poly, i: {**partial(field, poly, i), (0, 0, 0, 0): 1})
-    by_id = {c.id: c for c in suites.run_quadrics(cfg)}
+    by_id = {c.id: c for c in suites.SUITES["quadrics"](cfg)}
     assert by_id["diagonal_scan_census"].status == "fail"
     assert by_id["random_scan"].status == "fail" and int(by_id["random_scan"].got) > 0
     assert by_id["quartic_expansion"].status == "pass"
@@ -641,6 +684,7 @@ def test_timing_adds_per_suite_and_per_check_cpu_only():
     assert list(every["suite_cpu_ms"]) == ["exterior", "epw", "incidence", "quadrics", "chow", "schubert", "bbf"]
     assert all(isinstance(ms, int) and ms >= 0 for ms in every["suite_cpu_ms"].values())
     assert list(every["check_cpu_ms"]) == [c["id"] for c in every["checks"]]
+    assert list(every["check_cpu_ms"]) == [f"{suite}.{cid}" for suite, cid, _ in _declared()]
     assert all(isinstance(ms, int) and ms >= 0 for ms in every["check_cpu_ms"].values())
     for suite, suite_ms in every["suite_cpu_ms"].items():
         ms = [v for cid, v in every["check_cpu_ms"].items() if cid.startswith(f"{suite}.")]
@@ -676,14 +720,22 @@ def _traceability_rows():
     return rows
 
 
+def _declared():
+    """(suite, check id, anchor) of every declared check, in report order."""
+    return [(name, run.__name__, anchor) for name, checks in suites.CHECKS.items() for run, anchor, *_ in checks]
+
+
 def test_traceability_lists_every_check_of_the_report_in_order():
-    report = cli.run_suites("all", suites.RunConfig(seed=0, trials=2))
+    """The rows are the declared checks in order, read off the declarations
+    with no suite run, each statement its check's anchor; the stated
+    constant's row adds the discrepancy after the anchor."""
     rows = _traceability_rows()
-    assert [(suite, cid) for suite, cid, *_ in rows] == [tuple(c.id.split(".", 1)) for c in report]
-    for (suite, cid, statement, _), check in zip(rows, report):
-        assert statement.startswith(check.anchor), check.id
+    declared = _declared()
+    assert [(suite, cid) for suite, cid, *_ in rows] == [(suite, cid) for suite, cid, _ in declared]
+    for (suite, cid, statement, _), (_, _, anchor) in zip(rows, declared):
+        assert statement.startswith(anchor), cid
         if cid != "sym6_top_chern_stated_constant":
-            assert statement == check.anchor, check.id
+            assert statement == anchor, cid
     assert dict(((s, c), st) for s, c, st, _ in rows)[("bbf", "gram_invariants")].startswith("|det| = 2")
 
 
@@ -729,30 +781,64 @@ def test_fail_fast_stops_at_the_first_failing_check(monkeypatch, capsys):
     assert [(c["id"], c["status"]) for c in doc["checks"]] == [(f"{first}.a", "pass"), (f"{second}.b", "fail")]
 
 
-def test_each_yield_shape_becomes_its_check():
-    """A suite yields (id, anchor, ok), (id, anchor, ok, expected, got[,
-    witness]) or (id, anchor, None, why) per check. A suite call returns the
-    list of Checks, not a generator, so timing the call times the checks."""
+def test_each_check_returns_the_one_outcome_shape():
+    """A check returns outcome(ok, expected, got, witness): a pass or a fail
+    by ok, with expected and got (ok unless given) written by str, or a skip
+    when ok is None, with the reason as its witness."""
+    assert suites.outcome(1 == 1) == ("pass", "True", "True", None)
+    assert suites.outcome(False) == ("fail", "True", "False", None)
+    assert suites.outcome(2 == 3, 2, 3) == ("fail", "2", "3", None)
+    assert suites.outcome(True, (1, 2), {1}, "w") == ("pass", "(1, 2)", "{1}", "w")
+    assert suites.outcome(None, witness="why") == ("skip", "", "", "why")
 
-    @suites._checks
-    def toy(cfg):
-        yield "a", "expects True", 1 == 1
-        yield "b", "expects True", False
-        yield "c", "compares", 2 == 3, 2, 3
-        yield "d", "witnessed", True, (1, 2), {1}, "w"
-        yield "e", "skipped", None, "why"
 
-    assert toy(None) == [
-        suites.Check("a", "expects True", "pass", "True", "True"),
-        suites.Check("b", "expects True", "fail", "True", "False"),
-        suites.Check("c", "compares", "fail", "2", "3"),
-        suites.Check("d", "witnessed", "pass", "(1, 2)", "{1}", "w"),
-        suites.Check("e", "skipped", "skip", "", "", "why"),
-    ]
+def test_each_suite_reports_exactly_its_declared_checks_in_order():
+    """A suite call returns a list with one Check per declared check, with
+    the declared id and anchor, in the order of its CHECKS list."""
     cfg = suites.RunConfig(seed=0, trials=1)
-    for run in suites.SUITES.values():
+    assert list(suites.SUITES) == list(suites.CHECKS) == cli.SUITE_ORDER
+    for name, run in suites.SUITES.items():
         checks = run(cfg)
-        assert type(checks) is list and checks and all(type(c) is suites.Check for c in checks)
+        assert type(checks) is list and all(type(c) is suites.Check for c in checks)
+        assert [(name, c.id, c.anchor) for c in checks] == [d for d in _declared() if d[0] == name]
+
+
+def test_each_check_run_alone_equals_its_check_in_the_suite():
+    """Each of the checks, evaluated on its own from a store that holds only
+    the run's config, builds the fixtures it reads and draws its own streams
+    as in the full suite: its Check is the suite's, at seed 7 and the CLI
+    defaults."""
+    cfg = suites.RunConfig(seed=7)
+    for name, checks in suites.CHECKS.items():
+        alone = [
+            suites.Check(run.__name__, anchor, *suites.evaluate(dict(vars(cfg)), run, *labels))
+            for run, anchor, *labels in checks
+        ]
+        assert alone == suites.SUITES[name](cfg), name
+
+
+def test_a_full_run_draws_exactly_the_declared_streams(monkeypatch):
+    """The driver is the one caller of derive_rng in the suites: a full run
+    derives each label that a check or a fixture declares exactly once, and
+    no other; no label is declared twice."""
+    declared = [label for checks in suites.CHECKS.values() for _, _, *labels in checks for label in labels]
+    declared += [label for labels in suites.FIXTURE_LABELS.values() for label in labels]
+    assert len(declared) == len(set(declared))
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    callers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "derive_rng"
+    }
+    assert callers == {"evaluate"}
+    assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(tree))
+    drawn = []
+    derive = suites.derive_rng
+    monkeypatch.setattr(suites, "derive_rng", lambda seed, label: drawn.append(label) or derive(seed, label))
+    cli.run_suites("all", suites.RunConfig(seed=7, trials=2))
+    assert sorted(drawn) == sorted(declared)
 
 
 def test_epw_suite_work_counts_at_seed_7(monkeypatch):
@@ -772,7 +858,7 @@ def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     monkeypatch.setattr(fpkernel, "_forward", counted("forward", fpkernel._forward))
     for name in ("find_point_stats", "tangent_functional", "gradient_det"):
         monkeypatch.setattr(epw, name, counted(name, getattr(epw, name)))
-    suites.run_epw(suites.RunConfig(seed=7))
+    suites.SUITES["epw"](suites.RunConfig(seed=7))
     assert calls == {"find_point_stats": 50, "forward": 1919, "tangent_functional": 60, "gradient_det": 60}
 
 
@@ -793,7 +879,7 @@ def _live_data_at_tangent_calls(monkeypatch, trials):
     with monkeypatch.context() as patch:
         patch.setattr(epw.EpwLagrangian, "__init__", tracked)
         patch.setattr(epw, "tangent_functional", counted)
-        suites.run_epw(suites.RunConfig(seed=7, trials=trials))
+        suites.SUITES["epw"](suites.RunConfig(seed=7, trials=trials))
     return max(seen)
 
 
@@ -833,7 +919,7 @@ def test_a_line_of_degree_above_6_fails_sextic_degree_with_its_witness(monkeypat
     sextic_degree, with the first such line as the witness; the suite draws
     on and reports, and no other epw check changes status."""
     cfg = suites.RunConfig(seed=0, trials=2)
-    before = {c.id: c for c in suites.run_epw(cfg)}
+    before = {c.id: c for c in suites.SUITES["epw"](cfg)}
     interpolate, on_line = epw.interpolate_univariate, epw.sextic_on_line
     lines = []
 
@@ -848,7 +934,7 @@ def test_a_line_of_degree_above_6_fails_sextic_degree_with_its_witness(monkeypat
 
     monkeypatch.setattr(epw, "interpolate_univariate", raising_once)
     monkeypatch.setattr(epw, "sextic_on_line", recorded)
-    after = {c.id: c for c in suites.run_epw(cfg)}
+    after = {c.id: c for c in suites.SUITES["epw"](cfg)}
     check, old = after["sextic_degree"], before["sextic_degree"]
     assert (old.status, check.status) == ("pass", "fail")
     assert (check.expected, check.witness) == (old.expected, f"line 0: base={lines[0][0]} direction={lines[0][1]}: injected")
@@ -863,14 +949,14 @@ def test_the_point_stream_makes_its_minimum_searches_at_small_trials():
     over seeds 0-19."""
     for seed in range(20):
         for trials in (1, 2):
-            report = suites.run_epw(suites.RunConfig(seed=seed, prime=17, trials=trials))
+            report = suites.SUITES["epw"](suites.RunConfig(seed=seed, prime=17, trials=trials))
             assert {c.status for c in report} == {"pass"}, (seed, trials, [c for c in report if c.status != "pass"])
 
 
 def test_perp_meet_join_reaches_every_intersection_dimension():
     """B is completed through a k-dimensional slice of A for k = 0..9, so at
     p = 10007 the pairs meet in every dimension 0..9, not only in 0."""
-    check = next(c for c in suites.run_exterior(suites.RunConfig(seed=7, trials=2)) if c.id == "perp_meet_join")
+    check = next(c for c in suites.SUITES["exterior"](suites.RunConfig(seed=7, trials=2)) if c.id == "perp_meet_join")
     assert check.status == "pass"
     assert check.got == f"True on dim(A ∩ B) = {list(range(10))}"
 
@@ -898,7 +984,7 @@ def test_small_prime_sampling_accidents_are_not_failures(suite, prime, seed, tmp
 # op perfbench/workloads.py times at the benchmark seed 7: battery is `run all`
 # at CLI defaults with a JSON report, rational_qq its exact QQ calls. The
 # profiler is on before `import epwcalc`, so import-time code such as the
-# `suites._checks` decorator is seen and no `functools.cache` is warm; -B
+# building of `suites.SUITES` is seen and no `functools.cache` is warm; -B
 # writes no bytecode. Prints the (file, first line, name) of every code
 # object that ran, with the (file, first line, name, calls) of its callers.
 _WORKLOAD_PROFILE = """

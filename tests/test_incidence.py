@@ -160,7 +160,7 @@ def test_omega_unconstrained_fails_when_the_restriction_drops_its_diagonal(rng, 
     # the suite runs to its end: the agreement system is as wide as it was
     # built (90), and the injective systems, whose evaluation rows keep 55
     # entries, fail their checks on rows of unequal width
-    by_id = {c.id: c for c in suites.run_incidence(suites.RunConfig(seed=0, trials=2))}
+    by_id = {c.id: c for c in suites.SUITES["incidence"](suites.RunConfig(seed=0, trials=2))}
     assert by_id["omega_unconstrained"].status == "fail" and by_id["omega_unconstrained"].got == "90"
     assert by_id["omega_tangent_dim"].status == "fail"
     for cid in ("injective_differential_kernel", "relaxed_nine_conditions", "hyperplane_product_witness"):
@@ -421,3 +421,21 @@ def test_certified_rank_full_is_inconclusive_mod_10007_only():
     for m in (singular_mod_p, vanishing_den):
         assert m.rank() == 2
         assert incidence.certified_rank_full(_given_rows, [m.rows]) is None
+
+
+def test_the_omega_check_eliminates_ten_different_systems(monkeypatch):
+    """Each of the ten pairs of omega_tangent_dim meets in a random
+    hyperplane of A, so at seed 7 the suite eliminates ten pairwise
+    different agreement systems; cores taken as the first nine canonical
+    rows of A gave the one system RA = [I_9 | 0] ten times."""
+    systems = []
+    tangent_dim = incidence.omega_tangent_dim
+
+    def recorded(space, A, B):
+        rows = incidence._omega_rows(space.field, *incidence._omega_cores(space, A, B))
+        systems.append(tuple(map(tuple, rows)))
+        return tangent_dim(space, A, B)
+
+    monkeypatch.setattr(incidence, "omega_tangent_dim", recorded)
+    suites.SUITES["incidence"](suites.RunConfig(seed=7, trials=2))
+    assert len(systems) == 10 and len(set(systems)) == 10

@@ -200,7 +200,7 @@ def test_adjugate_of_rank_le_2_vanishes():
 
 
 def bitangent_fixture(field, rnd):
-    r0, r1 = (1, 0, 0, 0), (0, 1, 0, 0)
+    """A web whose first two generators vanish on the line t2 = t3 = 0."""
     qs = []
     for _ in range(2):
         m = [[field.zero] * 4 for _ in range(4)]
@@ -216,7 +216,7 @@ def bitangent_fixture(field, rnd):
             for j in range(i, 4):
                 m[i][j] = m[j][i] = field.random(rnd)
         qs.append(Matrix(field, m))
-    return quadrics.WebOfQuadrics(field, qs), (r0, r1)
+    return quadrics.WebOfQuadrics(field, qs)
 
 
 def test_bitangent_pair_satisfies_all_conditions():
@@ -224,8 +224,8 @@ def test_bitangent_pair_satisfies_all_conditions():
     produced = 0
     while produced < 12:
         try:
-            web, line = bitangent_fixture(F, rnd)
-            pair = quadrics.bitangent_pair(web, line)
+            web = bitangent_fixture(F, rnd)
+            pair = quadrics.bitangent_pair(web)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         produced += 1
@@ -237,7 +237,7 @@ def test_bitangent_pair_satisfies_all_conditions():
 def test_one_bitangent_pair_makes_no_fp_elimination(monkeypatch):
     """Q2 and Q3 cut the residual quadratic: the call ranks no stack of
     generators, so it makes no F_p elimination."""
-    web, line = bitangent_fixture(F, derive_rng(3, "bit.count"))
+    web = bitangent_fixture(F, derive_rng(3, "bit.count"))
     calls = Counter()
     for owner, name in ((linalg, "fp_rank"), (fpkernel, "fp_rank"), (fpkernel, "_forward")):
         fn = getattr(owner, name)
@@ -247,7 +247,7 @@ def test_one_bitangent_pair_makes_no_fp_elimination(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(owner, name, counted)
-    pair = quadrics.bitangent_pair(web, line)
+    pair = quadrics.bitangent_pair(web)
     assert not calls
     assert all(F.is_zero(quadrics.bilinear(F, q, pair.x, pair.y)) for q in web.qs)
 
@@ -256,8 +256,8 @@ def test_bitangent_pair_over_qq():
     rnd = derive_rng(258, "bitqq")
     for attempt in range(4000):
         try:
-            web, line = bitangent_fixture(QQ, derive_rng(attempt, "bitqq"))
-            pair = quadrics.bitangent_pair(web, line)
+            web = bitangent_fixture(QQ, derive_rng(attempt, "bitqq"))
+            pair = quadrics.bitangent_pair(web)
         except (quadrics.NoRationalRoots, quadrics.DegenerateWeb):
             continue
         for q in web.qs:
@@ -270,7 +270,7 @@ def test_bitangent_pair_requires_line_in_base_locus():
     rnd = derive_rng(4, "bitpre")
     web = random_web(F, rnd)
     with pytest.raises(ValueError):
-        quadrics.bitangent_pair(web, ((1, 0, 0, 0), (0, 1, 0, 0)))
+        quadrics.bitangent_pair(web)
 
 
 def test_veronese_independence():
@@ -561,7 +561,6 @@ def test_binary_quadratic_roots():
 
 def test_bitangent_residual_identically_zero_is_reported():
     rnd = derive_rng(7, "allvanish")
-    r0, r1 = (1, 0, 0, 0), (0, 1, 0, 0)
     while True:
         qs = []
         for _ in range(4):
@@ -578,4 +577,4 @@ def test_bitangent_residual_identically_zero_is_reported():
         except quadrics.DegenerateWeb:
             continue
     with pytest.raises(quadrics.DegenerateWeb):
-        quadrics.bitangent_pair(web, (r0, r1))
+        quadrics.bitangent_pair(web)

@@ -74,11 +74,13 @@ def test_heap_prints_one_peak_per_named_suite():
 def test_args_lists_the_parameters_no_workload_varies():
     """The census of one battery and one rational_qq op at seed 7 lists the
     point search's budget, which every caller leaves at its default, and
-    none of the arguments that callers used to fix."""
+    none of the arguments that callers used to fix, the line of
+    `bitangent_pair` among them."""
     run = subprocess.run([sys.executable, "-B", str(ARGS)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     rows = [line.split("  ") for line in run.stdout.splitlines()]
     params = {(qual, name_value.partition("=")[0]) for qual, name_value, _ in rows}
     assert any(row[:2] == ["epw.find_point_stats", "budget=60"] and row[2].startswith("calls=") for row in rows)
     assert ("quadrics.bitangent_pair", "pencil") not in params
+    assert ("quadrics.bitangent_pair", "line") not in params
     assert ("epw.a_plus", "ubasis") not in params
