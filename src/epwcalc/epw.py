@@ -8,11 +8,12 @@ lines by exact interpolation, never by expanding the 6-variable polynomial.
 The pairing is held as data: per chart, six 10x10 matrices M_s with
 M(v) = sum v_s M_s (`EpwLagrangian.pencil`), and over QQ the same pencil on
 integers over one common denominator, so a QQ pairing determinant is one
-integer Bareiss pass. The point search restricts the determinant to a line
-p + t q by one rref of [M(p) | M(q)] and the characteristic polynomial of
-K = M(p)^-1 M(q) (`sextic_from_factorization`); `sextic_on_line` keeps the
-11-point interpolation as the independent route. The frame layout of the
-fibers is read only through `frame_struct` and `frame_leads`.
+integer Bareiss pass. Both the degree check and the point search restrict
+the determinant to a line p + t q by `sextic_on_line`: determinants at
+t = 0, 1, ... and one interpolation. On the chart M(q) has rank <= 6, so
+seven samples pin the restriction exactly; the degree check takes eleven,
+whose extra four test that bound. The frame layout of the fibers is read
+only through `frame_struct` and `frame_leads`.
 
 A point [v] of the sextic is read by one meet of F_v with A: when it is a
 line v ^ alpha, `tangent_functional` reads alpha off the line's generator
@@ -28,7 +29,7 @@ from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_for, frame_le
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
-from .linalg import Matrix, Subspace, _bareiss, adjugate, charpoly, interpolate_univariate, poly_eval, smallest_root
+from .linalg import Matrix, Subspace, _bareiss, adjugate, interpolate_univariate, poly_eval, smallest_root
 from .scalars import PrimeField, _combination, _numerators
 
 
@@ -146,48 +147,27 @@ def _line(F, p, q, chart):
     return p, q, chart
 
 
-def sextic_on_line(A: EpwLagrangian, p, q, chart=None):
-    """Coefficients of t -> det M(p + t q), asserted of degree <= 6.
+def sextic_on_line(A: EpwLagrangian, p, q, samples, chart=None):
+    """Coefficients of t -> det M(p + t q) from its values at t = 0..samples-1.
 
     Preconditions (`_line`): p_c = 1 and q_c = 0 for the chart c.
-    M(p + t q) = M(p) + t M(q); eleven samples t = 0..10 pin the polynomial
-    and any inconsistency with the degree bound raises InterpolationError
-    (so does a field with fewer than 11 elements, through duplicate
-    abscissae).
+    M(p + t q) = M(p) + t M(q), and row i of M(q) pairs the frame vector
+    q ^ e_i ^ e_j (i, j != c) with A. With q_c = 0 these lie in
+    q ^ (wedge square of the e_s, s != c), of dimension C(4, 2) = 6, so
+    M(q) has rank <= 6 and the restriction degree <= 6: seven samples pin
+    it exactly. Samples beyond seven must agree with that bound or
+    InterpolationError is raised (so does a field with fewer elements than
+    samples, through duplicate abscissae).
     """
     F = A.field
     p, q, chart = _line(F, p, q, chart)
     pencil = A.pencil(chart)
     mp, mq = F.lincomb(p, pencil), F.lincomb(q, pencil)
-    samples = []
-    for k in range(11):
+    points = []
+    for k in range(samples):
         t = F.of(k)
-        samples.append((t, _det10(F, F.axpy(mp, t, mq))))
-    return interpolate_univariate(F, samples, 6)
-
-
-def sextic_from_factorization(A: EpwLagrangian, p, q, chart=None):
-    """The coefficients of `sextic_on_line`, from M(p + t q) = M(p) (I + t K).
-
-    One rref of [M(p) | M(q)] gives K = M(p)^-1 M(q) as its right block, and
-    det(I + t K) has the coefficients (-1)^i a_{10-i} of the characteristic
-    polynomial sum a_i x^i of K (`charpoly`). On the chart M(q) has rank
-    <= 6, so the coefficients of t^7..t^10 vanish (asserted). When
-    det M(p) = 0, q = 0 or the field has fewer than 11 elements, this is
-    `sextic_on_line`, which then also raises what it raises."""
-    F = A.field
-    p, q, chart = _line(F, p, q, chart)
-    pencil = A.pencil(chart)
-    mp = F.lincomb(p, pencil)
-    small = isinstance(F, PrimeField) and F.p < 11
-    d = F.zero if small or all(F.is_zero(x) for x in q) else _det10(F, mp)
-    if F.is_zero(d):
-        return sextic_on_line(A, p, q, chart)
-    mq = F.lincomb(q, pencil)
-    aug = [(*mp[10 * i : 10 * i + 10], *mq[10 * i : 10 * i + 10]) for i in range(10)]
-    a = charpoly(F, [r[10:] for r in Matrix(F, aug).rref()[0].rows])
-    assert all(F.is_zero(x) for x in a[:4]), "M(q) has rank above 6 on the chart"
-    return [F.mul(d, a[10 - i] if i % 2 == 0 else F.neg(a[10 - i])) for i in range(7)]
+        points.append((t, _det10(F, F.axpy(mp, t, mq))))
+    return interpolate_univariate(F, points, 6)
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
@@ -344,9 +324,8 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
     """A point of the sextic over F_p: on random chart-0 lines, the smallest
     root of the restricted sextic, found by `smallest_root` (gcd with
     x^p - x and deterministic splits, no pass over F_p), or t = 0 when the
-    whole line lies on the sextic. The restriction comes from one rref of
-    [M(p) | M(q)] (`sextic_from_factorization`), which interpolates only
-    when the base point lies on the sextic. Returns (point, lines_tried)."""
+    whole line lies on the sextic. The restriction is `sextic_on_line` on
+    its seven exact samples. Returns (point, lines_tried)."""
     F = A.field
     if not isinstance(F, PrimeField):
         raise ValueError("point search needs a prime-field context")
@@ -356,11 +335,10 @@ def find_point_stats(A: EpwLagrangian, rng, budget=60):
         direction = [0] + [rng.randrange(p) for _ in range(5)]
         if all(x == 0 for x in direction):
             continue
-        root = smallest_root(sextic_from_factorization(A, base, direction, chart=0), p)
+        root = smallest_root(sextic_on_line(A, base, direction, 7, chart=0), p)
         if root is None:
             continue
         v = F.axpy(base, root, direction)
         assert fiber_intersection_dim(A, v) >= 1
         return ExteriorVector(F, 1, v), tried
     raise RetryBudgetExhausted(f"no rational root found on {budget} lines")
-

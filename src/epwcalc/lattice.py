@@ -9,7 +9,7 @@ characteristic used downstream.
 from fractions import Fraction
 from math import comb
 
-from .linalg import Matrix, charpoly
+from .linalg import Matrix
 from .scalars import QQ
 
 _U = [[0, 1], [1, 0]]
@@ -40,20 +40,39 @@ def _block_diag(blocks):
     return out
 
 
-def _sign_changes(coeffs):
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def _inertia(gram):
     """(positive, negative) eigenvalue counts of a symmetric integer matrix.
 
-    A real symmetric matrix has only real eigenvalues, so Descartes' rule of
-    signs is exact for its characteristic polynomial det(tI - G) (`charpoly`
-    over QQ): the sign changes of its coefficients count the positive
-    eigenvalues, those of det(-tI - G) the negative ones, with multiplicity."""
-    chi = charpoly(QQ, gram)
-    return _sign_changes(chi), _sign_changes([-c if i % 2 else c for i, c in enumerate(chi)])
+    A congruence G -> P^T G P keeps them (Sylvester's law of inertia), so
+    they are the sign counts of the pivots of one symmetric elimination over
+    QQ. A nonzero diagonal entry d = g_ii is a pivot: its sign is counted
+    and the rest of G becomes the Schur complement g_rc - g_ri g_ic / d.
+    When the whole diagonal is zero, adding row and column j to row and
+    column i for some g_ij != 0 makes g_ii = 2 g_ij a pivot; an all-zero
+    rest has only zero eigenvalues."""
+    F = QQ
+    g = [list(row) for row in gram]
+    pos = neg = 0
+    while g:
+        i = next((i for i, row in enumerate(g) if row[i]), None)
+        if i is None:
+            i, j = next(((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x), (None, None))
+            if i is None:
+                break
+            g[i] = [F.add(a, b) for a, b in zip(g[i], g[j])]
+            for row in g:
+                row[i] = F.add(row[i], row[j])
+        pivot = g.pop(i)
+        d = pivot.pop(i)
+        pos += d > 0
+        neg += d < 0
+        inv = F.inv(d)
+        for k, row in enumerate(g):
+            u = row.pop(i)
+            if u:
+                u = F.neg(F.mul(u, inv))
+                g[k] = [F.add(a, F.mul(u, b)) for a, b in zip(row, pivot)]
+    return pos, neg
 
 
 class BBLattice:

@@ -26,9 +26,8 @@ canonical basis, a join off their rref. A join and `with_vector` share one
 insert of canonical rows into a canonical basis, `Subspace._insert`. The
 adjugate of a square matrix is read off one rref of [M | I] (`adjugate`).
 The univariate polynomial helpers sit together at the end: interpolation,
-evaluation, degree and the Hessenberg characteristic polynomial over
-either field, and `smallest_root`, a gcd-and-split root finder over F_p
-that takes no pass over the field.
+evaluation and degree over either field, and `smallest_root`, a
+gcd-and-split root finder over F_p that takes no pass over the field.
 """
 
 from bisect import bisect_left
@@ -461,50 +460,6 @@ def poly_degree(field, coeffs) -> int:
         if not field.is_zero(coeffs[i]):
             return i
     return -1
-
-
-def charpoly(field, rows):
-    """Coefficients (constant first, monic) of det(x I - K) for the square
-    matrix K with these rows of field elements, with no division by a
-    polynomial (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).
-
-    K is brought to upper Hessenberg form H by similarities: per column m - 1
-    a nonzero entry at or below the subdiagonal is swapped onto it (rows and
-    columns m and i), and each row below it is cleared by a row operation
-    paired with the inverse column operation. The characteristic polynomials
-    p_m of the leading m x m blocks of H then follow from the expansion along
-    column m: p_m = (x - h_mm) p_{m-1} - sum_{i < m} h_im h_{i+1,i}..h_{m,m-1}
-    p_{i-1} (1-indexed)."""
-    F = field
-    n = len(rows)
-    h = [list(r) for r in rows]
-    for m in range(1, n - 1):
-        i = next((r for r in range(m, n) if not F.is_zero(h[r][m - 1])), None)
-        if i is None:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        inv = F.inv(h[m][m - 1])
-        for r in range(m + 1, n):
-            u = F.mul(h[r][m - 1], inv)
-            if not F.is_zero(u):
-                h[r] = F.axpy(h[r], F.neg(u), h[m])
-                for row in h:
-                    row[m] = F.add(row[m], F.mul(u, row[r]))
-    polys = [[F.one]]
-    for m in range(n):
-        coeffs = [F.one, F.neg(h[m][m])]
-        terms = [[F.zero, *polys[m]], [*polys[m], F.zero]]
-        t = F.one
-        for i in range(m - 1, -1, -1):
-            t = F.mul(t, h[i + 1][i])
-            coeffs.append(F.neg(F.mul(t, h[i][m])))
-            terms.append(polys[i] + [F.zero] * (m + 1 - i))
-        polys.append(F.lincomb(coeffs, terms))
-    return polys[n]
 
 
 # -- roots over F_p: plain int lists, constant coefficient first, in [0, p) --

@@ -27,7 +27,7 @@ from math import comb
 
 from . import chow, epw, incidence, lattice, oracles, quadrics, schubert
 from .exterior import DIM3, ExteriorVector, SymplecticSpace
-from .linalg import InterpolationError, Matrix, ShapeError, Subspace, adjugate, poly_degree
+from .linalg import InterpolationError, Matrix, ShapeError, Subspace, adjugate, poly_degree, smallest_root
 from .rng import derive_rng
 from .scalars import GF, QQ
 
@@ -251,6 +251,8 @@ def _covector_and_gradient(B, v):
 
 
 def det_vs_rank_detector(Fp, generic):
+    # a random point lies on the sextic with probability about 6/p, so the
+    # direction "det = 0 gives a meet" takes roots of line restrictions
     A, rng = generic
     ok = True
     for _ in range(12):
@@ -258,6 +260,14 @@ def det_vs_rank_detector(Fp, generic):
         if not any(v):
             continue
         ok = ok and (epw.fiber_intersection_dim(A, v) == 0) == (not Fp.is_zero(epw.pairing_det(A, v)))
+    roots = 0
+    while roots < 4:
+        base, direction = [1] + _draws(Fp, rng, 5), [0] + _draws(Fp, rng, 5)
+        t = smallest_root(epw.sextic_on_line(A, base, direction, 7, chart=0), Fp.p)
+        if t is not None:
+            v = Fp.axpy(base, t, direction)
+            ok = ok and Fp.is_zero(epw.pairing_det(A, v)) and epw.fiber_intersection_dim(A, v) > 0
+            roots += 1
     return outcome(ok)
 
 
@@ -272,7 +282,7 @@ def sextic_degree(rng, trials, Fp, sp, generic):
         if not any(direction):
             continue
         try:
-            coeffs = epw.sextic_on_line(B, base, direction, chart=0)
+            coeffs = epw.sextic_on_line(B, base, direction, 11, chart=0)
         except InterpolationError as exc:
             above = above or f"line {k}: base={base} direction={direction}: {exc}"
             continue

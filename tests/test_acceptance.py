@@ -75,7 +75,7 @@ def test_c02_sextic_degree_on_lines():
         q = [0] + [F.random(rnd) for _ in range(5)]
         if all(F.is_zero(x) for x in q):
             q[1] = F.one
-        coeffs = epw.sextic_on_line(A, p, q)  # raises if inconsistent with degree 6
+        coeffs = epw.sextic_on_line(A, p, q, 11)  # raises if inconsistent with degree 6
         total += 1
         if poly_degree(F, coeffs) == 6:
             exact6 += 1

@@ -126,15 +126,12 @@ def _fault_c2_pairing(monkeypatch):
     monkeypatch.setattr(lattice.BBLattice, "c2_pairing", lambda self, a, b: pairing(self, a, b) + (a != b))
 
 
-def _fault_sextic_top_coefficient(monkeypatch):
-    """The 11-point route with its t^6 coefficient zeroed. The point search
-    runs on the factored route, so only the degree check reads this one."""
-    sextic = epw.sextic_on_line
-
-    def faulty(A, p, q, chart=None):
-        return [*sextic(A, p, q, chart)[:6], A.field.zero]
-
-    monkeypatch.setattr(epw, "sextic_on_line", faulty)
+def _fault_degree_one_less(monkeypatch):
+    """The degree of each line restriction read one too low, through the
+    `poly_degree` that only the degree check looks up in `suites`: a line
+    of degree 6 reads as one of degree 5."""
+    degree = suites.poly_degree
+    monkeypatch.setattr(suites, "poly_degree", lambda field, coeffs: degree(field, coeffs) - 1)
 
 
 def _fault_pencil_member_off_perp(monkeypatch):
@@ -430,7 +427,7 @@ FAULTS = {
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
     ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
     ("bbf", "deg6_functional"): _fault_c2_pairing,
-    ("epw", "sextic_degree"): _fault_sextic_top_coefficient,
+    ("epw", "sextic_degree"): _fault_degree_one_less,
     ("incidence", "pencil_axioms"): _fault_pencil_member_off_perp,
     ("quadrics", "harris_tu_degrees"): _fault_harris_tu_d2,
     ("epw", "triple_quadric"): _fault_plucker_quadric,
@@ -843,9 +840,10 @@ def test_a_full_run_draws_exactly_the_declared_streams(monkeypatch):
 
 def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     """The epw suite at seed 7 and CLI defaults makes 50 point searches and
-    1,919 F_p forward eliminations: one point stream of 60 samples, each
+    2,456 F_p forward eliminations: one point stream of 60 samples, each
     with one tangent covector (one meet, no solve for its alpha) and one
-    gradient."""
+    gradient, and seven determinants per line a point search or
+    det_vs_rank_detector restricts the sextic to."""
     calls = Counter()
 
     def counted(name, fn):
@@ -859,7 +857,7 @@ def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     for name in ("find_point_stats", "tangent_functional", "gradient_det"):
         monkeypatch.setattr(epw, name, counted(name, getattr(epw, name)))
     suites.SUITES["epw"](suites.RunConfig(seed=7))
-    assert calls == {"find_point_stats": 50, "forward": 1919, "tangent_functional": 60, "gradient_det": 60}
+    assert calls == {"find_point_stats": 50, "forward": 2456, "tangent_functional": 60, "gradient_det": 60}
 
 
 def _live_data_at_tangent_calls(monkeypatch, trials):
@@ -915,22 +913,24 @@ def test_sextic_degree_draws_its_minimum_lines_at_one_trial(tmp_path):
 
 
 def test_a_line_of_degree_above_6_fails_sextic_degree_with_its_witness(monkeypatch):
-    """A line whose samples admit no polynomial of degree <= 6 fails
+    """A line whose eleven samples admit no polynomial of degree <= 6 fails
     sextic_degree, with the first such line as the witness; the suite draws
-    on and reports, and no other epw check changes status."""
+    on and reports, and no other epw check changes status. The seven-sample
+    restrictions of the other checks go through as before."""
     cfg = suites.RunConfig(seed=0, trials=2)
     before = {c.id: c for c in suites.SUITES["epw"](cfg)}
     interpolate, on_line = epw.interpolate_univariate, epw.sextic_on_line
     lines = []
 
     def raising_once(field, samples, degree_bound):
-        if len(lines) == 1:
+        if len(samples) == 11 and len(lines) == 1:
             raise InterpolationError("injected")
         return interpolate(field, samples, degree_bound)
 
-    def recorded(A, p, q, chart=None):
-        lines.append((p, q))
-        return on_line(A, p, q, chart)
+    def recorded(*args, **kwargs):
+        if args[3] == 11:
+            lines.append(args[1:3])
+        return on_line(*args, **kwargs)
 
     monkeypatch.setattr(epw, "interpolate_univariate", raising_once)
     monkeypatch.setattr(epw, "sextic_on_line", recorded)
@@ -940,6 +940,18 @@ def test_a_line_of_degree_above_6_fails_sextic_degree_with_its_witness(monkeypat
     assert (check.expected, check.witness) == (old.expected, f"line 0: base={lines[0][0]} direction={lines[0][1]}: injected")
     assert int(check.got) == int(old.got) - 1
     assert {k for k in after if after[k].status != before[k].status} == {"sextic_degree"}
+
+
+def test_det_vs_rank_detector_gates_on_points_of_the_sextic(monkeypatch):
+    """At p = 10007 the 12 random points of det_vs_rank_detector lie off the
+    sextic, so the check also reads four roots of line restrictions, where
+    det = 0: with dim(F_v ∩ A) stuck at 0 the check, run alone, fails at
+    seeds 0 and 7."""
+    monkeypatch.setattr(epw, "fiber_intersection_dim", lambda A, v: 0)
+    entry = [e for e in suites.CHECKS["epw"] if e[0] is suites.det_vs_rank_detector]
+    for seed in (0, 7):
+        [check] = suites.run_checks(entry, suites.RunConfig(seed=seed))
+        assert check.status == "fail", seed
 
 
 def test_the_point_stream_makes_its_minimum_searches_at_small_trials():

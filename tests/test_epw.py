@@ -57,7 +57,7 @@ def test_chart_errors(datum):
     with pytest.raises(epw.ChartError):
         pairing_matrix(datum, [0, 1, 2, 3, 4, 5], chart=0)
     with pytest.raises(epw.ChartError):
-        epw.sextic_on_line(datum, [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], chart=0)
+        epw.sextic_on_line(datum, [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], 7, chart=0)
 
 
 def test_pairing_matrix_scaling(datum):
@@ -197,7 +197,7 @@ def test_sextic_on_line_needs_eleven_field_elements():
     sp = SymplecticSpace(small)
     A = epw.EpwLagrangian(sp, sp.random_lagrangian(derive_rng(25, "gf7")))
     with pytest.raises(ValueError):
-        epw.sextic_on_line(A, [1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5])
+        epw.sextic_on_line(A, [1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5], 11)
 
 
 def test_sextic_on_line_degree(datum):
@@ -208,7 +208,7 @@ def test_sextic_on_line_degree(datum):
         q = [0] + [F.random(rnd) for _ in range(5)]
         if all(F.is_zero(x) for x in q):
             continue
-        coeffs = epw.sextic_on_line(datum, p, q)
+        coeffs = epw.sextic_on_line(datum, p, q, 11)
         assert len(coeffs) == 7
         if poly_degree(F, coeffs) == 6:
             exact6 += 1
@@ -230,7 +230,7 @@ def test_sextic_through_two_marked_points(datum):
     q = [F.sub(a, b) for a, b in zip(w, p)]
     if all(F.is_zero(x) for x in q):
         pytest.skip("coincident points for this seed")
-    coeffs = epw.sextic_on_line(datum, p, q)
+    coeffs = epw.sextic_on_line(datum, p, q, 7)
     assert poly_eval(F, coeffs, 0) == 0
     assert poly_eval(F, coeffs, 1) == 0
 
@@ -469,7 +469,7 @@ def test_triple_quadric_line_section_is_a_perfect_cube():
     for _ in range(5):
         p = [1] + [F.random(rnd) for _ in range(5)]
         q = [0] + [F.random(rnd) for _ in range(5)]
-        sextic = epw.sextic_on_line(ap, p, q)
+        sextic = epw.sextic_on_line(ap, p, q, 7)
         # restrict the Grassmannian quadric to the same line
         qp = epw.plucker_quadric(F, p)
         qd = epw.plucker_quadric(F, q)
@@ -572,14 +572,17 @@ def test_chart_for_picks_smallest_nonzero_index():
 
 
 @pytest.mark.parametrize("p", [17, 10007, 2**61 - 1], ids=["GF17", "GF10007", "GF2^61-1"])
-def test_factored_sextic_equals_the_interpolated_one(p):
-    """72 lines per field, 216 in all: on each of the six charts, q with one
-    nonzero coordinate at each position off the chart, and seven random q."""
+def test_seven_samples_equal_eleven_on_every_chart(p):
+    """The rank <= 6 lemma of `sextic_on_line`: seven samples give the
+    coefficients that eleven confirm. 73 lines per field, 219 in all: on
+    each of the six charts, q with one nonzero coordinate at each position
+    off the chart and seven random q, and a line through a point of the
+    sextic, where det M(p) = 0."""
     K = GF(p)
     sp = SymplecticSpace(K)
-    rnd = derive_rng(40, f"factored.{p}")
+    rnd = derive_rng(40, f"seven.{p}")
     A = epw.random_lagrangian_datum(sp, rnd)
-    lines = 0
+    lines = []
     for chart in range(6):
         for n in range(12):
             base = [K.random(rnd) for _ in range(6)]
@@ -590,90 +593,76 @@ def test_factored_sextic_equals_the_interpolated_one(p):
             else:
                 q = [K.random(rnd) for _ in range(6)]
                 q[chart] = K.zero
-            assert epw.sextic_from_factorization(A, base, q, chart) == epw.sextic_on_line(A, base, q, chart)
-            lines += 1
-    assert lines == 72
+            lines.append((base, q, chart))
+    on_sextic = list(epw.find_point_stats(A, rnd)[0].coords)
+    assert on_sextic[0] == 1 and epw.pairing_det(A, on_sextic, 0) == 0
+    lines.append((on_sextic, [0] + [K.random(rnd) for _ in range(5)], 0))
+    for base, q, chart in lines:
+        assert epw.sextic_on_line(A, base, q, 7, chart) == epw.sextic_on_line(A, base, q, 11, chart)
+    assert len(lines) == 73
 
 
-def test_factored_sextic_over_qq_with_fractional_lines():
-    rnd = derive_rng(41, "factored.qq")
+def test_seven_samples_equal_eleven_on_qq_lines_with_fractions():
+    rnd = derive_rng(41, "seven.qq")
     A = epw.random_lagrangian_datum(SymplecticSpace(QQ), rnd)
     for chart in (0, 3, 5):
         base = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(6)]
         q = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 5)) for _ in range(6)]
         base[chart], q[chart] = Fraction(1), Fraction(0)
-        assert epw.sextic_from_factorization(A, base, q, chart) == epw.sextic_on_line(A, base, q, chart)
+        assert epw.sextic_on_line(A, base, q, 7, chart) == epw.sextic_on_line(A, base, q, 11, chart)
 
 
-def test_factored_sextic_falls_back_at_a_base_point_on_the_sextic(datum, monkeypatch):
-    """det M(p) = 0 at a point from `find_point_stats`: the factorization has
-    no M(p)^-1, and the 11-point route gives the coefficients."""
-    rnd = derive_rng(42, "fallback")
-    base = list(epw.find_point_stats(datum, rnd)[0].coords)
-    assert base[0] == 1 and epw.pairing_det(datum, base, 0) == 0
-    q = [0] + [F.random(rnd) for _ in range(5)]
-    expected = epw.sextic_on_line(datum, base, q, 0)
-    calls = []
-    interpolated = epw.sextic_on_line
-    monkeypatch.setattr(epw, "sextic_on_line", lambda *a: calls.append(a) or interpolated(*a))
-    assert epw.sextic_from_factorization(datum, base, q, 0) == expected
-    assert len(calls) == 1 and expected[0] == 0
-
-
-def test_factored_sextic_raises_where_the_interpolated_one_raises(datum):
-    small = GF(7)
-    sp = SymplecticSpace(small)
-    A7 = epw.EpwLagrangian(sp, sp.random_lagrangian(derive_rng(25, "gf7")))
+def test_both_sample_counts_raise_the_same_chart_errors(datum):
     cases = [
-        (A7, [1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5], None),
-        (datum, [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], 0),
-        (datum, [2, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], 0),
-        (datum, [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], 0),
-        (datum, [0] * 6, [0, 1, 0, 0, 0, 0], None),
+        ([1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], 0),
+        ([2, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], 0),
+        ([0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], 0),
+        ([0] * 6, [0, 1, 0, 0, 0, 0], None),
     ]
-    for A, p, q, chart in cases:
+    for p, q, chart in cases:
         errors = []
-        for route in (epw.sextic_on_line, epw.sextic_from_factorization):
+        for samples in (7, 11):
             with pytest.raises(ValueError) as info:
-                route(A, p, q, chart)
+                epw.sextic_on_line(datum, p, q, samples, chart)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
 
-def test_factored_sextic_checks_the_degree_bound_it_relies_on(datum, monkeypatch):
+def test_eleven_samples_check_the_degree_bound(datum, monkeypatch):
     """A pencil of six random 10x10 matrices is not of rank <= 6 on the
-    chart: the restriction has degree 10, the interpolation raises and the
-    factored route trips its assertion instead of returning coefficients."""
+    chart: the restriction has degree 10, and the four samples beyond seven
+    raise InterpolationError, which sextic_degree reads as a failed line."""
     rnd = derive_rng(44, "random-pencil")
     mats = [[F.random(rnd) for _ in range(100)] for _ in range(6)]
     monkeypatch.setattr(datum, "pencil", lambda chart: mats)
     base = [1] + [F.random(rnd) for _ in range(5)]
     q = [0] + [F.random(rnd) for _ in range(5)]
     with pytest.raises(InterpolationError):
-        epw.sextic_on_line(datum, base, q, 0)
-    with pytest.raises(AssertionError):
-        epw.sextic_from_factorization(datum, base, q, 0)
+        epw.sextic_on_line(datum, base, q, 11, 0)
 
 
-def test_point_search_interpolates_nothing_off_the_sextic(datum, monkeypatch):
-    """Every base point drawn has det M(p) != 0, and no line of the search
-    goes through the 11-point interpolation."""
-    bases, interpolations = [], []
-    factored = epw.sextic_from_factorization
-    interpolate = epw.interpolate_univariate
+def test_point_search_restricts_each_line_on_seven_samples(datum, monkeypatch):
+    """Every line of the point search goes through `sextic_on_line` on its
+    seven exact samples, one interpolation of seven points each, and every
+    point found lies on the sextic."""
+    counts, interpolated = [], []
+    on_line, interpolate = epw.sextic_on_line, epw.interpolate_univariate
 
-    def recording(A, p, q, chart=None):
-        bases.append(p)
-        return factored(A, p, q, chart)
+    def recording(*args, **kwargs):
+        counts.append(args[3])
+        return on_line(*args, **kwargs)
 
-    monkeypatch.setattr(epw, "sextic_from_factorization", recording)
-    monkeypatch.setattr(epw, "interpolate_univariate", lambda *a: interpolations.append(a) or interpolate(*a))
-    rnd = derive_rng(43, "no-interpolation")
+    def counting(field, samples, degree_bound):
+        interpolated.append(len(samples))
+        return interpolate(field, samples, degree_bound)
+
+    monkeypatch.setattr(epw, "sextic_on_line", recording)
+    monkeypatch.setattr(epw, "interpolate_univariate", counting)
+    rnd = derive_rng(43, "seven-samples")
     for _ in range(5):
         v = epw.find_point_stats(datum, rnd)[0]
         assert epw.pairing_det(datum, v.coords) == 0
-    assert bases and all(epw.pairing_det(datum, p, 0) != 0 for p in bases)
-    assert interpolations == []
+    assert counts and set(counts) == {7} and interpolated == counts
 
 
 def _fractional_datum(rnd, v):

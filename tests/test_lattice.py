@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from epwcalc import lattice
-from epwcalc.linalg import Matrix, charpoly, interpolate_univariate
+from epwcalc.linalg import Matrix, interpolate_univariate
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import QQ
 
@@ -119,34 +119,30 @@ def test_odd_section_count():
     assert 56 + lattice.odd_section_count() == 66
 
 
-def congruence_inertia(gram):
-    """(positive, negative) by exact symmetric reduction on Fractions, the
-    reference for `lattice._inertia`: a nonzero diagonal pivot is counted by
-    its sign and cleared by congruence; on an all-zero diagonal, adding row
-    and column j to row and column i makes the diagonal entry 2 g_ij."""
-    a = [[Fraction(v) for v in row] for row in gram]
-    pos = neg = 0
-    while a:
-        k = len(a)
-        piv = next((i for i in range(k) if a[i][i] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rows = [r for r in range(k) if r != piv]
-            a = [[a[r][c] - a[r][piv] * a[piv][c] / d for c in rows] for r in rows]
-            continue
-        found = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j] != 0), None)
-        if found is None:
-            break  # zero block
-        i, j = found
-        for c in range(k):
-            a[i][c] = a[i][c] + a[j][c]
-        for r in range(k):
-            a[r][i] = a[r][i] + a[r][j]
-    return pos, neg
+def interpolated_charpoly(gram):
+    """det(tI - G) interpolated from its values at t = 0..n, each an exact
+    QQ determinant."""
+    n = len(gram)
+    samples = [
+        (t, Matrix(QQ, [[t * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]).det())
+        for t in range(n + 1)
+    ]
+    return interpolate_univariate(QQ, samples, n)
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def descartes_inertia(gram):
+    """(positive, negative) by Descartes' rule of signs, the reference for
+    `lattice._inertia` that shares no step with its elimination: a real
+    symmetric matrix has only real eigenvalues, so the sign changes of the
+    coefficients of det(tI - G) count the positive ones and those of
+    det(-tI - G) the negative ones, with multiplicity."""
+    chi = interpolated_charpoly(gram)
+    return _sign_changes(chi), _sign_changes([-c if i % 2 else c for i, c in enumerate(chi)])
 
 
 def test_signature_reduction_edge_blocks():
@@ -158,12 +154,18 @@ def test_signature_reduction_edge_blocks():
         ((-2,),): (0, 1),
     }
     for gram, sig in cases.items():
-        assert lattice._inertia(gram) == congruence_inertia(gram) == sig
+        assert lattice._inertia(gram) == descartes_inertia(gram) == sig
 
 
 def test_signature_against_the_congruence_reduction():
-    for gram, sig in ((lattice._U, (1, 1)), (lattice._e8_gram(), (0, 8)), (LAT.gram, (3, 20))):
-        assert lattice._inertia(gram) == congruence_inertia(gram) == sig
+    """`_inertia`, the congruence reduction, agrees with Descartes' rule on
+    the blocks, on the Gram matrix and on the same matrix with <+2> in place
+    of <-2> (the `gram_invariants` fault), whose signatures differ, and on
+    60 random symmetric matrices, singular ones among them."""
+    plus_two = [row[:22] + [2 if i == 22 else 0] for i, row in enumerate(LAT.gram)]
+    cases = ((lattice._U, (1, 1)), (lattice._e8_gram(), (0, 8)), (LAT.gram, (3, 20)), (plus_two, (4, 19)))
+    for gram, sig in cases:
+        assert lattice._inertia(gram) == descartes_inertia(gram) == sig
     rnd = derive_rng(4, "inertia")
     kinds = set()
     for _ in range(60):
@@ -178,26 +180,6 @@ def test_signature_against_the_congruence_reduction():
             for row in g:
                 row[j] = row[i]
         pos, neg = lattice._inertia(g)
-        assert (pos, neg) == congruence_inertia(g), g
+        assert (pos, neg) == descartes_inertia(g), g
         kinds.add((pos + neg < n, pos > 0 and neg > 0))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
-
-
-def interpolated_charpoly(gram):
-    """det(tI - G) interpolated from its values at t = 0..n, each an exact
-    QQ determinant: the reference for the `charpoly` that `_inertia` reads."""
-    n = len(gram)
-    samples = [
-        (t, Matrix(QQ, [[t * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]).det())
-        for t in range(n + 1)
-    ]
-    return interpolate_univariate(QQ, samples, n)
-
-
-def test_charpoly_equals_the_interpolated_determinants():
-    """On the Gram matrix and on the same matrix with <+2> in place of <-2>
-    (the `gram_invariants` fault), whose signatures differ."""
-    plus_two = [row[:22] + [2 if i == 22 else 0] for i, row in enumerate(LAT.gram)]
-    for gram, sig in ((LAT.gram, (3, 20)), (plus_two, (4, 19))):
-        assert charpoly(QQ, gram) == interpolated_charpoly(gram)
-        assert lattice._inertia(gram) == sig

@@ -14,7 +14,6 @@ from epwcalc.linalg import (
     ShapeError,
     Subspace,
     adjugate,
-    charpoly,
     interpolate_univariate,
     poly_degree,
     poly_eval,
@@ -774,53 +773,6 @@ def test_interpolation_over_fp_and_eval():
     coeffs = interpolate_univariate(F, [(t, (3 * t**4 + 5) % 10007) for t in range(7)], 4)
     assert coeffs == [5, 0, 0, 0, 3]
     assert poly_eval(F, coeffs, 11) == (3 * 11**4 + 5) % 10007
-
-
-def _leibniz_charpoly(rows):
-    """det(x I - K) by principal minors: the coefficient of x^(n - k) is
-    (-1)^k times the sum of the k x k principal minors, each a Leibniz sum
-    over permutations on Fractions."""
-    n = len(rows)
-
-    def det(idx):
-        total = Fraction(0)
-        for perm in itertools.permutations(range(len(idx))):
-            inversions = sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
-            term = Fraction(-1) ** inversions
-            for a, b in enumerate(perm):
-                term *= rows[idx[a]][idx[b]]
-            total += term
-        return total
-
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = (-1) ** k * sum(det(idx) for idx in itertools.combinations(range(n), k))
-    return out
-
-
-CHARPOLY_CASES = {
-    "zero": [[0] * 5 for _ in range(5)],
-    "upper triangular": [[i + j if j >= i else 0 for j in range(5)] for i in range(5)],
-    # column 0 is zero on the subdiagonal and nonzero two rows below it: a swap
-    "row swap": [[1, 2, 0, 3, 1], [0, 4, 1, 0, 2], [5, 0, 0, 1, 1], [2, 1, 3, 0, 0], [0, 1, 0, 2, 6]],
-    # the Hessenberg pass meets a zero column below the subdiagonal midway
-    "zero subdiagonal": [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 9, 1], [0, 0, 2, 3]],
-    "one by one": [[7]],
-    "empty": [],
-}
-
-
-@pytest.mark.parametrize("field", [GF(17), GF(10007), QQ], ids=repr)
-def test_charpoly_matches_the_leibniz_reference(field):
-    rnd = random.Random(f"charpoly-{field!r}")
-    cases = list(CHARPOLY_CASES.values())
-    for n in (2, 3, 6, 6, 6):
-        cases.append([[Fraction(rnd.randint(-9, 9), rnd.randint(1, 4)) for _ in range(n)] for _ in range(n)])
-    for rows in cases:
-        k = [[field.of(x) for x in row] for row in rows]
-        got = charpoly(field, k)
-        assert got == [field.of(c) for c in _leibniz_charpoly(k)]
-        assert all(type(c) is type(field.zero) for c in got)
 
 
 def _cofactor_adjugate(field, rows):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from epwcalc import cli
+from epwcalc import cli, suites
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "acceptance.py"
 SIZE = SCRIPT.parent / "size.py"
@@ -73,14 +73,24 @@ def test_heap_prints_one_peak_per_named_suite():
 
 def test_args_lists_the_parameters_no_workload_varies():
     """The census of one battery and one rational_qq op at seed 7 lists the
-    point search's budget, which every caller leaves at its default, and
-    none of the arguments that callers used to fix, the line of
-    `bitangent_pair` among them."""
+    point search's budget, which every caller leaves at its default, among
+    the candidates, and none of the arguments that callers used to fix, the
+    line of `bitangent_pair` among them, nor the sample count of
+    `sextic_on_line`, which its callers set to 7 and 11. The parameters of
+    functions called once, every check and fixture of the suites among
+    them, are printed apart after the candidates."""
     run = subprocess.run([sys.executable, "-B", str(ARGS)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    rows = [line.split("  ") for line in run.stdout.splitlines()]
+    candidates, once = run.stdout.split("\n\ncalled once:\n")
+    sections = [[line.split("  ") for line in part.splitlines()] for part in (candidates, once)]
+    assert [{row[2] == "calls=1" for row in rows} for rows in sections] == [{False}, {True}]
+    candidates, once = sections
+    rows = candidates + once
     params = {(qual, name_value.partition("=")[0]) for qual, name_value, _ in rows}
-    assert any(row[:2] == ["epw.find_point_stats", "budget=60"] and row[2].startswith("calls=") for row in rows)
+    assert any(row[:2] == ["epw.find_point_stats", "budget=60"] and row[2].startswith("calls=") for row in candidates)
+    checks = {f"suites.{check.__name__}" for entries in suites.CHECKS.values() for check, *_ in entries}
+    assert checks & {row[0] for row in once} and not checks & {row[0] for row in candidates}
+    assert ("epw.sextic_on_line", "samples") not in params
     assert ("quadrics.bitangent_pair", "pencil") not in params
     assert ("quadrics.bitangent_pair", "line") not in params
     assert ("epw.a_plus", "ubasis") not in params

@@ -12,7 +12,10 @@ A parameter that took exactly one value over all its calls is printed as
 
     module.qualname  parameter=value  calls=N
 
-sorted by name. Small immutables (None, bool, int, float, str, Fraction and
+sorted by name: first the candidates, the parameters of functions called
+more than once, then, after a blank line and the header `called once:`,
+those of functions called once, each check of a run among them: one call
+gives each parameter one value. Small immutables (None, bool, int, float, str, Fraction and
 tuples of them) are shown by `repr`; anything else by its type, as
 `<Matrix>`. A value equals the first one seen when it is that object or
 `==` to it. A parameter listed here is one that no caller of this traffic
@@ -125,7 +128,11 @@ def main():
                     op.run(inputs)
                 finally:
                     sys.setprofile(None)
-    for qual, name, shown, calls in census.single_valued():
+    rows = census.single_valued()
+    for qual, name, shown, calls in [row for row in rows if row[3] > 1]:
+        print(f"{qual}  {name}={shown}  calls={calls}")
+    print("\ncalled once:")
+    for qual, name, shown, calls in [row for row in rows if row[3] == 1]:
         print(f"{qual}  {name}={shown}  calls={calls}")
     return 0
 
