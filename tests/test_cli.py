@@ -491,6 +491,107 @@ def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):
     assert {k for k in after if after[k].status != before[k]} == {"c2h_equals_5h3", "c4_combination"}
 
 
+POINT_READERS = ("smoothness_equivalence", "tangent_functional_proportional", "point_search_retries")
+
+
+def _raising_tangent_functional(monkeypatch):
+    """Patch `epw.tangent_functional` to raise; returns the list its calls
+    append to."""
+    calls = []
+
+    def raising(A, v0):
+        calls.append(v0)
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(epw, "tangent_functional", raising)
+    return calls
+
+
+def test_a_fixture_that_raises_fails_each_check_that_reads_it(monkeypatch):
+    """The epw point stream reads each sample into its tangent covector as
+    it is drawn. When that raises, the fixture is built once and each of
+    its three readers fails with the error as `got` and its type as the
+    witness; every other check of the run is as before."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c for c in cli.run_suites("all", cfg)}
+    calls = _raising_tangent_functional(monkeypatch)
+    after = {c.id: c for c in cli.run_suites("all", cfg)}
+    assert len(calls) == 1
+    assert list(after) == list(before)
+    readers = {f"epw.{cid}" for cid in POINT_READERS}
+    for cid in readers:
+        check = after[cid]
+        assert (before[cid].status, check.status) == ("pass", "fail")
+        assert (check.anchor, check.expected, check.got, check.witness) == (
+            before[cid].anchor,
+            "no exception",
+            "error: injected",
+            "RuntimeError",
+        )
+    assert {k: c for k, c in after.items() if k not in readers} == {
+        k: c for k, c in before.items() if k not in readers
+    }
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch):
+    """A raise inside a check's own body, not in a fixture, fails that check
+    and no other; the suite runs to its end. An interrupt is not a failed
+    claim: it ends the run."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = suites.SUITES["epw"](cfg)
+
+    def raising(A, w):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(epw, "sigma_membership", raising)
+    after = suites.SUITES["epw"](cfg)
+    changed = [(b, a) for b, a in zip(before, after) if a != b]
+    assert len(after) == len(before) and [a.id for _, a in changed] == ["sigma_membership"]
+    [(old, new)] = changed
+    assert (old.status, new.status) == ("pass", "fail")
+    assert (new.expected, new.got, new.witness) == ("no exception", "error: injected", "ZeroDivisionError")
+
+    def interrupted(A, w):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(epw, "sigma_membership", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        suites.SUITES["epw"](cfg)
+
+
+def test_fail_fast_stops_right_after_a_check_that_raised(monkeypatch, capsys):
+    """Under --fail-fast the report ends at the first check that raised, and
+    the run exits 1."""
+    _raising_tangent_functional(monkeypatch)
+    assert cli.main(["run", "all", "--fail-fast", "--seed", "0", "--trials", "2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    declared = {f"{suite}.{cid}": anchor for suite, cid, anchor in _declared()}
+    first = f"epw.{POINT_READERS[0]}"
+    last = list(declared).index(first)
+    assert [c["id"] for c in checks] == list(declared)[: last + 1]
+    assert {c["status"] for c in checks[:last]} == {"pass"}
+    assert checks[-1] == {
+        "id": first,
+        "anchor": declared[first],
+        "status": "fail",
+        "expected": "no exception",
+        "got": "error: injected",
+        "witness": "RuntimeError",
+    }
+
+
+def test_a_run_that_raises_in_a_check_writes_its_whole_report(monkeypatch, tmp_path):
+    """`run epw --json PATH` with a helper that raises writes a report of
+    every declared check and exits 1."""
+    _raising_tangent_functional(monkeypatch)
+    path = tmp_path / "report.json"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["run", "epw", "--seed", "0", "--trials", "2", "--json", str(path)]) == 1
+    checks = json.loads(path.read_text(encoding="utf-8"))["checks"]
+    assert [c["id"] for c in checks] == [cid for suite, cid, _ in _declared() if suite == "epw"]
+    assert [c["id"] for c in checks if c["status"] != "pass"] == list(POINT_READERS)
+
+
 def _chow_changes(cfg, before):
     """The chow checks whose status differs from `before`, with their `got`."""
     return {c.id: c.got for c in suites.SUITES["chow"](cfg) if c.status != before[c.id]}
@@ -952,6 +1053,25 @@ def test_det_vs_rank_detector_gates_on_points_of_the_sextic(monkeypatch):
     for seed in (0, 7):
         [check] = suites.run_checks(entry, suites.RunConfig(seed=seed))
         assert check.status == "fail", seed
+
+
+def test_det_vs_rank_detector_draws_a_bounded_number_of_lines(monkeypatch):
+    """When no line restriction has a root in F_p, det_vs_rank_detector
+    draws DETECTOR_LINES lines and fails with the roots it found and the
+    lines it drew; the suite runs to its end and no other check changes."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    before = {c.id: c for c in suites.SUITES["epw"](cfg)}
+    lines = []
+    monkeypatch.setattr(suites, "smallest_root", lambda coeffs, p: lines.append(coeffs))
+    after = {c.id: c for c in suites.SUITES["epw"](cfg)}
+    assert len(lines) == suites.DETECTOR_LINES
+    check = after.pop("det_vs_rank_detector")
+    assert (before.pop("det_vs_rank_detector").status, check.status) == ("pass", "fail")
+    assert (check.got, check.witness) == (
+        f"error: 0 of 4 roots on {suites.DETECTOR_LINES} lines",
+        "RetryBudgetExhausted",
+    )
+    assert after == before
 
 
 def test_the_point_stream_makes_its_minimum_searches_at_small_trials():

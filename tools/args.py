@@ -5,17 +5,23 @@
 One op of each gated workload of `BENCHMARK.json` runs at seed 7 under a
 profile hook: battery (`run all --seed 7 --json`) and rational_qq, both as
 `perfbench/workloads.py` builds them; that file is loaded read-only, with no
-bytecode written. Every call of a function defined in `src/epwcalc` records
-the value of each of its parameters, defaults included (not `self` or
-`cls`, not `*args` or `**kwargs`, and a generator only when it starts).
-A parameter that took exactly one value over all its calls is printed as
+bytecode written. A third op, `run all --seed 7 --prime 17 --trials 1`
+(`SMALL_RUN`), runs the battery at another prime of the acceptance set and
+another trial count, so that a parameter that carries the run's prime,
+field or trials, such as `fpkernel.fp_det p`, takes two values. Every call
+of a function defined in `src/epwcalc` records the value of each of its
+parameters, defaults included (not `self` or `cls`, not `*args` or
+`**kwargs`, and a generator only when it starts). A parameter that took
+exactly one value over all its calls is printed as
 
     module.qualname  parameter=value  calls=N
 
 sorted by name: first the candidates, the parameters of functions called
-more than once, then, after a blank line and the header `called once:`,
-those of functions called once, each check of a run among them: one call
-gives each parameter one value. Small immutables (None, bool, int, float, str, Fraction and
+more than once in some op, then, after a blank line and the header
+`called once per op:`, those of functions called at most once in each op,
+each check of a run among them: one call gives each parameter one value,
+and the objects that two ops build apart are equal, if at all, only by
+construction. Small immutables (None, bool, int, float, str, Fraction and
 tuples of them) are shown by `repr`; anything else by its type, as
 `<Matrix>`. A value equals the first one seen when it is that object or
 `==` to it. A parameter listed here is one that no caller of this traffic
@@ -29,12 +35,15 @@ import io
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "epwcalc"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEED = 7
+# the third op's argv: the battery at an acceptance-set prime and one trial
+SMALL_RUN = ["run", "all", "--seed", str(SEED), "--prime", "17", "--trials", "1"]
 CO_GENERATOR = 0x20
 COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
 
@@ -52,6 +61,7 @@ class Census:
     def __init__(self, package):
         self.package = str(package)
         self.codes = {}
+        self.op = 0  # the op running, counted from 1
 
     def _params(self, code):
         if code.co_name in COMPREHENSIONS or not code.co_filename.startswith(self.package):
@@ -60,7 +70,7 @@ class Census:
         names = list(code.co_varnames[:n])
         if names[:1] in (["self"], ["cls"]):
             names = names[1:]
-        return {"start": None, "params": [[name, None, 0, False] for name in names]}
+        return {"start": None, "op": 0, "ops": 0, "params": [[name, None, 0, False] for name in names]}
 
     def hook(self, frame, event, arg):
         if event != "call":
@@ -76,6 +86,8 @@ class Census:
                 state["start"] = frame.f_lasti
             elif frame.f_lasti != state["start"]:
                 return  # a resume starts at a later offset than the call
+        if state["op"] != self.op:
+            state["op"], state["ops"] = self.op, state["ops"] + 1
         local = frame.f_locals
         for entry in state["params"]:
             name, first, calls, varied = entry
@@ -87,8 +99,8 @@ class Census:
             entry[2] = calls + 1
 
     def single_valued(self):
-        """(module.qualname, parameter, shown value, calls) of every
-        parameter that took one value, sorted."""
+        """(module.qualname, parameter, shown value, calls, once per op) of
+        every parameter that took one value, sorted."""
         out = []
         for code, state in self.codes.items():
             if not state:
@@ -98,7 +110,7 @@ class Census:
             for name, value, calls, varied in state["params"]:
                 if calls and not varied:
                     shown = repr(value) if is_small(value) else f"<{type(value).__name__}>"
-                    out.append((qual, name, shown, calls))
+                    out.append((qual, name, shown, calls, calls == state["ops"]))
         return sorted(out)
 
 
@@ -117,22 +129,27 @@ def load_workloads():
 def main():
     sys.path.insert(0, str(PACKAGE.parent))
     workloads = load_workloads()
+    from epwcalc import cli
+
     census = Census(PACKAGE)
     with tempfile.TemporaryDirectory() as tmp:
+        ops = []
         for name in ("battery", "rational_qq"):
             op = workloads.make(name, Path(tmp) / "report.json")
-            inputs = op.prepare(SEED)
-            with contextlib.redirect_stdout(io.StringIO()):
+            ops.append(partial(op.run, op.prepare(SEED)))
+        ops.append(partial(cli.main, SMALL_RUN))
+        for census.op, run in enumerate(ops, 1):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 sys.setprofile(census.hook)
                 try:
-                    op.run(inputs)
+                    run()
                 finally:
                     sys.setprofile(None)
     rows = census.single_valued()
-    for qual, name, shown, calls in [row for row in rows if row[3] > 1]:
+    for qual, name, shown, calls, _ in [row for row in rows if not row[4]]:
         print(f"{qual}  {name}={shown}  calls={calls}")
-    print("\ncalled once:")
-    for qual, name, shown, calls in [row for row in rows if row[3] == 1]:
+    print("\ncalled once per op:")
+    for qual, name, shown, calls, _ in [row for row in rows if row[4]]:
         print(f"{qual}  {name}={shown}  calls={calls}")
     return 0
 
