@@ -29,7 +29,7 @@ from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_for, frame_le
 from .fpkernel import fp_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
-from .linalg import Matrix, Subspace, _bareiss, adjugate, interpolate_univariate, poly_eval, smallest_root
+from .linalg import Matrix, Subspace, _bareiss, adjugate_traces, interpolate_univariate, poly_eval, smallest_root
 from .scalars import PrimeField, _combination, _numerators
 
 
@@ -172,16 +172,14 @@ def sextic_on_line(A: EpwLagrangian, p, q, samples, chart=None):
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):
     """Exact gradient of v -> det M(v) at v0 by Jacobi's formula,
-    d/dv_k det M = tr(adj M . M_k) = <adj(M)^T, M_k> over the pencil, with
-    adj M from `linalg.adjugate`: det M . M^-1 off the sextic, rank 1 at
-    corank 1 and 0 at corank >= 2, where the gradient vanishes."""
+    d/dv_k det M = tr(adj M . M_k) over the pencil, read by
+    `linalg.adjugate_traces`: adj M is det M . M^-1 off the sextic, rank 1
+    at corank 1 and 0 at corank >= 2, where the gradient vanishes."""
     F = A.field
     v0, chart = _on_chart(F, v0, chart)
     pencil = A.pencil(chart)
     m0 = F.lincomb(v0, pencil)
-    adj = adjugate(Matrix(F, [m0[10 * i : 10 * i + 10] for i in range(10)]))
-    adj_t = [x for col in zip(*adj.rows) for x in col]
-    return tuple(F.dot(adj_t, mk) for mk in pencil)
+    return adjugate_traces(Matrix(F, [m0[10 * i : 10 * i + 10] for i in range(10)]), pencil)
 
 
 def tangent_functional(A: EpwLagrangian, v0):

@@ -24,7 +24,8 @@ elimination it needs: a kernel off the rref of the matrix with its columns
 reversed, a meet off the kernel of the residues modulo the other side's
 canonical basis, a join off their rref. A join and `with_vector` share one
 insert of canonical rows into a canonical basis, `Subspace._insert`. The
-adjugate of a square matrix is read off one rref of [M | I] (`adjugate`).
+traces of the adjugate of a square matrix against other matrices are read
+off one rref of [M | I] (`adjugate_traces`).
 The univariate polynomial helpers sit together at the end: interpolation,
 evaluation and degree over either field, and `smallest_root`, a
 gcd-and-split root finder over F_p that takes no pass over the field.
@@ -189,16 +190,19 @@ class Matrix:
         return Subspace(F, n, basis, free)
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """The adjugate adj M of a square M, with M adj M = adj M M = det M I.
+def adjugate_traces(m: Matrix, mats) -> tuple:
+    """tr(adj M . N) for a square M and each N of mats, an n x n matrix as a
+    flat row-major list. adj M, with M adj M = adj M M = det M I, is held
+    only as its flat transpose, which each trace dots with N.
 
     One rref of [M | I] = [E M | E] gives the rank of M, a right kernel
     vector x from E M and, in the rows where E M vanishes, a left kernel
     vector y (or M^-1 = E at full rank):
-    - at full rank, adj M = det M . M^-1;
+    - at full rank, adj M = det M . M^-1, so the trace is det M . tr(E N);
     - at corank 1, adj M = c x y^T, where det(M + e_i e_j^T) = c x_j y_i by
-      the matrix determinant lemma; i and j are taken where y_i = x_j = 1;
-    - at corank >= 2 every (n-1) x (n-1) minor vanishes, so adj M = 0.
+      the matrix determinant lemma; i and j are taken where y_i = x_j = 1,
+      and the trace is c y^T N x;
+    - at corank >= 2 every (n-1) x (n-1) minor vanishes, so each trace is 0.
     """
     F, n = m.field, m.nrows
     if m.ncols != n:
@@ -208,23 +212,26 @@ def adjugate(m: Matrix) -> Matrix:
     red, pivots = Matrix(F, aug).rref()
     rows = red.rows
     rank = bisect_left(pivots, n)
-    if rank == n:
-        d = m.det()
-        return Matrix(F, [F.lincomb([d], [row[n:]]) for row in rows])
     if rank < n - 1:
-        return Matrix(F, [[zero] * n] * n)
-    # x from the free column j of E M, with x_j = 1; y is the right half of
-    # the last row, whose leading entry y_i = 1 sits at its pivot
-    j = next(c for c in range(n) if c not in pivots)
-    i = pivots[-1] - n
-    x = [zero] * n
-    x[j] = one
-    for row, pc in zip(rows, pivots[:-1]):
-        x[pc] = F.neg(row[j])
-    bumped = [list(row) for row in m.rows]
-    bumped[i][j] = F.add(bumped[i][j], one)
-    y = F.lincomb([Matrix(F, bumped).det()], [rows[-1][n:]])  # c y, as c x_j y_i = c
-    return Matrix(F, [F.lincomb([xa], [y]) for xa in x])
+        return (zero,) * len(mats)
+    if rank == n:
+        # entry (b, a) of the transpose is det M . E[a][b]
+        adj_t = F.lincomb([m.det()], [[x for col in zip(*(row[n:] for row in rows)) for x in col]])
+    else:
+        # x from the free column j of E M, with x_j = 1; y is the right half
+        # of the last row, whose leading entry y_i = 1 sits at its pivot
+        j = next(c for c in range(n) if c not in pivots)
+        i = pivots[-1] - n
+        x = [zero] * n
+        x[j] = one
+        for row, pc in zip(rows, pivots[:-1]):
+            x[pc] = F.neg(row[j])
+        bumped = [list(row) for row in m.rows]
+        bumped[i][j] = F.add(bumped[i][j], one)
+        y = F.lincomb([Matrix(F, bumped).det()], [rows[-1][n:]])  # c y, as c x_j y_i = c
+        # entry (b, a) of the transpose is c y_b x_a
+        adj_t = [t for yb in y for t in F.lincomb([yb], [x])]
+    return tuple(F.dot(adj_t, mat) for mat in mats)
 
 
 class Subspace:

@@ -32,7 +32,7 @@ from math import comb
 
 from . import chow, epw, incidence, lattice, oracles, quadrics, schubert
 from .exterior import DIM3, ExteriorVector, SymplecticSpace
-from .linalg import InterpolationError, Matrix, Subspace, adjugate, poly_degree, smallest_root
+from .linalg import InterpolationError, Matrix, Subspace, adjugate_traces, poly_degree, smallest_root
 from .rng import derive_rng
 from .scalars import GF, QQ
 
@@ -529,13 +529,11 @@ def quartic_expansion(Fp, web):
 def adjugate_gradient_identity(Fp, web):
     web, ts = web
     grads = quadrics.quartic_gradient(web)
+    qs = [[x for row in q.rows for x in row] for q in web.qs]
     ok = True
     for t in ts[50:]:
-        adj = [x for row in adjugate(web.member(t)).rows for x in row]
-        for grad, q in zip(grads, web.qs):
-            # tr(adj Q_i) = sum_ab adj[a][b] Q_i[b][a]
-            tr = Fp.dot(adj, [x for row in zip(*q.rows) for x in row])
-            ok = ok and quadrics._mp_eval(Fp, grad, t) == tr
+        traces = adjugate_traces(web.member(t), qs)
+        ok = ok and tuple(quadrics._mp_eval(Fp, grad, t) for grad in grads) == traces
     return outcome(ok)
 
 

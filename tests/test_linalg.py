@@ -13,7 +13,7 @@ from epwcalc.linalg import (
     Matrix,
     ShapeError,
     Subspace,
-    adjugate,
+    adjugate_traces,
     interpolate_univariate,
     poly_degree,
     poly_eval,
@@ -804,21 +804,25 @@ def _matrix_of_rank(field, rnd, n, rank):
 
 @pytest.mark.parametrize("field", [GF(17), GF(10007), QQ], ids=repr)
 def test_adjugate_equals_the_cofactor_expansion(field):
-    """At ranks n, n - 1 and n - 2 for n = 1..5, `adjugate` equals the
-    cofactor expansion, holds elements of the field, and M adj M = det M I."""
+    """At ranks n, n - 1 and n - 2 for n = 1..5, each entry adj_ij read off
+    `adjugate_traces` as tr(adj M . E_ji) equals the cofactor expansion,
+    holds an element of the field, and M adj M = det M I."""
     rnd = random.Random(f"adjugate-{field!r}")
     for n in range(1, 6):
+        # E_ji for i, j row-major: 1 at row j, column i
+        units = [[field.one if k == j * n + i else field.zero for k in range(n * n)] for i in range(n) for j in range(n)]
         for rank in range(max(n - 2, 0), n + 1):
             for _ in range(3):
                 m = _matrix_of_rank(field, rnd, n, rank)
-                adj = adjugate(m)
-                assert [list(r) for r in adj.rows] == _cofactor_adjugate(field, m.rows), (n, rank, m.rows)
-                assert all(type(x) is type(field.zero) for r in adj.rows for x in r)
+                traces = adjugate_traces(m, units)
+                adj = [list(traces[i * n : i * n + n]) for i in range(n)]
+                assert adj == _cofactor_adjugate(field, m.rows), (n, rank, m.rows)
+                assert all(type(x) is type(field.zero) for x in traces)
                 d = m.det()
-                product = [[field.dot(row, col) for col in zip(*adj.rows)] for row in m.rows]
+                product = [[field.dot(row, col) for col in zip(*adj)] for row in m.rows]
                 assert product == [[d if i == j else field.zero for j in range(n)] for i in range(n)]
     with pytest.raises(ShapeError):
-        adjugate(Matrix(field, [[field.one, field.zero]]))
+        adjugate_traces(Matrix(field, [[field.one, field.zero]]), [])
 
 
 def test_matrix_immutable_and_hashable():
