@@ -233,13 +233,6 @@ def sigma_tangent_space(space, A: Subspace, alphas) -> Subspace:
     return Matrix(F, rows, ncols=55).kernel_basis()
 
 
-def perp_sum_identity(space: SymplecticSpace, A: Subspace, B: Subspace) -> bool:
-    """perp(A ∩ B) = A + B, as canonical subspaces (both Lagrangian)."""
-    if not (space.is_lagrangian(A) and space.is_lagrangian(B)):
-        raise PreconditionError("both subspaces must be Lagrangian")
-    return space.perp(A.meet(B)) == A.join(B)
-
-
 class ScenarioFailure(AssertionError):
     pass
 

@@ -35,7 +35,7 @@ F = GF(10007)
 SP = SymplecticSpace(F)
 SQ = SymplecticSpace(QQ)
 # sha256 of the stdout of `epwcalc run all --seed 7`
-REPORT_SHA256_SEED7 = "1bfe48373393fe4895e3780da8406823806c079ef01e3246ec5932f999e76ac3"
+REPORT_SHA256_SEED7 = "8c2984651d49f836309118ad1f9d26c739f5d58eb78545e20a519e28e414caf8"
 
 
 def report(num, ok, detail, elapsed=None):

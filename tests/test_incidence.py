@@ -264,13 +264,13 @@ def test_sigma_tangent_space_dims(rng):
 
 
 def test_perp_sum_identity(rng):
+    """perp(A ∩ B) = A + B for A with itself, with a random Lagrangian and
+    with a member of a pencil through a hyperplane of A."""
     A = SP.random_lagrangian(rng)
-    B = SP.random_lagrangian(rng)
-    assert incidence.perp_sum_identity(SP, A, A)
-    assert incidence.perp_sum_identity(SP, A, B)
     u = Subspace.from_spanning(F, DIM3, A.basis()[:9])
     member = incidence.pencil_through(SP, u).member(3, 4)
-    assert incidence.perp_sum_identity(SP, A, member)
+    for B in (A, SP.random_lagrangian(rng), member):
+        assert SP.perp(A.meet(B)) == A.join(B)
 
 
 def test_tangency_scenario_fp(rng):

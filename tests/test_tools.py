@@ -35,7 +35,9 @@ def test_acceptance_script_reads_the_cli_report(tmp_path, capsys):
     sha = hashlib.sha256(report.encode("utf-8")).hexdigest()
     statuses = {c["id"]: c["status"] for c in json.loads(report)["checks"]}
     assert table == {"seed0@17": {"sha256": sha, "statuses": statuses}}
-    assert run.stdout == f"seed0@17       {sha[:8]}  51 pass 1 fail 0 skip\n"
+    passed = sum(status == "pass" for status in statuses.values())
+    assert passed == len(statuses) - 1 and statuses["schubert.sym6_top_chern_stated_constant"] == "fail"
+    assert run.stdout == f"seed0@17       {sha[:8]}  {passed} pass 1 fail 0 skip\n"
 
     acceptance = _acceptance()
     assert len(acceptance.CONFIGURATIONS) == 23
@@ -73,12 +75,12 @@ def test_heap_prints_one_peak_per_named_suite():
 
 def test_args_lists_the_parameters_no_workload_varies():
     """The census of one battery op and one rational_qq op at seed 7, and of
-    `run all` at p = 17 and one trial, lists the point search's budget and
-    the scan prime of `_Slots`, which no run varies, among the candidates,
-    and none of the arguments that callers used to fix, the line of
-    `bitangent_pair` among them, nor the sample count of `sextic_on_line`,
+    `run all` at seed 0, p = 17 and one trial, lists the point search's
+    budget and the scan prime of `_Slots`, which no run varies, among the
+    candidates, and none of the arguments that callers used to fix, the line
+    of `bitangent_pair` among them, nor the sample count of `sextic_on_line`,
     which its callers set to 7 and 11, nor a parameter that carries the
-    run's prime, field, trials or config. The parameters of functions
+    run's seed, prime, field, trials or config. The parameters of functions
     called at most once per op, every check and fixture of the suites among
     them, are printed apart after the candidates."""
     run = subprocess.run([sys.executable, "-B", str(ARGS)], capture_output=True, text=True)
@@ -101,6 +103,7 @@ def test_args_lists_the_parameters_no_workload_varies():
     assert ("quadrics.bitangent_pair", "line") not in params
     assert ("epw.a_plus", "ubasis") not in params
     for qual, name in [
+        ("rng.derive_rng", "seed"),
         ("suites.Fp", "prime"),
         ("fpkernel.fp_det", "p"),
         ("fpkernel.fp_rref", "p"),

@@ -5,10 +5,11 @@
 One op of each gated workload of `BENCHMARK.json` runs at seed 7 under a
 profile hook: battery (`run all --seed 7 --json`) and rational_qq, both as
 `perfbench/workloads.py` builds them; that file is loaded read-only, with no
-bytecode written. A third op, `run all --seed 7 --prime 17 --trials 1`
-(`SMALL_RUN`), runs the battery at another prime of the acceptance set and
-another trial count, so that a parameter that carries the run's prime,
-field or trials, such as `fpkernel.fp_det p`, takes two values. Every call
+bytecode written. A third op, `run all --seed 0 --prime 17 --trials 1`
+(`SMALL_RUN`), runs the battery at another configuration of the acceptance
+set and another trial count, so that a parameter that carries the run's
+seed, prime, field or trials, such as `rng.derive_rng seed` or
+`fpkernel.fp_det p`, takes two values. Every call
 of a function defined in `src/epwcalc` records the value of each of its
 parameters, defaults included (not `self` or `cls`, not `*args` or
 `**kwargs`, and a generator only when it starts). A parameter that took
@@ -42,8 +43,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "epwcalc"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SEED = 7
-# the third op's argv: the battery at an acceptance-set prime and one trial
-SMALL_RUN = ["run", "all", "--seed", str(SEED), "--prime", "17", "--trials", "1"]
+# the third op's argv: the battery at another acceptance-set configuration
+# and one trial
+SMALL_RUN = ["run", "all", "--seed", "0", "--prime", "17", "--trials", "1"]
 CO_GENERATOR = 0x20
 COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<setcomp>", "<dictcomp>"}
 
