@@ -1,14 +1,17 @@
-"""The rank-23 even lattice U^3 + E8(-1)^2 + <-2> with Fujiki constant 3.
+"""The rank-23 even lattice U^3 + E8(-1)^2 + <-2>, with its Fujiki and c2
+constants read off chow's degree table.
 
-Degree-4 intersection numbers on the 4-fold reduce to the quadratic form:
-the quadruple product is the full polarization of 3*q(a,a)^2, and the
-Riemann-Roch polynomial in q alone handles every line-bundle Euler
-characteristic used downstream.
+By Fujiki's theorem the degree-4 intersection numbers on the 4-fold reduce
+to the quadratic form: deg(x^4) = c q(x,x)^2 and deg(c2 x^2) = C q(x,x) for
+every class x. `BBLattice` reads c and C off a `chow.VarietyModel` at the
+polarization h. The quadruple product is the full polarization of
+c q(x,x)^2, and the Riemann-Roch polynomial in q alone handles every
+line-bundle Euler characteristic used downstream.
 """
 
-from fractions import Fraction
 from math import comb
 
+from .chow import hrr_chi
 from .linalg import Matrix
 from .scalars import QQ
 
@@ -76,13 +79,19 @@ def _inertia(gram):
 
 
 class BBLattice:
-    """Gram matrix, Fujiki constant 3, and the induced degree functionals."""
+    """Gram matrix, the Fujiki constant c and the c2 constant C read off a
+    chow model's degrees at h, and the degree functionals they induce."""
 
-    def __init__(self):
+    def __init__(self, model):
         self.gram = _block_diag([_U, _U, _U, _e8_gram(), _e8_gram(), [[-2]]])
         self.rank = 23
         # the nonzero Gram entries (i, j, g_ij): 51 of the 529
         self._entries = [(i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g]
+        # deg(h^4) = c q(h,h)^2 and deg(c2 h^2) = C q(h,h)
+        h, qh = model.sym("h"), self.q(self.h, self.h)
+        self.fujiki = model.degree(h**4) / qh**2
+        self.c2_constant = model.degree(model.sym("c2") * h * h) / qh
+        self.chi_trivial = hrr_chi(model, model.line(0))
 
     def q(self, a, b) -> int:
         if len(a) != self.rank or len(b) != self.rank:
@@ -113,63 +122,25 @@ class BBLattice:
 
     # -- degree functionals -------------------------------------------------
 
-    def quad_intersection(self, a1, a2, a3, a4) -> int:
-        """Full polarization of the Fujiki identity deg(x^4) = 3 q(x,x)^2:
-        q12 q34 + q13 q24 + q14 q23."""
-        return (
+    def quad_intersection(self, a1, a2, a3, a4):
+        """Full polarization of the Fujiki identity deg(x^4) = c q(x,x)^2:
+        (c/3)(q12 q34 + q13 q24 + q14 q23)."""
+        return self.fujiki / 3 * (
             self.q(a1, a2) * self.q(a3, a4)
             + self.q(a1, a3) * self.q(a2, a4)
             + self.q(a1, a4) * self.q(a2, a3)
         )
 
-    def c2_pairing(self, a, b) -> int:
-        """deg(c2 * a * b) = (6/5) * 25 * q(a, b): the dual form is 5/6 of
-        the second Chern class and pairs as 25 q."""
-        val = Fraction(6, 5) * 25 * self.q(a, b)
-        assert val.denominator == 1
-        return int(val)
+    def chi_of_class(self, qvalue):
+        """Euler characteristic of a line bundle with square q by
+        Riemann-Roch: deg(e^4)/24 + deg(c2 e^2)/24 + chi(O_X), that is
+        (c q^2 + C q)/24 + chi(O_X). The lattice is even, so odd input is
+        an error."""
+        if qvalue % 2 != 0:
+            raise ValueError("the lattice is even; q must be even")
+        return (self.fujiki * qvalue**2 + self.c2_constant * qvalue) / 24 + self.chi_trivial
 
-    def verify_deg6(self) -> bool:
-        """c2 * h = 5 h^3 as functionals on the lattice, h being the
-        polarization `self.h`: pairing both sides against every basis
-        vector."""
-        h = self.h
-        for i in range(self.rank):
-            beta = self.basis_vector(i)
-            lhs = self.c2_pairing(h, beta)  # deg(c2 h beta) = 30 q(h, beta)
-            rhs = 5 * self.quad_intersection(h, h, h, beta)  # deg(5 h^3 beta)
-            if lhs != rhs or lhs != 30 * self.q(h, beta):
-                return False
-        return True
-
-    def deg4_independence_witness(self):
-        """An isotropic class alpha with q(h, alpha) != 0, h being the
-        polarization `self.h`: the functionals beta -> deg(h^2 beta^2) and
-        beta -> deg(q_dual beta^2) take values (2 q(h,alpha)^2, 0) there, so
-        h^2 and c2 are independent."""
-        h = self.h
-        alpha = self.basis_vector(0)  # isotropic in the first hyperbolic block
-        assert self.q(alpha, alpha) == 0 and self.q(h, alpha) != 0
-        v_h2 = self.quad_intersection(h, h, alpha, alpha)
-        v_qdual = 25 * self.q(alpha, alpha)
-        assert v_h2 == 2 * self.q(h, alpha) ** 2 and v_h2 != 0 and v_qdual == 0
-        return alpha, v_h2, v_qdual
-
-
-def chi_of_class(qvalue: int) -> Fraction:
-    """Euler characteristic of a line bundle with square q: q^2/8 + 5q/4 + 3.
-
-    Equivalent to deg(e^4)/24 + deg(c2 e^2)/24 + 3 with deg(e^4) = 3q^2 and
-    deg(c2 e^2) = 30q. The lattice is even, so odd input is an error.
-    """
-    if qvalue % 2 != 0:
-        raise ValueError("the lattice is even; q must be even")
-    return Fraction(qvalue * qvalue, 8) + Fraction(5 * qvalue, 4) + 3
-
-
-def odd_section_count() -> int:
-    """Anti-invariant cubic sections of the double cover: chi at q = 18
-    minus the C(8,3) = 56 cubics pulled back from the ambient space."""
-    total = chi_of_class(18)
-    assert total == 66
-    return int(total) - comb(8, 3)
+    def odd_section_count(self):
+        """Anti-invariant cubic sections of the double cover: chi at q = 18
+        minus the C(8,3) = 56 cubics pulled back from the ambient space."""
+        return self.chi_of_class(18) - comb(8, 3)

@@ -785,8 +785,8 @@ def sym6_top_chern_stated_constant(sym6):
 
 
 # fixtures
-def lat():
-    return lattice.BBLattice()
+def lat(model):
+    return lattice.BBLattice(model)
 
 
 def gram_invariants(lat):
@@ -794,9 +794,22 @@ def gram_invariants(lat):
     return outcome(got == (2, (3, 20)), "(|det|, sig) = (2, (3, 20))", got)
 
 
+def fujiki_constants(lat):
+    c, C, h = lat.fujiki, lat.c2_constant, lat.h
+    # c2 h = 5 h^3 as functionals: deg(c2 h b) = C q(h, b) against deg(5 h^3 b)
+    functional = all(
+        C * lat.q(h, b) == 5 * lat.quad_intersection(h, h, h, b) for b in map(lat.basis_vector, range(lat.rank))
+    )
+    witness = None if functional else "c2 h != 5 h^3 against a basis vector"
+    return outcome((c, C) == (3, 30) and functional, "(3, 30)", f"({c}, {C})", witness)
+
+
 def fujiki_polarization(rng, lat):
-    quad = lat.quad_intersection
-    ok = all(quad(x, x, x, x) == 12 for x in (lat.h, lat.e_minus2))
+    quad, h, alpha = lat.quad_intersection, lat.h, lat.basis_vector(0)
+    # alpha is isotropic and meets h, so deg(h^2 alpha^2) = 2 q(h, alpha)^2 is
+    # not 0 = deg(c2 alpha^2): h^2 and c2 are independent functionals
+    ok = all(quad(x, x, x, x) == 12 for x in (h, lat.e_minus2))
+    ok = ok and quad(h, h, alpha, alpha) != 0 == lat.c2_constant * lat.q(alpha, alpha)
     for _ in range(20):
         a, b, c, d = (_lattice_vector(rng, 3) for _ in range(4))
         ok = (
@@ -807,33 +820,13 @@ def fujiki_polarization(rng, lat):
     return outcome(ok)
 
 
-def chi_values():
-    vals = tuple(lattice.chi_of_class(q) for q in (-2, 0, 18))
-    return outcome(vals == (1, 3, 66), (1, 3, 66), tuple(str(v) for v in vals))
+def chi_values(lat):
+    chi = lat.chi_of_class(-2)
+    return outcome(chi == 1, 1, chi)
 
 
-def deg6_functional(lat):
-    return outcome(lat.verify_deg6())
-
-
-def deg4_independence(lat):
-    h = lat.h
-    alpha, v1, v2 = lat.deg4_independence_witness()
-    return outcome(
-        v1 != 0 and v2 == 0,
-        "(nonzero, 0)",
-        (v1, v2),
-        f"h-values: ({lat.quad_intersection(h, h, h, h)}, {25 * lat.q(h, h)})",
-    )
-
-
-def c2_pairing_consistency(rng, lat):
-    squares = (_lattice_vector(rng, 4) for _ in range(50))
-    return outcome(all(lat.c2_pairing(a, a) == 30 * lat.q(a, a) for a in squares))
-
-
-def odd_cubic_sections():
-    odd = lattice.odd_section_count()
+def odd_cubic_sections(lat):
+    odd = lat.odd_section_count()
     return outcome(odd == 10, 10, odd)
 
 
@@ -974,18 +967,17 @@ CHECKS = {
     "bbf": [
         (gram_invariants, "|det| = 2 and signature (3, 20) for U^3 + E8(-1)^2 + <-2>"),
         (
+            fujiki_constants,
+            "the chow degree table at q(h,h) = 2 gives the Fujiki constant deg(h^4)/q(h,h)^2 = 3 "
+            "and the c2 constant deg(c2 h^2)/q(h,h) = 30; c2 h = 5 h^3 paired against all 23 basis vectors"
+        ),
+        (
             fujiki_polarization,
-            "deg(x^4) = 3 q(x,x)^2, fully symmetric; h^4 = 12 and the square -2 class has fourth power 12",
+            "deg(x^4) = 3 q(x,x)^2, fully symmetric; h^4 = 12 and the square -2 class has fourth power 12; "
+            "an isotropic class meeting h separates h^2 from c2",
             "bbf.fujiki"
         ),
-        (chi_values, "chi = q^2/8 + 5q/4 + 3: values 1, 3, 66 at q = -2, 0, 18"),
-        (deg6_functional, "c2 h = 5 h^3 paired against all 23 basis vectors"),
-        (deg4_independence, "an isotropic class meeting h separates h^2 from the dual form"),
-        (
-            c2_pairing_consistency,
-            "deg(c2 e^2) = 30 q(e,e): the dual-form constants are mutually consistent",
-            "bbf.c2e2"
-        ),
+        (chi_values, "chi = (c q^2 + C q)/24 + chi(O_X) is 1 at q = -2, the square of the <-2> generator"),
         (odd_cubic_sections, "66 cubic sections upstairs split as 56 pulled back plus 10 anti-invariant"),
     ],
 }

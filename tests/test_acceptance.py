@@ -35,7 +35,7 @@ F = GF(10007)
 SP = SymplecticSpace(F)
 SQ = SymplecticSpace(QQ)
 # sha256 of the stdout of `epwcalc run all --seed 7`
-REPORT_SHA256_SEED7 = "8c2984651d49f836309118ad1f9d26c739f5d58eb78545e20a519e28e414caf8"
+REPORT_SHA256_SEED7 = "8d36a8c4161fdf7206bdd44141310fa54a87fc3fa4453f9105fc03668bcccae4"
 
 
 def report(num, ok, detail, elapsed=None):
@@ -336,7 +336,7 @@ def test_c13_riemann_roch_values():
         for n in range(-3, 6)
     )
     ok = ok and chow.hrr_chi(model, model.line(3)) == 66
-    ok = ok and lattice.odd_section_count() == 10
+    ok = ok and lattice.BBLattice(model).odd_section_count() == 10
     elapsed = time.monotonic() - t0
     assert report(13, ok, "chi(O(n)) polynomial on -3..5; chi(O(3)) = 66; 10 odd cubic sections", elapsed)
 
@@ -414,20 +414,18 @@ def test_c14_line_class_stated_constant():
 
 def test_c15_lattice_battery():
     t0 = time.monotonic()
-    lat = lattice.BBLattice()
-    h = lat.h
-    alpha, v1, v2 = lat.deg4_independence_witness()
+    lat = lattice.BBLattice(chow.VarietyModel())
+    h, alpha = lat.h, lat.basis_vector(0)
     ok = (
         lat.quad_intersection(h, h, h, h) == 12
-        and lattice.chi_of_class(-2) == 1
-        and lat.verify_deg6()
-        and v1 != 0
-        and v2 == 0
+        and lat.chi_of_class(-2) == 1
+        and (lat.fujiki, lat.c2_constant) == (3, 30)
+        and lat.quad_intersection(h, h, alpha, alpha) != 0 == lat.c2_constant * lat.q(alpha, alpha)
         and lat.signature() == (3, 20)
         and abs(lat.determinant()) == 2
     )
     elapsed = time.monotonic() - t0
-    assert report(15, ok, "h^4 = 12, chi(-2) = 1, degree-6 functional, independence witness, (3,20), |det| 2", elapsed)
+    assert report(15, ok, "h^4 = 12, chi(-2) = 1, (c, C) = (3, 30), independence of h^2 and c2, (3,20), |det| 2", elapsed)
 
 
 def test_c16_cli_determinism_and_budget():

@@ -119,11 +119,15 @@ def _fault_oracle_coefficient(monkeypatch):
     monkeypatch.setattr(oracles, "sym_power_schur_coefficients", faulty)
 
 
-def _fault_c2_pairing(monkeypatch):
-    """c2_pairing off by one on two distinct classes, which the squares of
-    c2_pairing_consistency never pair."""
-    pairing = lattice.BBLattice.c2_pairing
-    monkeypatch.setattr(lattice.BBLattice, "c2_pairing", lambda self, a, b: pairing(self, a, b) + (a != b))
+def _fault_h_cubed_off_by_one(monkeypatch):
+    """deg(h^3 b) read one too high for every class b but h. The other bbf
+    checks read the quartic form at no such argument."""
+    quad = lattice.BBLattice.quad_intersection
+
+    def faulty(self, a1, a2, a3, a4):
+        return quad(self, a1, a2, a3, a4) + (a1 == a2 == a3 == self.h != a4)
+
+    monkeypatch.setattr(lattice.BBLattice, "quad_intersection", faulty)
 
 
 def _fault_degree_one_less(monkeypatch):
@@ -193,10 +197,10 @@ def _fault_canonical_relation_rhs(monkeypatch):
 
 
 def _fault_chi_at_minus_two(monkeypatch):
-    """chi of a class of square -2 read as 2; the odd sections read chi at
-    q = 18 only."""
-    chi = lattice.chi_of_class
-    monkeypatch.setattr(lattice, "chi_of_class", lambda q: chi(q) + (q == -2))
+    """chi of a class of square -2 read as 2. `odd_cubic_sections` reads chi
+    at q = 18 only, so it does not move."""
+    chi = lattice.BBLattice.chi_of_class
+    monkeypatch.setattr(lattice.BBLattice, "chi_of_class", lambda self, q: chi(self, q) + (q == -2))
 
 
 def _fault_ambient_cubics(monkeypatch):
@@ -431,12 +435,26 @@ def _fault_todd_plus_a_degree_zero_class(monkeypatch):
     monkeypatch.setattr(chow, "todd_from_c", faulty)
 
 
+def _fault_sum_of_two_one_term_classes_doubled(monkeypatch):
+    """The sum of two distinct one-term Schubert classes, as s2 + s11, read
+    twice over. Of the schubert checks only `pieri_samples` adds two such
+    classes: `pieri` adds coefficients in a dict."""
+    add = schubert.SchubertClass.__add__
+
+    def faulty(self, other):
+        out = add(self, other)
+        distinct = len(self.coeffs) == len(other.coeffs) == 1 and self.coeffs.keys() != other.coeffs.keys()
+        return out.scale(2) if distinct else out
+
+    monkeypatch.setattr(schubert.SchubertClass, "__add__", faulty)
+
+
 FAULTS = {
     ("chow", "c2h_equals_5h3"): _fault_c2h_rhs,
     ("chow", "c4_combination"): _fault_c4_expression,
     ("bbf", "gram_invariants"): _fault_plus_two_summand,
     ("schubert", "sym6_top_chern_oracle"): _fault_oracle_coefficient,
-    ("bbf", "deg6_functional"): _fault_c2_pairing,
+    ("bbf", "fujiki_constants"): _fault_h_cubed_off_by_one,
     ("epw", "sextic_degree"): _fault_degree_one_less,
     ("incidence", "pencil_axioms"): _fault_pencil_member_off_perp,
     ("quadrics", "harris_tu_degrees"): _fault_harris_tu_d2,
@@ -467,6 +485,7 @@ FAULTS = {
     ("chow", "pullback_tangent_difference"): _fault_chern_difference_adds_the_inverse,
     ("schubert", "duality"): _fault_two_part_partition_reversed,
     ("chow", "todd_symplectic"): _fault_todd_plus_a_degree_zero_class,
+    ("schubert", "pieri_samples"): _fault_sum_of_two_one_term_classes_doubled,
 }
 
 
@@ -480,6 +499,23 @@ def test_an_injected_fault_fails_exactly_its_check(suite, cid, monkeypatch):
     after = {c.id: c.status for c in suites.SUITES[suite](cfg)}
     assert (before[cid], after[cid]) == ("pass", "fail")
     assert {k for k in after if after[k] != before[k]} == {cid}
+
+
+def test_a_fujiki_constant_off_the_table_fails_each_bbf_check_that_reads_it(monkeypatch):
+    """With deg(h^4) = 13 in chow's degree table the Fujiki constant reads
+    13/4, and every bbf check that reads it fails. `gram_invariants` reads
+    only the Gram matrix and passes."""
+    cfg = suites.RunConfig(seed=0, trials=2)
+    monkeypatch.setitem(chow.DEGREE_TABLE, ("h", "h", "h", "h"), 13)
+    after = {c.id: c for c in suites.SUITES["bbf"](cfg)}
+    assert after["fujiki_constants"].got == "(13/4, 30)"
+    assert {k: c.status for k, c in after.items()} == {
+        "gram_invariants": "pass",
+        "fujiki_constants": "fail",
+        "fujiki_polarization": "fail",
+        "chi_values": "fail",
+        "odd_cubic_sections": "fail",
+    }
 
 
 def test_a_failed_derivation_fails_both_relation_checks(monkeypatch):

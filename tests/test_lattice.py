@@ -3,12 +3,13 @@ from itertools import permutations
 
 import pytest
 
-from epwcalc import lattice
+from epwcalc import chow, lattice
 from epwcalc.linalg import Matrix, interpolate_univariate
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import QQ
 
-LAT = lattice.BBLattice()
+MODEL = chow.VarietyModel()
+LAT = lattice.BBLattice(MODEL)
 
 
 def test_gram_shape_and_symmetry():
@@ -79,44 +80,29 @@ def test_polarized_pair_formula():
         )
 
 
-def test_verify_deg6_all_basis_vectors():
-    assert LAT.verify_deg6()
+def test_constants_read_off_the_degree_table():
+    """c = deg(h^4)/q(h,h)^2 = 12/4 and C = deg(c2 h^2)/q(h,h) = 60/2, and a
+    table with h^4 = 13 gives c = 13/4."""
+    assert (LAT.fujiki, LAT.c2_constant, LAT.chi_trivial) == (3, 30, 3)
+    table = {**chow.DEGREE_TABLE, ("h", "h", "h", "h"): 13}
+    assert lattice.BBLattice(chow.VarietyModel(table)).fujiki == Fraction(13, 4)
 
 
-def test_deg4_independence_witness():
-    alpha, v_h2, v_qdual = LAT.deg4_independence_witness()
-    assert LAT.q(alpha, alpha) == 0
-    assert LAT.q(LAT.h, alpha) != 0
-    assert v_h2 == 2 and v_qdual == 0
-    scaled = tuple(2 * x for x in alpha)
-    assert LAT.quad_intersection(LAT.h, LAT.h, scaled, scaled) == 8
-    assert 25 * LAT.q(scaled, scaled) == 0
-    # values against h itself, for the record
-    assert LAT.quad_intersection(LAT.h, LAT.h, LAT.h, LAT.h) == 12
-    assert 25 * LAT.q(LAT.h, LAT.h) == 50
-
-
-def test_c2_pairing_consistency():
-    rnd = derive_rng(3, "c2e2")
-    for _ in range(50):
-        e = tuple(rnd.randint(-4, 4) for _ in range(23))
-        assert LAT.c2_pairing(e, e) == 30 * LAT.q(e, e)
+def test_chi_of_class_is_riemann_roch_on_multiples_of_h():
+    """chi at q(nh) = 2n^2 is chow's Hirzebruch-Riemann-Roch chi(O(n))."""
+    for n in range(-3, 6):
+        assert LAT.chi_of_class(2 * n * n) == chow.hrr_chi(MODEL, MODEL.line(n))
 
 
 def test_chi_of_class():
-    assert lattice.chi_of_class(-2) == 1
-    assert lattice.chi_of_class(0) == 3
-    assert lattice.chi_of_class(2) == Fraction(1, 2) + Fraction(5, 2) + 3 == 6
-    for n in range(-3, 6):
-        assert lattice.chi_of_class(2 * n * n) == Fraction(n**4, 2) + Fraction(5 * n**2, 2) + 3
+    assert [LAT.chi_of_class(q) for q in (-2, 0, 2, 18)] == [1, 3, 6, 66]
     with pytest.raises(ValueError):
-        lattice.chi_of_class(3)
+        LAT.chi_of_class(3)
 
 
 def test_odd_section_count():
-    assert lattice.odd_section_count() == 10
-    assert lattice.chi_of_class(18) == 66
-    assert 56 + lattice.odd_section_count() == 66
+    assert LAT.odd_section_count() == 10
+    assert 56 + LAT.odd_section_count() == LAT.chi_of_class(18)
 
 
 def interpolated_charpoly(gram):
