@@ -6,14 +6,18 @@ hypersurface in the projectivized base space. Degree claims are checked on
 lines by exact interpolation, never by expanding the 6-variable polynomial.
 
 The pairing is held as data: per chart, six 10x10 matrices M_s with
-M(v) = sum v_s M_s (`EpwLagrangian.pencil`), and over QQ the same pencil on
-integers over one common denominator, so a QQ pairing determinant is one
-integer Bareiss pass. Both the degree check and the point search restrict
-the determinant to a line p + t q by `sextic_on_line`: determinants at
-t = 0, 1, ... and one interpolation. On the chart M(q) has rank <= 6, so
-seven samples pin the restriction exactly; the degree check takes eleven,
-whose extra four test that bound. The frame layout of the fibers is read
-only through `frame_struct` and `frame_leads`.
+M(v) = sum v_s M_s (`EpwLagrangian.pencil`). Over F_p the same pencil is
+held packed, one int per matrix and one slot per entry
+(`fpkernel.det_slots`), so M(v) is six big-int multiply-adds and one
+Barrett reduction, cut into one int per row (`EpwLagrangian.pairing_rows`),
+and an F_p pairing determinant is one `fpkernel.packed_det` of those rows. Over QQ the pencil is
+held on integers over one common denominator, so a QQ pairing determinant
+is one integer Bareiss pass. Both the degree check and the point search
+restrict the determinant to a line p + t q by `sextic_on_line`:
+determinants at t = 0, 1, ... and one interpolation. On the chart M(q) has
+rank <= 6, so seven samples pin the restriction exactly; the degree check
+takes eleven, whose extra four test that bound. The frame layout of the
+fibers is read only through `frame_struct` and `frame_leads`.
 
 A point [v] of the sextic is read by one meet of F_v with A: when it is a
 line v ^ alpha, `tangent_functional` reads alpha off the line's generator
@@ -24,9 +28,12 @@ covector exists and is nonzero. Points come from `find_point_stats(A, rng)[0]`.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exterior import DIM3, ExteriorVector, SymplecticSpace, chart_for, frame_leads, frame_struct, vol
-from .fpkernel import fp_det
+# fp_det is re-bound here for callers that look it up as epw.fp_det
+# (perfbench/spans.py patches it by that name)
+from .fpkernel import det_slots, fp_det, packed_det
 # poly_eval is re-bound here for callers that look it up as epw.poly_eval
 # (perfbench/spans.py counts calls through both names)
 from .linalg import Matrix, Subspace, _bareiss, adjugate_traces, interpolate_univariate, poly_eval, smallest_root
@@ -44,7 +51,8 @@ class RetryBudgetExhausted(RuntimeError):
 class EpwLagrangian:
     """A Lagrangian subspace of the 3-vector space with a fixed ordered
     basis (its RREF rows), its dual rows against the form and the cached
-    per-chart pairing pencils (over QQ also on integers)."""
+    per-chart pairing pencils (over F_p also packed, over QQ also on
+    integers)."""
 
     def __init__(self, space: SymplecticSpace, subspace: Subspace):
         if not space.is_lagrangian(subspace):
@@ -56,6 +64,7 @@ class EpwLagrangian:
         # dual rows: form(x, a_j) = sum_pos x[pos] * duals[j][pos]
         self.duals = [space.form_row(r) for r in self.basis]
         self._pencils = {}
+        self._packed = {}
         self._int_pencils = {}
 
     def pencil(self, chart):
@@ -65,10 +74,11 @@ class EpwLagrangian:
         if chart not in self._pencils:
             zero = self.field.zero
             mats = [[zero] * 100 for _ in range(6)]
+            # column pos of the duals: duals[j][pos] over j
+            cols = [list(col) for col in zip(*self.duals)]
             for i, entries in enumerate(frame_struct(chart)):
-                for j, dual in enumerate(self.duals):
-                    for s, sg, pos in entries:
-                        mats[s][10 * i + j] = dual[pos] if sg > 0 else -dual[pos]
+                for s, sg, pos in entries:
+                    mats[s][10 * i : 10 * i + 10] = cols[pos] if sg > 0 else [-x for x in cols[pos]]
             self._pencils[chart] = mats
         return self._pencils[chart]
 
@@ -79,6 +89,22 @@ class EpwLagrangian:
             den, nums = _numerators([x for m in self.pencil(chart) for x in m])
             self._int_pencils[chart] = den, [nums[100 * s : 100 * s + 100] for s in range(6)]
         return self._int_pencils[chart]
+
+    def pairing_rows(self, v, chart):
+        """(slots, rows): the rows of M(v) over F_p, for v in [0, p), as
+        packed ints of `slots` = `fpkernel.det_slots(p, 10)` with every slot
+        reduced. Each M_s of `pencil(chart)` is packed once into one int, so
+        M(v) is six big-int multiply-adds and one Barrett step, then cut into
+        its rows. The packing is kept with the pencil it was read from and
+        redone when `pencil(chart)` returns another."""
+        mats = self.pencil(chart)
+        entry = self._packed.get(chart)
+        if entry is None or entry[0] is not mats:
+            p = self.field.p
+            slots = det_slots(p, 10)
+            entry = self._packed[chart] = mats, slots, [slots.pack([x % p for x in m]) for m in mats]
+        _, slots, packed = entry
+        return slots, slots.rows(slots.reduce(sum(map(mul, v, packed))), 10)
 
     def __repr__(self):
         return f"EpwLagrangian(over {self.field!r})"
@@ -94,14 +120,6 @@ def fiber_intersection_dim(A: EpwLagrangian, vcoords) -> int:
     return DIM3 - Matrix(A.field, fiber.basis() + A.basis).rank()
 
 
-def _det10(field, flat):
-    """Determinant of a flat 10x10 matrix: the F_p kernel (looked up as
-    this module's fp_det) or Bareiss over QQ."""
-    if isinstance(field, PrimeField):
-        return fp_det(flat, 10, field.p)
-    return Matrix(field, [flat[i * 10 : (i + 1) * 10] for i in range(10)]).det()
-
-
 def _on_chart(F, vcoords, chart):
     """(coerced v, chart): the chart of v's first nonzero coordinate when
     none is given; ChartError when v vanishes on the given chart."""
@@ -113,20 +131,17 @@ def _on_chart(F, vcoords, chart):
     return v, chart
 
 
-def pairing_entries(A: EpwLagrangian, vcoords, chart=None):
-    """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list."""
-    v, chart = _on_chart(A.field, vcoords, chart)
-    return A.field.lincomb(v, A.pencil(chart))
-
-
 def pairing_det(A: EpwLagrangian, vcoords, chart=None):
-    """det M(v). Over QQ, v's denominators are cleared once (L), the integer
-    pencil is combined on v's numerators, which gives (L den) M(v) as an
-    integer matrix, and one Bareiss pass on it gives the determinant."""
+    """det M(v). Over F_p one `packed_det` of the packed rows of M(v)
+    (`EpwLagrangian.pairing_rows`). Over QQ, v's denominators are cleared
+    once (L), the integer pencil is combined on v's numerators, which gives
+    (L den) M(v) as an integer matrix, and one Bareiss pass on it gives the
+    determinant."""
     F = A.field
-    if isinstance(F, PrimeField):
-        return _det10(F, pairing_entries(A, vcoords, chart))
     v, chart = _on_chart(F, vcoords, chart)
+    if isinstance(F, PrimeField):
+        slots, rows = A.pairing_rows(v, chart)
+        return packed_det(rows, slots)
     scale, nums = _numerators(v)
     den, mats = A.int_pencil(chart)
     flat = _combination(nums, mats)
@@ -158,16 +173,27 @@ def sextic_on_line(A: EpwLagrangian, p, q, samples, chart=None):
     it exactly. Samples beyond seven must agree with that bound or
     InterpolationError is raised (so does a field with fewer elements than
     samples, through duplicate abscissae).
+
+    Over F_p the rows of M(p) and M(q) are packed and reduced once
+    (`EpwLagrangian.pairing_rows`), so a sample t costs ten big-int
+    multiply-adds, rows below p^2, and one `packed_det`. Over QQ each sample
+    is a `Matrix.det` of M(p) + t M(q).
     """
     F = A.field
     p, q, chart = _line(F, p, q, chart)
-    pencil = A.pencil(chart)
-    mp, mq = F.lincomb(p, pencil), F.lincomb(q, pencil)
-    points = []
-    for k in range(samples):
-        t = F.of(k)
-        points.append((t, _det10(F, F.axpy(mp, t, mq))))
-    return interpolate_univariate(F, points, 6)
+    ts = [F.of(k) for k in range(samples)]
+    if isinstance(F, PrimeField):
+        slots, mp = A.pairing_rows(p, chart)
+        mq = A.pairing_rows(q, chart)[1]
+        dets = [packed_det([a + t * b for a, b in zip(mp, mq)], slots) for t in ts]
+    else:
+        pencil = A.pencil(chart)
+        mp, mq = F.lincomb(p, pencil), F.lincomb(q, pencil)
+        dets = []
+        for t in ts:
+            m = F.axpy(mp, t, mq)
+            dets.append(Matrix(F, [m[i * 10 : i * 10 + 10] for i in range(10)]).det())
+    return interpolate_univariate(F, list(zip(ts, dets)), 6)
 
 
 def gradient_det(A: EpwLagrangian, v0, chart=None):

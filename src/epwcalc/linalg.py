@@ -10,12 +10,12 @@ them; raw numbers are made canonical once, where they enter the program
 
 Over Q, rank, determinant and rref share one fraction-free (Bareiss)
 forward pass, `_bareiss`, which controls entry growth; rref then
-back-substitutes from the last pivot up. Over F_p rank, determinant and
-rref all run through the one forward elimination in `fpkernel`. Those
-eliminations are the only code here that branches on the field; every
-vector combination, reduction and product goes through the field's
-`lincomb`, `axpy` and `dot`. Subspaces are stored in reduced row echelon
-form, which makes subspace equality syntactic. A canonical row is 1 at its
+back-substitutes from the last pivot up. Over F_p rank and rref run
+through the one forward elimination in `fpkernel`, and the determinant
+through its packed-row elimination. Those eliminations are the only code
+here that branches on the field; every vector combination, reduction and
+product goes through the field's `lincomb`, `axpy` and `dot`.
+Subspaces are stored in reduced row echelon form, which makes subspace equality syntactic. A canonical row is 1 at its
 own pivot and 0 at every other pivot, so the pivot columns are read, not
 computed: reductions run on the k x (n - k) free-column block of a
 k-dimensional subspace, and a residue is computed on the free columns
@@ -28,14 +28,15 @@ traces of the adjugate of a square matrix against other matrices are read
 off one rref of [M | I] (`adjugate_traces`).
 The univariate polynomial helpers sit together at the end: interpolation,
 evaluation and degree over either field, and `smallest_root`, a
-gcd-and-split root finder over F_p that takes no pass over the field.
+gcd-and-split root finder over F_p that takes no pass over the field; its
+modular powers run on packed coefficients (`_pow_linear_mod`).
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-from .fpkernel import fp_det, fp_rank, fp_rref
+from .fpkernel import _Slots, fp_det, fp_rank, fp_rref
 from .scalars import PrimeField, _numerators, same_field
 
 
@@ -434,12 +435,17 @@ def interpolate_univariate(field, samples, degree_bound):
     if len(pts) < d + 1:
         raise InterpolationError(f"need at least {d + 1} samples, got {len(pts)}")
     head = pts[: d + 1]
-    # Newton divided differences on the first d+1 points
+    # Newton divided differences on the first d+1 points, each distinct
+    # abscissa difference inverted once
     xs = [t for t, _ in head]
     coef = [v for _, v in head]
+    inverses = {}
     for j in range(1, d + 1):
         for i in range(d, j - 1, -1):
-            coef[i] = F.div(F.sub(coef[i], coef[i - 1]), F.sub(xs[i], xs[i - j]))
+            gap = F.sub(xs[i], xs[i - j])
+            if gap not in inverses:
+                inverses[gap] = F.inv(gap)
+            coef[i] = F.mul(F.sub(coef[i], coef[i - 1]), inverses[gap])
     # expand the Newton form into monomial coefficients
     poly = [F.zero] * (d + 1)
     poly[0] = coef[d]
@@ -505,19 +511,37 @@ def _gcd_monic(f, g, p):
 
 
 def _pow_linear_mod(a, e, m, p):
-    """(x + a)^e mod the monic m by square-and-multiply; multiplying by the
-    linear base is one shift and one scaled add."""
-    acc = [1]
+    """(x + a)^e mod the monic m of degree d by square-and-multiply, on the
+    coefficients packed one per slot of a `_Slots` (Kronecker substitution;
+    von zur Gathen-Gerhard, Modern Computer Algebra, 8.4). A square is one
+    big-int product; its coefficients of x^d..x^2d-2 are read mod p and fold
+    back onto the low d slots through the packed rows of x^k mod m, and one
+    Barrett step reduces every slot. Multiplying by the linear base is one
+    shift and one scaled add, folded the same way. Before a Barrett step a
+    slot holds at most 2d - 1 products of residues after a square and 3
+    after a multiplication."""
+    a %= p
+    d = len(m) - 1
+    slots = _Slots(p, d, (2 * d + 1) * (p - 1) ** 2)
+    w = slots.width
+    slot, body = (1 << w) - 1, (1 << (w * d)) - 1
+    # folds[k] is x^(d + k) mod m packed, for k = 0..max(d - 2, 0)
+    r = xd = [-c % p for c in m[:d]]
+    folds = []
+    for _ in range(max(d - 1, 1)):
+        folds.append(slots.pack(r))
+        r = [(c + r[-1] * x) % p for c, x in zip([0] + r[:-1], xd)]
+    acc = 1
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * len(acc) - 1)
-        for i, x in enumerate(acc):
-            if x:
-                for j, y in enumerate(acc):
-                    sq[i + j] += x * y
-        acc = _divmod_monic(sq, m, p)[1]
-        if bit == "1" and acc:
-            acc = _divmod_monic([a * c + b for c, b in zip(acc + [0], [0] + acc)], m, p)[1]
-    return acc
+        sq = acc * acc
+        acc = sq & body
+        for k, fold in enumerate(folds[: d - 1]):
+            acc += ((sq >> (w * (d + k))) & slot) % p * fold
+        acc = slots.reduce(acc)
+        if bit == "1":
+            acc = (acc << w) + a * acc
+            acc = slots.reduce((acc & body) + (acc >> (w * d)) * folds[0])
+    return _trim([(acc >> (w * i)) & slot for i in range(d)])
 
 
 def smallest_root(coeffs, p):

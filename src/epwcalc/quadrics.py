@@ -13,6 +13,7 @@ from itertools import combinations
 from math import comb
 from operator import add, mul
 
+from .fpkernel import _Slots
 from .linalg import Matrix
 from .scalars import PrimeField
 
@@ -247,42 +248,6 @@ class ScanCensus:
 SCAN_MAX_PRIME = 127
 
 
-class _Slots:
-    """n slots of whole bytes in one int, slot k at byte k * nbytes, each
-    holding a value v with 0 <= v <= 15 (p - 1)^2: a bivariate quartic, at
-    most 15 terms, or a cubic, at most 10, with coefficients and monomial
-    values in [0, p).
-    `reduce` takes every slot mod p at once as v - p * floor(v / p), where
-    floor(v / p) = (v * m) >> s for m = ceil(2^s / p) and 2^s > 15 (p - 1)^2
-    * p. A slot is wide enough to hold v * m, so no slot carries into the
-    next, and the mask drops the bits that the shift brings down from the
-    slot above. A residue is below p <= 127, so it is the slot's low byte."""
-
-    def __init__(self, p, n):
-        top = 15 * (p - 1) ** 2
-        self.p, self.n = p, n
-        self.shift = (top * p).bit_length()
-        self.mul = -(-(1 << self.shift) // p)
-        self.nbytes = -(-(top * self.mul).bit_length() // 8)
-        width = 8 * self.nbytes
-        ones = ((1 << (width * n)) - 1) // ((1 << width) - 1)
-        self.mask = ((1 << (width - self.shift)) - 1) * ones
-
-    def pack(self, values):
-        return int.from_bytes(b"".join(v.to_bytes(self.nbytes, "little") for v in values), "little")
-
-    def reduce(self, v):
-        return v - self.p * (((v * self.mul) >> self.shift) & self.mask)
-
-    def residues(self, *values):
-        """The slots of a value mod p as bytes, slot k at byte k; of several
-        values, the OR of their residues, 0 exactly where all of them are."""
-        v = 0
-        for x in values:
-            v |= self.reduce(x)
-        return v.to_bytes(self.nbytes * self.n, "little")[:: self.nbytes]
-
-
 def _plane_tables(slots, monomials):
     """For each (i, j) of `monomials`, the values c^i d^j mod p over the
     affine plane, packed into `slots` (n = p^2) with (c, d) at slot c p + d:
@@ -393,7 +358,9 @@ def field_scan(web: WebOfQuadrics) -> ScanCensus:
         elif r == 3:
             rank3_singular += singular
 
-    slots = _Slots(p, p * p)
+    # a slot holds a quartic, at most 15 terms, or a cubic, at most 10, with
+    # coefficients and monomial values in [0, p)
+    slots = _Slots(p, p * p, 15 * (p - 1) ** 2)
     c_f2 = [[c * x for x in f2] for c in range(p)]
     d_f3 = [[d * x for x in f3] for d in range(p)]
 

@@ -989,10 +989,11 @@ def test_a_full_run_draws_exactly_the_declared_streams(monkeypatch):
 
 def test_epw_suite_work_counts_at_seed_7(monkeypatch):
     """The epw suite at seed 7 and CLI defaults makes 50 point searches and
-    2,444 F_p forward eliminations: one point stream of 60 samples, each
-    with one tangent covector (one meet, no solve for its alpha) and one
-    gradient, and seven determinants per line a point search or
-    det_vs_rank_detector restricts the sextic to."""
+    2,444 F_p eliminations, 345 forward passes for ranks and rrefs and 2,099
+    packed determinants: one point stream of 60 samples, each with one
+    tangent covector (one meet, no solve for its alpha) and one gradient,
+    and seven determinants per line a point search or det_vs_rank_detector
+    restricts the sextic to."""
     calls = Counter()
 
     def counted(name, fn):
@@ -1003,10 +1004,20 @@ def test_epw_suite_work_counts_at_seed_7(monkeypatch):
         return run
 
     monkeypatch.setattr(fpkernel, "_forward", counted("forward", fpkernel._forward))
+    packed = counted("packed", fpkernel.packed_det)
+    for owner in (fpkernel, epw):
+        monkeypatch.setattr(owner, "packed_det", packed)
     for name in ("find_point_stats", "tangent_functional", "gradient_det"):
         monkeypatch.setattr(epw, name, counted(name, getattr(epw, name)))
     suites.SUITES["epw"](suites.RunConfig(seed=7))
-    assert calls == {"find_point_stats": 50, "forward": 2444, "tangent_functional": 60, "gradient_det": 60}
+    assert calls["forward"] + calls["packed"] == 2444
+    assert calls == {
+        "find_point_stats": 50,
+        "forward": 345,
+        "packed": 2099,
+        "tangent_functional": 60,
+        "gradient_det": 60,
+    }
 
 
 def _live_data_at_tangent_calls(monkeypatch, trials):

@@ -5,7 +5,7 @@ import pytest
 
 from epwcalc import epw
 from epwcalc.exterior import DIM3, ExteriorVector, SymplecticSpace, vol
-from epwcalc.linalg import InterpolationError, Matrix, Subspace, interpolate_univariate, poly_degree
+from epwcalc.linalg import InterpolationError, Matrix, Subspace, interpolate_univariate, poly_degree, poly_eval
 from epwcalc.rng import derive_rng
 from epwcalc.scalars import GF, QQ, PrimeField
 
@@ -18,10 +18,16 @@ def unit_rows(field, n):
     return [tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)]
 
 
+def pairing_entries(A, vcoords, chart):
+    """M(v) = sum_s v_s M_s on the chart as a flat 10x10 list, off the
+    pencil."""
+    return A.field.lincomb([A.field.of(x) for x in vcoords], A.pencil(chart))
+
+
 def pairing_matrix(A, vcoords, chart):
     """M[i][j] = form(frame_i(v), a_j) on the chart, as a Matrix: the
-    entries of `epw.pairing_entries`, which are linear homogeneous in v."""
-    flat = epw.pairing_entries(A, vcoords, chart)
+    entries of `pairing_entries`, which are linear homogeneous in v."""
+    flat = pairing_entries(A, vcoords, chart)
     return Matrix(A.field, [flat[i * 10 : (i + 1) * 10] for i in range(10)])
 
 
@@ -55,7 +61,7 @@ def test_fiber_dim_rejects_zero(datum):
 
 def test_chart_errors(datum):
     with pytest.raises(epw.ChartError):
-        pairing_matrix(datum, [0, 1, 2, 3, 4, 5], chart=0)
+        epw.pairing_det(datum, [0, 1, 2, 3, 4, 5], chart=0)
     with pytest.raises(epw.ChartError):
         epw.sextic_on_line(datum, [1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], 7, chart=0)
 
@@ -138,7 +144,7 @@ def _gradient_by_row_replacement(A, v0, chart):
     row i of M_k. Forty 10x10 determinants; the independent reference for
     the Jacobi-formula gradient."""
     F = A.field
-    m0 = epw.pairing_entries(A, v0, chart)
+    m0 = pairing_entries(A, v0, chart)
     grad = []
     for mk in A.pencil(chart):
         acc = F.zero
@@ -598,6 +604,31 @@ def test_seven_samples_equal_eleven_on_every_chart(p):
     assert len(lines) == 72
 
 
+@pytest.mark.parametrize(
+    "p", [17, 10007, 2**61 - 1, 3317044064679887385961813], ids=["GF17", "GF10007", "GF2^61-1", "largest"]
+)
+def test_packed_pencil_dets_equal_the_matrix_det_on_every_chart(p):
+    """`pairing_det` and the samples of `sextic_on_line`, both read off the
+    packed pencil rows, equal `Matrix.det` of lincomb(v, pencil(chart)) on
+    every chart, at eleven points of a line each; a point of the sextic has
+    det 0 on each chart where it has a nonzero coordinate."""
+    K = GF(p)
+    rnd = derive_rng(45, f"packed.{p}")
+    A = epw.random_lagrangian_datum(SymplecticSpace(K), rnd)
+    for chart in range(6):
+        base = [K.random(rnd) for _ in range(6)]
+        q = [K.random(rnd) for _ in range(6)]
+        base[chart], q[chart] = K.one, K.zero
+        coeffs = epw.sextic_on_line(A, base, q, 7, chart)
+        for t in map(K.of, range(11)):
+            v = K.axpy(base, t, q)
+            want = pairing_matrix(A, v, chart).det()
+            assert epw.pairing_det(A, v, chart) == poly_eval(K, coeffs, t) == want, (chart, t)
+    point = epw.find_point_stats(A, rnd)[0].coords
+    for chart in (c for c in range(6) if point[c]):
+        assert epw.pairing_det(A, point, chart) == pairing_matrix(A, point, chart).det() == 0
+
+
 def test_seven_samples_equal_eleven_on_a_line_through_a_point_of_the_sextic(datum):
     """det M(p) = 0 at a point from `find_point_stats`, the start of every
     line the point search restricts: the constant coefficient is zero and
@@ -698,7 +729,7 @@ def test_qq_pairing_det_equals_bareiss_on_the_pairing_entries():
     zeros = 0
     for v in points:
         for chart in [c for c in range(6) if v[c] != 0]:
-            rows = epw.pairing_entries(A, v, chart)
+            rows = pairing_entries(A, v, chart)
             expected = Matrix(QQ, [rows[i * 10 : (i + 1) * 10] for i in range(10)]).det()
             got = epw.pairing_det(A, v, chart)
             assert got == expected and type(got) is Fraction

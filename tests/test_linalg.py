@@ -13,6 +13,8 @@ from epwcalc.linalg import (
     Matrix,
     ShapeError,
     Subspace,
+    _divmod_monic,
+    _pow_linear_mod,
     adjugate_traces,
     interpolate_univariate,
     poly_degree,
@@ -629,6 +631,102 @@ def test_fp_rank_equals_the_rref_rank(p):
             assert rank == fpkernel.fp_rref(flat, nrows, ncols, p)[0], (nrows, ncols, rows)
             if nrows == ncols:
                 assert (fpkernel.fp_det(flat, nrows, p) != 0) == (rank == nrows)
+
+
+# the four primes of the packed kernels' tests: two small, 2^61 - 1 and the
+# largest prime the CLI accepts
+PACKED_PRIMES = [17, 10007, 2**61 - 1, 3317044064679887385961813]
+PACKED_IDS = ["17", "10007", "2^61-1", "largest"]
+
+
+def _forward_det_reference(a, n, p):
+    """The determinant by the flat-list forward elimination that ran every
+    F_p determinant before the packed kernel: the product of the pivots,
+    negated at each row swap."""
+    m = [x % p for x in a]
+    d = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i * n + col]), -1)
+        if piv < 0:
+            return 0
+        if piv != col:
+            d = p - d
+            for c in range(col, n):
+                m[col * n + c], m[piv * n + c] = m[piv * n + c], m[col * n + c]
+        base = col * n
+        d = d * m[base + col] % p
+        inv = pow(m[base + col], -1, p)
+        for i in range(col + 1, n):
+            f = m[i * n + col] * inv % p
+            for c in range(col, n):
+                m[i * n + c] = (m[i * n + c] - f * m[base + c]) % p
+    return d % p
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES, ids=PACKED_IDS)
+def test_packed_det_equals_the_forward_reference(p):
+    """fp_det, which packs its rows for `packed_det`, equals the flat-list
+    elimination on dense, sparse and singular matrices, a zero column, row
+    swaps and unreduced or negative entries, for n = 1..10; `packed_det`
+    alone takes rows with every entry as large as p^2 - 1."""
+    rng = random.Random(p + 3)
+    for n in range(1, 11):
+        for rows in _kernel_cases(rng, p, n, n):
+            sparse = [[x if rng.random() < 0.3 else 0 for x in r] for r in rows]
+            unreduced = [[x + p * rng.randrange(-3, 4) for x in r] for r in rows]
+            negative = [[-x for x in r] for r in rows]
+            for case in (rows, sparse, unreduced, negative):
+                flat = [x for r in case for x in r]
+                assert fpkernel.fp_det(flat, n, p) == _forward_det_reference(flat, n, p), (n, case)
+            slots = fpkernel.det_slots(p, n)
+            high = [[x + p * (p - 1) for x in r] for r in rows]
+            packed = [slots.pack(r) for r in high]
+            flat = [x for r in high for x in r]
+            assert fpkernel.packed_det(packed, slots) == _forward_det_reference(flat, n, p), (n, high)
+    assert fpkernel.fp_det([], 0, p) == 1
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES, ids=PACKED_IDS)
+def test_a_slot_holding_its_bound_reduces_exactly(p):
+    """Barrett's estimate is exact up to the slot bound: slots holding top,
+    top - 1, ... and 0 reduce to their residues, for the determinant's
+    slots, a whole 10 x 10 matrix, and the root finder's."""
+    for n, top in [(100, p * p + 9 * (p - 1) ** 2), (6, 13 * (p - 1) ** 2), (1, (p - 1) ** 2)]:
+        slots = fpkernel._Slots(p, n, top)
+        values = [top - k for k in range(n - 1)] + [0]
+        got = slots.reduce(slots.pack(values))
+        assert [(got >> (slots.width * k)) & ((1 << slots.width) - 1) for k in range(n)] == [v % p for v in values]
+    assert fpkernel.det_slots(p, 10).__dict__ == fpkernel._Slots(p, 100, p * p + 9 * (p - 1) ** 2).__dict__
+
+
+def _pow_linear_reference(a, e, m, p):
+    """(x + a)^e mod the monic m by square-and-multiply on coefficient
+    lists, the loop the packed one replaced."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(acc) - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(acc):
+                sq[i + j] += x * y
+        acc = _divmod_monic(sq, m, p)[1]
+        if bit == "1" and acc:
+            acc = _divmod_monic([a * c + b for c, b in zip(acc + [0], [0] + acc)], m, p)[1]
+    return acc
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES, ids=PACKED_IDS)
+def test_pow_linear_mod_equals_the_coefficient_loop(p):
+    """The packed square-and-multiply equals the coefficient loop for monic
+    moduli of degree 1..6, random and with zero or p - 1 coefficients, at
+    e = p and (p - 1)/2, the exponents of `smallest_root`."""
+    rng = random.Random(p + 4)
+    for d in range(1, 7):
+        moduli = [[rng.randrange(p) for _ in range(d)] + [1] for _ in range(4)]
+        moduli += [[0] * d + [1], [p - 1] * d + [1]]
+        for m in moduli:
+            for a in (0, 1, rng.randrange(p)):
+                for e in (p, (p - 1) // 2):
+                    assert _pow_linear_mod(a, e, m, p) == _pow_linear_reference(a, e, m, p), (d, m, a, e)
 
 
 def _gauss_jordan_reference(a, nrows, ncols, p):

@@ -438,8 +438,8 @@ def test_field_scan_equals_the_line_scan(p):
 
 @pytest.mark.parametrize("p", [17, quadrics.SCAN_MAX_PRIME])
 def test_slot_reduction_is_exact_at_the_largest_slot_value(p):
-    slots = quadrics._Slots(p, p * p)
     top = 15 * (p - 1) ** 2
+    slots = fpkernel._Slots(p, p * p, top)
     values = [top - k for k in range(p * p)]
     assert slots.residues(slots.pack(values)) == bytes(v % p for v in values)
     # of several values the OR of the residues, 0 exactly where all are 0; at
@@ -483,7 +483,7 @@ def test_packed_plane_values_equal_mp_eval(p):
     (1, p - 1), where b has its largest powers, and (0, 1)."""
     field = GF(p)
     rnd = derive_rng(12, "cubics")
-    slots = quadrics._Slots(p, p * p)
+    slots = fpkernel._Slots(p, p * p, 15 * (p - 1) ** 2)
     heads = [(1, b) for b in range(p)] + [(0, 1)]
     checked = range(p + 1) if p == 13 else (p - 1, p)
     for web in (diagonal_web(field), random_web(field, rnd)):
@@ -505,7 +505,7 @@ def test_three_packed_partials_find_the_singular_points(p):
     `_mp_eval` do."""
     field = GF(p)
     rnd = derive_rng(p, "euler")
-    slots = quadrics._Slots(p, p * p)
+    slots = fpkernel._Slots(p, p * p, 15 * (p - 1) ** 2)
     heads = [(1, b) for b in range(p)] + [(0, 1)]
     singular = 0
     for web in (random_web(field, rnd), zero_block_web(field, rnd)):

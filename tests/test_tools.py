@@ -40,7 +40,7 @@ def test_acceptance_script_reads_the_cli_report(tmp_path, capsys):
     assert run.stdout == f"seed0@17       {sha[:8]}  {passed} pass 1 fail 0 skip\n"
 
     acceptance = _acceptance()
-    assert len(acceptance.CONFIGURATIONS) == 23
+    assert len(acceptance.CONFIGURATIONS) == 25
     assert acceptance.differences(table, table) == []
     old = {"seed0@17": {"sha256": "0" * 64, "statuses": {**statuses, "quadrics.random_scan": "fail"}}}
     assert acceptance.differences(old, table) == [
@@ -76,8 +76,8 @@ def test_heap_prints_one_peak_per_named_suite():
 def test_args_lists_the_parameters_no_workload_varies():
     """The census of one battery op and one rational_qq op at seed 7, and of
     `run all` at seed 0, p = 17 and one trial, lists the point search's
-    budget and the scan prime of `_Slots`, which no run varies, among the
-    candidates, and none of the arguments that callers used to fix, the line
+    budget and the scan prime, which no run varies, among the candidates,
+    and none of the arguments that callers used to fix, the line
     of `bitangent_pair` among them, nor the sample count of `sextic_on_line`,
     which its callers set to 7 and 11, nor a parameter that carries the
     run's seed, prime, field, trials or config. The parameters of functions
@@ -95,7 +95,7 @@ def test_args_lists_the_parameters_no_workload_varies():
     rows = candidates + once
     params = {(qual, name_value.partition("=")[0]) for qual, name_value, _ in rows}
     assert any(row[:2] == ["epw.find_point_stats", "budget=60"] and row[2].startswith("calls=") for row in candidates)
-    assert any(row[:2] == ["quadrics._Slots.__init__", "p=61"] for row in candidates)
+    assert any(row[:2] == ["quadrics._rank3_minor", "p=61"] for row in candidates)
     checks = {f"suites.{check.__name__}" for entries in suites.CHECKS.values() for check, *_ in entries}
     assert checks & {row[0] for row in once} and not checks & {row[0] for row in candidates}
     assert ("epw.sextic_on_line", "samples") not in params
@@ -106,6 +106,7 @@ def test_args_lists_the_parameters_no_workload_varies():
         ("rng.derive_rng", "seed"),
         ("suites.Fp", "prime"),
         ("fpkernel.fp_det", "p"),
+        ("fpkernel._Slots.__init__", "p"),
         ("fpkernel.fp_rref", "p"),
         ("linalg.smallest_root", "p"),
         ("suites._random_3_space", "field"),

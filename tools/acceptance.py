@@ -1,7 +1,9 @@
 """Run the acceptance set of `epwcalc run all` and compare it with an earlier run.
 
-The set is seeds 0-4, 7 and 4242 at p = 10007, and seed 0 at the 16 primes
-17..211: 23 configurations. Each report is the CLI's stdout; the script
+The set is seeds 0-4, 7 and 4242 at p = 10007, seed 0 at the 16 primes
+17..211, and seed 0 at p = 2^61 - 1 and at 3317044064679887385961813, the
+largest prime the CLI accepts, where the packed kernels' slots are widest:
+25 configurations. Each report is the CLI's stdout; the script
 writes {config: {"sha256": ..., "statuses": {check id: status}}} to OUT and
 prints one line per configuration. With `--against OLD` (a file written by
 this script) it also prints each configuration whose bytes differ and each
@@ -25,7 +27,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 # (seed, prime) pairs of the acceptance set, in run order
 CONFIGURATIONS = [(seed, 10007) for seed in (0, 1, 2, 3, 4, 7, 4242)] + [
-    (0, p) for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 101, 211)
+    (0, p)
+    for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 101, 211, 2**61 - 1, 3317044064679887385961813)
 ]
 
 
